@@ -1,0 +1,507 @@
+"""Point cloud, correspondence, intrinsics, and report file formats.
+
+Formats handled here:
+  * PLY clouds, ASCII or binary little-endian, vertex element with float or
+    double x/y/z properties (big-endian deliberately rejected).
+  * Matches CSV with header exactly ``us,vs,ds,ut,vt,dt``; an empty depth
+    field means the depth is unknown.
+  * Intrinsics JSON ``{"fx":..., "fy":..., "cx":..., "cy":...}``.
+  * Pipeline report JSON (schema documented on :func:`write_report`).
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+
+from .errors import ParseError
+from .geom import RigidTransform, SimilarityTransform
+
+_PLY_FLOAT_TYPES = {
+    "float": "<f4",
+    "float32": "<f4",
+    "double": "<f8",
+    "float64": "<f8",
+}
+
+
+@dataclass(frozen=True)
+class Cloud:
+    """Ordered 3D point set with a source label and bounds metadata.
+
+    ``bounds_hint`` records the axis-aligned bounds of the cloud the points
+    were taken from; filters preserve it so that boundaries keep referring to
+    the original extent. It is None for freshly loaded clouds.
+    """
+
+    points: np.ndarray
+    label: str = ""
+    bounds_hint: "object" = None
+
+    def __post_init__(self):
+        pts = np.asarray(self.points, dtype=np.float64)
+        if pts.ndim != 2 or pts.shape[1] != 3:
+            raise ValueError(f"cloud points must be (n, 3), got {pts.shape}")
+        if pts.shape[0] < 1:
+            raise ValueError("a cloud needs at least one point")
+        if not np.isfinite(pts).all():
+            raise ValueError("cloud points must all be finite")
+        pts = np.array(pts)
+        pts.flags.writeable = False
+        object.__setattr__(self, "points", pts)
+
+    def __len__(self) -> int:
+        return self.points.shape[0]
+
+
+@dataclass(frozen=True)
+class CameraIntrinsics:
+    """Pinhole intrinsics: focal lengths and principal point, in pixels."""
+
+    fx: float
+    fy: float
+    cx: float
+    cy: float
+
+    def __post_init__(self):
+        for name in ("fx", "fy", "cx", "cy"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if not all(np.isfinite([self.fx, self.fy, self.cx, self.cy])):
+            raise ValueError("intrinsics must be finite")
+        if self.fx <= 0.0 or self.fy <= 0.0:
+            raise ValueError("focal lengths must be positive")
+
+
+@dataclass(frozen=True)
+class MatchRecord:
+    """One keypoint correspondence: pixel coordinates plus optional depths."""
+
+    us: float
+    vs: float
+    ut: float
+    vt: float
+    ds: float | None = None
+    dt: float | None = None
+
+    def __post_init__(self):
+        for name in ("us", "vs", "ut", "vt"):
+            value = float(getattr(self, name))
+            if not np.isfinite(value):
+                raise ValueError(f"pixel coordinate {name} must be finite")
+            object.__setattr__(self, name, value)
+        for name in ("ds", "dt"):
+            value = getattr(self, name)
+            if value is not None:
+                value = float(value)
+                if not np.isfinite(value) or value <= 0.0:
+                    raise ValueError(f"depth {name} must be positive when present")
+                object.__setattr__(self, name, value)
+
+    def has_depths(self) -> bool:
+        return self.ds is not None and self.dt is not None
+
+
+# ---------------------------------------------------------------------------
+# PLY
+# ---------------------------------------------------------------------------
+
+
+def read_ply(path) -> Cloud:
+    """Read an ASCII or binary little-endian PLY vertex cloud."""
+    path = Path(path)
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise ParseError(f"cannot read file: {exc}", path=path) from exc
+
+    marker = raw.find(b"end_header")
+    if marker < 0:
+        raise ParseError("missing end_header", path=path)
+    newline = raw.find(b"\n", marker)
+    if newline < 0:
+        raise ParseError("header not terminated by newline", path=path)
+    body = raw[newline + 1:]
+
+    try:
+        header_lines = raw[:marker].decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError("header is not ASCII", path=path) from exc
+
+    fmt = None
+    vertex_count = None
+    properties: list[tuple[str, str]] = []
+    label = ""
+    in_vertex = False
+    for lineno, line in enumerate(header_lines, start=1):
+        tokens = line.strip().split()
+        if not tokens:
+            continue
+        if lineno == 1:
+            if tokens != ["ply"]:
+                raise ParseError("not a PLY file (magic line missing)", path=path, line=1)
+            continue
+        keyword = tokens[0]
+        if keyword == "format":
+            if len(tokens) != 3:
+                raise ParseError("malformed format line", path=path, line=lineno)
+            if tokens[1] == "ascii":
+                fmt = "ascii"
+            elif tokens[1] == "binary_little_endian":
+                fmt = "binary-le"
+            elif tokens[1] == "binary_big_endian":
+                raise ParseError("big-endian PLY is not supported", path=path, line=lineno)
+            else:
+                raise ParseError(f"unknown PLY format {tokens[1]!r}", path=path, line=lineno)
+        elif keyword == "comment":
+            rest = line.strip()[len("comment"):].strip()
+            if rest.startswith("label ") and not label:
+                label = rest[len("label "):]
+        elif keyword == "element":
+            if len(tokens) != 3:
+                raise ParseError("malformed element line", path=path, line=lineno)
+            if tokens[1] != "vertex":
+                raise ParseError(f"unsupported element {tokens[1]!r}", path=path, line=lineno)
+            try:
+                vertex_count = int(tokens[2])
+            except ValueError as exc:
+                raise ParseError("vertex count is not an integer", path=path, line=lineno) from exc
+            in_vertex = True
+        elif keyword == "property":
+            if not in_vertex:
+                raise ParseError("property outside the vertex element", path=path, line=lineno)
+            if len(tokens) != 3:
+                raise ParseError("unsupported property declaration", path=path, line=lineno)
+            if tokens[1] not in _PLY_FLOAT_TYPES:
+                raise ParseError(f"unsupported property type {tokens[1]!r}", path=path, line=lineno)
+            properties.append((tokens[2], _PLY_FLOAT_TYPES[tokens[1]]))
+        elif keyword == "obj_info":
+            continue
+        else:
+            raise ParseError(f"unknown header keyword {keyword!r}", path=path, line=lineno)
+
+    if fmt is None:
+        raise ParseError("missing format line", path=path)
+    if vertex_count is None:
+        raise ParseError("missing vertex element", path=path)
+    if vertex_count < 1:
+        raise ParseError("cloud is empty (vertex count 0)", path=path)
+    names = [name for name, _ in properties]
+    for coord in ("x", "y", "z"):
+        if coord not in names:
+            raise ParseError(f"vertex element lacks property {coord!r}", path=path)
+
+    if fmt == "ascii":
+        pts = _read_ply_ascii(body, vertex_count, names, path, header_len=len(header_lines) + 1)
+    else:
+        pts = _read_ply_binary(body, vertex_count, properties, path)
+
+    if not np.isfinite(pts).all():
+        raise ParseError("non-finite vertex coordinate", path=path)
+    return Cloud(points=pts, label=label)
+
+
+def _read_ply_ascii(body, count, names, path, header_len):
+    try:
+        text = body.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ParseError("ASCII body contains non-ASCII bytes", path=path) from exc
+    rows = []
+    lineno = header_len
+    for line in text.splitlines():
+        lineno += 1
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) != len(names):
+            raise ParseError(
+                f"expected {len(names)} values per vertex, got {len(tokens)}",
+                path=path, line=lineno)
+        try:
+            rows.append([float(tok) for tok in tokens])
+        except ValueError as exc:
+            raise ParseError("vertex value is not a number", path=path, line=lineno) from exc
+    if len(rows) != count:
+        raise ParseError(
+            f"header declares {count} vertices but body has {len(rows)}", path=path)
+    data = np.asarray(rows, dtype=np.float64)
+    cols = [names.index(coord) for coord in ("x", "y", "z")]
+    return data[:, cols]
+
+
+def _read_ply_binary(body, count, properties, path):
+    dtype = np.dtype([(name, code) for name, code in properties])
+    expected = dtype.itemsize * count
+    if len(body) < expected:
+        raise ParseError(
+            f"binary body too short: expected {expected} bytes, have {len(body)}",
+            path=path, offset=len(body))
+    if len(body) > expected:
+        raise ParseError("trailing bytes after vertex data", path=path, offset=expected)
+    table = np.frombuffer(body, dtype=dtype, count=count)
+    pts = np.empty((count, 3), dtype=np.float64)
+    for k, coord in enumerate(("x", "y", "z")):
+        pts[:, k] = table[coord].astype(np.float64)
+    return pts
+
+
+def write_ply(cloud, path, fmt: str = "binary-le") -> None:
+    """Write a cloud as PLY; ``fmt`` is ``"ascii"`` or ``"binary-le"``.
+
+    Binary mode stores doubles, so a write/read round trip is bit exact.
+    ASCII mode keeps 9 significant digits. The label is preserved in a
+    header comment line.
+    """
+    if fmt not in ("ascii", "binary-le"):
+        raise ValueError(f"unknown PLY format {fmt!r}")
+    pts = np.asarray(cloud.points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
+        raise ValueError("refusing to write an empty or malformed cloud")
+    label = getattr(cloud, "label", "")
+
+    header = ["ply"]
+    header.append("format ascii 1.0" if fmt == "ascii" else "format binary_little_endian 1.0")
+    if label:
+        header.append(f"comment label {label}")
+    header.append(f"element vertex {pts.shape[0]}")
+    header.extend(f"property double {c}" for c in ("x", "y", "z"))
+    header.append("end_header")
+    head = ("\n".join(header) + "\n").encode("ascii")
+
+    if fmt == "ascii":
+        body = "".join(
+            f"{row[0]:.9g} {row[1]:.9g} {row[2]:.9g}\n" for row in pts
+        ).encode("ascii")
+    else:
+        body = np.ascontiguousarray(pts, dtype="<f8").tobytes()
+    Path(path).write_bytes(head + body)
+
+
+# ---------------------------------------------------------------------------
+# Matches CSV
+# ---------------------------------------------------------------------------
+
+_MATCH_HEADER = "us,vs,ds,ut,vt,dt"
+
+
+def read_matches(path) -> list[MatchRecord]:
+    """Read keypoint correspondences from CSV."""
+    path = Path(path)
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot read file: {exc}", path=path) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError("file is not UTF-8 text", path=path) from exc
+
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != _MATCH_HEADER:
+        raise ParseError(f"header must be exactly {_MATCH_HEADER!r}", path=path, line=1)
+
+    records = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != 6:
+            raise ParseError(f"expected 6 fields, got {len(fields)}", path=path, line=lineno)
+
+        def _pixel(idx, name):
+            try:
+                value = float(fields[idx])
+            except ValueError as exc:
+                raise ParseError(f"{name} is not a number", path=path, line=lineno) from exc
+            if not np.isfinite(value):
+                raise ParseError(f"{name} must be finite", path=path, line=lineno)
+            return value
+
+        def _depth(idx, name):
+            token = fields[idx].strip()
+            if token == "":
+                return None
+            try:
+                value = float(token)
+            except ValueError as exc:
+                raise ParseError(f"{name} is not a number", path=path, line=lineno) from exc
+            if not np.isfinite(value) or value <= 0.0:
+                raise ParseError(f"{name} must be a positive depth", path=path, line=lineno)
+            return value
+
+        records.append(MatchRecord(
+            us=_pixel(0, "us"), vs=_pixel(1, "vs"), ds=_depth(2, "ds"),
+            ut=_pixel(3, "ut"), vt=_pixel(4, "vt"), dt=_depth(5, "dt")))
+    return records
+
+
+def write_matches(records, path) -> None:
+    lines = [_MATCH_HEADER]
+    for rec in records:
+        ds = "" if rec.ds is None else format(rec.ds, ".17g")
+        dt = "" if rec.dt is None else format(rec.dt, ".17g")
+        lines.append(
+            f"{rec.us:.17g},{rec.vs:.17g},{ds},{rec.ut:.17g},{rec.vt:.17g},{dt}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# Intrinsics JSON
+# ---------------------------------------------------------------------------
+
+
+def read_intrinsics(path) -> CameraIntrinsics:
+    path = Path(path)
+    try:
+        data = json.loads(path.read_bytes().decode("utf-8"))
+    except OSError as exc:
+        raise ParseError(f"cannot read file: {exc}", path=path) from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"not valid JSON: {exc}", path=path) from exc
+    if not isinstance(data, dict):
+        raise ParseError("intrinsics JSON must be an object", path=path)
+    values = {}
+    for key in ("fx", "fy", "cx", "cy"):
+        if key not in data:
+            raise ParseError(f"missing key {key!r}", path=path)
+        if not isinstance(data[key], (int, float)) or isinstance(data[key], bool):
+            raise ParseError(f"key {key!r} must be numeric", path=path)
+        values[key] = float(data[key])
+    if values["fx"] <= 0.0 or values["fy"] <= 0.0:
+        raise ParseError("focal lengths must be positive", path=path)
+    try:
+        return CameraIntrinsics(**values)
+    except ValueError as exc:
+        raise ParseError(str(exc), path=path) from exc
+
+
+def write_intrinsics(intrinsics: CameraIntrinsics, path) -> None:
+    payload = {
+        "fx": intrinsics.fx, "fy": intrinsics.fy,
+        "cx": intrinsics.cx, "cy": intrinsics.cy,
+    }
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# Pipeline report
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PipelineReport:
+    """End-to-end registration result written to the report JSON."""
+
+    scale_detected: bool
+    scale: float
+    relative_pose: RigidTransform
+    icp_transform: RigidTransform
+    final_transform: SimilarityTransform
+    rms: float
+    iterations: int
+    covariance: np.ndarray
+    information: np.ndarray
+
+    def __post_init__(self):
+        cov = np.asarray(self.covariance, dtype=np.float64)
+        info = np.asarray(self.information, dtype=np.float64)
+        if cov.shape != (6, 6) or info.shape != (6, 6):
+            raise ValueError("covariance and information must be 6x6")
+        if not (np.isfinite(cov).all() and np.isfinite(info).all()):
+            raise ValueError("covariance and information must be finite")
+        scale_cov = max(1.0, float(np.abs(cov).max()))
+        if np.abs(cov - cov.T).max() > 1e-9 * scale_cov:
+            raise ValueError("covariance must be symmetric within 1e-9")
+        product = info @ cov
+        if np.abs(product - np.eye(6)).max() > 1e-6:
+            raise ValueError("information must invert the covariance within 1e-6")
+        for arr, name in ((cov, "covariance"), (info, "information")):
+            frozen = np.array(arr)
+            frozen.flags.writeable = False
+            object.__setattr__(self, name, frozen)
+        object.__setattr__(self, "scale", float(self.scale))
+        object.__setattr__(self, "rms", float(self.rms))
+        object.__setattr__(self, "iterations", int(self.iterations))
+        object.__setattr__(self, "scale_detected", bool(self.scale_detected))
+
+
+def _fmt_float(value: float) -> str:
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError("report values must be finite")
+    return format(value, ".17g")
+
+
+def _fmt_array(arr) -> str:
+    return "[" + ", ".join(_fmt_float(v) for v in np.asarray(arr).ravel()) + "]"
+
+
+def _fmt_rigid(rt: RigidTransform) -> str:
+    return ("{" + f'"rotation": {_fmt_array(rt.rotation)}, '
+            + f'"translation": {_fmt_array(rt.translation)}' + "}")
+
+
+def write_report(report: PipelineReport, path) -> None:
+    """Write the report JSON.
+
+    Top-level keys, in order: scale_detected, scale, relative_pose,
+    icp_transform, final_transform (scale + rotation + translation), rms,
+    iterations, covariance, information. Matrices are row-major flat lists;
+    floats carry 17 significant digits so 64-bit values survive a round trip.
+    """
+    final = report.final_transform
+    parts = [
+        f'"scale_detected": {"true" if report.scale_detected else "false"}',
+        f'"scale": {_fmt_float(report.scale)}',
+        f'"relative_pose": {_fmt_rigid(report.relative_pose)}',
+        f'"icp_transform": {_fmt_rigid(report.icp_transform)}',
+        ('"final_transform": {'
+         + f'"scale": {_fmt_float(final.scale)}, '
+         + f'"rotation": {_fmt_array(final.rotation)}, '
+         + f'"translation": {_fmt_array(final.translation)}' + "}"),
+        f'"rms": {_fmt_float(report.rms)}',
+        f'"iterations": {report.iterations}',
+        f'"covariance": {_fmt_array(report.covariance)}',
+        f'"information": {_fmt_array(report.information)}',
+    ]
+    text = "{\n  " + ",\n  ".join(parts) + "\n}\n"
+    Path(path).write_text(text, encoding="utf-8")
+
+
+def _rigid_from_json(obj, path) -> RigidTransform:
+    try:
+        rot = np.asarray(obj["rotation"], dtype=np.float64).reshape(3, 3)
+        trans = np.asarray(obj["translation"], dtype=np.float64).reshape(3)
+        return RigidTransform(rot, trans)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ParseError(f"bad transform block: {exc}", path=path) from exc
+
+
+def read_report(path) -> PipelineReport:
+    path = Path(path)
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ParseError(f"cannot read file: {exc}", path=path) from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"not valid JSON: {exc}", path=path) from exc
+    try:
+        final = data["final_transform"]
+        final_transform = SimilarityTransform(
+            float(final["scale"]),
+            RigidTransform(
+                np.asarray(final["rotation"], dtype=np.float64).reshape(3, 3),
+                np.asarray(final["translation"], dtype=np.float64).reshape(3)))
+        return PipelineReport(
+            scale_detected=bool(data["scale_detected"]),
+            scale=float(data["scale"]),
+            relative_pose=_rigid_from_json(data["relative_pose"], path),
+            icp_transform=_rigid_from_json(data["icp_transform"], path),
+            final_transform=final_transform,
+            rms=float(data["rms"]),
+            iterations=int(data["iterations"]),
+            covariance=np.asarray(data["covariance"], dtype=np.float64).reshape(6, 6),
+            information=np.asarray(data["information"], dtype=np.float64).reshape(6, 6),
+        )
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ParseError(f"bad report structure: {exc}", path=path) from exc

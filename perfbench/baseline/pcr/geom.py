@@ -1,0 +1,283 @@
+"""Rigid and similarity transform algebra shared by every other module.
+
+All value types are immutable after construction (backing arrays are made
+read-only), so instances are safe to share across threads.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import DegenerateGeometryError
+
+ORTHOGONALITY_TOL = 1e-9
+
+
+def _freeze(arr: np.ndarray) -> np.ndarray:
+    out = np.array(arr, dtype=np.float64)
+    out.flags.writeable = False
+    return out
+
+
+def _as_points(points) -> np.ndarray:
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"expected an (n, 3) point array, got shape {pts.shape}")
+    return pts
+
+
+def project_rotation(mat: np.ndarray) -> np.ndarray:
+    """Nearest proper rotation to ``mat`` (SVD projection, det forced to +1)."""
+    u, _, vt = np.linalg.svd(mat)
+    d = np.sign(np.linalg.det(u) * np.linalg.det(vt)) or 1.0
+    return u @ np.diag([1.0, 1.0, d]) @ vt
+
+
+def orthogonality_residual(rot: np.ndarray) -> float:
+    return float(np.abs(rot.T @ rot - np.eye(3)).max())
+
+
+@dataclass(frozen=True)
+class RigidTransform:
+    """SE(3) element: y = R @ x + t."""
+
+    rotation: np.ndarray
+    translation: np.ndarray
+
+    def __post_init__(self):
+        rot = np.asarray(self.rotation, dtype=np.float64)
+        trans = np.asarray(self.translation, dtype=np.float64).reshape(-1)
+        if rot.shape != (3, 3) or trans.shape != (3,):
+            raise ValueError("rotation must be 3x3 and translation length 3")
+        if not (np.isfinite(rot).all() and np.isfinite(trans).all()):
+            raise ValueError("transform entries must be finite")
+        if orthogonality_residual(rot) > ORTHOGONALITY_TOL:
+            raise ValueError("rotation is not orthonormal within 1e-9")
+        if abs(np.linalg.det(rot) - 1.0) > ORTHOGONALITY_TOL:
+            raise ValueError("rotation determinant must be +1 within 1e-9")
+        object.__setattr__(self, "rotation", _freeze(rot))
+        object.__setattr__(self, "translation", _freeze(trans))
+
+    @classmethod
+    def identity(cls) -> "RigidTransform":
+        return cls(np.eye(3), np.zeros(3))
+
+    def apply(self, points) -> np.ndarray:
+        pts = np.asarray(points, dtype=np.float64)
+        if pts.ndim == 1:
+            return self.rotation @ pts + self.translation
+        return pts @ self.rotation.T + self.translation
+
+    def compose(self, other: "RigidTransform") -> "RigidTransform":
+        """Transform equal to applying ``other`` first, then ``self``."""
+        rot = self.rotation @ other.rotation
+        if orthogonality_residual(rot) > ORTHOGONALITY_TOL:
+            rot = project_rotation(rot)
+        return RigidTransform(rot, self.rotation @ other.translation + self.translation)
+
+    def inverse(self) -> "RigidTransform":
+        return RigidTransform(self.rotation.T, -self.rotation.T @ self.translation)
+
+    def as_quaternion(self) -> np.ndarray:
+        """Unit quaternion (w, x, y, z) equivalent of the rotation."""
+        return quaternion_from_rotation(self.rotation)
+
+
+@dataclass(frozen=True)
+class SimilarityTransform:
+    """Sim(3) element: y = s * R @ x + t."""
+
+    scale: float
+    rigid: RigidTransform
+
+    def __post_init__(self):
+        scale = float(self.scale)
+        if not np.isfinite(scale) or scale <= 0.0:
+            raise ValueError("scale must be a positive finite real")
+        object.__setattr__(self, "scale", scale)
+
+    @classmethod
+    def identity(cls) -> "SimilarityTransform":
+        return cls(1.0, RigidTransform.identity())
+
+    @classmethod
+    def from_parts(cls, scale, rotation, translation) -> "SimilarityTransform":
+        return cls(scale, RigidTransform(rotation, translation))
+
+    @property
+    def rotation(self) -> np.ndarray:
+        return self.rigid.rotation
+
+    @property
+    def translation(self) -> np.ndarray:
+        return self.rigid.translation
+
+    def apply(self, points) -> np.ndarray:
+        pts = np.asarray(points, dtype=np.float64)
+        if pts.ndim == 1:
+            return self.scale * (self.rotation @ pts) + self.translation
+        return self.scale * (pts @ self.rotation.T) + self.translation
+
+    def compose(self, other: "SimilarityTransform") -> "SimilarityTransform":
+        """Transform equal to applying ``other`` first, then ``self``.
+
+        Exactly s_a * R_a @ (s_b * R_b @ p + t_b) + t_a.
+        """
+        rot = self.rotation @ other.rotation
+        if orthogonality_residual(rot) > ORTHOGONALITY_TOL:
+            rot = project_rotation(rot)
+        trans = self.scale * (self.rotation @ other.translation) + self.translation
+        return SimilarityTransform(self.scale * other.scale, RigidTransform(rot, trans))
+
+    def inverse(self) -> "SimilarityTransform":
+        inv_scale = 1.0 / self.scale
+        rot = self.rotation.T
+        return SimilarityTransform(inv_scale, RigidTransform(rot, -inv_scale * (rot @ self.translation)))
+
+
+@dataclass(frozen=True)
+class Bounds3:
+    """Axis-aligned bounds, min corner <= max corner componentwise."""
+
+    minimum: np.ndarray
+    maximum: np.ndarray
+
+    def __post_init__(self):
+        lo = np.asarray(self.minimum, dtype=np.float64).reshape(-1)
+        hi = np.asarray(self.maximum, dtype=np.float64).reshape(-1)
+        if lo.shape != (3,) or hi.shape != (3,):
+            raise ValueError("bounds corners must be 3-vectors")
+        if np.any(lo > hi):
+            raise ValueError("minimum corner exceeds maximum corner")
+        object.__setattr__(self, "minimum", _freeze(lo))
+        object.__setattr__(self, "maximum", _freeze(hi))
+
+    def diagonal(self) -> np.ndarray:
+        return self.maximum - self.minimum
+
+    def diagonal_length(self) -> float:
+        return float(np.linalg.norm(self.diagonal()))
+
+
+def bounds(points) -> Bounds3:
+    """Tight axis-aligned bounds of a nonempty point set."""
+    pts = _as_points(points)
+    if pts.shape[0] == 0:
+        raise ValueError("bounds of an empty point set are undefined")
+    return Bounds3(pts.min(axis=0), pts.max(axis=0))
+
+
+def umeyama_align(source, target, with_scale: bool = True) -> SimilarityTransform:
+    """Least-squares similarity (or rigid) alignment of paired point sets.
+
+    Returns the transform minimizing sum_i |s * R @ p_i + t - q_i|^2 via the
+    SVD closed form with determinant-sign correction; the scale uses the
+    variance-ratio form. With ``with_scale`` off the scale is fixed to 1.
+    """
+    src = _as_points(source)
+    tgt = _as_points(target)
+    if src.shape != tgt.shape:
+        raise ValueError("source and target must have matching shapes")
+    n = src.shape[0]
+    if n < 3:
+        raise DegenerateGeometryError("alignment needs at least 3 point pairs")
+    mu_s = src.mean(axis=0)
+    mu_t = tgt.mean(axis=0)
+    cs = src - mu_s
+    ct = tgt - mu_t
+
+    sv = np.linalg.svd(cs, compute_uv=False)
+    if sv[1] <= 1e-9 * max(sv[0], 1e-300):
+        raise DegenerateGeometryError("source points are collinear or coincident")
+
+    cross = ct.T @ cs / n
+    u, d, vt = np.linalg.svd(cross)
+    sign = np.sign(np.linalg.det(u) * np.linalg.det(vt)) or 1.0
+    rot = u @ np.diag([1.0, 1.0, sign]) @ vt
+    if with_scale:
+        var_s = float((cs**2).sum()) / n
+        scale = float(d[0] + d[1] + sign * d[2]) / var_s
+        if scale <= 0.0:
+            raise DegenerateGeometryError("alignment produced a nonpositive scale")
+    else:
+        scale = 1.0
+    trans = mu_t - scale * (rot @ mu_s)
+    return SimilarityTransform(scale, RigidTransform(rot, trans))
+
+
+# ---------------------------------------------------------------------------
+# Rotation helpers (ZYX Euler convention: R = Rz(yaw) @ Ry(pitch) @ Rx(roll))
+# ---------------------------------------------------------------------------
+
+
+def rot_x(angle: float) -> np.ndarray:
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def rot_y(angle: float) -> np.ndarray:
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
+
+def rot_z(angle: float) -> np.ndarray:
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def rotation_zyx(roll: float, pitch: float, yaw: float) -> np.ndarray:
+    return rot_z(yaw) @ rot_y(pitch) @ rot_x(roll)
+
+
+def euler_zyx(rot: np.ndarray) -> tuple[float, float, float]:
+    """(roll, pitch, yaw) with pitch in [-pi/2, pi/2] for a ZYX rotation."""
+    pitch = np.arctan2(-rot[2, 0], float(np.hypot(rot[0, 0], rot[1, 0])))
+    if np.isclose(abs(pitch), np.pi / 2.0, atol=1e-12):
+        # Roll and yaw are coupled here; report yaw = 0 and fold into roll.
+        yaw = 0.0
+        roll = np.arctan2(-rot[1, 2], rot[1, 1])
+    else:
+        yaw = np.arctan2(rot[1, 0], rot[0, 0])
+        roll = np.arctan2(rot[2, 1], rot[2, 2])
+    return float(roll), float(pitch), float(yaw)
+
+
+def rotation_about_axis(axis, angle: float) -> np.ndarray:
+    """Rodrigues rotation about a (not necessarily unit) axis."""
+    ax = np.asarray(axis, dtype=np.float64).reshape(3)
+    norm = np.linalg.norm(ax)
+    if norm == 0.0:
+        raise ValueError("rotation axis must be nonzero")
+    ax = ax / norm
+    k = np.array([[0.0, -ax[2], ax[1]], [ax[2], 0.0, -ax[0]], [-ax[1], ax[0], 0.0]])
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+def rotation_angle(rot: np.ndarray) -> float:
+    """Absolute rotation angle of a rotation matrix, in radians."""
+    return float(np.arccos(np.clip((np.trace(rot) - 1.0) / 2.0, -1.0, 1.0)))
+
+
+def quaternion_from_rotation(rot: np.ndarray) -> np.ndarray:
+    """Unit quaternion (w, x, y, z) for a proper rotation matrix."""
+    t = np.trace(rot)
+    if t > 0.0:
+        w = 0.5 * np.sqrt(1.0 + t)
+        d = 0.25 / w
+        q = np.array([w,
+                      (rot[2, 1] - rot[1, 2]) * d,
+                      (rot[0, 2] - rot[2, 0]) * d,
+                      (rot[1, 0] - rot[0, 1]) * d])
+    else:
+        i = int(np.argmax(np.diag(rot)))
+        j, k = (i + 1) % 3, (i + 2) % 3
+        x = 0.5 * np.sqrt(max(0.0, 1.0 + rot[i, i] - rot[j, j] - rot[k, k]))
+        d = 0.25 / x
+        q = np.empty(4)
+        q[0] = (rot[k, j] - rot[j, k]) * d
+        q[1 + i] = x
+        q[1 + j] = (rot[j, i] + rot[i, j]) * d
+        q[1 + k] = (rot[k, i] + rot[i, k]) * d
+    return q / np.linalg.norm(q)

@@ -1,0 +1,193 @@
+"""Trimmed point-to-point ICP with exact nearest neighbors.
+
+Each iteration pairs every transformed source point with its exact nearest
+target point, rejects pairs beyond ``trim_multiplier`` times the median pair
+distance, and solves the rigid alignment in closed form, so the objective
+cannot increase within an iteration. A transformation checker (pose change,
+error change, or iteration cap) ends the loop.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.spatial import cKDTree
+
+from .errors import TooFewPairsError
+from .geom import RigidTransform, bounds, rotation_angle, umeyama_align
+
+
+def _points_of(cloud_or_points) -> np.ndarray:
+    pts = getattr(cloud_or_points, "points", cloud_or_points)
+    pts = np.asarray(pts, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"expected an (n, 3) point array, got shape {pts.shape}")
+    return pts
+
+
+@dataclass(frozen=True)
+class IcpConfig:
+    max_iterations: int = 100
+    rotation_tol: float = 1e-6
+    translation_tol: float | None = None  # default: 1e-6 * target cloud diagonal
+    error_change_tol: float = 1e-9        # relative change of the RMS
+    trim_multiplier: float = 3.0
+
+    def __post_init__(self):
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
+        if self.rotation_tol <= 0.0 or self.error_change_tol <= 0.0 \
+                or self.trim_multiplier <= 0.0:
+            raise ValueError("tolerances and trim multiplier must be positive")
+        if self.translation_tol is not None and self.translation_tol <= 0.0:
+            raise ValueError("translation_tol must be positive")
+
+
+class NNIndex:
+    """Exact nearest-neighbor index over a fixed target point set.
+
+    Immutable after construction; queries are safe from multiple threads.
+    """
+
+    def __init__(self, points):
+        pts = _points_of(points)
+        if pts.shape[0] < 1:
+            raise ValueError("cannot index an empty cloud")
+        self._points = pts
+        self._tree = cKDTree(pts)
+
+    @property
+    def points(self) -> np.ndarray:
+        return self._points
+
+    def query(self, queries) -> tuple[np.ndarray, np.ndarray]:
+        """Distances and target indices of the true closest points."""
+        dist, idx = self._tree.query(np.asarray(queries, dtype=np.float64))
+        return np.atleast_1d(dist), np.atleast_1d(idx).astype(np.int64)
+
+
+def build_nn_index(cloud) -> NNIndex:
+    return NNIndex(cloud)
+
+
+@dataclass(frozen=True)
+class Correspondences:
+    """Surviving source/target index pairs with their current distances."""
+
+    source_indices: np.ndarray
+    target_indices: np.ndarray
+    distances: np.ndarray
+
+    def __len__(self) -> int:
+        return self.source_indices.shape[0]
+
+
+def correspond(source, index: NNIndex, transform: RigidTransform,
+               trim_multiplier: float = 3.0) -> Correspondences:
+    """Nearest-neighbor pairs of the transformed source, median-trimmed.
+
+    Pairs farther than ``trim_multiplier`` times the median pair distance are
+    rejected; at least 3 pairs must survive.
+    """
+    src = _points_of(source)
+    moved = transform.apply(src)
+    dist, tgt_idx = index.query(moved)
+    cutoff = trim_multiplier * float(np.median(dist))
+    keep = dist <= cutoff
+    if int(keep.sum()) < 3:
+        raise TooFewPairsError(
+            f"only {int(keep.sum())} pairs survive trimming, need at least 3")
+    src_idx = np.flatnonzero(keep).astype(np.int64)
+    return Correspondences(source_indices=src_idx,
+                           target_indices=tgt_idx[keep],
+                           distances=dist[keep])
+
+
+@dataclass(frozen=True)
+class IcpResult:
+    transform: RigidTransform
+    source_indices: np.ndarray   # source side of the final pair set
+    theta: np.ndarray            # matching target indices
+    rms_trace: np.ndarray        # per-iteration RMS over the surviving pairs
+    iterations: int
+    converged: bool
+    objective: float
+
+    @property
+    def rms(self) -> float:
+        return float(self.rms_trace[-1])
+
+
+def objective(source, target, theta, transform: RigidTransform) -> float:
+    """Sum of squared distances |R @ P_i + t - Q_i|^2 with Q_i = target[theta[i]]."""
+    src = _points_of(source)
+    tgt = _points_of(target)
+    th = np.asarray(theta, dtype=np.int64).reshape(-1)
+    if th.shape[0] != src.shape[0]:
+        raise ValueError("theta must assign a target index to every source point")
+    if th.size and (th.min() < 0 or th.max() >= tgt.shape[0]):
+        raise IndexError("theta contains an out-of-range target index")
+    diff = transform.apply(src) - tgt[th]
+    return float((diff * diff).sum())
+
+
+def icp_register(source, target, cfg: IcpConfig = IcpConfig(),
+                 init: RigidTransform | None = None) -> IcpResult:
+    """Register source onto target by trimmed point-to-point ICP.
+
+    ``init`` seeds only the first correspondence search; every iteration
+    solves the absolute transform in closed form, so the result does not
+    depend on composing increments. Deterministic for identical inputs.
+    """
+    src = _points_of(source)
+    tgt = _points_of(target)
+    if src.shape[0] < 3 or tgt.shape[0] < 3:
+        raise TooFewPairsError("both clouds need at least 3 points")
+
+    index = build_nn_index(tgt)
+    trans_tol = cfg.translation_tol
+    if trans_tol is None:
+        trans_tol = 1e-6 * bounds(tgt).diagonal_length()
+        if trans_tol == 0.0:
+            trans_tol = 1e-6
+
+    current = init if init is not None else RigidTransform.identity()
+    trace: list[float] = []
+    converged = False
+    iterations = 0
+    prev_rms = None
+    for iterations in range(1, cfg.max_iterations + 1):
+        corr = correspond(src, index, current, cfg.trim_multiplier)
+        pairs_p = src[corr.source_indices]
+        pairs_q = tgt[corr.target_indices]
+        solved = umeyama_align(pairs_p, pairs_q, with_scale=False)
+        new = solved.rigid
+
+        diff = new.apply(pairs_p) - pairs_q
+        sq = float((diff * diff).sum())
+        rms = float(np.sqrt(sq / len(corr)))
+        trace.append(rms)
+
+        delta = new.compose(current.inverse())
+        pose_small = (rotation_angle(delta.rotation) < cfg.rotation_tol
+                      and float(np.linalg.norm(delta.translation)) < trans_tol)
+        error_small = (prev_rms is not None
+                       and abs(prev_rms - rms) < cfg.error_change_tol * max(prev_rms, 1e-300))
+        current = new
+        prev_rms = rms
+        if pose_small or error_small:
+            converged = True
+            break
+
+    # Refresh the pair set so theta describes the returned transform.
+    final_corr = correspond(src, index, current, cfg.trim_multiplier)
+    diff = current.apply(src[final_corr.source_indices]) - tgt[final_corr.target_indices]
+    final_obj = float((diff * diff).sum())
+    return IcpResult(transform=current,
+                     source_indices=final_corr.source_indices,
+                     theta=final_corr.target_indices,
+                     rms_trace=np.asarray(trace),
+                     iterations=iterations,
+                     converged=converged,
+                     objective=final_obj)

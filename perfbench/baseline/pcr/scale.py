@@ -1,0 +1,254 @@
+"""Scale difference detection and estimation between two capture sessions.
+
+Detection compares bounding-diagonal lengths of the two clouds. Estimation
+backprojects matched keypoints to 3D using per-pixel depths, then runs a
+scalar Kalman filter whose measurement is the closed-form joint solve for
+(scale, translation magnitude) along the relative-pose translation direction.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .cloudio import CameraIntrinsics, Cloud, MatchRecord
+from .errors import DegenerateGeometryError, InsufficientMatchesError
+from .geom import bounds
+
+
+@dataclass(frozen=True)
+class ScaleDetection:
+    """Diagonal-length ratio (target / source) and whether it flags a scale gap."""
+
+    ratio: float
+    differs: bool
+
+
+@dataclass(frozen=True)
+class ScaleEstimate:
+    """Filtered scale with its posterior variance.
+
+    translation is the co-estimated displacement vector (magnitude along the
+    re-linearized relative-pose translation direction) from the final
+    measurement solve; together with the relative rotation it coarsely aligns
+    the backprojected keyframe points.
+    """
+
+    scale: float
+    variance: float
+    iterations: int
+    converged: bool
+    translation: np.ndarray | None = None
+
+    def __post_init__(self):
+        trans = np.zeros(3) if self.translation is None \
+            else np.asarray(self.translation, dtype=np.float64).reshape(3)
+        trans = np.array(trans)
+        trans.flags.writeable = False
+        object.__setattr__(self, "translation", trans)
+
+    @property
+    def translation_magnitude(self) -> float:
+        return float(np.linalg.norm(self.translation))
+
+
+@dataclass(frozen=True)
+class KalmanConfig:
+    initial_scale: float = 1.0
+    initial_variance: float = 1.0
+    process_noise: float = 1e-6
+    measurement_noise: float = 1e-2
+    tolerance: float = 1e-6
+    max_iterations: int = 100
+
+    def __post_init__(self):
+        if self.initial_variance <= 0.0 or self.process_noise <= 0.0 \
+                or self.measurement_noise <= 0.0 or self.tolerance <= 0.0:
+            raise ValueError("variances, noises and tolerance must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
+
+
+def detect_scale(source: Cloud, target: Cloud, tolerance: float = 0.1) -> ScaleDetection:
+    """Compare the bounding-diagonal lengths of the two clouds."""
+    diag_s = bounds(source.points).diagonal_length()
+    diag_t = bounds(target.points).diagonal_length()
+    if diag_s == 0.0 or diag_t == 0.0:
+        raise DegenerateGeometryError("cloud has zero spatial extent")
+    ratio = diag_t / diag_s
+    return ScaleDetection(ratio=ratio, differs=abs(ratio - 1.0) > tolerance)
+
+
+def backproject(pixel, depth: float, intrinsics: CameraIntrinsics) -> np.ndarray:
+    """Lift a pixel with known depth to a 3D camera-frame point.
+
+    The unit-depth ray ((X - cx)/fx, (Y - cy)/fy, 1) is scaled by the depth.
+    """
+    if depth <= 0.0 or not np.isfinite(depth):
+        raise ValueError("depth must be positive and finite")
+    x, y = float(pixel[0]), float(pixel[1])
+    return depth * np.array([(x - intrinsics.cx) / intrinsics.fx,
+                             (y - intrinsics.cy) / intrinsics.fy,
+                             1.0])
+
+
+def project_pinhole(point, intrinsics: CameraIntrinsics) -> tuple[float, float]:
+    """Pinhole projection of a camera-frame point with positive depth."""
+    p = np.asarray(point, dtype=np.float64).reshape(3)
+    if p[2] <= 0.0:
+        raise ValueError("point must lie in front of the camera")
+    return (intrinsics.fx * p[0] / p[2] + intrinsics.cx,
+            intrinsics.fy * p[1] / p[2] + intrinsics.cy)
+
+
+def scale_least_squares(source_pts, target_pts, rel_rot, t_dir) -> tuple[float, float]:
+    """Closed-form (scale, translation magnitude) along a fixed direction.
+
+    Minimizes sum_i |s * R @ p_i + alpha * t_dir - q_i|^2 via the 2x2 normal
+    equations in (s, alpha). ``t_dir`` must be unit length.
+    """
+    src = np.asarray(source_pts, dtype=np.float64).reshape(-1, 3)
+    tgt = np.asarray(target_pts, dtype=np.float64).reshape(-1, 3)
+    if src.shape != tgt.shape or src.shape[0] < 2:
+        raise ValueError("need at least 2 matching point pairs")
+    rot = np.asarray(rel_rot, dtype=np.float64).reshape(3, 3)
+    tdir = np.asarray(t_dir, dtype=np.float64).reshape(3)
+    if abs(np.linalg.norm(tdir) - 1.0) > 1e-9:
+        raise ValueError("t_dir must be a unit vector")
+
+    rotated = src @ rot.T
+    a11 = float((rotated * rotated).sum())
+    a12 = float((rotated @ tdir).sum())
+    a22 = float(src.shape[0])
+    b1 = float((rotated * tgt).sum())
+    b2 = float((tgt @ tdir).sum())
+    normal = np.array([[a11, a12], [a12, a22]])
+    cond = np.linalg.cond(normal)
+    if not np.isfinite(cond) or cond > 1e12:
+        raise DegenerateGeometryError("scale normal equations are singular")
+    scale, alpha = np.linalg.solve(normal, np.array([b1, b2]))
+    if scale <= 0.0:
+        raise DegenerateGeometryError("least-squares scale is nonpositive")
+    return float(scale), float(alpha)
+
+
+def depth_consistent_indices(matches, intrinsics_source: CameraIntrinsics,
+                             intrinsics_target: CameraIntrinsics,
+                             mad_factor: float = 6.0,
+                             min_rel_band: float = 0.05) -> np.ndarray:
+    """Indices of matches whose backprojected pair is 3D-consistent.
+
+    The epipolar test cannot constrain depth, so a match can pass it with an
+    arbitrary depth. For each match the median of pairwise distance ratios
+    |q_i - q_j| / |p_i - p_j| over the other matches is rigid-invariant and
+    clusters at the session scale; rows whose median deviates from the global
+    one by more than ``mad_factor`` robust scatters (with a
+    ``min_rel_band`` relative floor) are rejected. Matches without both
+    depths are rejected as well.
+    """
+    have = np.array([m.has_depths() for m in matches], dtype=bool)
+    idx = np.flatnonzero(have)
+    if idx.size < 3:
+        return idx
+    usable = [matches[i] for i in idx]
+    src = np.array([backproject((m.us, m.vs), m.ds, intrinsics_source) for m in usable])
+    tgt = np.array([backproject((m.ut, m.vt), m.dt, intrinsics_target) for m in usable])
+
+    cols = np.arange(src.shape[0])
+    if cols.size > 500:
+        cols = cols[:: (cols.size + 499) // 500]
+    ds = np.linalg.norm(src[:, None, :] - src[None, cols, :], axis=2)
+    dt = np.linalg.norm(tgt[:, None, :] - tgt[None, cols, :], axis=2)
+    ratios = np.where(ds > 1e-12, dt / np.maximum(ds, 1e-12), np.nan)
+    for r, c in enumerate(cols):
+        ratios[c, r] = np.nan
+    row_med = np.nanmedian(ratios, axis=1)
+    finite = np.isfinite(row_med)
+    if finite.sum() < 3:
+        return idx
+    center = float(np.median(row_med[finite]))
+    scatter = 1.4826 * float(np.median(np.abs(row_med[finite] - center)))
+    band = max(mad_factor * scatter, min_rel_band * abs(center))
+    keep = finite & (np.abs(row_med - center) <= band)
+    if keep.sum() < 3:
+        return idx
+    return idx[keep]
+
+
+def _median_pairwise_ratio(src: np.ndarray, tgt: np.ndarray) -> float | None:
+    # Ratio of pairwise distances is invariant to the rigid part, so its
+    # median is a robust standalone scale reading.
+    n = src.shape[0]
+    if n > 250:
+        step = (n + 249) // 250
+        src = src[::step]
+        tgt = tgt[::step]
+        n = src.shape[0]
+    if n < 2:
+        return None
+    iu = np.triu_indices(n, k=1)
+    ds = np.linalg.norm(src[iu[0]] - src[iu[1]], axis=1)
+    dt = np.linalg.norm(tgt[iu[0]] - tgt[iu[1]], axis=1)
+    keep = ds > 1e-12
+    if not keep.any():
+        return None
+    return float(np.median(dt[keep] / ds[keep]))
+
+
+def estimate_scale_kalman(matches, intrinsics_source: CameraIntrinsics,
+                          intrinsics_target: CameraIntrinsics, rel_pose,
+                          cfg: KalmanConfig = KalmanConfig()) -> ScaleEstimate:
+    """Scalar Kalman filter over the session scale.
+
+    Every iteration solves the joint (scale, alpha) least squares over all
+    backprojected match pairs at the current linearization and feeds the
+    scale as the measurement into a constant-state predict/update step. The
+    translation direction is re-linearized each iteration from the mean
+    residual at the current state, so the fixed point is the joint optimum
+    over (scale, full translation). Convergence is declared when the state
+    moves less than ``cfg.tolerance`` between iterations; running out of
+    iterations is reported through ``converged=False``, not an error.
+    """
+    usable: list[MatchRecord] = [m for m in matches if m.has_depths()]
+    if len(usable) < 3:
+        raise InsufficientMatchesError(
+            f"scale estimation needs at least 3 matches with both depths, got {len(usable)}")
+
+    src = np.array([backproject((m.us, m.vs), m.ds, intrinsics_source) for m in usable])
+    tgt = np.array([backproject((m.ut, m.vt), m.dt, intrinsics_target) for m in usable])
+    rot = np.asarray(rel_pose.rotation, dtype=np.float64)
+    tdir = np.asarray(rel_pose.translation, dtype=np.float64)
+    rotated = src @ rot.T
+
+    state = float(cfg.initial_scale)
+    median_ratio = _median_pairwise_ratio(src, tgt)
+    if median_ratio is not None and median_ratio > 0.0 \
+            and abs(median_ratio - state) > 0.5 * abs(state):
+        state = median_ratio
+
+    variance = float(cfg.initial_variance)
+    converged = False
+    iterations = 0
+    for iterations in range(1, cfg.max_iterations + 1):
+        measurement, _ = scale_least_squares(src, tgt, rot, tdir)
+        # Re-linearize the translation direction at the measurement's own
+        # optimum, so later measurements are free of direction-coupling bias.
+        residual = (tgt - measurement * rotated).mean(axis=0)
+        res_norm = np.linalg.norm(residual)
+        if res_norm > 1e-12:
+            tdir = residual / res_norm
+        predicted_var = variance + cfg.process_noise
+        gain = predicted_var / (predicted_var + cfg.measurement_noise)
+        new_state = state + gain * (measurement - state)
+        variance = (1.0 - gain) * predicted_var
+        delta = abs(new_state - state)
+        state = new_state
+        if delta < cfg.tolerance:
+            converged = True
+            break
+    if state <= 0.0:
+        raise DegenerateGeometryError("filtered scale is nonpositive")
+    translation = (tgt - state * rotated).mean(axis=0)
+    return ScaleEstimate(scale=state, variance=variance, iterations=iterations,
+                         converged=converged, translation=translation)
