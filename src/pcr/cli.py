@@ -33,13 +33,11 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="skip scale estimation even when a gap is detected")
     reg.add_argument("--sigma-z", type=float, default=0.01,
                      help="assumed per-coordinate sensor noise std")
-    reg.add_argument("--seed", type=int, default=42)
+    reg.add_argument("--seed", type=int, default=42, help="RANSAC sampling seed")
     reg.add_argument("--max-icp-iters", type=int, default=100)
     reg.add_argument("--ransac-psi", type=float, default=1.0,
                      help="RANSAC pixel threshold")
     reg.add_argument("--ransac-iters", type=int, default=1000)
-    reg.add_argument("--corr-cap", type=int, default=2000,
-                     help="max correspondences used for the covariance")
 
     syn = sub.add_parser("synth", help="generate a synthetic test scene")
     syn.add_argument("--scale", type=float, default=2.5)
@@ -68,8 +66,6 @@ def _register(args) -> int:
         filter_cfg=filters.FilterConfig(crop_fraction=args.crop_fraction),
         icp_cfg=icp.IcpConfig(max_iterations=args.max_icp_iters),
         sigma_z=args.sigma_z,
-        correspondence_cap=args.corr_cap,
-        seed=args.seed,
         apply_filters=not args.no_filter,
         use_scale=not args.no_scale,
     )

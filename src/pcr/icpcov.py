@@ -9,7 +9,9 @@ from the sensitivity of the minimizer to measurement noise:
     H = d2J/dx2.
 
 cov(z) is isotropic sigma_z^2 * I and is never materialized; the product
-collapses to sigma_z^2 * A @ A.T with A = H^-1 * (d2J/dz dx). The information
+collapses to sigma_z^2 * H^-1 * (sum_i B_i B_i^T) * H^-1, where B_i is pair
+i's 6x6 block of d2J/dz dx. Both H and that sum are taken over every pair
+through the 7x7 moment matrix of the pairs (see ``_moments``). The information
 matrix is the clamped inverse of the covariance and is the edge weight a
 pose graph consumes.
 """
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import DegenerateGeometryError, GimbalLockError
 from .geom import RigidTransform, euler_zyx, rot_x, rot_y, rot_z, rotation_zyx
 
@@ -66,7 +67,6 @@ class PoseParam:
 @dataclass(frozen=True)
 class CovarianceResult:
     d2j_dx2: np.ndarray       # 6x6
-    d2j_dzdx: np.ndarray      # 6x(6n)
     noise_variance: float     # sigma_z^2
     cov_x: np.ndarray         # 6x6
     information: np.ndarray   # 6x6
@@ -122,11 +122,50 @@ def _check_pose(pose: PoseParam) -> PoseParam:
 
 
 def _pair_arrays(pairs_p, pairs_q):
-    p = np.ascontiguousarray(pairs_p, dtype=np.float64)
-    q = np.ascontiguousarray(pairs_q, dtype=np.float64)
+    p = np.asarray(pairs_p, dtype=np.float64)
+    q = np.asarray(pairs_q, dtype=np.float64)
     if p.ndim != 2 or p.shape[1] != 3 or p.shape != q.shape or p.shape[0] < 1:
         raise ValueError("pairs must be matching (n, 3) arrays")
     return p, q
+
+
+def _pair_terms(p, q, pose: PoseParam):
+    """Per-pair factors of J_i = |R p_i + t - q_i|^2 for k pairs at once.
+
+    Returns the residual g (k, 3), its pose Jacobian dg (k, 3, 6), the second
+    angle derivatives of R p (k, 3, 3, 3), indexed [pair, angle, angle, axis],
+    and the mixed block d2J_i/dx d(P_i, Q_i) (k, 6, 6). Each is affine in
+    (p_i, q_i).
+    """
+    rot, drot, ddrot = rotation_derivatives(*pose.angles)
+    g = p @ rot.T + pose.translation - q
+    dg = np.zeros((len(p), 3, 6))
+    dg[:, :, :3] = np.eye(3)
+    dg[:, :, 3:] = np.einsum("jcm,km->kcj", drot, p)
+    ddg = np.einsum("jlcm,km->kjlc", ddrot, p)
+    mixed = np.empty((len(p), 6, 6))
+    mixed[:, :, :3] = 2.0 * np.einsum("kca,cm->kam", dg, rot)
+    mixed[:, 3:, :3] += 2.0 * np.einsum("kc,jcm->kjm", g, drot)
+    mixed[:, :, 3:] = -2.0 * dg.transpose(0, 2, 1)
+    return g, dg, ddg, mixed
+
+
+def _moments(p, q, pose: PoseParam):
+    """Moment matrix of the pairs and the affine coefficients of the factors.
+
+    With z_i = (P_i - P_mean, Q_i - Q_mean, 1), every factor f of
+    ``_pair_terms`` is f(pair_i) = sum_k z_ik * c_k, so any sum over pairs of
+    f f'^T contracts the 7x7 moment matrix sum_i z_i z_i^T with the
+    coefficients. c_k for k < 6 is f at the k-th unit pair minus f at the
+    zero pair; c_6 is f at the mean pair. Centering keeps the moments free of
+    cancellation when the clouds sit far from the origin.
+    """
+    mean_p, mean_q = p.mean(axis=0), q.mean(axis=0)
+    z = np.column_stack([p - mean_p, q - mean_q, np.ones(len(p))])
+    basis = np.vstack([np.eye(6), np.zeros(6), np.concatenate([mean_p, mean_q])])
+    coefs = tuple(np.concatenate([f[:6] - f[6], f[7:]])
+                  for f in _pair_terms(basis[:, :3], basis[:, 3:], pose))
+    return z.T @ z, coefs
 
 
 def hessian_xx(pairs_p, pairs_q, pose) -> np.ndarray:
@@ -134,14 +173,13 @@ def hessian_xx(pairs_p, pairs_q, pose) -> np.ndarray:
 
     The translation block is 2n * I for any pose; rotation blocks use the
     analytic first and second derivatives of the Euler-parameterized
-    rotation.
+    rotation. The sum is taken through the pairs' 7x7 moment matrix.
     """
     pose = _check_pose(pose)
-    p, q = _pair_arrays(pairs_p, pairs_q)
-    roll, pitch, yaw = pose.angles
-    rot, drot, ddrot = rotation_derivatives(roll, pitch, yaw)
-    return kernels.hessian_xx_accum(p, q, rot, np.ascontiguousarray(pose.translation),
-                                    drot, ddrot)
+    moments, (g, dg, ddg, _) = _moments(*_pair_arrays(pairs_p, pairs_q), pose)
+    out = 2.0 * np.einsum("kl,kca,lcb->ab", moments, dg, dg)
+    out[3:, 3:] += 2.0 * np.einsum("kl,kc,ljmc->jm", moments, g, ddg)
+    return out
 
 
 def hessian_zx(pairs_p, pairs_q, pose) -> np.ndarray:
@@ -151,21 +189,18 @@ def hessian_zx(pairs_p, pairs_q, pose) -> np.ndarray:
     nonzero, so blocks are laid out side by side.
     """
     pose = _check_pose(pose)
-    p, q = _pair_arrays(pairs_p, pairs_q)
-    roll, pitch, yaw = pose.angles
-    rot, drot, _ = rotation_derivatives(roll, pitch, yaw)
-    return kernels.hessian_zx_accum(p, q, rot, np.ascontiguousarray(pose.translation),
-                                    drot)
+    mixed = _pair_terms(*_pair_arrays(pairs_p, pairs_q), pose)[3]
+    return mixed.transpose(1, 0, 2).reshape(6, -1)
 
 
-def covariance(pairs_p, pairs_q, pose, sigma_z: float = 0.01,
-               max_pairs: int = 2000, seed: int = 42) -> CovarianceResult:
+def covariance(pairs_p, pairs_q, pose, sigma_z: float = 0.01) -> CovarianceResult:
     """Closed-form pose covariance at a converged alignment.
 
     ``pose`` must be the minimizer for the given (frozen) correspondence
     pairs; ``sigma_z`` is the isotropic standard deviation of every point
-    coordinate. Above ``max_pairs`` correspondences a seeded uniform
-    subsample bounds the computation.
+    coordinate. Every pair is used: the sum over pairs of B_i B_i^T, with
+    B_i = d2J_i/d(P_i, Q_i) dx, comes from the 7x7 moment matrix, so the
+    6 x 6n matrix d2J/dz dx is never built.
     """
     if sigma_z <= 0.0:
         raise ValueError("sigma_z must be positive")
@@ -173,25 +208,20 @@ def covariance(pairs_p, pairs_q, pose, sigma_z: float = 0.01,
     p, q = _pair_arrays(pairs_p, pairs_q)
     if p.shape[0] < 3:
         raise DegenerateGeometryError("covariance needs at least 3 pairs")
-    if p.shape[0] > max_pairs:
-        rng = np.random.default_rng(seed)
-        keep = np.sort(rng.choice(p.shape[0], size=max_pairs, replace=False))
-        p = p[keep]
-        q = q[keep]
 
     hxx = hessian_xx(p, q, pose)
     cond = np.linalg.cond(hxx)
     if not np.isfinite(cond) or cond > 1e12:
         raise DegenerateGeometryError(
             f"objective Hessian is numerically singular (cond {cond:.3e})")
-    hzx = hessian_zx(p, q, pose)
+    moments, (*_, mixed) = _moments(p, q, pose)
+    spread = np.einsum("kl,kam,lbm->ab", moments, mixed, mixed)
 
-    amat = np.linalg.solve(hxx, hzx)
-    cov = (sigma_z**2) * (amat @ amat.T)
+    half = np.linalg.solve(hxx, spread)
+    cov = (sigma_z**2) * np.linalg.solve(hxx, half.T)
     cov = 0.5 * (cov + cov.T)
     info = information_matrix(cov)
-    return CovarianceResult(d2j_dx2=hxx, d2j_dzdx=hzx,
-                            noise_variance=float(sigma_z**2),
+    return CovarianceResult(d2j_dx2=hxx, noise_variance=float(sigma_z**2),
                             cov_x=cov, information=info)
 
 

@@ -40,8 +40,6 @@ class PipelineConfig:
     filter_cfg: filters.FilterConfig = field(default_factory=filters.FilterConfig)
     icp_cfg: icp.IcpConfig = field(default_factory=icp.IcpConfig)
     sigma_z: float = 0.01
-    correspondence_cap: int = 2000
-    seed: int = 42
     apply_filters: bool = True
     use_scale: bool = True
 
@@ -116,7 +114,7 @@ def run_pipeline(cfg: PipelineConfig) -> cloudio.PipelineReport:
     pairs_q = icp_target.points[result.theta]
     pose = _stage("covariance", icpcov.PoseParam.from_rigid, result.transform)
     cov_result = _stage("covariance", icpcov.covariance, pairs_p, pairs_q, pose,
-                        cfg.sigma_z, cfg.correspondence_cap, cfg.seed)
+                        cfg.sigma_z)
 
     final = SimilarityTransform(scale_factor, result.transform)
     rel_rigid = RigidTransform(rel_pose.rotation, rel_pose.translation) \

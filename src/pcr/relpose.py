@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
-from . import kernels
 from .cloudio import CameraIntrinsics
 from .errors import (AmbiguousDecompositionError, DegenerateGeometryError,
                      InsufficientMatchesError, NoConsensusError)
@@ -153,11 +152,18 @@ def essential_from_rays(rays_s, rays_t) -> np.ndarray:
 
 
 def epipolar_residuals(ematrix, rays_s, rays_t) -> np.ndarray:
-    """Per-pair angular residual 1 - cos(angle of ray_t to the epipolar plane)."""
-    return kernels.epipolar_residuals(
-        np.ascontiguousarray(ematrix, dtype=np.float64),
-        np.ascontiguousarray(rays_s, dtype=np.float64),
-        np.ascontiguousarray(rays_t, dtype=np.float64))
+    """Per-pair angular residual 1 - cos(angle of ray_t to the epipolar plane).
+
+    The plane's normal is E @ ray_s. A source ray through the epipole has no
+    plane (E @ ray_s = 0); any target direction is consistent, so it scores 0.
+    """
+    normals = np.asarray(rays_s, dtype=np.float64) @ np.asarray(ematrix, dtype=np.float64).T
+    norms = np.linalg.norm(normals, axis=1)
+    through_epipole = norms < 1e-300
+    sines = np.einsum("ij,ij->i", np.asarray(rays_t, dtype=np.float64), normals) \
+        / np.where(through_epipole, 1.0, norms)
+    cosines = np.sqrt(1.0 - np.minimum(sines * sines, 1.0))
+    return np.where(through_epipole, 0.0, 1.0 - cosines)
 
 
 def _triangulate_depths(ray_s, ray_t, rot, tdir):

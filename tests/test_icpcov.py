@@ -5,7 +5,7 @@ from pcr.errors import DegenerateGeometryError, GimbalLockError
 from pcr.geom import rotation_zyx
 from pcr.icp import icp_register
 from pcr.icpcov import (CovarianceResult, PoseParam, covariance, hessian_xx,
-                        hessian_zx, information_matrix)
+                        hessian_zx, information_matrix, rotation_derivatives)
 
 from conftest import rodrigues
 
@@ -58,6 +58,19 @@ def fd_hessian_zx(pts_p, pts_q, x, step_x=1e-5, step_z=1e-6):
     return out
 
 
+def per_pair_hessian_xx(pts_p, pts_q, x):
+    """Pair-by-pair sum of the exact second derivative of J_i: the reference
+    for the moment-matrix form."""
+    rot, drot, ddrot = rotation_derivatives(*x[3:])
+    out = np.zeros((6, 6))
+    for p, q in zip(pts_p, pts_q):
+        g = rot @ p + x[:3] - q
+        dg = np.column_stack([np.eye(3), (drot @ p).T])
+        out += 2.0 * dg.T @ dg
+        out[3:, 3:] += 2.0 * (ddrot @ p) @ g
+    return out
+
+
 def random_instance(rng, n=20):
     pts_p = rng.normal(size=(n, 3)) * 2.0
     x = np.concatenate([
@@ -84,6 +97,17 @@ class TestHessianXX:
             fd = fd_hessian_xx(pts_p, pts_q, x)
             worst = max(worst, np.abs(h - fd).max() / np.abs(h).max())
         assert worst < 1e-4
+
+    def test_matches_per_pair_sum(self, rng):
+        # the moment form is exact algebra, so it agrees with the plain sum to
+        # rounding, also with every coordinate far from the origin
+        for offset in (0.0, 100.0):
+            for _ in range(5):
+                pts_p, pts_q, x = random_instance(rng, 50)
+                pts_p, pts_q = pts_p + offset, pts_q + offset
+                h = hessian_xx(pts_p, pts_q, PoseParam(x))
+                ref = per_pair_hessian_xx(pts_p, pts_q, x)
+                assert np.abs(h - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_point_on_yaw_axis_contributes_nothing(self):
         # pure-yaw pose, single pair with P on the z axis: rotating it does
@@ -152,11 +176,12 @@ class TestHessianZX:
 
 
 class TestCovariance:
-    def converged_instance(self, rng, n=200, sigma=0.01):
+    def converged_instance(self, rng, n=200, sigma=0.01, offset=0.0):
         pts_p = rng.uniform(-1, 1, size=(n, 3))
         rot = rodrigues([0.3, 1.0, -0.2], 0.15)
         shift = np.array([0.2, -0.1, 0.3])
         pts_q = pts_p @ rot.T + shift
+        pts_p, pts_q = pts_p + offset, pts_q + offset
         res = icp_register(pts_p, pts_q)
         pose = PoseParam.from_rigid(res.transform)
         return pts_p[res.source_indices], pts_q[res.theta], pose
@@ -193,18 +218,31 @@ class TestCovariance:
         out = covariance(pts, pts, PoseParam(np.zeros(6)), sigma_z=0.02)
         assert np.allclose(np.diag(out.cov_x)[:3], 2.0 * 0.02**2 / n, rtol=0.05)
         sym = np.vstack([pts, -pts])
-        out = covariance(sym, sym, PoseParam(np.zeros(6)), sigma_z=0.02,
-                         max_pairs=2 * n)
+        out = covariance(sym, sym, PoseParam(np.zeros(6)), sigma_z=0.02)
         assert np.allclose(np.diag(out.cov_x)[:3], 2.0 * 0.02**2 / (2 * n),
                            rtol=1e-12)
 
-    def test_subsampling_cap_deterministic(self, rng):
-        pts = rng.uniform(-1, 1, size=(3000, 3))
+    def test_every_pair_used_deterministic(self, rng):
+        # the symmetric cloud makes the translation block exactly the mean
+        # estimator's 2 sigma^2 / n, so a subsample of the pairs would show
+        half = rng.uniform(-1, 1, size=(1500, 3))
+        pts = np.vstack([half, -half])
+        n = len(pts)
         pose = PoseParam(np.zeros(6))
-        a = covariance(pts, pts, pose, sigma_z=0.01, max_pairs=500, seed=9)
-        b = covariance(pts, pts, pose, sigma_z=0.01, max_pairs=500, seed=9)
+        a = covariance(pts, pts, pose, sigma_z=0.01)
+        b = covariance(pts, pts, pose, sigma_z=0.01)
+        assert np.allclose(np.diag(a.cov_x)[:3], 2.0 * 0.01**2 / n, rtol=1e-12)
         assert np.array_equal(a.cov_x, b.cov_x)
-        assert a.d2j_dzdx.shape == (6, 6 * 500)
+
+    def test_matches_explicit_mixed_derivative_form(self, rng):
+        # the moment form equals sigma^2 A A^T with A = H^-1 d2J/dz dx built
+        # pair by pair, also with every coordinate far from the origin
+        p, q, pose = self.converged_instance(rng, offset=100.0)
+        amat = np.linalg.solve(hessian_xx(p, q, pose), hessian_zx(p, q, pose))
+        expected = 0.01**2 * (amat @ amat.T)
+        out = covariance(p, q, pose, sigma_z=0.01)
+        assert np.allclose(out.cov_x, expected, rtol=1e-8,
+                           atol=1e-8 * np.abs(expected).max())
 
     def test_result_validated_psd_and_consistent(self, rng):
         p, q, pose = self.converged_instance(rng)

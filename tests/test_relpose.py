@@ -78,6 +78,29 @@ class TestAngularThreshold:
             angular_threshold(1.0, 0.0)
 
 
+class TestEpipolarResiduals:
+    def test_epipolar_residual_formula(self, rng):
+        # residual is 1 - cos(angle between ray_t and the epipolar plane)
+        e = rng.normal(size=(3, 3))
+        rays_s = rng.normal(size=(30, 3))
+        rays_s /= np.linalg.norm(rays_s, axis=1, keepdims=True)
+        rays_t = rng.normal(size=(30, 3))
+        rays_t /= np.linalg.norm(rays_t, axis=1, keepdims=True)
+        got = epipolar_residuals(e, rays_s, rays_t)
+        for i in range(30):
+            normal = e @ rays_s[i]
+            normal = normal / np.linalg.norm(normal)
+            sin_to_plane = abs(rays_t[i] @ normal)
+            expected = 1.0 - np.sqrt(1.0 - min(1.0, sin_to_plane**2))
+            assert got[i] == pytest.approx(expected, abs=1e-15)
+
+    def test_ray_through_epipole_scores_zero(self):
+        e = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        null_ray = np.array([[0.0, 0.0, 1.0]])  # E @ ray = 0
+        other = np.array([[0.6, 0.0, 0.8]])
+        out = epipolar_residuals(e, null_ray, other)
+        assert out[0] == 0.0
+
 class TestEssential:
     def test_noiseless_epipolar_residuals_vanish(self, rng):
         matches, rot, tdir, _ = two_view_scene(rng, n=60)
