@@ -15,8 +15,8 @@ from .errors import (AmbiguousDecompositionError, DegenerateGeometryError,
 from .filters import FilterConfig, crop_lower, remove_remote
 from .geom import (Bounds3, RigidTransform, SimilarityTransform, bounds,
                    umeyama_align)
-from .icp import (Correspondences, IcpConfig, IcpResult, NNIndex,
-                  build_nn_index, correspond, icp_register, objective)
+from .icp import (Correspondences, IcpConfig, IcpResult, NNIndex, correspond,
+                  icp_register)
 from .icpcov import (CovarianceResult, PoseParam, covariance, hessian_xx,
                      hessian_zx, information_matrix)
 from .pipeline import PipelineConfig, run_pipeline

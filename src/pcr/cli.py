@@ -51,24 +51,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _register(args) -> int:
-    cfg = PipelineConfig(
-        source=args.source,
-        target=args.target,
-        matches=args.matches,
-        intrinsics_source=args.intrinsics_source,
-        intrinsics_target=args.intrinsics_target,
-        report_path=args.out,
-        transformed_path=args.transformed,
-        ransac=relpose.RansacConfig(pixel_threshold=args.ransac_psi,
-                                    max_iterations=args.ransac_iters,
-                                    seed=args.seed),
-        filter_cfg=filters.FilterConfig(crop_fraction=args.crop_fraction),
-        icp_cfg=icp.IcpConfig(max_iterations=args.max_icp_iters),
-        sigma_z=args.sigma_z,
-        apply_filters=not args.no_filter,
-        use_scale=not args.no_scale,
-    )
+def _register(parser: argparse.ArgumentParser, args) -> int:
+    try:
+        cfg = PipelineConfig(
+            source=args.source,
+            target=args.target,
+            matches=args.matches,
+            intrinsics_source=args.intrinsics_source,
+            intrinsics_target=args.intrinsics_target,
+            report_path=args.out,
+            transformed_path=args.transformed,
+            ransac=relpose.RansacConfig(pixel_threshold=args.ransac_psi,
+                                        max_iterations=args.ransac_iters,
+                                        seed=args.seed),
+            filter_cfg=filters.FilterConfig(crop_fraction=args.crop_fraction),
+            icp_cfg=icp.IcpConfig(max_iterations=args.max_icp_iters),
+            sigma_z=args.sigma_z,
+            apply_filters=not args.no_filter,
+            use_scale=not args.no_scale,
+        )
+    except ValueError as exc:
+        # Out-of-range flag values end like argparse's own type errors.
+        parser.error(str(exc))
     try:
         report = run_pipeline(cfg)
     except StageError as exc:
@@ -93,9 +97,10 @@ def _synth(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.command == "register":
-        return _register(args)
+        return _register(parser, args)
     return _synth(args)
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .geom import RigidTransform, SimilarityTransform
+from .geom import RigidTransform, SimilarityTransform, as_points, freeze
 
 _PLY_FLOAT_TYPES = {
     "float": "<f4",
@@ -42,16 +42,12 @@ class Cloud:
     bounds_hint: "object" = None
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError(f"cloud points must be (n, 3), got {pts.shape}")
+        pts = as_points(self.points)
         if pts.shape[0] < 1:
             raise ValueError("a cloud needs at least one point")
         if not np.isfinite(pts).all():
             raise ValueError("cloud points must all be finite")
-        pts = np.array(pts)
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", freeze(pts))
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -415,10 +411,8 @@ class PipelineReport:
         product = info @ cov
         if np.abs(product - np.eye(6)).max() > 1e-6:
             raise ValueError("information must invert the covariance within 1e-6")
-        for arr, name in ((cov, "covariance"), (info, "information")):
-            frozen = np.array(arr)
-            frozen.flags.writeable = False
-            object.__setattr__(self, name, frozen)
+        object.__setattr__(self, "covariance", freeze(cov))
+        object.__setattr__(self, "information", freeze(info))
         object.__setattr__(self, "scale", float(self.scale))
         object.__setattr__(self, "rms", float(self.rms))
         object.__setattr__(self, "iterations", int(self.iterations))

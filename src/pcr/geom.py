@@ -15,14 +15,16 @@ from .errors import DegenerateGeometryError
 ORTHOGONALITY_TOL = 1e-9
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64)
+def freeze(arr) -> np.ndarray:
+    """Read-only copy of ``arr``, for the backing arrays of value types."""
+    out = np.array(arr)
     out.flags.writeable = False
     return out
 
 
-def _as_points(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=np.float64)
+def as_points(points) -> np.ndarray:
+    """(n, 3) float64 view of a point array or of a ``Cloud``'s points."""
+    pts = np.asarray(getattr(points, "points", points), dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected an (n, 3) point array, got shape {pts.shape}")
     return pts
@@ -57,8 +59,8 @@ class RigidTransform:
             raise ValueError("rotation is not orthonormal within 1e-9")
         if abs(np.linalg.det(rot) - 1.0) > ORTHOGONALITY_TOL:
             raise ValueError("rotation determinant must be +1 within 1e-9")
-        object.__setattr__(self, "rotation", _freeze(rot))
-        object.__setattr__(self, "translation", _freeze(trans))
+        object.__setattr__(self, "rotation", freeze(rot))
+        object.__setattr__(self, "translation", freeze(trans))
 
     @classmethod
     def identity(cls) -> "RigidTransform":
@@ -80,10 +82,6 @@ class RigidTransform:
     def inverse(self) -> "RigidTransform":
         return RigidTransform(self.rotation.T, -self.rotation.T @ self.translation)
 
-    def as_quaternion(self) -> np.ndarray:
-        """Unit quaternion (w, x, y, z) equivalent of the rotation."""
-        return quaternion_from_rotation(self.rotation)
-
 
 @dataclass(frozen=True)
 class SimilarityTransform:
@@ -101,10 +99,6 @@ class SimilarityTransform:
     @classmethod
     def identity(cls) -> "SimilarityTransform":
         return cls(1.0, RigidTransform.identity())
-
-    @classmethod
-    def from_parts(cls, scale, rotation, translation) -> "SimilarityTransform":
-        return cls(scale, RigidTransform(rotation, translation))
 
     @property
     def rotation(self) -> np.ndarray:
@@ -151,8 +145,8 @@ class Bounds3:
             raise ValueError("bounds corners must be 3-vectors")
         if np.any(lo > hi):
             raise ValueError("minimum corner exceeds maximum corner")
-        object.__setattr__(self, "minimum", _freeze(lo))
-        object.__setattr__(self, "maximum", _freeze(hi))
+        object.__setattr__(self, "minimum", freeze(lo))
+        object.__setattr__(self, "maximum", freeze(hi))
 
     def diagonal(self) -> np.ndarray:
         return self.maximum - self.minimum
@@ -163,7 +157,7 @@ class Bounds3:
 
 def bounds(points) -> Bounds3:
     """Tight axis-aligned bounds of a nonempty point set."""
-    pts = _as_points(points)
+    pts = as_points(points)
     if pts.shape[0] == 0:
         raise ValueError("bounds of an empty point set are undefined")
     return Bounds3(pts.min(axis=0), pts.max(axis=0))
@@ -176,8 +170,8 @@ def umeyama_align(source, target, with_scale: bool = True) -> SimilarityTransfor
     SVD closed form with determinant-sign correction; the scale uses the
     variance-ratio form. With ``with_scale`` off the scale is fixed to 1.
     """
-    src = _as_points(source)
-    tgt = _as_points(target)
+    src = as_points(source)
+    tgt = as_points(target)
     if src.shape != tgt.shape:
         raise ValueError("source and target must have matching shapes")
     n = src.shape[0]
@@ -244,40 +238,29 @@ def euler_zyx(rot: np.ndarray) -> tuple[float, float, float]:
     return float(roll), float(pitch), float(yaw)
 
 
+def skew(v) -> np.ndarray:
+    """Cross-product matrix: skew(v) @ w == np.cross(v, w)."""
+    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+
+
 def rotation_about_axis(axis, angle: float) -> np.ndarray:
     """Rodrigues rotation about a (not necessarily unit) axis."""
     ax = np.asarray(axis, dtype=np.float64).reshape(3)
     norm = np.linalg.norm(ax)
     if norm == 0.0:
         raise ValueError("rotation axis must be nonzero")
-    ax = ax / norm
-    k = np.array([[0.0, -ax[2], ax[1]], [ax[2], 0.0, -ax[0]], [-ax[1], ax[0], 0.0]])
+    k = skew(ax / norm)
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+def rotation_from_vector(w) -> np.ndarray:
+    """Rotation by |w| radians about w; the identity at (numerically) w = 0."""
+    angle = float(np.linalg.norm(w))
+    if angle < 1e-18:
+        return np.eye(3)
+    return rotation_about_axis(w, angle)
 
 
 def rotation_angle(rot: np.ndarray) -> float:
     """Absolute rotation angle of a rotation matrix, in radians."""
     return float(np.arccos(np.clip((np.trace(rot) - 1.0) / 2.0, -1.0, 1.0)))
-
-
-def quaternion_from_rotation(rot: np.ndarray) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) for a proper rotation matrix."""
-    t = np.trace(rot)
-    if t > 0.0:
-        w = 0.5 * np.sqrt(1.0 + t)
-        d = 0.25 / w
-        q = np.array([w,
-                      (rot[2, 1] - rot[1, 2]) * d,
-                      (rot[0, 2] - rot[2, 0]) * d,
-                      (rot[1, 0] - rot[0, 1]) * d])
-    else:
-        i = int(np.argmax(np.diag(rot)))
-        j, k = (i + 1) % 3, (i + 2) % 3
-        x = 0.5 * np.sqrt(max(0.0, 1.0 + rot[i, i] - rot[j, j] - rot[k, k]))
-        d = 0.25 / x
-        q = np.empty(4)
-        q[0] = (rot[k, j] - rot[j, k]) * d
-        q[1 + i] = x
-        q[1 + j] = (rot[j, i] + rot[i, j]) * d
-        q[1 + k] = (rot[k, i] + rot[i, k]) * d
-    return q / np.linalg.norm(q)

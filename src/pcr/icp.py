@@ -1,7 +1,7 @@
 """Trimmed point-to-point ICP with exact nearest neighbors.
 
 Each iteration pairs every transformed source point with its exact nearest
-target point, rejects pairs beyond ``trim_multiplier`` times the median pair
+target point, rejects pairs beyond ``TRIM_MULTIPLIER`` times the median pair
 distance, and solves the rigid alignment in closed form, so the objective
 cannot increase within an iteration. A transformation checker (pose change,
 error change, or iteration cap) ends the loop.
@@ -15,33 +15,25 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import TooFewPairsError
-from .geom import RigidTransform, bounds, rotation_angle, umeyama_align
+from .geom import (RigidTransform, as_points, bounds, rotation_angle,
+                   umeyama_align)
 
-
-def _points_of(cloud_or_points) -> np.ndarray:
-    pts = getattr(cloud_or_points, "points", cloud_or_points)
-    pts = np.asarray(pts, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"expected an (n, 3) point array, got shape {pts.shape}")
-    return pts
+# Convergence: the pose step is below ROTATION_TOL radians and
+# TRANSLATION_TOL times the target cloud diagonal, or the RMS changes by less
+# than ERROR_CHANGE_TOL relative.
+ROTATION_TOL = 1e-6
+TRANSLATION_TOL = 1e-6
+ERROR_CHANGE_TOL = 1e-9
+TRIM_MULTIPLIER = 3.0
 
 
 @dataclass(frozen=True)
 class IcpConfig:
     max_iterations: int = 100
-    rotation_tol: float = 1e-6
-    translation_tol: float | None = None  # default: 1e-6 * target cloud diagonal
-    error_change_tol: float = 1e-9        # relative change of the RMS
-    trim_multiplier: float = 3.0
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.rotation_tol <= 0.0 or self.error_change_tol <= 0.0 \
-                or self.trim_multiplier <= 0.0:
-            raise ValueError("tolerances and trim multiplier must be positive")
-        if self.translation_tol is not None and self.translation_tol <= 0.0:
-            raise ValueError("translation_tol must be positive")
 
 
 class NNIndex:
@@ -51,7 +43,7 @@ class NNIndex:
     """
 
     def __init__(self, points):
-        pts = _points_of(points)
+        pts = as_points(points)
         if pts.shape[0] < 1:
             raise ValueError("cannot index an empty cloud")
         self._points = pts
@@ -67,10 +59,6 @@ class NNIndex:
         return np.atleast_1d(dist), np.atleast_1d(idx).astype(np.int64)
 
 
-def build_nn_index(cloud) -> NNIndex:
-    return NNIndex(cloud)
-
-
 @dataclass(frozen=True)
 class Correspondences:
     """Surviving source/target index pairs with their current distances."""
@@ -84,13 +72,13 @@ class Correspondences:
 
 
 def correspond(source, index: NNIndex, transform: RigidTransform,
-               trim_multiplier: float = 3.0) -> Correspondences:
+               trim_multiplier: float = TRIM_MULTIPLIER) -> Correspondences:
     """Nearest-neighbor pairs of the transformed source, median-trimmed.
 
     Pairs farther than ``trim_multiplier`` times the median pair distance are
     rejected; at least 3 pairs must survive.
     """
-    src = _points_of(source)
+    src = as_points(source)
     moved = transform.apply(src)
     dist, tgt_idx = index.query(moved)
     cutoff = trim_multiplier * float(np.median(dist))
@@ -112,24 +100,10 @@ class IcpResult:
     rms_trace: np.ndarray        # per-iteration RMS over the surviving pairs
     iterations: int
     converged: bool
-    objective: float
 
     @property
     def rms(self) -> float:
         return float(self.rms_trace[-1])
-
-
-def objective(source, target, theta, transform: RigidTransform) -> float:
-    """Sum of squared distances |R @ P_i + t - Q_i|^2 with Q_i = target[theta[i]]."""
-    src = _points_of(source)
-    tgt = _points_of(target)
-    th = np.asarray(theta, dtype=np.int64).reshape(-1)
-    if th.shape[0] != src.shape[0]:
-        raise ValueError("theta must assign a target index to every source point")
-    if th.size and (th.min() < 0 or th.max() >= tgt.shape[0]):
-        raise IndexError("theta contains an out-of-range target index")
-    diff = transform.apply(src) - tgt[th]
-    return float((diff * diff).sum())
 
 
 def icp_register(source, target, cfg: IcpConfig = IcpConfig(),
@@ -140,17 +114,15 @@ def icp_register(source, target, cfg: IcpConfig = IcpConfig(),
     solves the absolute transform in closed form, so the result does not
     depend on composing increments. Deterministic for identical inputs.
     """
-    src = _points_of(source)
-    tgt = _points_of(target)
+    src = as_points(source)
+    tgt = as_points(target)
     if src.shape[0] < 3 or tgt.shape[0] < 3:
         raise TooFewPairsError("both clouds need at least 3 points")
 
-    index = build_nn_index(tgt)
-    trans_tol = cfg.translation_tol
-    if trans_tol is None:
-        trans_tol = 1e-6 * bounds(tgt).diagonal_length()
-        if trans_tol == 0.0:
-            trans_tol = 1e-6
+    index = NNIndex(tgt)
+    trans_tol = TRANSLATION_TOL * bounds(tgt).diagonal_length()
+    if trans_tol == 0.0:
+        trans_tol = TRANSLATION_TOL
 
     current = init if init is not None else RigidTransform.identity()
     trace: list[float] = []
@@ -158,7 +130,7 @@ def icp_register(source, target, cfg: IcpConfig = IcpConfig(),
     iterations = 0
     prev_rms = None
     for iterations in range(1, cfg.max_iterations + 1):
-        corr = correspond(src, index, current, cfg.trim_multiplier)
+        corr = correspond(src, index, current)
         pairs_p = src[corr.source_indices]
         pairs_q = tgt[corr.target_indices]
         solved = umeyama_align(pairs_p, pairs_q, with_scale=False)
@@ -170,10 +142,10 @@ def icp_register(source, target, cfg: IcpConfig = IcpConfig(),
         trace.append(rms)
 
         delta = new.compose(current.inverse())
-        pose_small = (rotation_angle(delta.rotation) < cfg.rotation_tol
+        pose_small = (rotation_angle(delta.rotation) < ROTATION_TOL
                       and float(np.linalg.norm(delta.translation)) < trans_tol)
         error_small = (prev_rms is not None
-                       and abs(prev_rms - rms) < cfg.error_change_tol * max(prev_rms, 1e-300))
+                       and abs(prev_rms - rms) < ERROR_CHANGE_TOL * max(prev_rms, 1e-300))
         current = new
         prev_rms = rms
         if pose_small or error_small:
@@ -181,13 +153,10 @@ def icp_register(source, target, cfg: IcpConfig = IcpConfig(),
             break
 
     # Refresh the pair set so theta describes the returned transform.
-    final_corr = correspond(src, index, current, cfg.trim_multiplier)
-    diff = current.apply(src[final_corr.source_indices]) - tgt[final_corr.target_indices]
-    final_obj = float((diff * diff).sum())
+    final_corr = correspond(src, index, current)
     return IcpResult(transform=current,
                      source_indices=final_corr.source_indices,
                      theta=final_corr.target_indices,
                      rms_trace=np.asarray(trace),
                      iterations=iterations,
-                     converged=converged,
-                     objective=final_obj)
+                     converged=converged)

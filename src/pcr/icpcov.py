@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError, GimbalLockError
-from .geom import RigidTransform, euler_zyx, rot_x, rot_y, rot_z, rotation_zyx
+from .geom import RigidTransform, euler_zyx, freeze, rot_x, rot_y, rot_z
 
 GIMBAL_MARGIN = 1e-6
 
@@ -42,9 +42,7 @@ class PoseParam:
             raise ValueError("pose parameters must be finite")
         if abs(vec[4]) >= np.pi / 2.0 - GIMBAL_MARGIN:
             raise GimbalLockError(f"pitch {vec[4]:.6f} rad is too close to +/-90 deg")
-        vec = np.array(vec)
-        vec.flags.writeable = False
-        object.__setattr__(self, "values", vec)
+        object.__setattr__(self, "values", freeze(vec))
 
     @property
     def translation(self) -> np.ndarray:
@@ -58,10 +56,6 @@ class PoseParam:
     def from_rigid(cls, transform: RigidTransform) -> "PoseParam":
         roll, pitch, yaw = euler_zyx(transform.rotation)
         return cls(np.concatenate([transform.translation, [roll, pitch, yaw]]))
-
-    def to_rigid(self) -> RigidTransform:
-        roll, pitch, yaw = self.values[3], self.values[4], self.values[5]
-        return RigidTransform(rotation_zyx(roll, pitch, yaw), self.values[:3])
 
 
 @dataclass(frozen=True)

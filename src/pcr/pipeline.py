@@ -9,7 +9,7 @@ carrying the stage name and its CLI exit code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import cloudio, filters, icp, icpcov, relpose, scale
 from .errors import RegistrationError, StageError
@@ -27,21 +27,16 @@ class PipelineConfig:
     intrinsics_target: str | None = None
     report_path: str | None = None
     transformed_path: str | None = None
-    detection_tolerance: float = 0.1
-    # run the scale filter to its fixed point: with the steady-state gain
-    # near 0.01, a 1e-6 delta stop leaves a state gap around 1e-4 and 100
-    # iterations cannot wash out a bounding-box warm start, which the
-    # noiseless end-to-end contract cannot afford (each extra iteration is
-    # one 2x2 solve, so the cost is microseconds)
-    kalman: scale.KalmanConfig = field(
-        default_factory=lambda: scale.KalmanConfig(tolerance=1e-9,
-                                                   max_iterations=1000))
     ransac: relpose.RansacConfig = field(default_factory=relpose.RansacConfig)
     filter_cfg: filters.FilterConfig = field(default_factory=filters.FilterConfig)
     icp_cfg: icp.IcpConfig = field(default_factory=icp.IcpConfig)
     sigma_z: float = 0.01
     apply_filters: bool = True
     use_scale: bool = True
+
+    def __post_init__(self):
+        if self.sigma_z <= 0.0:
+            raise ValueError("sigma_z must be positive")
 
 
 def _stage(name: str, func, *args, **kwargs):
@@ -59,8 +54,7 @@ def run_pipeline(cfg: PipelineConfig) -> cloudio.PipelineReport:
     target = _stage("io", cloudio.read_ply, cfg.target)
     matches = _stage("io", cloudio.read_matches, cfg.matches) if cfg.matches else None
 
-    detection = _stage("scale", scale.detect_scale, source, target,
-                       cfg.detection_tolerance)
+    detection = _stage("scale", scale.detect_scale, source, target)
 
     scale_factor = 1.0
     rel_pose = None
@@ -82,9 +76,9 @@ def run_pipeline(cfg: PipelineConfig) -> cloudio.PipelineReport:
         consistent = _stage("scale", scale.depth_consistent_indices,
                             inlier_matches, k_source, k_target)
         good_matches = [inlier_matches[i] for i in consistent]
-        kalman_cfg = replace(cfg.kalman, initial_scale=detection.ratio)
         estimate = _stage("scale", scale.estimate_scale_kalman,
-                          good_matches, k_source, k_target, rel_pose, kalman_cfg)
+                          good_matches, k_source, k_target, rel_pose,
+                          scale.KalmanConfig(initial_scale=detection.ratio))
         scale_factor = estimate.scale
 
     scaling = SimilarityTransform(scale_factor, RigidTransform.identity()) \

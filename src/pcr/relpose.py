@@ -16,6 +16,8 @@ from scipy.optimize import least_squares
 from .cloudio import CameraIntrinsics
 from .errors import (AmbiguousDecompositionError, DegenerateGeometryError,
                      InsufficientMatchesError, NoConsensusError)
+from .geom import (ORTHOGONALITY_TOL, RigidTransform, freeze,
+                   rotation_about_axis, rotation_from_vector, skew)
 
 _W = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
@@ -30,36 +32,27 @@ class RelativePose:
     inliers: np.ndarray
 
     def __post_init__(self):
-        rot = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
-        tdir = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        if np.abs(rot.T @ rot - np.eye(3)).max() > 1e-9 \
-                or abs(np.linalg.det(rot) - 1.0) > 1e-9:
-            raise ValueError("rotation must be orthonormal with det +1")
-        if abs(np.linalg.norm(tdir) - 1.0) > 1e-9:
+        rigid = RigidTransform(self.rotation, self.translation)
+        if abs(np.linalg.norm(rigid.translation) - 1.0) > ORTHOGONALITY_TOL:
             raise ValueError("translation direction must be unit length")
-        inl = np.asarray(self.inliers, dtype=np.int64)
-        for name, arr in (("rotation", rot), ("translation", tdir), ("inliers", inl)):
-            arr = np.array(arr)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "rotation", rigid.rotation)
+        object.__setattr__(self, "translation", rigid.translation)
+        object.__setattr__(self, "inliers",
+                           freeze(np.asarray(self.inliers, dtype=np.int64)))
 
 
 @dataclass(frozen=True)
 class RansacConfig:
-    """pixel_threshold is the classical reprojection threshold in pixels;
-    focal_length (pixels) converts it to the angular form. When focal_length
-    is None the target camera's fx is used."""
+    """pixel_threshold is the classical reprojection threshold in pixels; the
+    target camera's fx converts it to the angular form."""
 
     pixel_threshold: float = 1.0
-    focal_length: float | None = None
     max_iterations: int = 1000
     seed: int = 42
 
     def __post_init__(self):
         if self.pixel_threshold <= 0.0:
             raise ValueError("pixel_threshold must be positive")
-        if self.focal_length is not None and self.focal_length <= 0.0:
-            raise ValueError("focal_length must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -94,12 +87,7 @@ def _bundle_rotation(rays: np.ndarray) -> np.ndarray:
     c = float(z[2])
     if s < 1e-12:
         return np.eye(3) if c > 0.0 else np.diag([1.0, -1.0, -1.0])
-    axis = axis / s
-    k = np.array([[0.0, -axis[2], axis[1]],
-                  [axis[2], 0.0, -axis[0]],
-                  [-axis[1], axis[0], 0.0]])
-    angle = np.arctan2(s, c)
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+    return rotation_about_axis(axis, np.arctan2(s, c))
 
 
 def _normalized_plane(rays: np.ndarray):
@@ -166,11 +154,21 @@ def epipolar_residuals(ematrix, rays_s, rays_t) -> np.ndarray:
     return np.where(through_epipole, 0.0, 1.0 - cosines)
 
 
-def _triangulate_depths(ray_s, ray_t, rot, tdir):
-    # lambda_t * q_t = R (lambda_s * q_s) + t, solved in least squares.
-    a = np.column_stack([-(rot @ ray_s), ray_t])
-    sol, *_ = np.linalg.lstsq(a, tdir, rcond=None)
-    return sol[0], sol[1]
+def _triangulate_depths(rays_s, rays_t, rot, tdir):
+    # lambda_t * q_t = R (lambda_s * q_s) + t per pair, solved in least
+    # squares as lambda_s * a + lambda_t * q_t = t with a = -R q_s. The
+    # cross-product form keeps a zero-parallax pair exactly singular (the
+    # 2x2 normal equations lose it to cancellation); such pairs get NaN
+    # depths, so no depth test counts them.
+    a = -(rays_s @ rot.T)
+    axb = np.cross(a, rays_t)
+    sq = (axb * axb).sum(axis=1)
+    parallax = np.sqrt(sq) > 4.0 * np.finfo(np.float64).eps \
+        * np.linalg.norm(a, axis=1) * np.linalg.norm(rays_t, axis=1)
+    sq = np.where(parallax, sq, np.nan)
+    depth_s = (np.cross(tdir, rays_t) * axb).sum(axis=1) / sq
+    depth_t = (np.cross(a, tdir) * axb).sum(axis=1) / sq
+    return depth_s, depth_t
 
 
 def decompose_and_disambiguate(ematrix, rays_s, rays_t) -> RelativePose:
@@ -194,12 +192,8 @@ def decompose_and_disambiguate(ematrix, rays_s, rays_t) -> RelativePose:
 
     counts = []
     for rot, tdir in candidates:
-        count = 0
-        for i in range(qs.shape[0]):
-            ds, dt = _triangulate_depths(qs[i], qt[i], rot, tdir)
-            if ds > 0.0 and dt > 0.0:
-                count += 1
-        counts.append(count)
+        ds, dt = _triangulate_depths(qs, qt, rot, tdir)
+        counts.append(int(((ds > 0.0) & (dt > 0.0)).sum()))
 
     order = np.argsort(counts)[::-1]
     if counts[order[0]] == counts[order[1]]:
@@ -211,19 +205,6 @@ def decompose_and_disambiguate(ematrix, rays_s, rays_t) -> RelativePose:
                         inliers=np.arange(qs.shape[0], dtype=np.int64))
 
 
-def _skew(v: np.ndarray) -> np.ndarray:
-    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
-
-
-def _rodrigues(w: np.ndarray) -> np.ndarray:
-    angle = float(np.linalg.norm(w))
-    if angle < 1e-18:
-        return np.eye(3)
-    axis = w / angle
-    k = _skew(axis)
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
-
-
 def _refine_pose(rot0, tdir0, rays_s, rays_t):
     # Polish (R, t_dir) by minimizing the signed sine of the angle between
     # each target ray and its epipolar plane; 3 rotation + 2 direction DOF.
@@ -233,15 +214,15 @@ def _refine_pose(rot0, tdir0, rays_s, rays_t):
     e2 = np.cross(tdir0, e1)
 
     def residuals(x):
-        rot = _rodrigues(x[:3]) @ rot0
+        rot = rotation_from_vector(x[:3]) @ rot0
         tdir = tdir0 + x[3] * e1 + x[4] * e2
         tdir = tdir / np.linalg.norm(tdir)
-        normals = rays_s @ (_skew(tdir) @ rot).T
+        normals = rays_s @ (skew(tdir) @ rot).T
         norms = np.maximum(np.linalg.norm(normals, axis=1), 1e-300)
         return (rays_t * normals).sum(axis=1) / norms
 
     sol = least_squares(residuals, np.zeros(5), method="lm", xtol=1e-14, ftol=1e-14)
-    rot = _rodrigues(sol.x[:3]) @ rot0
+    rot = rotation_from_vector(sol.x[:3]) @ rot0
     tdir = tdir0 + sol.x[3] * e1 + sol.x[4] * e2
     return rot, tdir / np.linalg.norm(tdir)
 
@@ -275,8 +256,7 @@ def ransac_relative_pose(matches, intrinsics_source: CameraIntrinsics,
     rays_s = bearing_rays(us, vs, intrinsics_source)
     rays_t = bearing_rays(ut, vt, intrinsics_target)
 
-    focal = cfg.focal_length if cfg.focal_length is not None else intrinsics_target.fx
-    threshold = angular_threshold(cfg.pixel_threshold, focal)
+    threshold = angular_threshold(cfg.pixel_threshold, intrinsics_target.fx)
 
     rng = np.random.default_rng(cfg.seed)
     best_count = -1
@@ -329,7 +309,7 @@ def ransac_relative_pose(matches, intrinsics_source: CameraIntrinsics,
     pose = decompose_and_disambiguate(win_model, rays_s[win_mask], rays_t[win_mask])
     rot, tdir = _refine_pose(pose.rotation, pose.translation,
                              rays_s[win_mask], rays_t[win_mask])
-    final_res = epipolar_residuals(_skew(tdir) @ rot, rays_s, rays_t)
+    final_res = epipolar_residuals(skew(tdir) @ rot, rays_s, rays_t)
     final_mask = final_res <= threshold
     if int(final_mask.sum()) < 8:
         raise NoConsensusError("refined model keeps fewer than 8 inliers")

@@ -1,0 +1,28 @@
+import pytest
+
+from pcr import cli
+from pcr.cloudio import Cloud, write_ply
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--ransac-psi", "-1"),
+    ("--crop-fraction", "0"),
+    ("--max-icp-iters", "0"),
+    ("--ransac-iters", "0"),
+    ("--sigma-z", "0"),
+])
+def test_bad_flag_value_is_usage_error(tmp_path, rng, capsys, flag, value):
+    # valid clouds, so that only the flag value can stop the run
+    pts = rng.uniform(-1.0, 1.0, size=(200, 3))
+    write_ply(Cloud(points=pts), tmp_path / "a.ply")
+    write_ply(Cloud(points=pts + 0.01), tmp_path / "b.ply")
+    report = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["register", "--source", str(tmp_path / "a.ply"),
+                  "--target", str(tmp_path / "b.ply"), "--out", str(report),
+                  "--no-scale", "--no-filter", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+    assert not report.exists()

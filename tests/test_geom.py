@@ -3,7 +3,8 @@ import pytest
 
 from pcr.errors import DegenerateGeometryError
 from pcr.geom import (Bounds3, RigidTransform, SimilarityTransform, bounds,
-                      euler_zyx, rotation_zyx, umeyama_align)
+                      euler_zyx, rotation_about_axis, rotation_from_vector,
+                      rotation_zyx, skew, umeyama_align)
 
 from conftest import random_rotation, rodrigues, rotation_angle_between
 
@@ -186,15 +187,22 @@ class TestEuler:
             back = np.array(euler_zyx(rot))
             assert np.abs(back - angles).max() < 1e-9
 
-    def test_quaternion_is_unit_and_consistent(self, rng):
+
+class TestRotationHelpers:
+    def test_axis_angle_matches_independent_builder(self, rng):
         for _ in range(20):
-            rot = random_rotation(rng)
-            q = RigidTransform(rot, np.zeros(3)).as_quaternion()
-            assert abs(np.linalg.norm(q) - 1.0) < 1e-12
-            w, x, y, z = q
-            rebuilt = np.array([
-                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (w * y + x * z)],
-                [2 * (w * z + x * y), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                [2 * (x * z - w * y), 2 * (w * x + y * z), 1 - 2 * (x * x + y * y)],
-            ])
-            assert np.abs(rebuilt - rot).max() < 1e-9
+            axis = rng.normal(size=3) * rng.uniform(0.1, 10.0)
+            angle = rng.uniform(-np.pi, np.pi)
+            got = rotation_about_axis(axis, angle)
+            assert np.abs(got - rodrigues(axis, angle)).max() < 1e-15
+
+    def test_rotation_vector_form(self, rng):
+        assert np.array_equal(rotation_from_vector(np.zeros(3)), np.eye(3))
+        w = rng.normal(size=3)
+        expected = rotation_about_axis(w, np.linalg.norm(w))
+        assert np.array_equal(rotation_from_vector(w), expected)
+
+    def test_cross_product_matrix(self, rng):
+        for _ in range(10):
+            v, w = rng.normal(size=(2, 3))
+            assert np.allclose(skew(v) @ w, np.cross(v, w), rtol=0, atol=1e-15)

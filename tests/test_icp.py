@@ -1,11 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
 from pcr.errors import TooFewPairsError
 from pcr.geom import RigidTransform, bounds
-from pcr.icp import build_nn_index, correspond, icp_register, objective
+from pcr.icp import NNIndex, correspond, icp_register
 
 from conftest import rodrigues, rotation_angle_between
 
@@ -17,7 +15,7 @@ def box_cloud(rng, n=500):
 class TestNNIndex:
     def test_query_own_point(self, rng):
         pts = box_cloud(rng, 100)
-        index = build_nn_index(pts)
+        index = NNIndex(pts)
         dist, idx = index.query(pts[17])
         assert dist[0] == 0.0
         assert idx[0] == 17
@@ -25,7 +23,7 @@ class TestNNIndex:
     def test_matches_brute_force(self, rng):
         pts = box_cloud(rng, 300)
         queries = box_cloud(rng, 1000) * 1.5
-        index = build_nn_index(pts)
+        index = NNIndex(pts)
         dist, idx = index.query(queries)
         diffs = queries[:, None, :] - pts[None, :, :]
         table = np.linalg.norm(diffs, axis=2)
@@ -35,7 +33,7 @@ class TestNNIndex:
         assert np.allclose(dist, brute_dist, rtol=1e-12)
 
     def test_single_point_cloud(self, rng):
-        index = build_nn_index(np.array([[1.0, 2.0, 3.0]]))
+        index = NNIndex(np.array([[1.0, 2.0, 3.0]]))
         dist, idx = index.query(box_cloud(rng, 20))
         assert (idx == 0).all()
 
@@ -43,7 +41,7 @@ class TestNNIndex:
 class TestCorrespond:
     def test_identity_on_identical_clouds(self, rng):
         pts = box_cloud(rng, 200)
-        corr = correspond(pts, build_nn_index(pts), RigidTransform.identity(), 3.0)
+        corr = correspond(pts, NNIndex(pts), RigidTransform.identity(), 3.0)
         assert len(corr) == 200
         assert (corr.distances == 0.0).all()
         assert np.array_equal(corr.target_indices, np.arange(200))
@@ -51,13 +49,13 @@ class TestCorrespond:
     def test_huge_multiplier_keeps_everything(self, rng):
         src = box_cloud(rng, 150)
         tgt = box_cloud(rng, 150)
-        corr = correspond(src, build_nn_index(tgt), RigidTransform.identity(), 1e12)
+        corr = correspond(src, NNIndex(tgt), RigidTransform.identity(), 1e12)
         assert len(corr) == 150
 
     def test_far_outlier_rejected(self, rng):
         tgt = box_cloud(rng, 200)
         src = np.vstack([tgt, [[50.0, 50.0, 50.0]]])
-        corr = correspond(src, build_nn_index(tgt), RigidTransform.identity(), 3.0)
+        corr = correspond(src, NNIndex(tgt), RigidTransform.identity(), 3.0)
         # brute-force check of the trim rule
         moved = src
         diffs = np.linalg.norm(moved[:, None, :] - tgt[None, :, :], axis=2)
@@ -71,38 +69,7 @@ class TestCorrespond:
         tgt = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
         with pytest.raises(TooFewPairsError):
             # trim threshold 0 x median keeps nothing
-            correspond(src, build_nn_index(tgt), RigidTransform.identity(), 1e-12)
-
-
-class TestObjective:
-    def test_zero_for_aligned_identity_map(self, rng):
-        pts = box_cloud(rng, 50)
-        theta = np.arange(50)
-        assert objective(pts, pts, theta, RigidTransform.identity()) == 0.0
-
-    def test_single_pair_unit_distance(self):
-        val = objective([[0.0, 0, 0]], [[1.0, 0, 0]], [0], RigidTransform.identity())
-        assert val == 1.0
-
-    def test_matches_extended_precision_sum(self, rng):
-        src = box_cloud(rng, 400)
-        tgt = box_cloud(rng, 300)
-        theta = rng.integers(0, 300, size=400)
-        rot = rodrigues([1.0, -2.0, 0.5], 0.4)
-        transform = RigidTransform(rot, rng.normal(size=3))
-        got = objective(src, tgt, theta, transform)
-        moved = src @ rot.T + transform.translation
-        terms = []
-        for i in range(400):
-            d = moved[i] - tgt[theta[i]]
-            terms.extend([d[0] * d[0], d[1] * d[1], d[2] * d[2]])
-        exact = math.fsum(terms)
-        assert got == pytest.approx(exact, rel=1e-12)
-
-    def test_out_of_range_theta(self, rng):
-        pts = box_cloud(rng, 10)
-        with pytest.raises(IndexError):
-            objective(pts, pts, [0] * 9 + [10], RigidTransform.identity())
+            correspond(src, NNIndex(tgt), RigidTransform.identity(), 1e-12)
 
 
 class TestIcpRegister:

@@ -161,18 +161,54 @@ class TestDecompose:
         from pcr.relpose import _triangulate_depths
         matches, rot, tdir, _ = two_view_scene(rng, n=30)
         rays_s, rays_t = rays_of(matches)
-        both_pos_good = 0
-        both_pos_flipped = 0
-        for i in range(30):
-            ds, dt = _triangulate_depths(rays_s[i], rays_t[i], rot, tdir)
-            both_pos_good += (ds > 0 and dt > 0)
-            ds, dt = _triangulate_depths(rays_s[i], rays_t[i], rot, -tdir)
-            both_pos_flipped += (ds > 0 and dt > 0)
-        assert both_pos_good == 30
-        assert both_pos_flipped < 30
+        ds, dt = _triangulate_depths(rays_s, rays_t, rot, tdir)
+        assert ((ds > 0) & (dt > 0)).sum() == 30
+        ds, dt = _triangulate_depths(rays_s, rays_t, rot, -tdir)
+        assert ((ds > 0) & (dt > 0)).sum() < 30
         e = skew(tdir) @ rot
         pose = decompose_and_disambiguate(e, rays_s, rays_t)
         assert np.abs(pose.translation - tdir).max() < 1e-9
+
+    def test_depths_match_per_pair_least_squares(self, rng):
+        from pcr.relpose import _triangulate_depths
+        rays_s = rng.normal(size=(200, 3))
+        rays_t = rng.normal(size=(200, 3))
+        rays_s /= np.linalg.norm(rays_s, axis=1, keepdims=True)
+        rays_t /= np.linalg.norm(rays_t, axis=1, keepdims=True)
+        rot = rodrigues(rng.normal(size=3), 0.4)
+        tdir = rng.normal(size=3)
+        tdir /= np.linalg.norm(tdir)
+        ds, dt = _triangulate_depths(rays_s, rays_t, rot, tdir)
+        for i in range(200):
+            a = np.column_stack([-(rot @ rays_s[i]), rays_t[i]])
+            sol, *_ = np.linalg.lstsq(a, tdir, rcond=None)
+            assert ds[i] == pytest.approx(sol[0], rel=1e-9)
+            assert dt[i] == pytest.approx(sol[1], rel=1e-9)
+
+    def test_zero_parallax_pair_has_no_depth(self):
+        from pcr.relpose import _triangulate_depths
+        ray = np.array([[0.0, 0.6, 0.8]])
+        ds, dt = _triangulate_depths(ray, -ray, np.eye(3), np.array([1.0, 0.0, 0.0]))
+        assert np.isnan(ds).all() and np.isnan(dt).all()
+
+
+class TestBundleRotation:
+    def test_mean_ray_maps_to_plus_z(self, rng):
+        from pcr.relpose import _bundle_rotation
+        rays = rng.normal(size=(40, 3)) * 0.2 + np.array([0.5, -0.3, 0.4])
+        rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+        rot = _bundle_rotation(rays)
+        mean = rays.mean(axis=0)
+        assert np.allclose(rot @ (mean / np.linalg.norm(mean)), [0.0, 0.0, 1.0],
+                           rtol=0, atol=1e-12)
+        assert np.abs(rot.T @ rot - np.eye(3)).max() < 1e-12
+
+    def test_bundle_on_minus_z_flips(self):
+        from pcr.relpose import _bundle_rotation
+        rays = np.array([[0.1, 0.0, -1.0], [-0.1, 0.0, -1.0],
+                         [0.0, 0.1, -1.0], [0.0, -0.1, -1.0]])
+        rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+        assert np.array_equal(_bundle_rotation(rays), np.diag([1.0, -1.0, -1.0]))
 
 
 class TestRansac:
