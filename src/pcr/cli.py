@@ -10,7 +10,9 @@ from .errors import StageError
 from .pipeline import PipelineConfig, run_pipeline
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    # The top-level parser and its "register" sub-parser, whose usage line
+    # a rejected register flag value should print.
     parser = argparse.ArgumentParser(
         prog="pcr",
         description="Register two sparse 3D point clouds that may differ by "
@@ -48,10 +50,10 @@ def _build_parser() -> argparse.ArgumentParser:
     syn.add_argument("--matches", type=int, default=200)
     syn.add_argument("--seed", type=int, default=7)
     syn.add_argument("--out-dir", required=True)
-    return parser
+    return parser, reg
 
 
-def _register(parser: argparse.ArgumentParser, args) -> int:
+def _register(reg: argparse.ArgumentParser, args) -> int:
     try:
         cfg = PipelineConfig(
             source=args.source,
@@ -72,7 +74,7 @@ def _register(parser: argparse.ArgumentParser, args) -> int:
         )
     except ValueError as exc:
         # Out-of-range flag values end like argparse's own type errors.
-        parser.error(str(exc))
+        reg.error(str(exc))
     try:
         report = run_pipeline(cfg)
     except StageError as exc:
@@ -97,10 +99,10 @@ def _synth(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, reg = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "register":
-        return _register(parser, args)
+        return _register(reg, args)
     return _synth(args)
 
 

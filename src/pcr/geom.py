@@ -238,18 +238,35 @@ def euler_zyx(rot: np.ndarray) -> tuple[float, float, float]:
     return float(roll), float(pitch), float(yaw)
 
 
+def vector_norm(v) -> np.ndarray:
+    """Euclidean norm over the last axis. Each value equals ``np.linalg.norm``
+    of that one vector bit for bit (both take a BLAS dot), so a stacked
+    computation gives the same numbers as a per-vector one."""
+    v = np.asarray(v, dtype=np.float64)
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
 def skew(v) -> np.ndarray:
-    """Cross-product matrix: skew(v) @ w == np.cross(v, w)."""
-    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+    """Cross-product matrix: skew(v) @ w == np.cross(v, w); (..., 3) -> (..., 3, 3)."""
+    v = np.asarray(v, dtype=np.float64)
+    out = np.zeros(v.shape[:-1] + (3, 3))
+    out[..., 0, 1], out[..., 0, 2] = -v[..., 2], v[..., 1]
+    out[..., 1, 0], out[..., 1, 2] = v[..., 2], -v[..., 0]
+    out[..., 2, 0], out[..., 2, 1] = -v[..., 1], v[..., 0]
+    return out
 
 
-def rotation_about_axis(axis, angle: float) -> np.ndarray:
-    """Rodrigues rotation about a (not necessarily unit) axis."""
-    ax = np.asarray(axis, dtype=np.float64).reshape(3)
-    norm = np.linalg.norm(ax)
-    if norm == 0.0:
+def rotation_about_axis(axis, angle) -> np.ndarray:
+    """Rodrigues rotation about a (not necessarily unit) axis. Stacked axes
+    (..., 3) with angles (...) give stacked rotations (..., 3, 3)."""
+    ax = np.asarray(axis, dtype=np.float64)
+    if ax.shape[-1:] != (3,):
+        raise ValueError("rotation axis must have 3 components")
+    norm = vector_norm(ax)
+    if (norm == 0.0).any():
         raise ValueError("rotation axis must be nonzero")
-    k = skew(ax / norm)
+    k = skew(ax / norm[..., None])
+    angle = np.asarray(angle, dtype=np.float64)[..., None, None]
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 

@@ -8,6 +8,7 @@ scalar Kalman filter whose measurement is the closed-form joint solve for
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,6 +116,33 @@ def project_pinhole(point, intrinsics: CameraIntrinsics) -> tuple[float, float]:
             intrinsics.fy * p[1] / p[2] + intrinsics.cy)
 
 
+def _moments(src: np.ndarray, tgt: np.ndarray, rot: np.ndarray):
+    # The sums the (scale, alpha) normal equations need for any direction:
+    # sum |R p|^2, sum R p . q, sum R p, sum q and the pair count.
+    rotated = src @ rot.T
+    return (float((rotated * rotated).sum()), float((rotated * tgt).sum()),
+            rotated.sum(axis=0), tgt.sum(axis=0), src.shape[0])
+
+
+def _solve_scale(moments, tdir: np.ndarray) -> tuple[float, float]:
+    # 2x2 normal equations in (s, alpha) along the unit direction tdir,
+    # solved in closed form. The matrix is a Gram matrix, so its condition
+    # number is lambda_max^2 / det.
+    if abs(np.linalg.norm(tdir) - 1.0) > 1e-9:
+        raise ValueError("t_dir must be a unit vector")
+    sq, cross, sum_rp, sum_q, n = moments
+    a12 = float(sum_rp @ tdir)
+    b2 = float(sum_q @ tdir)
+    det = sq * n - a12 * a12
+    lam_max = 0.5 * (sq + n) + math.hypot(0.5 * (sq - n), a12)
+    if not (math.isfinite(lam_max) and det * 1e12 >= lam_max * lam_max):
+        raise DegenerateGeometryError("scale normal equations are singular")
+    scale = (n * cross - a12 * b2) / det
+    if scale <= 0.0:
+        raise DegenerateGeometryError("least-squares scale is nonpositive")
+    return scale, (sq * b2 - a12 * cross) / det
+
+
 def scale_least_squares(source_pts, target_pts, rel_rot, t_dir) -> tuple[float, float]:
     """Closed-form (scale, translation magnitude) along a fixed direction.
 
@@ -127,23 +155,7 @@ def scale_least_squares(source_pts, target_pts, rel_rot, t_dir) -> tuple[float, 
         raise ValueError("need at least 2 matching point pairs")
     rot = np.asarray(rel_rot, dtype=np.float64).reshape(3, 3)
     tdir = np.asarray(t_dir, dtype=np.float64).reshape(3)
-    if abs(np.linalg.norm(tdir) - 1.0) > 1e-9:
-        raise ValueError("t_dir must be a unit vector")
-
-    rotated = src @ rot.T
-    a11 = float((rotated * rotated).sum())
-    a12 = float((rotated @ tdir).sum())
-    a22 = float(src.shape[0])
-    b1 = float((rotated * tgt).sum())
-    b2 = float((tgt @ tdir).sum())
-    normal = np.array([[a11, a12], [a12, a22]])
-    cond = np.linalg.cond(normal)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise DegenerateGeometryError("scale normal equations are singular")
-    scale, alpha = np.linalg.solve(normal, np.array([b1, b2]))
-    if scale <= 0.0:
-        raise DegenerateGeometryError("least-squares scale is nonpositive")
-    return float(scale), float(alpha)
+    return _solve_scale(_moments(src, tgt, rot), tdir)
 
 
 def _match_points(matches, intrinsics_source: CameraIntrinsics,
@@ -236,7 +248,11 @@ def estimate_scale_kalman(matches, intrinsics_source: CameraIntrinsics,
     src, tgt = _match_points(usable, intrinsics_source, intrinsics_target)
     rot = np.asarray(rel_pose.rotation, dtype=np.float64)
     tdir = np.asarray(rel_pose.translation, dtype=np.float64)
-    rotated = src @ rot.T
+    # The pairs enter each iteration only through these sums, so an
+    # iteration costs the same whatever the match count.
+    moments = _moments(src, tgt, rot)
+    _, _, sum_rp, sum_q, n = moments
+    mean_rp, mean_q = sum_rp / n, sum_q / n
 
     state = float(cfg.initial_scale)
     median_ratio = _median_pairwise_ratio(src, tgt)
@@ -248,10 +264,10 @@ def estimate_scale_kalman(matches, intrinsics_source: CameraIntrinsics,
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
-        measurement, _ = scale_least_squares(src, tgt, rot, tdir)
+        measurement, _ = _solve_scale(moments, tdir)
         # Re-linearize the translation direction at the measurement's own
         # optimum, so later measurements are free of direction-coupling bias.
-        residual = (tgt - measurement * rotated).mean(axis=0)
+        residual = mean_q - measurement * mean_rp
         res_norm = np.linalg.norm(residual)
         if res_norm > 1e-12:
             tdir = residual / res_norm
@@ -266,6 +282,6 @@ def estimate_scale_kalman(matches, intrinsics_source: CameraIntrinsics,
             break
     if state <= 0.0:
         raise DegenerateGeometryError("filtered scale is nonpositive")
-    translation = (tgt - state * rotated).mean(axis=0)
+    translation = mean_q - state * mean_rp
     return ScaleEstimate(scale=state, variance=variance, iterations=iterations,
                          converged=converged, translation=translation)

@@ -6,6 +6,7 @@ from pcr.cloudio import Cloud, write_ply
 
 @pytest.mark.parametrize("flag, value", [
     ("--ransac-psi", "-1"),
+    ("--ransac-psi", "abc"),
     ("--crop-fraction", "0"),
     ("--max-icp-iters", "0"),
     ("--ransac-iters", "0"),
@@ -23,6 +24,8 @@ def test_bad_flag_value_is_usage_error(tmp_path, rng, capsys, flag, value):
                   "--no-scale", "--no-filter", flag, value])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "error:" in err
+    # out-of-range and malformed values print the same sub-command usage
+    assert "usage: pcr register" in err
+    assert "pcr register: error:" in err
     assert "Traceback" not in err
     assert not report.exists()

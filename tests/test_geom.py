@@ -4,7 +4,7 @@ import pytest
 from pcr.errors import DegenerateGeometryError
 from pcr.geom import (Bounds3, RigidTransform, SimilarityTransform, bounds,
                       euler_zyx, rotation_about_axis, rotation_from_vector,
-                      rotation_zyx, skew, umeyama_align)
+                      rotation_zyx, skew, umeyama_align, vector_norm)
 
 from conftest import random_rotation, rodrigues, rotation_angle_between
 
@@ -206,3 +206,15 @@ class TestRotationHelpers:
         for _ in range(10):
             v, w = rng.normal(size=(2, 3))
             assert np.allclose(skew(v) @ w, np.cross(v, w), rtol=0, atol=1e-15)
+
+    def test_stacked_forms_equal_single_ones(self, rng):
+        axes = rng.normal(size=(50, 3)) * rng.uniform(1e-3, 1e3, size=(50, 1))
+        angles = rng.uniform(-np.pi, np.pi, size=50)
+        rots, norms, skews = rotation_about_axis(axes, angles), vector_norm(axes), skew(axes)
+        assert rots.shape == skews.shape == (50, 3, 3)
+        for i in range(50):
+            assert np.array_equal(rots[i], rotation_about_axis(axes[i], angles[i]))
+            assert norms[i] == np.linalg.norm(axes[i])
+            assert np.array_equal(skews[i], skew(axes[i]))
+        with pytest.raises(ValueError):
+            rotation_about_axis(np.vstack([axes[:2], np.zeros(3)]), angles[:3])

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from pcr.cloudio import CameraIntrinsics, MatchRecord
+from pcr import relpose
 from pcr.errors import (AmbiguousDecompositionError, DegenerateGeometryError,
-                        InsufficientMatchesError)
+                        InsufficientMatchesError, NoConsensusError)
 from pcr.relpose import (RansacConfig, angular_threshold, bearing_rays,
                          decompose_and_disambiguate, epipolar_residuals,
                          essential_from_rays, ransac_relative_pose)
@@ -193,22 +194,99 @@ class TestDecompose:
 
 
 class TestBundleRotation:
+    # _bundle_rotation takes (k, m, 3) stacks and returns (k, 3, 3)
     def test_mean_ray_maps_to_plus_z(self, rng):
         from pcr.relpose import _bundle_rotation
-        rays = rng.normal(size=(40, 3)) * 0.2 + np.array([0.5, -0.3, 0.4])
-        rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+        rays = rng.normal(size=(3, 40, 3)) * 0.2 + np.array([0.5, -0.3, 0.4])
+        rays /= np.linalg.norm(rays, axis=-1, keepdims=True)
         rot = _bundle_rotation(rays)
-        mean = rays.mean(axis=0)
-        assert np.allclose(rot @ (mean / np.linalg.norm(mean)), [0.0, 0.0, 1.0],
-                           rtol=0, atol=1e-12)
-        assert np.abs(rot.T @ rot - np.eye(3)).max() < 1e-12
+        for bundle, r in zip(rays, rot):
+            mean = bundle.mean(axis=0)
+            assert np.allclose(r @ (mean / np.linalg.norm(mean)), [0.0, 0.0, 1.0],
+                               rtol=0, atol=1e-12)
+            assert np.abs(r.T @ r - np.eye(3)).max() < 1e-12
 
     def test_bundle_on_minus_z_flips(self):
         from pcr.relpose import _bundle_rotation
         rays = np.array([[0.1, 0.0, -1.0], [-0.1, 0.0, -1.0],
                          [0.0, 0.1, -1.0], [0.0, -0.1, -1.0]])
         rays /= np.linalg.norm(rays, axis=1, keepdims=True)
-        assert np.array_equal(_bundle_rotation(rays), np.diag([1.0, -1.0, -1.0]))
+        assert np.array_equal(_bundle_rotation(rays[None])[0], np.diag([1.0, -1.0, -1.0]))
+
+    def test_zero_mean_bundle_keeps_identity(self):
+        from pcr.relpose import _bundle_rotation
+        rays = np.array([[0.6, 0.0, 0.8], [-0.6, 0.0, -0.8]] * 4)
+        assert np.array_equal(_bundle_rotation(rays[None])[0], np.eye(3))
+
+
+def random_samples(rng, count, rows, pixel_noise=0.5):
+    # count (rows, 3) ray bundles drawn from one noisy two-view scene
+    matches, *_ = two_view_scene(rng, n=200, pixel_noise=pixel_noise)
+    rays_s, rays_t = rays_of(matches)
+    idx = np.array([rng.choice(200, size=rows, replace=False) for _ in range(count)])
+    return rays_s[idx], rays_t[idx]
+
+
+class TestBatchedEssential:
+    @pytest.mark.parametrize("rows", [8, 20])
+    def test_stack_matches_single_solves(self, rng, rows):
+        from pcr.relpose import _essentials
+        stack_s, stack_t = random_samples(rng, 30, rows)
+        batch, ok = _essentials(stack_s, stack_t)
+        assert ok.all()
+        for e, qs, qt in zip(batch, stack_s, stack_t):
+            single = essential_from_rays(qs, qt)
+            sign = np.sign(e.ravel() @ single.ravel())
+            np.testing.assert_allclose(sign * e, single, rtol=1e-9, atol=1e-12)
+
+    def test_degenerate_members_flagged(self, rng):
+        from pcr.relpose import _essentials
+        good_s, good_t = random_samples(rng, 2, 8)
+        coincident_s = np.tile(good_s[0, :1], (8, 1))
+        # the mean of this bundle is exactly +z, so its last two rays lie
+        # 90 degrees off the bundle axis
+        cone_s = np.array([[0.1, 0.0, 1.0], [-0.1, 0.0, 1.0], [0.0, 0.1, 1.0],
+                           [0.0, -0.1, 1.0], [0.05, 0.05, 1.0], [-0.05, -0.05, 1.0],
+                           [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+        cone_s /= np.linalg.norm(cone_s, axis=1, keepdims=True)
+        # zero baseline: every E = [v]x R fits, so the system has rank 6
+        pts = rng.uniform([-2, -2, 3], [2, 2, 7], size=(8, 3))
+        rot = rodrigues([0.3, 1.0, -0.2], 0.3)
+        flat_s = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        flat_t = pts @ rot.T / np.linalg.norm(pts, axis=1, keepdims=True)
+        stack_s = np.stack([good_s[0], coincident_s, good_s[1], cone_s, flat_s])
+        stack_t = np.stack([good_t[0], good_t[1], good_t[1], good_t[0], flat_t])
+        batch, ok = _essentials(stack_s, stack_t)
+        assert ok.tolist() == [True, False, True, False, False]
+        alone, _ = _essentials(good_s, good_t)
+        np.testing.assert_allclose(batch[ok], alone, rtol=1e-12, atol=1e-15)
+        for qs, qt in zip(stack_s[~ok], stack_t[~ok]):
+            with pytest.raises(DegenerateGeometryError):
+                essential_from_rays(qs, qt)
+
+
+def reference_consensus(rays_s, rays_t, threshold, cfg):
+    """One hypothesis at a time: the loop the batched search replaces."""
+    rng = np.random.default_rng(cfg.seed)
+    best_count, best_total, best_model, best_mask = -1, np.inf, None, None
+    tied = False
+    for _ in range(cfg.max_iterations):
+        sample = rng.choice(len(rays_s), size=8, replace=False)
+        try:
+            model = essential_from_rays(rays_s[sample], rays_t[sample])
+        except DegenerateGeometryError:
+            continue
+        residuals = epipolar_residuals(model, rays_s, rays_t)
+        mask = residuals <= threshold
+        count, total = int(mask.sum()), float(residuals[mask].sum())
+        if count > best_count or (count == best_count and total < best_total):
+            best_count, best_total, best_model, best_mask = count, total, model, mask
+            tied = False
+        elif count == best_count and total == best_total \
+                and not np.array_equal(mask, best_mask):
+            tied = True
+    assert best_count >= 8 and not tied
+    return best_model, best_mask, best_count
 
 
 class TestRansac:
@@ -270,3 +348,71 @@ class TestRansac:
         assert rotation_angle_between(rev.rotation, fwd.rotation.T) < 1e-6
         expected_dir = -(fwd.rotation.T @ fwd.translation)
         assert np.abs(rev.translation - expected_dir).max() < 1e-6
+
+    @pytest.mark.parametrize("iterations", [1, 255, 256, 257, 1000])
+    def test_samples_follow_sequential_choice_stream(self, rng, monkeypatch, iterations):
+        matches, *_ = two_view_scene(rng, n=60)
+        rays_s, _ = rays_of(matches)
+        stacks = []
+        solve = relpose._essentials
+
+        def recording(qs, qt):
+            stacks.append(qs)
+            return solve(qs, qt)
+
+        monkeypatch.setattr(relpose, "_essentials", recording)
+        ransac_relative_pose(matches, K, K, RansacConfig(max_iterations=iterations, seed=9))
+        chunks = -(-iterations // relpose._CHUNK)
+        drawn = np.concatenate(stacks[:chunks])
+        stream = np.random.default_rng(9)
+        expected = [stream.choice(60, size=8, replace=False) for _ in range(iterations)]
+        assert np.array_equal(drawn, rays_s[np.array(expected)])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_winner_as_per_hypothesis_loop(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed + 300)
+        matches, *_ = two_view_scene(rng, n=150, pixel_noise=0.3, outliers=0.3)
+        rays_s, rays_t = rays_of(matches)
+        cfg = RansacConfig(max_iterations=600, seed=seed)
+        threshold = angular_threshold(cfg.pixel_threshold, K.fx)
+        ref_model, ref_mask, ref_count = reference_consensus(rays_s, rays_t, threshold, cfg)
+        model, mask, count = relpose._consensus(rays_s, rays_t, threshold, cfg)
+        assert count == ref_count
+        assert np.array_equal(mask, ref_mask)
+        np.testing.assert_allclose(model, ref_model, rtol=1e-9, atol=1e-12)
+        batched = ransac_relative_pose(matches, K, K, cfg)
+        monkeypatch.setattr(relpose, "_consensus",
+                            lambda *args: (ref_model, ref_mask, ref_count))
+        looped = ransac_relative_pose(matches, K, K, cfg)
+        assert np.array_equal(batched.inliers, looped.inliers)
+
+    def test_exact_tie_between_two_motions_is_error(self):
+        # Two noise-free groups under different motions: a minimal sample
+        # from either group scores its own 40 rays with residual exactly 0
+        # and none of the other group's, so both models reach 40 inliers at
+        # total 0 with different inlier sets.
+        rng = np.random.default_rng(0)
+        first, rot_a, dir_a, _ = two_view_scene(rng, n=40)
+        second, rot_b, dir_b, _ = two_view_scene(rng, n=40)
+        threshold = angular_threshold(1.0, K.fx)
+        for (rot, tdir), group in (((rot_a, dir_a), second), ((rot_b, dir_b), first)):
+            assert (epipolar_residuals(skew(tdir) @ rot, *rays_of(group)) > threshold).all()
+        with pytest.raises(AmbiguousDecompositionError):
+            ransac_relative_pose(first + second, K, K, RansacConfig(seed=0, max_iterations=2000))
+
+    def test_fewer_than_eight_inliers_is_no_consensus(self, rng):
+        # unrelated pixel pairs: no model explains 8 of them at 0.01 px
+        px = rng.uniform([0, 0, 0, 0], [640, 480, 640, 480], size=(30, 4))
+        matches = [MatchRecord(us=a, vs=b, ut=c, vt=d) for a, b, c, d in px]
+        with pytest.raises(NoConsensusError, match="need at least 8"):
+            ransac_relative_pose(matches, K, K, RansacConfig(pixel_threshold=0.01))
+
+    def test_all_hypotheses_degenerate_is_no_consensus(self, rng):
+        # every source ray coincides, so no minimal sample can be solved
+        targets = rng.uniform(0.0, 400.0, size=(20, 2))
+        matches = [MatchRecord(us=100.0, vs=200.0, ut=u, vt=v) for u, v in targets]
+        rays_s, rays_t = rays_of(matches)
+        with pytest.raises(DegenerateGeometryError):
+            essential_from_rays(rays_s[:8], rays_t[:8])
+        with pytest.raises(NoConsensusError, match="has 0 inliers"):
+            ransac_relative_pose(matches, K, K, RansacConfig(max_iterations=300))

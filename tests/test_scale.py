@@ -128,6 +128,30 @@ class TestScaleLeastSquares:
         with pytest.raises(DegenerateGeometryError):
             scale_least_squares(pts, pts, np.eye(3), tdir)
 
+    @pytest.mark.parametrize("spread", [1e-3, 1e-5, 1e-6, 1e-8])
+    def test_condition_gate_matches_library_cond(self, spread):
+        # points clustered on t_dir: cond of the normal matrix is 4 / spread^2
+        tdir = np.array([0.0, 0.0, 1.0])
+        pts = np.array([[spread, 0.0, 1.0], [-spread, 0.0, 1.0],
+                        [0.0, spread, 1.0], [0.0, -spread, 1.0]])
+        a12 = pts[:, 2].sum()
+        normal = np.array([[(pts * pts).sum(), a12], [a12, 4.0]])
+        if np.linalg.cond(normal) > 1e12:
+            with pytest.raises(DegenerateGeometryError, match="singular"):
+                scale_least_squares(pts, 2.0 * pts, np.eye(3), tdir)
+        else:
+            s, alpha = scale_least_squares(pts, 2.0 * pts, np.eye(3), tdir)
+            assert s == pytest.approx(2.0, rel=1e-6)
+            assert alpha == pytest.approx(0.0, abs=1e-6)
+
+    def test_nonpositive_scale_and_non_unit_direction_rejected(self, rng):
+        pts = rng.normal(size=(10, 3))
+        tdir = np.array([0.0, 0.6, 0.8])
+        with pytest.raises(DegenerateGeometryError, match="nonpositive"):
+            scale_least_squares(pts, -pts, np.eye(3), tdir)
+        with pytest.raises(ValueError, match="unit"):
+            scale_least_squares(pts, pts, np.eye(3), 2.0 * tdir)
+
 
 class TestKalman:
     def test_noiseless_scale_recovery(self, rng):
@@ -201,6 +225,41 @@ class TestKalman:
             if abs(est.scale / 2.5 - 1.0) < 0.02:
                 hits += 1
         assert hits >= 48  # 95% of 50 seeds, with one seed of slack
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_per_iteration_least_squares_loop(self, seed):
+        # reference: every iteration re-solves the least squares over all
+        # pairs; the filter reads the same sums from precomputed moments
+        local = np.random.default_rng(seed)
+        rot = bounded_rotation(local)
+        tvec = local.normal(size=3)
+        matches = make_matches(local, rot, tvec, 2.5, n=100,
+                               depth_noise=0.01, pixel_noise=0.5)
+        src = np.array([backproject((m.us, m.vs), m.ds, K) for m in matches])
+        tgt = np.array([backproject((m.ut, m.vt), m.dt, K) for m in matches])
+        # 2.0 lies within half the state of the pairwise ratio (about 2.5),
+        # so the filter keeps it as its starting state
+        state, variance, tdir = 2.0, 1.0, tvec / np.linalg.norm(tvec)
+        for iterations in range(1, 2001):
+            measurement, _ = scale_least_squares(src, tgt, rot, tdir)
+            residual = (tgt - measurement * (src @ rot.T)).mean(axis=0)
+            tdir = residual / np.linalg.norm(residual)
+            predicted = variance + 1e-6
+            gain = predicted / (predicted + 1e-2)
+            new_state = state + gain * (measurement - state)
+            variance = (1.0 - gain) * predicted
+            done = abs(new_state - state) < 1e-9
+            state = new_state
+            if done:
+                break
+        est = estimate_scale_kalman(matches, K, K, pose_of(rot, tvec),
+                                    KalmanConfig(initial_scale=2.0, max_iterations=2000))
+        assert est.converged and done
+        assert est.iterations == iterations
+        assert est.scale == pytest.approx(state, rel=1e-12)
+        assert est.variance == pytest.approx(variance, rel=1e-12)
+        assert np.allclose(est.translation, (tgt - state * (src @ rot.T)).mean(axis=0),
+                           rtol=0, atol=1e-10)
 
     def test_requires_three_matches_with_depths(self, rng):
         rot = np.eye(3)
