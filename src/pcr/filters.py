@@ -14,31 +14,22 @@ import numpy as np
 from .cloudio import Cloud
 from .geom import bounds
 
-_AXES = {"x": 0, "y": 1, "z": 2}
+# Column of the vertical (up) axis: y in both clouds.
+VERTICAL_AXIS = 1
+# Points farther from the centroid than this many median centroid distances
+# are remote.
+REMOTE_MULTIPLIER = 10.0
 
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """crop_fraction keeps the bottom share of the vertical extent; points
-    farther than remote_multiplier times the median centroid distance are
-    dropped. crop_upper flips the crop to the complement side."""
+    """crop_fraction keeps the bottom share of the vertical extent."""
 
     crop_fraction: float = 0.25
-    vertical_axis: str = "y"
-    remote_multiplier: float = 10.0
-    crop_upper: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.crop_fraction <= 1.0:
             raise ValueError("crop_fraction must be in (0, 1]")
-        if self.vertical_axis not in _AXES:
-            raise ValueError("vertical_axis must be one of x, y, z")
-        if self.remote_multiplier <= 0.0:
-            raise ValueError("remote_multiplier must be positive")
-
-    @property
-    def axis_index(self) -> int:
-        return _AXES[self.vertical_axis]
 
 
 def crop_lower(cloud: Cloud, cfg: FilterConfig = FilterConfig()) -> Cloud:
@@ -51,30 +42,24 @@ def crop_lower(cloud: Cloud, cfg: FilterConfig = FilterConfig()) -> Cloud:
     unchanged. Input order is preserved.
     """
     box = cloud.bounds_hint if cloud.bounds_hint is not None else bounds(cloud.points)
-    axis = cfg.axis_index
-    lo = float(box.minimum[axis])
-    hi = float(box.maximum[axis])
-    coords = cloud.points[:, axis]
-    if cfg.crop_upper:
-        boundary = hi - cfg.crop_fraction * (hi - lo)
-        mask = coords >= boundary
-    else:
-        boundary = lo + cfg.crop_fraction * (hi - lo)
-        mask = coords <= boundary
+    lo = float(box.minimum[VERTICAL_AXIS])
+    hi = float(box.maximum[VERTICAL_AXIS])
+    boundary = lo + cfg.crop_fraction * (hi - lo)
+    mask = cloud.points[:, VERTICAL_AXIS] <= boundary
     if not mask.any():
         raise ValueError("crop removed every point")
     return Cloud(points=cloud.points[mask], label=cloud.label, bounds_hint=box)
 
 
-def remove_remote(cloud: Cloud, cfg: FilterConfig = FilterConfig()) -> Cloud:
-    """Drop points farther from the centroid than ``remote_multiplier`` times
-    the median centroid distance. Order is preserved; may return the cloud
+def remove_remote(cloud: Cloud, multiplier: float = REMOTE_MULTIPLIER) -> Cloud:
+    """Drop points farther from the centroid than ``multiplier`` times the
+    median centroid distance. Order is preserved; may return the cloud
     unchanged."""
     if len(cloud) < 2:
         raise ValueError("remote-point removal needs at least 2 points")
     centroid = cloud.points.mean(axis=0)
     dist = np.linalg.norm(cloud.points - centroid, axis=1)
-    mask = dist <= cfg.remote_multiplier * np.median(dist)
+    mask = dist <= multiplier * np.median(dist)
     if not mask.any():
         return cloud
     box = cloud.bounds_hint if cloud.bounds_hint is not None else bounds(cloud.points)

@@ -4,11 +4,14 @@ Stage order: scale detection, then (when a scale gap is detected and matches
 are available) relative pose + Kalman scale estimation, source scaling,
 filtration of both clouds, trimmed ICP, covariance and information matrix on
 the final correspondence set. Any stage failure is wrapped in a StageError
-carrying the stage name and its CLI exit code.
+carrying the stage name and its CLI exit code. A Kalman filter or ICP run that
+stops at its iteration cap unconverged is not a failure: it is logged as a
+WARNING on the ``pcr`` logger, and the run goes on.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 from . import cloudio, filters, icp, icpcov, relpose, scale
@@ -16,6 +19,8 @@ from .errors import RegistrationError, StageError
 from .geom import RigidTransform, SimilarityTransform
 
 EXIT_CODES = {"io": 1, "scale": 2, "relpose": 3, "icp": 4, "covariance": 5}
+
+log = logging.getLogger("pcr")
 
 
 @dataclass(frozen=True)
@@ -79,6 +84,9 @@ def run_pipeline(cfg: PipelineConfig) -> cloudio.PipelineReport:
         estimate = _stage("scale", scale.estimate_scale_kalman,
                           good_matches, k_source, k_target, rel_pose,
                           scale.KalmanConfig(initial_scale=detection.ratio))
+        if not estimate.converged:
+            log.warning("stage scale: the Kalman scale filter stopped "
+                        "unconverged after %d iterations", estimate.iterations)
         scale_factor = estimate.scale
 
     scaling = SimilarityTransform(scale_factor, RigidTransform.identity()) \
@@ -89,9 +97,9 @@ def run_pipeline(cfg: PipelineConfig) -> cloudio.PipelineReport:
 
     if cfg.apply_filters:
         icp_source = _stage("icp", filters.crop_lower, scaled_source, cfg.filter_cfg)
-        icp_source = _stage("icp", filters.remove_remote, icp_source, cfg.filter_cfg)
+        icp_source = _stage("icp", filters.remove_remote, icp_source)
         icp_target = _stage("icp", filters.crop_lower, target, cfg.filter_cfg)
-        icp_target = _stage("icp", filters.remove_remote, icp_target, cfg.filter_cfg)
+        icp_target = _stage("icp", filters.remove_remote, icp_target)
     else:
         icp_source = scaled_source
         icp_target = target
@@ -103,6 +111,9 @@ def run_pipeline(cfg: PipelineConfig) -> cloudio.PipelineReport:
         init = RigidTransform(rel_pose.rotation, estimate.translation)
     result = _stage("icp", icp.icp_register, icp_source, icp_target,
                     cfg.icp_cfg, init)
+    if not result.converged:
+        log.warning("stage icp: ICP stopped unconverged after %d iterations",
+                    result.iterations)
 
     pairs_p = icp_source.points[result.source_indices]
     pairs_q = icp_target.points[result.theta]

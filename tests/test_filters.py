@@ -72,37 +72,35 @@ class TestCropLower:
         cropped_then_moved = crop_lower(cloud_from(pts), cfg).points @ rot.T + shift
         assert np.allclose(moved_then_cropped.points, cropped_then_moved, atol=1e-12)
 
-    def test_crop_upper_complement(self):
-        pts = np.zeros((100, 3))
-        pts[:, 1] = np.arange(100.0)
-        low = crop_lower(cloud_from(pts), FilterConfig(crop_fraction=0.25))
-        high = crop_lower(cloud_from(pts), FilterConfig(crop_fraction=0.75, crop_upper=True))
-        assert len(low) + len(high) == 100
-
     def test_axis_selector(self):
+        # the crop reads y only: heights in x or z are never cropped
         pts = np.zeros((10, 3))
+        pts[:, 0] = np.arange(10.0)
         pts[:, 2] = np.arange(10.0)
-        out = crop_lower(cloud_from(pts), FilterConfig(crop_fraction=0.25, vertical_axis="z"))
-        assert out.points[:, 2].max() <= 0.25 * 9.0
+        out = crop_lower(cloud_from(pts), FilterConfig(crop_fraction=0.25))
+        assert np.array_equal(out.points, pts)
+        pts[:, 1] = np.arange(10.0)
+        out = crop_lower(cloud_from(pts), FilterConfig(crop_fraction=0.25))
+        assert out.points[:, 1].max() <= 0.25 * 9.0
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
             FilterConfig(crop_fraction=0.0)
         with pytest.raises(ValueError):
-            FilterConfig(vertical_axis="w")
+            FilterConfig(crop_fraction=1.5)
 
 
 class TestRemoveRemote:
     def test_uniform_cube_untouched(self, rng):
         cloud = cloud_from(rng.uniform(-1, 1, size=(200, 3)))
-        out = remove_remote(cloud, FilterConfig(remote_multiplier=10.0))
+        out = remove_remote(cloud)
         assert np.array_equal(out.points, cloud.points)
 
     def test_single_far_point_removed(self, rng):
         pts = rng.uniform(-1, 1, size=(200, 3))
         far = np.array([[100.0, 0.0, 0.0]])
         cloud = cloud_from(np.vstack([pts, far]))
-        out = remove_remote(cloud, FilterConfig(remote_multiplier=5.0))
+        out = remove_remote(cloud, multiplier=5.0)
         # brute-force check of the rule
         centroid = cloud.points.mean(axis=0)
         dist = np.linalg.norm(cloud.points - centroid, axis=1)
@@ -113,7 +111,7 @@ class TestRemoveRemote:
 
     def test_huge_multiplier_is_identity(self, rng):
         cloud = cloud_from(rng.normal(size=(50, 3)))
-        out = remove_remote(cloud, FilterConfig(remote_multiplier=1e12))
+        out = remove_remote(cloud, multiplier=1e12)
         assert np.array_equal(out.points, cloud.points)
 
     def test_needs_two_points(self):
@@ -123,7 +121,7 @@ class TestRemoveRemote:
     def test_order_preserved(self, rng):
         pts = rng.normal(size=(100, 3))
         pts[7] *= 50
-        out = remove_remote(cloud_from(pts), FilterConfig(remote_multiplier=3.0))
+        out = remove_remote(cloud_from(pts), multiplier=3.0)
         rows = [tuple(r) for r in pts]
         positions = [rows.index(tuple(k)) for k in out.points]
         assert positions == sorted(positions)

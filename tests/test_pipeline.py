@@ -1,17 +1,24 @@
+import functools
 import json
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from pcr import cli
+import pcr
+from pcr import cli, scale
 from pcr.cloudio import Cloud, read_ply, read_report, write_ply
 from pcr.errors import StageError
 from pcr.geom import bounds
 from pcr.pipeline import PipelineConfig, run_pipeline
 from pcr.synth import SynthSpec, generate_synthetic, read_ground_truth
 
-from conftest import rotation_angle_between
+from conftest import rodrigues, rotation_angle_between
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +71,21 @@ class TestRunPipeline:
         diag = bounds(read_ply(scene_dir["target"]).points).diagonal_length()
         err = np.linalg.norm(report.final_transform.translation - truth.translation)
         assert err < 0.03 * diag
+
+    def test_capped_kalman_logs_warning(self, scene_dir, monkeypatch, caplog):
+        def pcr_warnings():
+            return [r.getMessage() for r in caplog.records
+                    if r.name == "pcr" and r.levelno == logging.WARNING]
+
+        with caplog.at_level(logging.WARNING, logger="pcr"):
+            run_pipeline(config_for(scene_dir, apply_filters=False))
+            assert pcr_warnings() == []
+            monkeypatch.setattr(scale, "KalmanConfig", functools.partial(
+                scale.KalmanConfig, max_iterations=1))
+            report = run_pipeline(config_for(scene_dir, apply_filters=False))
+        assert report.scale_detected
+        assert ("stage scale: the Kalman scale filter stopped unconverged "
+                "after 1 iterations") in pcr_warnings()
 
     def test_scale_gap_without_matches_is_stage2(self, tmp_path, rng):
         pts = rng.uniform(-1, 1, size=(300, 3))
@@ -201,6 +223,27 @@ class TestCli:
                        "--out", str(tmp_path / "r.json")])
         assert rc == 3
         assert "stage relpose" in capsys.readouterr().err
+
+    def test_unconverged_icp_warns_and_exits_0(self, tmp_path, rng):
+        # a separate interpreter with no logging set up, as a shell user runs it
+        pts = rng.uniform(-1, 1, size=(300, 3))
+        write_ply(Cloud(points=pts), tmp_path / "a.ply")
+        write_ply(Cloud(points=pts @ rodrigues([0, 1, 0], 0.2).T + 0.1),
+                  tmp_path / "b.ply")
+        report = tmp_path / "r.json"
+        src_dir = str(Path(pcr.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pcr", "register",
+             "--source", str(tmp_path / "a.ply"),
+             "--target", str(tmp_path / "b.ply"), "--out", str(report),
+             "--no-scale", "--no-filter", "--max-icp-iters", "1"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "stage icp: ICP stopped unconverged after 1 iterations" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert read_report(report).iterations == 1
 
     def test_register_deterministic_bytes(self, tmp_path):
         out_dir = tmp_path / "scene"
