@@ -23,8 +23,8 @@ from .pipeline import PipelineConfig, run_pipeline
 from .relpose import (RansacConfig, RelativePose, angular_threshold,
                       decompose_and_disambiguate, essential_from_rays,
                       ransac_relative_pose)
-from .scale import (KalmanConfig, ScaleDetection, ScaleEstimate, backproject,
-                    detect_scale, estimate_scale_kalman, scale_least_squares)
+from .scale import (ScaleDetection, ScaleEstimate, backproject, detect_scale,
+                    estimate_scale_kalman, scale_least_squares)
 from .synth import SynthSpec, build_scene, generate_synthetic
 
 __version__ = "0.1.0"

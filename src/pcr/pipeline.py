@@ -1,12 +1,12 @@
 """End-to-end registration: files in, report and transformed cloud out.
 
 Stage order: scale detection, then (when a scale gap is detected and matches
-are available) relative pose + Kalman scale estimation, source scaling,
+are available) relative pose + closed-form scale estimation, source scaling,
 filtration of both clouds, trimmed ICP, covariance and information matrix on
 the final correspondence set. Any stage failure is wrapped in a StageError
-carrying the stage name and its CLI exit code. A Kalman filter or ICP run that
-stops at its iteration cap unconverged is not a failure: it is logged as a
-WARNING on the ``pcr`` logger, and the run goes on.
+carrying the stage name and its CLI exit code. An ICP run that stops at its
+iteration cap unconverged is not a failure: it is logged as a WARNING on the
+``pcr`` logger, and the run goes on.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from . import cloudio, filters, icp, icpcov, relpose, scale
 from .errors import RegistrationError, StageError
 from .geom import RigidTransform, SimilarityTransform
 
-EXIT_CODES = {"io": 1, "scale": 2, "relpose": 3, "icp": 4, "covariance": 5}
+# Exit code 2 is left to argparse: it means a usage or flag error.
+EXIT_CODES = {"io": 1, "scale": 6, "relpose": 3, "icp": 4, "covariance": 5}
 
 log = logging.getLogger("pcr")
 
@@ -82,11 +83,7 @@ def run_pipeline(cfg: PipelineConfig) -> cloudio.PipelineReport:
                             inlier_matches, k_source, k_target)
         good_matches = [inlier_matches[i] for i in consistent]
         estimate = _stage("scale", scale.estimate_scale_kalman,
-                          good_matches, k_source, k_target, rel_pose,
-                          scale.KalmanConfig(initial_scale=detection.ratio))
-        if not estimate.converged:
-            log.warning("stage scale: the Kalman scale filter stopped "
-                        "unconverged after %d iterations", estimate.iterations)
+                          good_matches, k_source, k_target, rel_pose)
         scale_factor = estimate.scale
 
     scaling = SimilarityTransform(scale_factor, RigidTransform.identity()) \

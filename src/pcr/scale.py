@@ -1,9 +1,10 @@
 """Scale difference detection and estimation between two capture sessions.
 
 Detection compares bounding-diagonal lengths of the two clouds. Estimation
-backprojects matched keypoints to 3D using per-pixel depths, then runs a
-scalar Kalman filter whose measurement is the closed-form joint solve for
-(scale, translation magnitude) along the relative-pose translation direction.
+backprojects matched keypoints to 3D using per-pixel depths and returns, in
+closed form, the fixed point of the paper's scalar Kalman filter over the
+scale: the least-squares scale and translation of the matched points under
+the known relative rotation.
 """
 
 from __future__ import annotations
@@ -16,12 +17,6 @@ import numpy as np
 from .cloudio import CameraIntrinsics, Cloud
 from .errors import DegenerateGeometryError, InsufficientMatchesError
 from .geom import bounds, freeze
-
-# Kalman filter noise model: prior variance of the scale state, process
-# noise added per step, and variance of one least-squares measurement.
-INITIAL_VARIANCE = 1.0
-PROCESS_NOISE = 1e-6
-MEASUREMENT_NOISE = 1e-2
 
 # Depth-consistency gate: a match is kept when its median pairwise distance
 # ratio lies within GATE_MADS robust scatters of the global median, with a
@@ -40,43 +35,23 @@ class ScaleDetection:
 
 @dataclass(frozen=True)
 class ScaleEstimate:
-    """Filtered scale with its posterior variance.
+    """Session scale with the translation that goes with it.
 
-    translation is the co-estimated displacement vector (magnitude along the
-    re-linearized relative-pose translation direction) from the final
-    measurement solve; together with the relative rotation it coarsely aligns
-    the backprojected keyframe points.
+    Together with the relative rotation, ``translation`` coarsely aligns the
+    backprojected keyframe points: q ~ scale * R @ p + translation.
     """
 
     scale: float
-    variance: float
-    iterations: int
-    converged: bool
-    translation: np.ndarray | None = None
+    translation: np.ndarray
+
+    # One closed-form solve lands on the filter's fixed point; the benchmark
+    # tracer still reads these two filter counters off every estimate.
+    iterations = 1
+    converged = True
 
     def __post_init__(self):
-        trans = np.zeros(3) if self.translation is None \
-            else np.asarray(self.translation, dtype=np.float64).reshape(3)
+        trans = np.asarray(self.translation, dtype=np.float64).reshape(3)
         object.__setattr__(self, "translation", freeze(trans))
-
-
-@dataclass(frozen=True)
-class KalmanConfig:
-    """The defaults run the filter to its fixed point: with the steady-state
-    gain near 0.01, a 1e-6 delta stop leaves a state gap around 1e-4, and
-    100 iterations cannot wash out a bounding-box warm start, which the
-    noiseless end-to-end contract cannot afford (each extra iteration is one
-    2x2 solve, so the cost is microseconds)."""
-
-    initial_scale: float = 1.0
-    tolerance: float = 1e-9
-    max_iterations: int = 1000
-
-    def __post_init__(self):
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
 
 
 def detect_scale(source: Cloud, target: Cloud, tolerance: float = 0.1) -> ScaleDetection:
@@ -116,33 +91,6 @@ def project_pinhole(point, intrinsics: CameraIntrinsics) -> tuple[float, float]:
             intrinsics.fy * p[1] / p[2] + intrinsics.cy)
 
 
-def _moments(src: np.ndarray, tgt: np.ndarray, rot: np.ndarray):
-    # The sums the (scale, alpha) normal equations need for any direction:
-    # sum |R p|^2, sum R p . q, sum R p, sum q and the pair count.
-    rotated = src @ rot.T
-    return (float((rotated * rotated).sum()), float((rotated * tgt).sum()),
-            rotated.sum(axis=0), tgt.sum(axis=0), src.shape[0])
-
-
-def _solve_scale(moments, tdir: np.ndarray) -> tuple[float, float]:
-    # 2x2 normal equations in (s, alpha) along the unit direction tdir,
-    # solved in closed form. The matrix is a Gram matrix, so its condition
-    # number is lambda_max^2 / det.
-    if abs(np.linalg.norm(tdir) - 1.0) > 1e-9:
-        raise ValueError("t_dir must be a unit vector")
-    sq, cross, sum_rp, sum_q, n = moments
-    a12 = float(sum_rp @ tdir)
-    b2 = float(sum_q @ tdir)
-    det = sq * n - a12 * a12
-    lam_max = 0.5 * (sq + n) + math.hypot(0.5 * (sq - n), a12)
-    if not (math.isfinite(lam_max) and det * 1e12 >= lam_max * lam_max):
-        raise DegenerateGeometryError("scale normal equations are singular")
-    scale = (n * cross - a12 * b2) / det
-    if scale <= 0.0:
-        raise DegenerateGeometryError("least-squares scale is nonpositive")
-    return scale, (sq * b2 - a12 * cross) / det
-
-
 def scale_least_squares(source_pts, target_pts, rel_rot, t_dir) -> tuple[float, float]:
     """Closed-form (scale, translation magnitude) along a fixed direction.
 
@@ -155,7 +103,24 @@ def scale_least_squares(source_pts, target_pts, rel_rot, t_dir) -> tuple[float, 
         raise ValueError("need at least 2 matching point pairs")
     rot = np.asarray(rel_rot, dtype=np.float64).reshape(3, 3)
     tdir = np.asarray(t_dir, dtype=np.float64).reshape(3)
-    return _solve_scale(_moments(src, tgt, rot), tdir)
+    if abs(np.linalg.norm(tdir) - 1.0) > 1e-9:
+        raise ValueError("t_dir must be a unit vector")
+    # The normal matrix is a Gram matrix, so its condition number is
+    # lambda_max^2 / det.
+    rotated = src @ rot.T
+    n = src.shape[0]
+    sq = float((rotated * rotated).sum())
+    cross = float((rotated * tgt).sum())
+    a12 = float(rotated.sum(axis=0) @ tdir)
+    b2 = float(tgt.sum(axis=0) @ tdir)
+    det = sq * n - a12 * a12
+    lam_max = 0.5 * (sq + n) + math.hypot(0.5 * (sq - n), a12)
+    if not (math.isfinite(lam_max) and det * 1e12 >= lam_max * lam_max):
+        raise DegenerateGeometryError("scale normal equations are singular")
+    scale = (n * cross - a12 * b2) / det
+    if scale <= 0.0:
+        raise DegenerateGeometryError("least-squares scale is nonpositive")
+    return scale, (sq * b2 - a12 * cross) / det
 
 
 def _match_points(matches, intrinsics_source: CameraIntrinsics,
@@ -206,39 +171,23 @@ def depth_consistent_indices(matches, intrinsics_source: CameraIntrinsics,
     return idx[keep]
 
 
-def _median_pairwise_ratio(src: np.ndarray, tgt: np.ndarray) -> float | None:
-    # Ratio of pairwise distances is invariant to the rigid part, so its
-    # median is a robust standalone scale reading.
-    n = src.shape[0]
-    if n > 250:
-        step = (n + 249) // 250
-        src = src[::step]
-        tgt = tgt[::step]
-        n = src.shape[0]
-    if n < 2:
-        return None
-    iu = np.triu_indices(n, k=1)
-    ds = np.linalg.norm(src[iu[0]] - src[iu[1]], axis=1)
-    dt = np.linalg.norm(tgt[iu[0]] - tgt[iu[1]], axis=1)
-    keep = ds > 1e-12
-    if not keep.any():
-        return None
-    return float(np.median(dt[keep] / ds[keep]))
-
-
 def estimate_scale_kalman(matches, intrinsics_source: CameraIntrinsics,
-                          intrinsics_target: CameraIntrinsics, rel_pose,
-                          cfg: KalmanConfig = KalmanConfig()) -> ScaleEstimate:
-    """Scalar Kalman filter over the session scale.
+                          intrinsics_target: CameraIntrinsics, rel_pose) -> ScaleEstimate:
+    """Session scale and translation of the matches under the relative rotation.
 
-    Every iteration solves the joint (scale, alpha) least squares over all
-    backprojected match pairs at the current linearization and feeds the
-    scale as the measurement into a constant-state predict/update step. The
-    translation direction is re-linearized each iteration from the mean
-    residual at the current state, so the fixed point is the joint optimum
-    over (scale, full translation). Convergence is declared when the state
-    moves less than ``cfg.tolerance`` between iterations; running out of
-    iterations is reported through ``converged=False``, not an error.
+    The paper estimates the scale with a scalar Kalman filter whose
+    measurement is the joint (scale, alpha) least squares along the
+    relative-pose translation direction, with the direction re-aimed from
+    each measurement's own result. That measurement never reads the filter
+    state, so the filter only smooths a sequence with a known limit, the
+    known-rotation Umeyama scale
+
+        s* = sum_i (R p_i - mean R p) . (q_i - mean q) / sum_i |R p_i - mean R p|^2,
+        t  = mean q - s* mean R p,
+
+    which is returned here directly. Only ``rel_pose.rotation`` is read.
+    Fewer than 3 matches with both depths, coincident source points or a
+    nonpositive s* raise.
     """
     usable = [m for m in matches if m.has_depths()]
     if len(usable) < 3:
@@ -246,42 +195,16 @@ def estimate_scale_kalman(matches, intrinsics_source: CameraIntrinsics,
             f"scale estimation needs at least 3 matches with both depths, got {len(usable)}")
 
     src, tgt = _match_points(usable, intrinsics_source, intrinsics_target)
-    rot = np.asarray(rel_pose.rotation, dtype=np.float64)
-    tdir = np.asarray(rel_pose.translation, dtype=np.float64)
-    # The pairs enter each iteration only through these sums, so an
-    # iteration costs the same whatever the match count.
-    moments = _moments(src, tgt, rot)
-    _, _, sum_rp, sum_q, n = moments
-    mean_rp, mean_q = sum_rp / n, sum_q / n
-
-    state = float(cfg.initial_scale)
-    median_ratio = _median_pairwise_ratio(src, tgt)
-    if median_ratio is not None and median_ratio > 0.0 \
-            and abs(median_ratio - state) > 0.5 * abs(state):
-        state = median_ratio
-
-    variance = INITIAL_VARIANCE
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iterations + 1):
-        measurement, _ = _solve_scale(moments, tdir)
-        # Re-linearize the translation direction at the measurement's own
-        # optimum, so later measurements are free of direction-coupling bias.
-        residual = mean_q - measurement * mean_rp
-        res_norm = np.linalg.norm(residual)
-        if res_norm > 1e-12:
-            tdir = residual / res_norm
-        predicted_var = variance + PROCESS_NOISE
-        gain = predicted_var / (predicted_var + MEASUREMENT_NOISE)
-        new_state = state + gain * (measurement - state)
-        variance = (1.0 - gain) * predicted_var
-        delta = abs(new_state - state)
-        state = new_state
-        if delta < cfg.tolerance:
-            converged = True
-            break
-    if state <= 0.0:
-        raise DegenerateGeometryError("filtered scale is nonpositive")
-    translation = mean_q - state * mean_rp
-    return ScaleEstimate(scale=state, variance=variance, iterations=iterations,
-                         converged=converged, translation=translation)
+    rotated = src @ np.asarray(rel_pose.rotation, dtype=np.float64).T
+    mean_rp, mean_q = rotated.mean(axis=0), tgt.mean(axis=0)
+    # Centred sums: the raw moments sum |R p|^2 - n |mean R p|^2 cancel when
+    # the points lie far from the camera compared with their spread. Points
+    # that agree to about 12 significant digits count as coincident.
+    centred = rotated - mean_rp
+    spread = float((centred * centred).sum())
+    if spread <= 1e-24 * float((rotated * rotated).sum()):
+        raise DegenerateGeometryError("source match points coincide")
+    scale = float((centred * (tgt - mean_q)).sum()) / spread
+    if scale <= 0.0:
+        raise DegenerateGeometryError("least-squares scale is nonpositive")
+    return ScaleEstimate(scale=scale, translation=mean_q - scale * mean_rp)

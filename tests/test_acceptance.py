@@ -17,8 +17,7 @@ from pcr.icp import icp_register
 from pcr.icpcov import PoseParam, covariance, hessian_xx, hessian_zx, information_matrix
 from pcr.pipeline import PipelineConfig, run_pipeline
 from pcr.relpose import RansacConfig, ransac_relative_pose
-from pcr.scale import (KalmanConfig, backproject, estimate_scale_kalman,
-                       scale_least_squares)
+from pcr.scale import backproject, estimate_scale_kalman, scale_least_squares
 from pcr.synth import SynthSpec, generate_synthetic, read_ground_truth
 
 from conftest import rodrigues, rotation_angle_between
@@ -103,8 +102,7 @@ def test_criterion_03_kalman_matches_closed_form(rng):
         src = np.array([backproject((m.us, m.vs), m.ds, K_CAM) for m in matches])
         tgt = np.array([backproject((m.ut, m.vt), m.dt, K_CAM) for m in matches])
         oracle, _ = scale_least_squares(src, tgt, rot, tvec / np.linalg.norm(tvec))
-        cfg = KalmanConfig(initial_scale=1.0, tolerance=1e-9, max_iterations=5000)
-        est = estimate_scale_kalman(matches, K_CAM, K_CAM, pose_of(rot, tvec), cfg)
+        est = estimate_scale_kalman(matches, K_CAM, K_CAM, pose_of(rot, tvec))
         worst = max(worst, abs(est.scale - oracle))
     verdict(3, "Kalman fixed point equals closed form", worst < 1e-6,
             f"max |SC - s_ls| = {worst:.2e}")

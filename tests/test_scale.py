@@ -4,8 +4,8 @@ import pytest
 from pcr.cloudio import CameraIntrinsics, Cloud, MatchRecord
 from pcr.errors import DegenerateGeometryError, InsufficientMatchesError
 from pcr.relpose import RelativePose
-from pcr.scale import (KalmanConfig, backproject, depth_consistent_indices,
-                       detect_scale, estimate_scale_kalman, project_pinhole,
+from pcr.scale import (backproject, depth_consistent_indices, detect_scale,
+                       estimate_scale_kalman, project_pinhole,
                        scale_least_squares)
 
 from conftest import rodrigues
@@ -153,13 +153,50 @@ class TestScaleLeastSquares:
             scale_least_squares(pts, pts, np.eye(3), 2.0 * tdir)
 
 
+def noisy_scene(seed):
+    """Backprojected matches of a noisy s = 2.5 scene, with its rotation and
+    translation."""
+    local = np.random.default_rng(seed)
+    rot = bounded_rotation(local)
+    tvec = local.normal(size=3)
+    matches = make_matches(local, rot, tvec, 2.5, n=100,
+                           depth_noise=0.01, pixel_noise=0.5)
+    src = np.array([backproject((m.us, m.vs), m.ds, K) for m in matches])
+    tgt = np.array([backproject((m.ut, m.vt), m.dt, K) for m in matches])
+    return matches, src, tgt, rot, tvec
+
+
+def reference_filter_loop(src, tgt, rot, tdir, state, tolerance=1e-12,
+                          max_iterations=50_000):
+    """The scalar Kalman filter the closed form replaces, run to ``tolerance``.
+
+    Each step measures the (scale, alpha) least squares along ``tdir``,
+    re-aims ``tdir`` from that measurement's own residual, and feeds the
+    measurement to a constant-state predict/update step (prior variance 1,
+    process noise 1e-6, measurement noise 1e-2).
+    """
+    variance = 1.0
+    for _ in range(max_iterations):
+        measurement, _ = scale_least_squares(src, tgt, rot, tdir)
+        residual = (tgt - measurement * (src @ rot.T)).mean(axis=0)
+        tdir = residual / np.linalg.norm(residual)
+        predicted = variance + 1e-6
+        gain = predicted / (predicted + 1e-2)
+        new_state = state + gain * (measurement - state)
+        variance = (1.0 - gain) * predicted
+        done = abs(new_state - state) < tolerance
+        state = new_state
+        if done:
+            return state, (tgt - state * (src @ rot.T)).mean(axis=0)
+    raise AssertionError("reference filter did not converge")
+
+
 class TestKalman:
     def test_noiseless_scale_recovery(self, rng):
         rot = bounded_rotation(rng)
         tvec = np.array([0.8, -0.2, 0.5])
         matches = make_matches(rng, rot, tvec, 2.5)
-        cfg = KalmanConfig(initial_scale=1.0, tolerance=1e-9, max_iterations=5000)
-        est = estimate_scale_kalman(matches, K, K, pose_of(rot, tvec), cfg)
+        est = estimate_scale_kalman(matches, K, K, pose_of(rot, tvec))
         assert est.converged
         assert est.scale == pytest.approx(2.5, abs=1e-6)
         assert np.allclose(est.translation, tvec, atol=1e-6)
@@ -168,8 +205,7 @@ class TestKalman:
         rot = bounded_rotation(rng)
         tvec = np.array([0.3, 0.1, -0.4])
         matches = make_matches(rng, rot, tvec, 1.0)
-        cfg = KalmanConfig(initial_scale=1.2, tolerance=1e-9, max_iterations=5000)
-        est = estimate_scale_kalman(matches, K, K, pose_of(rot, tvec), cfg)
+        est = estimate_scale_kalman(matches, K, K, pose_of(rot, tvec))
         assert est.scale == pytest.approx(1.0, abs=1e-6)
 
     def test_fixed_point_equals_one_shot_least_squares(self, rng):
@@ -179,8 +215,7 @@ class TestKalman:
         src = np.array([backproject((m.us, m.vs), m.ds, K) for m in matches])
         tgt = np.array([backproject((m.ut, m.vt), m.dt, K) for m in matches])
         s_ls, _ = scale_least_squares(src, tgt, rot, tvec / np.linalg.norm(tvec))
-        cfg = KalmanConfig(initial_scale=1.0, tolerance=1e-9, max_iterations=5000)
-        est = estimate_scale_kalman(matches, K, K, pose_of(rot, tvec), cfg)
+        est = estimate_scale_kalman(matches, K, K, pose_of(rot, tvec))
         assert est.scale == pytest.approx(s_ls, abs=1e-6)
 
     def test_scale_equivariance_in_target_depths(self, rng):
@@ -190,25 +225,9 @@ class TestKalman:
         lam = 1.7
         scaled = [MatchRecord(us=m.us, vs=m.vs, ds=m.ds,
                               ut=m.ut, vt=m.vt, dt=m.dt * lam) for m in matches]
-        cfg = KalmanConfig(initial_scale=1.0, tolerance=1e-10, max_iterations=20000)
-        est_a = estimate_scale_kalman(matches, K, K, pose_of(rot, tvec), cfg)
-        est_b = estimate_scale_kalman(scaled, K, K, pose_of(rot, tvec), cfg)
+        est_a = estimate_scale_kalman(matches, K, K, pose_of(rot, tvec))
+        est_b = estimate_scale_kalman(scaled, K, K, pose_of(rot, tvec))
         assert est_b.scale == pytest.approx(lam * est_a.scale, abs=1e-6 * lam * est_a.scale)
-
-    def test_posterior_variance_monotone(self, rng):
-        rot = bounded_rotation(rng)
-        tvec = np.array([0.2, 0.5, 0.3])
-        matches = make_matches(rng, rot, tvec, 2.5)
-        variances = []
-        for k in range(1, 12):
-            # start close enough that the pairwise-ratio guard stays quiet
-            # and far enough that the state keeps moving for all k updates
-            cfg = KalmanConfig(initial_scale=1.8, tolerance=1e-300, max_iterations=k)
-            est = estimate_scale_kalman(matches, K, K, pose_of(rot, tvec), cfg)
-            assert est.iterations == k
-            variances.append(est.variance)
-        diffs = np.diff(variances)
-        assert (diffs < 0).all()
 
     def test_noisy_recovery_within_two_percent(self, rng):
         # pixel/depth noise at 1 percent of depth scale, 100 matches, 50 seeds
@@ -220,53 +239,48 @@ class TestKalman:
             tvec /= np.linalg.norm(tvec)
             matches = make_matches(local, rot, tvec, 2.5, n=100,
                                    depth_noise=0.01, pixel_noise=0.5)
-            cfg = KalmanConfig(initial_scale=1.0, tolerance=1e-9, max_iterations=2000)
-            est = estimate_scale_kalman(matches, K, K, pose_of(rot, tvec), cfg)
+            est = estimate_scale_kalman(matches, K, K, pose_of(rot, tvec))
             if abs(est.scale / 2.5 - 1.0) < 0.02:
                 hits += 1
         assert hits >= 48  # 95% of 50 seeds, with one seed of slack
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_per_iteration_least_squares_loop(self, seed):
-        # reference: every iteration re-solves the least squares over all
-        # pairs; the filter reads the same sums from precomputed moments
-        local = np.random.default_rng(seed)
-        rot = bounded_rotation(local)
-        tvec = local.normal(size=3)
-        matches = make_matches(local, rot, tvec, 2.5, n=100,
-                               depth_noise=0.01, pixel_noise=0.5)
-        src = np.array([backproject((m.us, m.vs), m.ds, K) for m in matches])
-        tgt = np.array([backproject((m.ut, m.vt), m.dt, K) for m in matches])
-        # 2.0 lies within half the state of the pairwise ratio (about 2.5),
-        # so the filter keeps it as its starting state
-        state, variance, tdir = 2.0, 1.0, tvec / np.linalg.norm(tvec)
-        for iterations in range(1, 2001):
-            measurement, _ = scale_least_squares(src, tgt, rot, tdir)
-            residual = (tgt - measurement * (src @ rot.T)).mean(axis=0)
-            tdir = residual / np.linalg.norm(residual)
-            predicted = variance + 1e-6
-            gain = predicted / (predicted + 1e-2)
-            new_state = state + gain * (measurement - state)
-            variance = (1.0 - gain) * predicted
-            done = abs(new_state - state) < 1e-9
-            state = new_state
-            if done:
-                break
-        est = estimate_scale_kalman(matches, K, K, pose_of(rot, tvec),
-                                    KalmanConfig(initial_scale=2.0, max_iterations=2000))
-        assert est.converged and done
-        assert est.iterations == iterations
-        assert est.scale == pytest.approx(state, rel=1e-12)
-        assert est.variance == pytest.approx(variance, rel=1e-12)
-        assert np.allclose(est.translation, (tgt - state * (src @ rot.T)).mean(axis=0),
-                           rtol=0, atol=1e-10)
+        # the closed form is the limit of the filter it replaces
+        matches, src, tgt, rot, tvec = noisy_scene(seed)
+        state, translation = reference_filter_loop(
+            src, tgt, rot, tvec / np.linalg.norm(tvec), state=2.0)
+        est = estimate_scale_kalman(matches, K, K, pose_of(rot, tvec))
+        assert est.scale == pytest.approx(state, rel=1e-9)
+        assert np.allclose(est.translation, translation, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_joint_least_squares_oracle(self, seed):
+        # (s, t) minimizing sum |s R p_i + t - q_i|^2 as one 3n x 4 system
+        matches, src, tgt, rot, tvec = noisy_scene(seed)
+        n = src.shape[0]
+        design = np.zeros((3 * n, 4))
+        design[:, 0] = (src @ rot.T).reshape(-1)
+        design[:, 1:] = np.tile(np.eye(3), (n, 1))
+        (s, *t), *_ = np.linalg.lstsq(design, tgt.reshape(-1), rcond=None)
+        est = estimate_scale_kalman(matches, K, K, pose_of(rot, tvec))
+        assert est.scale == pytest.approx(s, rel=1e-12)
+        assert np.allclose(est.translation, t, rtol=1e-12, atol=0)
 
     def test_requires_three_matches_with_depths(self, rng):
         rot = np.eye(3)
         records = [MatchRecord(us=1, vs=2, ds=None, ut=3, vt=4, dt=None)] * 5
         with pytest.raises(InsufficientMatchesError):
-            estimate_scale_kalman(records, K, K, pose_of(rot, [0, 0, 1.0]),
-                                  KalmanConfig())
+            estimate_scale_kalman(records, K, K, pose_of(rot, [0, 0, 1.0]))
+
+    def test_coincident_source_points_rejected(self):
+        # one source pixel and depth seen at three target positions: the
+        # source spread is zero, so no scale is observable
+        records = [MatchRecord(us=100.0, vs=120.0, ds=3.0,
+                               ut=200.0 + 10 * i, vt=140.0, dt=4.0 + i)
+                   for i in range(3)]
+        with pytest.raises(DegenerateGeometryError, match="coincide"):
+            estimate_scale_kalman(records, K, K, pose_of(np.eye(3), [0, 0, 1.0]))
 
 
 class TestDepthConsistency:
