@@ -39,7 +39,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     reg.add_argument("--max-icp-iters", type=int, default=100)
     reg.add_argument("--ransac-psi", type=float, default=1.0,
                      help="RANSAC pixel threshold")
-    reg.add_argument("--ransac-iters", type=int, default=1000)
+    reg.add_argument("--ransac-iters", type=int, default=1000,
+                     help="upper bound on RANSAC hypotheses")
 
     syn = sub.add_parser("synth", help="generate a synthetic test scene")
     syn.add_argument("--scale", type=float, default=2.5)

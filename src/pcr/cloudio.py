@@ -12,6 +12,7 @@ Formats handled here:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -85,14 +86,14 @@ class MatchRecord:
     def __post_init__(self):
         for name in ("us", "vs", "ut", "vt"):
             value = float(getattr(self, name))
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"pixel coordinate {name} must be finite")
             object.__setattr__(self, name, value)
         for name in ("ds", "dt"):
             value = getattr(self, name)
             if value is not None:
                 value = float(value)
-                if not np.isfinite(value) or value <= 0.0:
+                if not math.isfinite(value) or value <= 0.0:
                     raise ValueError(f"depth {name} must be positive when present")
                 object.__setattr__(self, name, value)
 
@@ -309,7 +310,7 @@ def read_matches(path) -> list[MatchRecord]:
                 value = float(fields[idx])
             except ValueError as exc:
                 raise ParseError(f"{name} is not a number", path=path, line=lineno) from exc
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ParseError(f"{name} must be finite", path=path, line=lineno)
             return value
 
@@ -321,7 +322,7 @@ def read_matches(path) -> list[MatchRecord]:
                 value = float(token)
             except ValueError as exc:
                 raise ParseError(f"{name} is not a number", path=path, line=lineno) from exc
-            if not np.isfinite(value) or value <= 0.0:
+            if not math.isfinite(value) or value <= 0.0:
                 raise ParseError(f"{name} must be a positive depth", path=path, line=lineno)
             return value
 
@@ -421,7 +422,7 @@ class PipelineReport:
 
 def _fmt_float(value: float) -> str:
     value = float(value)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError("report values must be finite")
     return format(value, ".17g")
 

@@ -16,13 +16,21 @@ import numpy as np
 
 from .cloudio import CameraIntrinsics, Cloud
 from .errors import DegenerateGeometryError, InsufficientMatchesError
-from .geom import bounds, freeze
+from .geom import bounds, freeze, vector_norm
 
 # Depth-consistency gate: a match is kept when its median pairwise distance
 # ratio lies within GATE_MADS robust scatters of the global median, with a
 # band of at least GATE_MIN_BAND times that median.
 GATE_MADS = 6.0
 GATE_MIN_BAND = 0.05
+
+# The scale fit drops, once, every match whose residual |q - (s R p + t)|
+# exceeds RESIDUAL_TRIM times the median residual, and solves again. On 162
+# edge-small scenes (2000 points, 200 matches, 30% outliers) the correct
+# matches' residuals reached at most 6.9 times the median, while outliers
+# that passed both the epipolar test and the depth gate stood at 35 to 85
+# times it and moved the scale by up to 1.8%.
+RESIDUAL_TRIM = 12.0
 
 
 @dataclass(frozen=True)
@@ -132,6 +140,17 @@ def _match_points(matches, intrinsics_source: CameraIntrinsics,
             backproject(rows[:, 3:5], rows[:, 5], intrinsics_target))
 
 
+def _row_nanmedian(values: np.ndarray) -> np.ndarray:
+    # np.nanmedian(values, axis=1) bit for bit, without numpy's masked-array
+    # path for short rows. NaNs sort last, so a row's median is the mean of
+    # its two middle non-NaN entries (the same entry twice for an odd
+    # count); an all-NaN row indexes its last entry, a NaN.
+    ordered = np.sort(values, axis=1)
+    count = np.count_nonzero(~np.isnan(values), axis=1)
+    rows = np.arange(values.shape[0])
+    return (ordered[rows, (count - 1) // 2] + ordered[rows, count // 2]) / 2.0
+
+
 def depth_consistent_indices(matches, intrinsics_source: CameraIntrinsics,
                              intrinsics_target: CameraIntrinsics) -> np.ndarray:
     """Indices of matches whose backprojected pair is 3D-consistent.
@@ -158,7 +177,7 @@ def depth_consistent_indices(matches, intrinsics_source: CameraIntrinsics,
     dt = np.linalg.norm(tgt[:, None, :] - tgt[None, cols, :], axis=2)
     ratios = np.where(ds > 1e-12, dt / np.maximum(ds, 1e-12), np.nan)
     ratios[cols, np.arange(cols.size)] = np.nan
-    row_med = np.nanmedian(ratios, axis=1)
+    row_med = _row_nanmedian(ratios)
     finite = np.isfinite(row_med)
     if finite.sum() < 3:
         return idx
@@ -186,6 +205,10 @@ def estimate_scale_kalman(matches, intrinsics_source: CameraIntrinsics,
         t  = mean q - s* mean R p,
 
     which is returned here directly. Only ``rel_pose.rotation`` is read.
+    Matches whose residual |q_i - (s* R p_i + t)| exceeds ``RESIDUAL_TRIM``
+    times the median are dropped once and s*, t solved again: an outlier
+    that fits the epipolar geometry and passes the depth gate can carry a
+    depth far off its true one.
     Fewer than 3 matches with both depths, coincident source points or a
     nonpositive s* raise.
     """
@@ -196,6 +219,16 @@ def estimate_scale_kalman(matches, intrinsics_source: CameraIntrinsics,
 
     src, tgt = _match_points(usable, intrinsics_source, intrinsics_target)
     rotated = src @ np.asarray(rel_pose.rotation, dtype=np.float64).T
+    scale, translation = _similarity_fit(rotated, tgt)
+    residuals = vector_norm(tgt - scale * rotated - translation)
+    kept = residuals <= RESIDUAL_TRIM * np.median(residuals)
+    if 3 <= kept.sum() < kept.size:
+        scale, translation = _similarity_fit(rotated[kept], tgt[kept])
+    return ScaleEstimate(scale=scale, translation=translation)
+
+
+def _similarity_fit(rotated: np.ndarray, tgt: np.ndarray):
+    # s* and t for rotated source points R p and target points q.
     mean_rp, mean_q = rotated.mean(axis=0), tgt.mean(axis=0)
     # Centred sums: the raw moments sum |R p|^2 - n |mean R p|^2 cancel when
     # the points lie far from the camera compared with their spread. Points
@@ -207,4 +240,4 @@ def estimate_scale_kalman(matches, intrinsics_source: CameraIntrinsics,
     scale = float((centred * (tgt - mean_q)).sum()) / spread
     if scale <= 0.0:
         raise DegenerateGeometryError("least-squares scale is nonpositive")
-    return ScaleEstimate(scale=scale, translation=mean_q - scale * mean_rp)
+    return scale, mean_q - scale * mean_rp

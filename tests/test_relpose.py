@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from pcr.relpose import (RansacConfig, angular_threshold, bearing_rays,
                          decompose_and_disambiguate, epipolar_residuals,
                          essential_from_rays, ransac_relative_pose)
 from pcr.scale import project_pinhole
+from pcr.synth import SynthSpec, build_scene
 
 from conftest import rodrigues, rotation_angle_between
 
@@ -265,28 +268,52 @@ class TestBatchedEssential:
                 essential_from_rays(qs, qt)
 
 
+def stop_formula(count, n, cap):
+    """Hypotheses the adaptive stop asks for at best inlier count ``count``."""
+    share = count / n
+    if share >= 1.0:
+        needed = 0
+    else:
+        needed = math.ceil(math.log(1.0 - relpose._CONFIDENCE) / math.log(1.0 - share ** 8))
+    return min(cap, max(relpose._MIN_HYPOTHESES, needed))
+
+
 def reference_consensus(rays_s, rays_t, threshold, cfg):
-    """One hypothesis at a time: the loop the batched search replaces."""
+    """The adaptive LO-RANSAC loop one hypothesis at a time: each sample of
+    the module's stream is solved and scored on its own, and the stop count
+    is re-derived after every chunk of the stream."""
+    n = len(rays_s)
     rng = np.random.default_rng(cfg.seed)
     best_count, best_total, best_model, best_mask = -1, np.inf, None, None
-    tied = False
-    for _ in range(cfg.max_iterations):
-        sample = rng.choice(len(rays_s), size=8, replace=False)
-        try:
-            model = essential_from_rays(rays_s[sample], rays_t[sample])
-        except DegenerateGeometryError:
-            continue
-        residuals = epipolar_residuals(model, rays_s, rays_t)
-        mask = residuals <= threshold
-        count, total = int(mask.sum()), float(residuals[mask].sum())
-        if count > best_count or (count == best_count and total < best_total):
-            best_count, best_total, best_model, best_mask = count, total, model, mask
-            tied = False
-        elif count == best_count and total == best_total \
-                and not np.array_equal(mask, best_mask):
-            tied = True
+    top_minimal, tied, drawn, stop = -1, False, 0, cfg.max_iterations
+    while drawn < stop:
+        samples = relpose._draw_samples(rng, n, min(relpose._CHUNK, stop - drawn))
+        drawn += len(samples)
+        for sample in samples:
+            try:
+                model = essential_from_rays(rays_s[sample], rays_t[sample])
+            except DegenerateGeometryError:
+                continue
+            residuals = epipolar_residuals(model, rays_s, rays_t)
+            mask = residuals <= threshold
+            count = int(mask.sum())
+            if count > top_minimal:
+                top_minimal = count
+                count, total, model, mask = relpose._local_optimisation(
+                    model, residuals, rays_s, rays_t, threshold)
+            elif count == best_count:
+                total = float(residuals[mask].sum())
+            else:
+                continue
+            if count > best_count or (count == best_count and total < best_total):
+                best_count, best_total, best_model, best_mask = count, total, model, mask
+                tied = False
+            elif count == best_count and total == best_total \
+                    and not np.array_equal(mask, best_mask):
+                tied = True
+        stop = stop_formula(max(best_count, 0), n, cfg.max_iterations)
     assert best_count >= 8 and not tied
-    return best_model, best_mask, best_count
+    return best_model, best_mask, best_count, drawn
 
 
 class TestRansac:
@@ -350,23 +377,31 @@ class TestRansac:
         assert np.abs(rev.translation - expected_dir).max() < 1e-6
 
     @pytest.mark.parametrize("iterations", [1, 255, 256, 257, 1000])
-    def test_samples_follow_sequential_choice_stream(self, rng, monkeypatch, iterations):
-        matches, *_ = two_view_scene(rng, n=60)
-        rays_s, _ = rays_of(matches)
-        stacks = []
-        solve = relpose._essentials
+    def test_samples_are_distinct_and_repeat_for_seed(self, rng, monkeypatch, iterations):
+        matches, *_ = two_view_scene(rng, n=60, pixel_noise=0.3, outliers=0.4)
+        draw = relpose._draw_samples
 
-        def recording(qs, qt):
-            stacks.append(qs)
-            return solve(qs, qt)
+        def run():
+            drawn = []
 
-        monkeypatch.setattr(relpose, "_essentials", recording)
-        ransac_relative_pose(matches, K, K, RansacConfig(max_iterations=iterations, seed=9))
-        chunks = -(-iterations // relpose._CHUNK)
-        drawn = np.concatenate(stacks[:chunks])
-        stream = np.random.default_rng(9)
-        expected = [stream.choice(60, size=8, replace=False) for _ in range(iterations)]
-        assert np.array_equal(drawn, rays_s[np.array(expected)])
+            def recording(*args):
+                drawn.append(draw(*args))
+                return drawn[-1]
+
+            monkeypatch.setattr(relpose, "_draw_samples", recording)
+            try:
+                ransac_relative_pose(matches, K, K,
+                                     RansacConfig(max_iterations=iterations, seed=9))
+            except NoConsensusError:
+                pass  # a single sample may well hold an outlier
+            return np.concatenate(drawn)
+
+        first = run()
+        assert 1 <= len(first) <= iterations
+        assert first.shape[1] == 8
+        assert first.min() >= 0 and first.max() < 60
+        assert (np.diff(np.sort(first, axis=1), axis=1) > 0).all()
+        assert np.array_equal(run(), first)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_same_winner_as_per_hypothesis_loop(self, monkeypatch, seed):
@@ -375,16 +410,66 @@ class TestRansac:
         rays_s, rays_t = rays_of(matches)
         cfg = RansacConfig(max_iterations=600, seed=seed)
         threshold = angular_threshold(cfg.pixel_threshold, K.fx)
-        ref_model, ref_mask, ref_count = reference_consensus(rays_s, rays_t, threshold, cfg)
-        model, mask, count = relpose._consensus(rays_s, rays_t, threshold, cfg)
+        ref_model, ref_mask, ref_count, ref_drawn = reference_consensus(
+            rays_s, rays_t, threshold, cfg)
+        model, mask, count, drawn = relpose._consensus(rays_s, rays_t, threshold, cfg)
         assert count == ref_count
         assert np.array_equal(mask, ref_mask)
-        np.testing.assert_allclose(model, ref_model, rtol=1e-9, atol=1e-12)
+        assert drawn == ref_drawn
+        sign = np.sign(model.ravel() @ ref_model.ravel())
+        np.testing.assert_allclose(sign * model, ref_model, rtol=1e-9, atol=1e-12)
         batched = ransac_relative_pose(matches, K, K, cfg)
         monkeypatch.setattr(relpose, "_consensus",
-                            lambda *args: (ref_model, ref_mask, ref_count))
+                            lambda *args: (ref_model, ref_mask, ref_count, ref_drawn))
         looped = ransac_relative_pose(matches, K, K, cfg)
         assert np.array_equal(batched.inliers, looped.inliers)
+
+    def test_clean_scene_stops_at_floor(self, rng):
+        # every outlier-free sample explains all 200 rays: w = 1
+        matches, *_ = two_view_scene(rng, n=200)
+        rays_s, rays_t = rays_of(matches)
+        threshold = angular_threshold(1.0, K.fx)
+        *_, count, drawn = relpose._consensus(rays_s, rays_t, threshold, RansacConfig())
+        assert count == 200
+        assert drawn == relpose._MIN_HYPOTHESES
+
+    @pytest.mark.parametrize("cap", [1000, 70, 40])
+    def test_hypotheses_drawn_follow_stop_formula(self, cap):
+        # noise-free inliers, 30% outliers: the first chunk finds w near 0.7
+        # and the stop asks for about 78 hypotheses, within the floor and cap
+        rng = np.random.default_rng(17)
+        matches, *_ = two_view_scene(rng, n=200, outliers=0.3)
+        rays_s, rays_t = rays_of(matches)
+        threshold = angular_threshold(1.0, K.fx)
+        cfg = RansacConfig(max_iterations=cap)
+        *_, count, drawn = relpose._consensus(rays_s, rays_t, threshold, cfg)
+        assert 140 <= count <= 145
+        assert drawn == stop_formula(count, 200, cap)
+        assert drawn == min(cap, 78)
+
+    def test_local_optimisation_reaches_full_consensus(self):
+        # An edge-small scene on which linear eight-point refits stalled at
+        # 63 of about 138 inliers, so the stop drew all 1000 hypotheses.
+        scene = build_scene(SynthSpec(seed=1006, scale=2.5, rotation_deg=15.0,
+                                      noise=0.005, outlier_fraction=0.3,
+                                      points=2000, match_count=200))
+        cam = scene.intrinsics_source
+        rays_s = bearing_rays([m.us for m in scene.matches], [m.vs for m in scene.matches], cam)
+        rays_t = bearing_rays([m.ut for m in scene.matches], [m.vt for m in scene.matches], cam)
+        threshold = angular_threshold(1.0, cam.fx)
+        *_, count, drawn = relpose._consensus(rays_s, rays_t, threshold, RansacConfig())
+        assert count >= 130
+        assert drawn <= 200
+
+    def test_stop_count_at_extreme_inlier_shares(self):
+        needed = relpose._hypotheses_needed
+        floor = relpose._MIN_HYPOTHESES
+        assert needed(200, 200, 1000) == floor
+        assert needed(0, 200, 1000) == 1000
+        assert needed(-1, 200, 1000) == 1000
+        assert needed(1, 10 ** 6, 1000) == 1000
+        assert needed(140, 200, 1000) == 78
+        assert needed(200, 200, 10) == 10
 
     def test_exact_tie_between_two_motions_is_error(self):
         # Two noise-free groups under different motions: a minimal sample

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -267,6 +269,23 @@ class TestKalman:
         assert est.scale == pytest.approx(s, rel=1e-12)
         assert np.allclose(est.translation, t, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("factor", [0.6, 1.5])
+    def test_far_residual_match_is_trimmed(self, factor):
+        # one match keeps its pixels but carries a wrong target depth: the
+        # fit equals the joint least squares over the other 99
+        matches, src, tgt, rot, tvec = noisy_scene(5)
+        m = matches[17]
+        matches[17] = MatchRecord(us=m.us, vs=m.vs, ds=m.ds, ut=m.ut, vt=m.vt,
+                                  dt=m.dt * factor)
+        others = np.delete(np.arange(100), 17)
+        design = np.zeros((3 * 99, 4))
+        design[:, 0] = (src[others] @ rot.T).reshape(-1)
+        design[:, 1:] = np.tile(np.eye(3), (99, 1))
+        (s, *t), *_ = np.linalg.lstsq(design, tgt[others].reshape(-1), rcond=None)
+        est = estimate_scale_kalman(matches, K, K, pose_of(rot, tvec))
+        assert est.scale == pytest.approx(s, rel=1e-12)
+        assert np.allclose(est.translation, t, rtol=1e-12, atol=0)
+
     def test_requires_three_matches_with_depths(self, rng):
         rot = np.eye(3)
         records = [MatchRecord(us=1, vs=2, ds=None, ut=3, vt=4, dt=None)] * 5
@@ -300,3 +319,14 @@ class TestDepthConsistency:
         kept = depth_consistent_indices(matches, K, K)
         assert 3 not in kept
         assert len(kept) == 39
+
+    def test_row_median_matches_numpy_nanmedian(self, rng):
+        from pcr.scale import _row_nanmedian
+        for rows, cols in ((140, 140), (7, 1), (30, 2), (25, 61)):
+            values = rng.uniform(2.0, 3.0, size=(rows, cols))
+            values[rng.random((rows, cols)) < 0.2] = np.nan
+            values[rows // 2] = np.nan
+            with np.errstate(invalid="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                expected = np.nanmedian(values, axis=1)
+            assert np.array_equal(_row_nanmedian(values), expected, equal_nan=True)
