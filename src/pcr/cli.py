@@ -10,9 +10,9 @@ from .errors import StageError
 from .pipeline import PipelineConfig, run_pipeline
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
-    # The top-level parser and its "register" sub-parser, whose usage line
-    # a rejected register flag value should print.
+def _build_parser() -> tuple[argparse.ArgumentParser, ...]:
+    # The top-level parser and its "register" and "synth" sub-parsers, whose
+    # usage lines a rejected flag value of that sub-command should print.
     parser = argparse.ArgumentParser(
         prog="pcr",
         description="Register two sparse 3D point clouds that may differ by "
@@ -51,7 +51,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     syn.add_argument("--matches", type=int, default=200)
     syn.add_argument("--seed", type=int, default=7)
     syn.add_argument("--out-dir", required=True)
-    return parser, reg
+    return parser, reg, syn
 
 
 def _register(reg: argparse.ArgumentParser, args) -> int:
@@ -88,11 +88,14 @@ def _register(reg: argparse.ArgumentParser, args) -> int:
     return 0
 
 
-def _synth(args) -> int:
-    spec = synth.SynthSpec(scale=args.scale, rotation_deg=args.rot_deg,
-                           points=args.points, noise=args.noise,
-                           outlier_fraction=args.outliers,
-                           match_count=args.matches, seed=args.seed)
+def _synth(syn: argparse.ArgumentParser, args) -> int:
+    try:
+        spec = synth.SynthSpec(scale=args.scale, rotation_deg=args.rot_deg,
+                               points=args.points, noise=args.noise,
+                               outlier_fraction=args.outliers,
+                               match_count=args.matches, seed=args.seed)
+    except ValueError as exc:
+        syn.error(str(exc))
     paths = synth.generate_synthetic(spec, args.out_dir)
     for name, path in paths.items():
         print(f"{name}: {path}")
@@ -100,11 +103,11 @@ def _synth(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser, reg = _build_parser()
+    parser, reg, syn = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "register":
         return _register(reg, args)
-    return _synth(args)
+    return _synth(syn, args)
 
 
 if __name__ == "__main__":

@@ -270,14 +270,6 @@ def rotation_about_axis(axis, angle) -> np.ndarray:
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 
-def rotation_from_vector(w) -> np.ndarray:
-    """Rotation by |w| radians about w; the identity at (numerically) w = 0."""
-    angle = float(np.linalg.norm(w))
-    if angle < 1e-18:
-        return np.eye(3)
-    return rotation_about_axis(w, angle)
-
-
 def rotation_angle(rot: np.ndarray) -> float:
     """Absolute rotation angle of a rotation matrix, in radians."""
     return float(np.arccos(np.clip((np.trace(rot) - 1.0) / 2.0, -1.0, 1.0)))

@@ -40,6 +40,8 @@ class SynthSpec:
     seed: int = 7
 
     def __post_init__(self):
+        if not np.isfinite([self.scale, self.rotation_deg, self.noise]).all():
+            raise ValueError("scale, rotation and noise must be finite")
         if self.scale <= 0.0:
             raise ValueError("scale must be positive")
         if self.points < 8 or self.match_count < 8:
@@ -50,6 +52,8 @@ class SynthSpec:
             raise ValueError("noise must be nonnegative")
         if self.match_count > self.points:
             raise ValueError("cannot pick more matches than points")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)

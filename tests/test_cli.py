@@ -11,6 +11,7 @@ from pcr.cloudio import Cloud, write_ply
     ("--max-icp-iters", "0"),
     ("--ransac-iters", "0"),
     ("--sigma-z", "0"),
+    ("--seed", "-1"),
 ])
 def test_bad_flag_value_is_usage_error(tmp_path, rng, capsys, flag, value):
     # valid clouds, so that only the flag value can stop the run
@@ -29,3 +30,24 @@ def test_bad_flag_value_is_usage_error(tmp_path, rng, capsys, flag, value):
     assert "pcr register: error:" in err
     assert "Traceback" not in err
     assert not report.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--scale", "-1"],
+    ["--points", "3"],
+    ["--outliers", "1"],
+    ["--points", "100", "--matches", "101"],
+    ["--noise", "-0.1"],
+    ["--seed", "-1"],
+    ["--rot-deg", "nan"],
+], ids=["scale", "points", "outliers", "matches", "noise", "seed", "rotation"])
+def test_bad_synth_value_is_usage_error(tmp_path, capsys, args):
+    out = tmp_path / "scene"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["synth", "--out-dir", str(out)] + args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: pcr synth" in err
+    assert "pcr synth: error:" in err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -3,8 +3,8 @@ import pytest
 
 from pcr.errors import DegenerateGeometryError
 from pcr.geom import (Bounds3, RigidTransform, SimilarityTransform, bounds,
-                      euler_zyx, rotation_about_axis, rotation_from_vector,
-                      rotation_zyx, skew, umeyama_align, vector_norm)
+                      euler_zyx, rotation_about_axis, rotation_zyx, skew,
+                      umeyama_align, vector_norm)
 
 from conftest import random_rotation, rodrigues, rotation_angle_between
 
@@ -195,12 +195,6 @@ class TestRotationHelpers:
             angle = rng.uniform(-np.pi, np.pi)
             got = rotation_about_axis(axis, angle)
             assert np.abs(got - rodrigues(axis, angle)).max() < 1e-15
-
-    def test_rotation_vector_form(self, rng):
-        assert np.array_equal(rotation_from_vector(np.zeros(3)), np.eye(3))
-        w = rng.normal(size=3)
-        expected = rotation_about_axis(w, np.linalg.norm(w))
-        assert np.array_equal(rotation_from_vector(w), expected)
 
     def test_cross_product_matrix(self, rng):
         for _ in range(10):
