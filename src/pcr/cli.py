@@ -96,7 +96,11 @@ def _synth(syn: argparse.ArgumentParser, args) -> int:
                                match_count=args.matches, seed=args.seed)
     except ValueError as exc:
         syn.error(str(exc))
-    paths = synth.generate_synthetic(spec, args.out_dir)
+    try:
+        paths = synth.generate_synthetic(spec, args.out_dir)
+    except OSError as exc:
+        print(f"pcr: error: {exc}", file=sys.stderr)
+        return 1
     for name, path in paths.items():
         print(f"{name}: {path}")
     return 0

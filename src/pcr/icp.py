@@ -4,11 +4,13 @@ Each iteration pairs every transformed source point with its exact nearest
 target point, rejects pairs beyond ``TRIM_MULTIPLIER`` times the median pair
 distance, and solves the rigid alignment in closed form, so the objective
 cannot increase within an iteration. A transformation checker (pose change,
-error change, or iteration cap) ends the loop.
+error change, or iteration cap) ends the loop. A dense source is first
+registered on a subsample, whose converged pose seeds the full-resolution loop.
 """
 
 from __future__ import annotations
 
+import logging
 import os
 from dataclasses import dataclass
 
@@ -26,6 +28,23 @@ ROTATION_TOL = 1e-6
 TRANSLATION_TOL = 1e-6
 ERROR_CHANGE_TOL = 1e-9
 TRIM_MULTIPLIER = 3.0
+
+# Coarse-to-fine schedule of icp_register (Rusinkiewicz & Levoy, "Efficient
+# variants of the ICP algorithm", 2001): neighbour queries are most of a dense
+# ICP. Measured on 20 000-point s = 1, 5 deg scenes (2 vCPUs): the
+# full-resolution loop then runs 7-9 iterations instead of 20-25, ICP takes
+# 0.39-0.68 of its single-stage time, and the errors against truth are
+# unchanged to 3 digits. With the coarse stop at the final tolerances, one of
+# six scenes hit the cap and its ICP ran 2.5x slower; keeping an unconverged
+# coarse pose left one far-offset scene unconverged 0.053 off where
+# single-stage ICP is exact. A dropped stage costs about 4 full-resolution
+# iterations.
+COARSE_MIN_POINTS = 8192
+COARSE_STRIDE = 8
+COARSE_MAX_ITERATIONS = 30
+COARSE_TOL_FACTOR = 100.0
+
+log = logging.getLogger("pcr")
 
 
 def _usable_cpus() -> int:
@@ -127,30 +146,16 @@ class IcpResult:
         return float(self.rms_trace[-1])
 
 
-def icp_register(source, target, cfg: IcpConfig = IcpConfig(),
-                 init: RigidTransform | None = None) -> IcpResult:
-    """Register source onto target by trimmed point-to-point ICP.
-
-    ``init`` seeds only the first correspondence search; every iteration
-    solves the absolute transform in closed form, so the result does not
-    depend on composing increments. Deterministic for identical inputs.
-    """
-    src = as_points(source)
-    tgt = as_points(target)
-    if src.shape[0] < 3 or tgt.shape[0] < 3:
-        raise TooFewPairsError("both clouds need at least 3 points")
-
-    index = NNIndex(tgt)
-    trans_tol = TRANSLATION_TOL * bounds(tgt).diagonal_length()
-    if trans_tol == 0.0:
-        trans_tol = TRANSLATION_TOL
-
-    current = init if init is not None else RigidTransform.identity()
+def _icp_loop(src: np.ndarray, tgt: np.ndarray, index: NNIndex,
+              current: RigidTransform, max_iterations: int, rotation_tol: float,
+              translation_tol: float) -> tuple[RigidTransform, list[float], int, bool]:
+    """The trimmed ICP iteration from ``current``: (pose, RMS trace,
+    iterations, converged)."""
     trace: list[float] = []
     converged = False
     iterations = 0
     prev_rms = None
-    for iterations in range(1, cfg.max_iterations + 1):
+    for iterations in range(1, max_iterations + 1):
         corr = correspond(src, index, current)
         pairs_p = src[corr.source_indices]
         pairs_q = tgt[corr.target_indices]
@@ -163,8 +168,8 @@ def icp_register(source, target, cfg: IcpConfig = IcpConfig(),
         trace.append(rms)
 
         delta = new.compose(current.inverse())
-        pose_small = (rotation_angle(delta.rotation) < ROTATION_TOL
-                      and float(np.linalg.norm(delta.translation)) < trans_tol)
+        pose_small = (rotation_angle(delta.rotation) < rotation_tol
+                      and float(np.linalg.norm(delta.translation)) < translation_tol)
         error_small = (prev_rms is not None
                        and abs(prev_rms - rms) < ERROR_CHANGE_TOL * max(prev_rms, 1e-300))
         current = new
@@ -172,6 +177,48 @@ def icp_register(source, target, cfg: IcpConfig = IcpConfig(),
         if pose_small or error_small:
             converged = True
             break
+    return current, trace, iterations, converged
+
+
+def icp_register(source, target, cfg: IcpConfig = IcpConfig(),
+                 init: RigidTransform | None = None) -> IcpResult:
+    """Register source onto target by trimmed point-to-point ICP.
+
+    ``init`` seeds only the first correspondence search; every iteration
+    solves the absolute transform in closed form, so the result does not
+    depend on composing increments. Deterministic for identical inputs.
+
+    A source of at least ``COARSE_MIN_POINTS`` points is first registered
+    on every ``COARSE_STRIDE``-th point, with a looser stop and at most
+    ``COARSE_MAX_ITERATIONS`` iterations; a converged coarse pose replaces
+    ``init``. The result's ``iterations``, ``rms_trace`` and ``converged``
+    describe the full-resolution stage only.
+    """
+    src = as_points(source)
+    tgt = as_points(target)
+    if src.shape[0] < 3 or tgt.shape[0] < 3:
+        raise TooFewPairsError("both clouds need at least 3 points")
+
+    index = NNIndex(tgt)
+    trans_tol = TRANSLATION_TOL * bounds(tgt).diagonal_length()
+    if trans_tol == 0.0:
+        trans_tol = TRANSLATION_TOL
+
+    current = init if init is not None else RigidTransform.identity()
+    if src.shape[0] >= COARSE_MIN_POINTS:
+        coarse_src = src[::COARSE_STRIDE]
+        coarse, _, coarse_iterations, coarse_converged = _icp_loop(
+            coarse_src, tgt, index, current,
+            min(COARSE_MAX_ITERATIONS, cfg.max_iterations),
+            COARSE_TOL_FACTOR * ROTATION_TOL, COARSE_TOL_FACTOR * trans_tol)
+        # An unconverged coarse stage may have walked away from a good init.
+        if coarse_converged:
+            current = coarse
+        log.debug("icp coarse stage: %d iterations on %d of %d points, pose %s",
+                  coarse_iterations, len(coarse_src), len(src), "kept" if coarse_converged else "dropped")
+
+    current, trace, iterations, converged = _icp_loop(
+        src, tgt, index, current, cfg.max_iterations, ROTATION_TOL, trans_tol)
 
     # Refresh the pair set so theta describes the returned transform.
     final_corr = correspond(src, index, current)

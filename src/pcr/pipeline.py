@@ -12,6 +12,7 @@ iteration cap unconverged is not a failure: it is logged as a WARNING on the
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 from . import cloudio, filters, icp, icpcov, relpose, scale
@@ -41,8 +42,8 @@ class PipelineConfig:
     use_scale: bool = True
 
     def __post_init__(self):
-        if self.sigma_z <= 0.0:
-            raise ValueError("sigma_z must be positive")
+        if not 0.0 < self.sigma_z < math.inf:
+            raise ValueError("sigma_z must be positive and finite")
 
 
 def _stage(name: str, func, *args, **kwargs):

@@ -72,8 +72,8 @@ class RansacConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.pixel_threshold <= 0.0:
-            raise ValueError("pixel_threshold must be positive")
+        if not 0.0 < self.pixel_threshold < math.inf:
+            raise ValueError("pixel_threshold must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.seed < 0:

@@ -7,10 +7,14 @@ from pcr.cloudio import Cloud, write_ply
 @pytest.mark.parametrize("flag, value", [
     ("--ransac-psi", "-1"),
     ("--ransac-psi", "abc"),
+    ("--ransac-psi", "nan"),
+    ("--ransac-psi", "inf"),
     ("--crop-fraction", "0"),
     ("--max-icp-iters", "0"),
     ("--ransac-iters", "0"),
     ("--sigma-z", "0"),
+    ("--sigma-z", "nan"),
+    ("--sigma-z", "inf"),
     ("--seed", "-1"),
 ])
 def test_bad_flag_value_is_usage_error(tmp_path, rng, capsys, flag, value):
@@ -51,3 +55,14 @@ def test_bad_synth_value_is_usage_error(tmp_path, capsys, args):
     assert "pcr synth: error:" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_synth_out_dir_is_a_file(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n", encoding="utf-8")
+    assert cli.main(["synth", "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pcr: error:")
+    assert len(err.splitlines()) == 1
+    assert out.read_text(encoding="utf-8") == "not a directory\n"
+

@@ -1,10 +1,13 @@
+import logging
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from pcr import icp
+from pcr import cli, icp
+from pcr.cloudio import Cloud, write_ply
 from pcr.errors import TooFewPairsError
-from pcr.geom import RigidTransform, bounds
+from pcr.geom import RigidTransform, bounds, rotation_angle, umeyama_align
 from pcr.icp import NNIndex, correspond, icp_register
 
 from conftest import rodrigues, rotation_angle_between
@@ -12,6 +15,54 @@ from conftest import rodrigues, rotation_angle_between
 
 def box_cloud(rng, n=500):
     return rng.uniform(-1.0, 1.0, size=(n, 3))
+
+
+def dense_scene(rng, n=20000):
+    pts = box_cloud(rng, n)
+    rot = rodrigues([0.3, 1.0, -0.2], np.deg2rad(5.0))
+    tgt = pts @ rot.T + np.array([0.05, -0.02, 0.03])
+    return pts, tgt + rng.normal(scale=0.005, size=tgt.shape)
+
+
+def single_stage_icp(src, tgt, max_iterations=100):
+    """The trimmed ICP loop without a coarse stage, as a reference."""
+    index = NNIndex(tgt)
+    trans_tol = icp.TRANSLATION_TOL * bounds(tgt).diagonal_length()
+    current = RigidTransform.identity()
+    trace = []
+    converged = False
+    prev_rms = None
+    for iterations in range(1, max_iterations + 1):
+        corr = correspond(src, index, current)
+        pairs_p = src[corr.source_indices]
+        pairs_q = tgt[corr.target_indices]
+        new = umeyama_align(pairs_p, pairs_q, with_scale=False).rigid
+        diff = new.apply(pairs_p) - pairs_q
+        rms = float(np.sqrt(float((diff * diff).sum()) / len(corr)))
+        trace.append(rms)
+        delta = new.compose(current.inverse())
+        pose_small = (rotation_angle(delta.rotation) < icp.ROTATION_TOL
+                      and float(np.linalg.norm(delta.translation)) < trans_tol)
+        error_small = (prev_rms is not None and abs(prev_rms - rms)
+                       < icp.ERROR_CHANGE_TOL * max(prev_rms, 1e-300))
+        current = new
+        prev_rms = rms
+        if pose_small or error_small:
+            converged = True
+            break
+    final = correspond(src, index, current)
+    return icp.IcpResult(transform=current, source_indices=final.source_indices,
+                         theta=final.target_indices, rms_trace=np.asarray(trace),
+                         iterations=iterations, converged=converged)
+
+
+def assert_same_result(a, b):
+    assert np.array_equal(a.transform.rotation, b.transform.rotation)
+    assert np.array_equal(a.transform.translation, b.transform.translation)
+    assert np.array_equal(a.rms_trace, b.rms_trace)
+    assert np.array_equal(a.source_indices, b.source_indices)
+    assert np.array_equal(a.theta, b.theta)
+    assert (a.iterations, a.converged) == (b.iterations, b.converged)
 
 
 class TestNNIndex:
@@ -216,3 +267,53 @@ class TestIcpRegister:
         res = icp_register(pts, tgt, init=init)
         assert res.converged
         assert rotation_angle_between(res.transform.rotation, rot) < 1e-9
+
+
+class TestCoarseStage:
+    def test_below_threshold_is_single_stage(self, rng, caplog):
+        pts, tgt = dense_scene(rng, icp.COARSE_MIN_POINTS - 1)
+        with caplog.at_level(logging.DEBUG, logger="pcr"):
+            res = icp_register(pts, tgt)
+        assert_same_result(res, single_stage_icp(pts, tgt))
+        assert not caplog.records
+
+    def test_capped_coarse_stage_is_dropped(self, rng, monkeypatch, caplog):
+        pts, tgt = dense_scene(rng)
+        monkeypatch.setattr(icp, "COARSE_MAX_ITERATIONS", 1)
+        with caplog.at_level(logging.DEBUG, logger="pcr"):
+            res = icp_register(pts, tgt)
+        assert_same_result(res, single_stage_icp(pts, tgt))
+        assert [r.getMessage() for r in caplog.records] == [
+            "icp coarse stage: 1 iterations on 2500 of 20000 points, pose dropped"]
+
+    def test_coarse_pose_seeds_full_resolution(self, rng, caplog):
+        pts, tgt = dense_scene(rng)
+        with caplog.at_level(logging.DEBUG, logger="pcr"):
+            res = icp_register(pts, tgt)
+        plain = single_stage_icp(pts, tgt)
+        (record,) = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert record.getMessage().endswith("on 2500 of 20000 points, pose kept")
+        assert res.converged
+        assert len(res.rms_trace) == res.iterations < plain.iterations
+        assert np.abs(res.transform.rotation - plain.transform.rotation).max() < 1e-4
+        assert np.abs(res.transform.translation
+                      - plain.transform.translation).max() < 1e-4
+
+    def test_one_iteration_cap_warns_and_exits_0(self, tmp_path, rng, capsys,
+                                                 caplog):
+        # the coarse stage's cap becomes 1 too, so its pose is dropped
+        pts, tgt = dense_scene(rng, icp.COARSE_MIN_POINTS + 100)
+        write_ply(Cloud(points=pts), tmp_path / "a.ply")
+        write_ply(Cloud(points=tgt), tmp_path / "b.ply")
+        report = tmp_path / "r.json"
+        with caplog.at_level(logging.WARNING, logger="pcr"):
+            code = cli.main(["register", "--source", str(tmp_path / "a.ply"),
+                             "--target", str(tmp_path / "b.ply"),
+                             "--out", str(report), "--no-scale", "--no-filter",
+                             "--max-icp-iters", "1"])
+        assert code == 0
+        assert report.exists()
+        assert "iterations: 1" in capsys.readouterr().out
+        assert [r.getMessage() for r in caplog.records] == [
+            "stage icp: ICP stopped unconverged after 1 iterations"]
