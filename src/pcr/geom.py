@@ -256,6 +256,10 @@ def skew(v) -> np.ndarray:
     return out
 
 
+# Rotation generators [e_k]x: d/da exp(a [e_k]x) = exp(a [e_k]x) [e_k]x.
+_GENERATORS = skew(np.eye(3))
+
+
 def rotation_about_axis(axis, angle) -> np.ndarray:
     """Rodrigues rotation about a (not necessarily unit) axis. Stacked axes
     (..., 3) with angles (...) give stacked rotations (..., 3, 3)."""

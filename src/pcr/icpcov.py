@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError, GimbalLockError
-from .geom import RigidTransform, euler_zyx, freeze, rot_x, rot_y, rot_z
+from .geom import _GENERATORS, RigidTransform, euler_zyx, freeze, rot_x, rot_y, rot_z
 
 GIMBAL_MARGIN = 1e-6
 
@@ -72,40 +72,22 @@ class CovarianceResult:
             raise ValueError("covariance is not positive semi-definite")
 
 
-def _axis_derivatives(angle: float, builder):
-    # Rotation about one axis with its first and second angle derivatives.
-    base = builder(angle)
-    first = builder(angle + np.pi / 2.0)
-    # d/da of the sin/cos block equals a quarter-turn shift, but the constant
-    # row/column must be zeroed out.
-    mask = np.ones((3, 3))
-    axis = {rot_x: 0, rot_y: 1, rot_z: 2}[builder]
-    mask[axis, :] = 0.0
-    mask[:, axis] = 0.0
-    first = first * mask
-    second = builder(angle + np.pi) * mask
-    return base, first, second
-
-
 def rotation_derivatives(roll: float, pitch: float, yaw: float):
-    """R, dR/dangle (3,3,3), d2R/dangle2 (3,3,3,3) for the ZYX composition."""
-    rx, drx, ddrx = _axis_derivatives(roll, rot_x)
-    ry, dry, ddry = _axis_derivatives(pitch, rot_y)
-    rz, drz, ddrz = _axis_derivatives(yaw, rot_z)
+    """R, dR/dangle (3,3,3), d2R/dangle2 (3,3,3,3) for the ZYX composition.
 
-    rot = rz @ ry @ rx
-    drot = np.empty((3, 3, 3))
-    drot[0] = rz @ ry @ drx
-    drot[1] = rz @ dry @ rx
-    drot[2] = drz @ ry @ rx
+    Each factor of R = Rz Ry Rx is exp(angle [e_k]x), so differentiating by
+    angle k swaps factor R_k for R_k [e_k]x (twice over for a second
+    derivative by the same angle)."""
+    factors = [(r, r @ g, r @ g @ g) for r, g in
+               zip((rot_x(roll), rot_y(pitch), rot_z(yaw)), _GENERATORS)]
 
-    ddrot = np.empty((3, 3, 3, 3))
-    ddrot[0, 0] = rz @ ry @ ddrx
-    ddrot[1, 1] = rz @ ddry @ rx
-    ddrot[2, 2] = ddrz @ ry @ rx
-    ddrot[0, 1] = ddrot[1, 0] = rz @ dry @ drx
-    ddrot[0, 2] = ddrot[2, 0] = drz @ ry @ drx
-    ddrot[1, 2] = ddrot[2, 1] = drz @ dry @ rx
+    def term(*angles):
+        x, y, z = (factors[k][angles.count(k)] for k in range(3))
+        return z @ y @ x
+
+    rot = term()
+    drot = np.array([term(j) for j in range(3)])
+    ddrot = np.array([[term(j, k) for k in range(3)] for j in range(3)])
     return rot, drot, ddrot
 
 

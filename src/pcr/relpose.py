@@ -19,8 +19,8 @@ import numpy as np
 from .cloudio import CameraIntrinsics
 from .errors import (AmbiguousDecompositionError, DegenerateGeometryError,
                      InsufficientMatchesError, NoConsensusError)
-from .geom import (ORTHOGONALITY_TOL, RigidTransform, freeze,
-                   rotation_about_axis, skew, vector_norm)
+from .geom import _GENERATORS, ORTHOGONALITY_TOL, RigidTransform, freeze, skew
+from .scale import backproject
 
 # Hypotheses that RANSAC draws, solves and scores together. Scoring holds a
 # few (chunk, matches[, 3]) float64 arrays, about 1 MB at 200 matches, so
@@ -40,6 +40,8 @@ _CONFIDENCE = 0.99
 _MIN_HYPOTHESES = 64
 
 _W = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+# Singular values of an essential matrix.
+_FLAT = np.diag([1.0, 1.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -82,92 +84,58 @@ class RansacConfig:
 
 def angular_threshold(psi: float, focal: float) -> float:
     """1 - cos(arctan(psi / focal)): pixel threshold mapped to ray space."""
-    if psi <= 0.0 or focal <= 0.0:
-        raise ValueError("psi and focal length must be positive")
+    if not (0.0 < psi < math.inf and 0.0 < focal < math.inf):
+        raise ValueError("psi and focal length must be positive and finite")
     return 1.0 - np.cos(np.arctan(psi / focal))
 
 
 def bearing_rays(pixels_u, pixels_v, intrinsics: CameraIntrinsics) -> np.ndarray:
     """Unit bearing vectors for pixel coordinates under a pinhole camera."""
-    u = np.asarray(pixels_u, dtype=np.float64)
-    v = np.asarray(pixels_v, dtype=np.float64)
-    rays = np.stack([(u - intrinsics.cx) / intrinsics.fx,
-                     (v - intrinsics.cy) / intrinsics.fy,
-                     np.ones_like(u)], axis=-1)
+    pixels = np.stack([np.asarray(pixels_u, dtype=np.float64),
+                       np.asarray(pixels_v, dtype=np.float64)], axis=-1)
+    rays = backproject(pixels, 1.0, intrinsics)
     return rays / np.linalg.norm(rays, axis=-1, keepdims=True)
 
 
-def _bundle_rotation(rays: np.ndarray) -> np.ndarray:
-    # For each bundle of a (k, m, 3) stack, the rotation taking its mean
-    # direction onto +z, so narrow cones of rays become well-centered plane
-    # coordinates. A bundle whose mean vanishes keeps the identity.
-    mean = rays.mean(axis=-2)
-    norm = vector_norm(mean)
-    rot = np.broadcast_to(np.eye(3), mean.shape[:-1] + (3, 3)).copy()
-    live = norm >= 1e-12
-    z = mean[live] / norm[live, None]
-    axis = np.cross(z, np.array([0.0, 0.0, 1.0]))
-    s = vector_norm(axis)
-    c = z[:, 2]
-    turn = s >= 1e-12
-    rot_live = np.where((c > 0.0)[:, None, None], np.eye(3), np.diag([1.0, -1.0, -1.0]))
-    rot_live[turn] = rotation_about_axis(axis[turn], np.arctan2(s[turn], c[turn]))
-    rot[live] = rot_live
-    return rot
-
-
-def _normalized_plane(rays: np.ndarray):
-    # Hartley conditioning of each bundle of a (k, m, 3) stack: plane
-    # coordinates centered and scaled to RMS radius sqrt(2). Returns the
-    # homogeneous coordinates, the 3x3 normalizers, and a mask of the bundles
-    # that allow it: a cone under 90 degrees whose rays do not all coincide.
-    z = rays[..., 2]
-    ok = np.abs(z).min(axis=-1) >= 1e-9
-    plane = rays[..., :2] / np.where(ok[..., None], z, 1.0)[..., None]
-    centroid = plane.mean(axis=-2)
-    centered = plane - centroid[..., None, :]
-    spread = np.sqrt((centered ** 2).sum(axis=-1).mean(axis=-1))
-    ok &= spread >= 1e-12
-    factor = np.sqrt(2.0) / np.where(ok, spread, 1.0)
-    tmat = np.zeros(ok.shape + (3, 3))
-    tmat[..., 0, 0] = tmat[..., 1, 1] = factor
-    tmat[..., :2, 2] = -factor[..., None] * centroid
-    tmat[..., 2, 2] = 1.0
-    homog = np.concatenate([centered * factor[..., None, None],
-                            np.ones(plane.shape[:-1] + (1,))], axis=-1)
-    return homog, tmat, ok
-
-
 def _essentials(rays_s: np.ndarray, rays_t: np.ndarray):
-    # Normalized eight-point solve for each pair of bundles in (k, m, 3)
-    # stacks, m >= 8: the (k, 3, 3) essentials and a mask of the
-    # non-degenerate systems (entries outside the mask are meaningless).
-    rot_s = _bundle_rotation(rays_s)
-    rot_t = _bundle_rotation(rays_t)
-    hs, tmat_s, ok_s = _normalized_plane(rays_s @ rot_s.swapaxes(-1, -2))
-    ht, tmat_t, ok_t = _normalized_plane(rays_t @ rot_t.swapaxes(-1, -2))
+    # Eight-point solve for each pair of bundles in (k, m, 3) stacks, m >= 8:
+    # the (k, 3, 3) essentials, projected onto the manifold with unit
+    # singular values, and a mask of the non-degenerate systems (entries
+    # outside the mask are meaningless). Each bundle is whitened first: with
+    # M = sum q q^T and T = M^(-1/2), the rays q T have second moment I
+    # (Hartley's isotropic condition taken on the homogeneous rays), and
+    # E = T_t E' T_s maps the conditioned solution back. A bundle whose M is
+    # singular to working precision (its rays span at most a plane through
+    # the centre) is degenerate. The cut is an eigenvalue ratio of 1e-12:
+    # past it, whitening would scale rounding noise by more than 1e6, to
+    # within a factor of five of the rank test's 1e-9 margin.
+    stacked = np.concatenate([rays_s, rays_t])
+    lam, vec = np.linalg.eigh(stacked.swapaxes(-1, -2) @ stacked)
+    full = lam[..., 0] > 1e-12 * lam[..., 2]
+    whiten = (vec / np.sqrt(np.where(full[..., None], lam, 1.0))[..., None, :]) \
+        @ vec.swapaxes(-1, -2)
+    half = rays_s.shape[0]
+    hs = rays_s @ whiten[:half]
+    ht = rays_t @ whiten[half:]
 
     # Row i is the row-major flattening of outer(h_t, h_s). One SVD per
     # system; the reduced form drops the null vector of an 8-row system.
     data = (ht[..., :, None] * hs[..., None, :]).reshape(ht.shape[:-1] + (9,))
     _, sv, vt = np.linalg.svd(data, full_matrices=data.shape[-2] <= 8)
-    ok = ok_s & ok_t & (sv[..., 7] > 1e-9 * np.maximum(sv[..., 0], 1e-300))
-    e_norm = vt[..., -1, :].reshape(vt.shape[:-2] + (3, 3))
-
-    e_raw = rot_t.swapaxes(-1, -2) @ (tmat_t.swapaxes(-1, -2) @ e_norm @ tmat_s) @ rot_s
-    u, s, vt3 = np.linalg.svd(e_raw)
-    diag = np.zeros(e_raw.shape)
-    diag[..., 0, 0] = diag[..., 1, 1] = 0.5 * (s[..., 0] + s[..., 1])
-    return u @ diag @ vt3, ok
+    ok = full[:half] & full[half:] & (sv[..., 7] > 1e-9 * np.maximum(sv[..., 0], 1e-300))
+    e_white = vt[..., -1, :].reshape(vt.shape[:-2] + (3, 3))
+    u, _, vt3 = np.linalg.svd(whiten[half:] @ e_white @ whiten[:half])
+    return u @ _FLAT @ vt3, ok
 
 
 def essential_from_rays(rays_s, rays_t) -> np.ndarray:
-    """Normalized eight-point essential matrix from >= 8 bearing-vector pairs.
+    """Eight-point essential matrix from >= 8 bearing-vector pairs.
 
-    Each bundle is rotated onto its mean direction and Hartley-normalized in
-    plane coordinates before the linear solve of q_t^T E q_s = 0, which keeps
-    the system conditioned for narrow fields of view. The result is projected
-    onto the essential manifold (singular values (sigma, sigma, 0))."""
+    Each bundle is whitened (its rays' second moment taken to the identity)
+    before the linear solve of q_t^T E q_s = 0, which keeps the system
+    conditioned for narrow fields of view and for rays at any angle to the
+    bundle's mean. The result is projected onto the essential manifold
+    (singular values (1, 1, 0))."""
     qs = np.asarray(rays_s, dtype=np.float64).reshape(-1, 3)
     qt = np.asarray(rays_t, dtype=np.float64).reshape(-1, 3)
     if qs.shape != qt.shape or qs.shape[0] < 8:
@@ -175,20 +143,27 @@ def essential_from_rays(rays_s, rays_t) -> np.ndarray:
     ematrix, ok = _essentials(qs[None], qt[None])
     if not ok[0]:
         raise DegenerateGeometryError(
-            "ray configuration is degenerate (a cone of 90 degrees or more, "
-            "coincident rays, or rank < 8)")
+            "ray configuration is degenerate (a bundle's rays lie in one plane "
+            "through the centre, or rank < 8)")
     return ematrix[0]
+
+
+def _sines(ematrices: np.ndarray, rays_s: np.ndarray, rays_t: np.ndarray):
+    # Signed sine of each target ray to its epipolar plane under each of
+    # (..., 3, 3) essentials, with the planes' normals E @ ray_s and their
+    # inverse lengths. A source ray through the epipole has no plane
+    # (E @ ray_s = 0); any target direction is consistent, so its inverse
+    # length and its sine are 0: it counts as fitted and steers no refit.
+    normals = rays_s @ ematrices.swapaxes(-1, -2)
+    norms = np.sqrt(np.einsum("...ij,...ij->...i", normals, normals))
+    inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms >= 1e-300)
+    return np.einsum("...ij,...ij->...i", rays_t, normals) * inv, normals, inv
 
 
 def _residuals(ematrices: np.ndarray, rays_s: np.ndarray, rays_t: np.ndarray) -> np.ndarray:
     # Angular residuals of every ray pair under each of (..., 3, 3) essentials.
-    normals = rays_s @ ematrices.swapaxes(-1, -2)
-    norms = np.sqrt((normals * normals).sum(axis=-1))
-    through_epipole = norms < 1e-300
-    sines = np.einsum("...ij,...ij->...i", rays_t, normals) \
-        / np.where(through_epipole, 1.0, norms)
-    cosines = np.sqrt(1.0 - np.minimum(sines * sines, 1.0))
-    return np.where(through_epipole, 0.0, 1.0 - cosines)
+    sines = _sines(ematrices, rays_s, rays_t)[0]
+    return 1.0 - np.sqrt(1.0 - np.minimum(sines * sines, 1.0))
 
 
 def epipolar_residuals(ematrix, rays_s, rays_t) -> np.ndarray:
@@ -273,10 +248,6 @@ _REFIT_STEPS = 3
 _POLISH_STEPS = 30
 _POLISH_TOL = 1e-13
 
-# Rotation generators [e_k]x, and the singular values of an essential matrix.
-_GENERATORS = skew(np.eye(3))
-_FLAT = np.diag([1.0, 1.0, 0.0])
-
 
 def _manifold_step(u, vt, rays_s, rays_t):
     # One Gauss-Newton step on the essential manifold E = U diag(1, 1, 0) V^T
@@ -284,12 +255,7 @@ def _manifold_step(u, vt, rays_s, rays_t):
     # moves U by exp([a]x) and V by exp([b1, b2, 0]x): five degrees of
     # freedom. Returns E, its five tangent directions and the step (a, b1, b2).
     ess = u @ _FLAT @ vt
-    normals = rays_s @ ess.T
-    # A ray through the epipole has no plane; like _residuals, it counts as
-    # fitted and steers nothing.
-    norms = vector_norm(normals)
-    inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms >= 1e-300)
-    sines = (rays_t * normals).sum(axis=1) * inv
+    sines, normals, inv = _sines(ess, rays_s, rays_t)
     d_ess = np.concatenate([u @ _GENERATORS @ _FLAT @ vt,
                             -(u @ _FLAT @ _GENERATORS[:2] @ vt)])
     d_normals = rays_s @ d_ess.swapaxes(-1, -2)

@@ -84,6 +84,10 @@ class TestAngularThreshold:
             angular_threshold(0.0, 100.0)
         with pytest.raises(ValueError):
             angular_threshold(1.0, 0.0)
+        for psi, focal in ((math.nan, 500.0), (math.inf, 500.0),
+                           (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(ValueError):
+                angular_threshold(psi, focal)
 
 
 class TestEpipolarResiduals:
@@ -135,6 +139,20 @@ class TestEssential:
         sv = np.linalg.svd(e, compute_uv=False)
         assert sv[0] == pytest.approx(sv[1], rel=1e-12)
         assert sv[2] == pytest.approx(0.0, abs=1e-15 * sv[0])
+
+    def test_rays_ninety_degrees_off_the_mean(self, rng):
+        # the mean of this source bundle is exactly +z, so its last two rays
+        # lie 90 degrees off it; whitening needs no division by z
+        rays_s = np.array([[0.1, 0.0, 1.0], [-0.1, 0.0, 1.0], [0.0, 0.1, 1.0],
+                           [0.0, -0.1, 1.0], [0.05, 0.05, 1.0], [-0.05, -0.05, 1.0],
+                           [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+        rays_s /= np.linalg.norm(rays_s, axis=1, keepdims=True)
+        pts = rays_s * rng.uniform(3.0, 7.0, size=(8, 1))
+        qts = pts @ rodrigues([0.3, 1.0, -0.2], 0.2).T + np.array([0.6, -0.2, 0.3])
+        rays_t = qts / np.linalg.norm(qts, axis=1, keepdims=True)
+        e = essential_from_rays(rays_s, rays_t)
+        alg = np.abs(np.einsum("ij,jk,ik->i", rays_t, e, rays_s))
+        assert alg.max() < 1e-12
 
     def test_too_few_pairs(self, rng):
         rays = rng.normal(size=(7, 3))
@@ -200,32 +218,6 @@ class TestDecompose:
         assert np.isnan(ds).all() and np.isnan(dt).all()
 
 
-class TestBundleRotation:
-    # _bundle_rotation takes (k, m, 3) stacks and returns (k, 3, 3)
-    def test_mean_ray_maps_to_plus_z(self, rng):
-        from pcr.relpose import _bundle_rotation
-        rays = rng.normal(size=(3, 40, 3)) * 0.2 + np.array([0.5, -0.3, 0.4])
-        rays /= np.linalg.norm(rays, axis=-1, keepdims=True)
-        rot = _bundle_rotation(rays)
-        for bundle, r in zip(rays, rot):
-            mean = bundle.mean(axis=0)
-            assert np.allclose(r @ (mean / np.linalg.norm(mean)), [0.0, 0.0, 1.0],
-                               rtol=0, atol=1e-12)
-            assert np.abs(r.T @ r - np.eye(3)).max() < 1e-12
-
-    def test_bundle_on_minus_z_flips(self):
-        from pcr.relpose import _bundle_rotation
-        rays = np.array([[0.1, 0.0, -1.0], [-0.1, 0.0, -1.0],
-                         [0.0, 0.1, -1.0], [0.0, -0.1, -1.0]])
-        rays /= np.linalg.norm(rays, axis=1, keepdims=True)
-        assert np.array_equal(_bundle_rotation(rays[None])[0], np.diag([1.0, -1.0, -1.0]))
-
-    def test_zero_mean_bundle_keeps_identity(self):
-        from pcr.relpose import _bundle_rotation
-        rays = np.array([[0.6, 0.0, 0.8], [-0.6, 0.0, -0.8]] * 4)
-        assert np.array_equal(_bundle_rotation(rays[None])[0], np.eye(3))
-
-
 def random_samples(rng, count, rows, pixel_noise=0.5):
     # count (rows, 3) ray bundles drawn from one noisy two-view scene
     matches, *_ = two_view_scene(rng, n=200, pixel_noise=pixel_noise)
@@ -250,18 +242,16 @@ class TestBatchedEssential:
         from pcr.relpose import _essentials
         good_s, good_t = random_samples(rng, 2, 8)
         coincident_s = np.tile(good_s[0, :1], (8, 1))
-        # the mean of this bundle is exactly +z, so its last two rays lie
-        # 90 degrees off the bundle axis
-        cone_s = np.array([[0.1, 0.0, 1.0], [-0.1, 0.0, 1.0], [0.0, 0.1, 1.0],
-                           [0.0, -0.1, 1.0], [0.05, 0.05, 1.0], [-0.05, -0.05, 1.0],
-                           [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-        cone_s /= np.linalg.norm(cone_s, axis=1, keepdims=True)
+        # eight rays in one plane through the centre: image points on a line
+        x = np.linspace(-0.6, 0.6, 8)
+        planar_s = np.column_stack([x, 0.3 + 0.7 * x, np.ones(8)])
+        planar_s /= np.linalg.norm(planar_s, axis=1, keepdims=True)
         # zero baseline: every E = [v]x R fits, so the system has rank 6
         pts = rng.uniform([-2, -2, 3], [2, 2, 7], size=(8, 3))
         rot = rodrigues([0.3, 1.0, -0.2], 0.3)
         flat_s = pts / np.linalg.norm(pts, axis=1, keepdims=True)
         flat_t = pts @ rot.T / np.linalg.norm(pts, axis=1, keepdims=True)
-        stack_s = np.stack([good_s[0], coincident_s, good_s[1], cone_s, flat_s])
+        stack_s = np.stack([good_s[0], coincident_s, good_s[1], planar_s, flat_s])
         stack_t = np.stack([good_t[0], good_t[1], good_t[1], good_t[0], flat_t])
         batch, ok = _essentials(stack_s, stack_t)
         assert ok.tolist() == [True, False, True, False, False]
@@ -566,6 +556,22 @@ class TestPolish:
         u, _, vt = np.linalg.svd(skew(pose.translation) @ pose.rotation)
         *_, step = relpose._manifold_step(u, vt, fit_s, fit_t)
         assert np.linalg.norm(step) < relpose._POLISH_TOL
+
+    def test_source_ray_at_epipole_steers_nothing(self, rng):
+        # E = [z]x has its source epipole exactly at +z, so E @ +z is exactly
+        # 0 and the ray there has no epipolar plane. One step is compared:
+        # the step moves the epipole off that ray.
+        pts = rng.uniform([-2.0, -2.0, 3.0], [2.0, 2.0, 7.0], size=(40, 3))
+        qts = pts @ rodrigues([0.3, 1.0, -0.2], 0.05).T + np.array([0.05, 0.02, 1.0])
+        qts += rng.normal(scale=0.01, size=qts.shape)
+        rays_s = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        rays_t = qts / np.linalg.norm(qts, axis=1, keepdims=True)
+        start = skew(np.array([0.0, 0.0, 1.0]))
+        alone = relpose._refit(start, rays_s, rays_t, 1)
+        with_epipole = relpose._refit(start, np.vstack([rays_s, [0.0, 0.0, 1.0]]),
+                                      np.vstack([rays_t, [0.6, 0.0, 0.8]]), 1)
+        assert np.abs(alone - start).max() > 1e-2
+        np.testing.assert_allclose(with_epipole, alone, rtol=0, atol=1e-14)
 
 
 def test_import_leaves_scipy_optimize_unloaded():
