@@ -6,6 +6,8 @@ distance, and solves the rigid alignment in closed form, so the objective
 cannot increase within an iteration. A transformation checker (pose change,
 error change, or iteration cap) ends the loop. A dense source is first
 registered on a subsample, whose converged pose seeds the full-resolution loop.
+Each loop keeps a neighbour cache, so a point's tree walk is repeated only when
+its step since the last walk could have changed its nearest target point.
 """
 
 from __future__ import annotations
@@ -63,6 +65,12 @@ def _usable_cpus() -> int:
 QUERY_WORKERS = _usable_cpus()
 MIN_QUERIES_PER_WORKER = 4096
 
+# Rounding allowance of NeighbourCache's reuse test, relative to the largest
+# coordinate magnitude seen. Each distance in the test is computed to within
+# a few ulps of itself and is below four times that magnitude, so the test's
+# summed rounding stays below about 2e-14 of it.
+CACHE_ROUNDING = 1e-12
+
 
 @dataclass(frozen=True)
 class IcpConfig:
@@ -91,13 +99,84 @@ class NNIndex:
     def points(self) -> np.ndarray:
         return self._points
 
-    def query(self, queries) -> tuple[np.ndarray, np.ndarray]:
-        """Distances and target indices of the true closest points."""
+    def query(self, queries, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """Distances and target indices of the true closest points.
+
+        With ``k`` > 1 each row holds the ``k`` closest, nearest first. Among
+        equidistant points, ``k`` = 1 and ``k`` = 2 may choose differently.
+        """
         pts = np.asarray(queries, dtype=np.float64)
         rows = pts.size // 3
         workers = min(QUERY_WORKERS, max(1, rows // MIN_QUERIES_PER_WORKER))
-        dist, idx = self._tree.query(pts, workers=workers)
+        dist, idx = self._tree.query(pts, k, workers=workers)
         return np.atleast_1d(dist), np.atleast_1d(idx)
+
+
+def _lengths(vectors: np.ndarray) -> np.ndarray:
+    """Row norms of an (n, 3) array, summed in cKDTree's order, so the
+    nearest distance of a row comes out bit-equal to the tree's."""
+    x, y, z = vectors[:, 0], vectors[:, 1], vectors[:, 2]
+    return np.sqrt((x * x + y * y) + z * z)
+
+
+class NeighbourCache:
+    """Exact nearest neighbours of a query set that moves a little per call.
+
+    Each row keeps the position it was last walked at (its anchor), the
+    nearest target found there and the gap between the second-nearest and
+    the nearest distance. A row that has moved by delta since then keeps its
+    neighbour when 2 delta is below the gap (triangle inequality: no other
+    target can have come closer), with ``CACHE_ROUNDING`` to spare. Other
+    rows are walked again through ``NNIndex.query``. A tie (zero gap, as at
+    duplicate targets) is settled by the tree's single-neighbour walk, which
+    may break it differently from the two-neighbour walk, and the row takes
+    only that walk on every later call. So every answer equals
+    ``index.query(moved)``.
+
+    Rows are the same source points from call to call; a call with another
+    row count starts afresh. Mutable: one cache per ICP loop, not shared
+    between threads.
+    """
+
+    def __init__(self, index: NNIndex):
+        self._index = index
+        self._extent = float(np.abs(index.points).max())
+        self._anchor = np.empty((0, 3))
+        self._nearest = np.empty(0, dtype=np.intp)
+        self._gap = np.empty(0)
+
+    def query(self, moved: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Distances and target indices of the true closest points."""
+        self._extent = max(self._extent, float(np.abs(moved).max()))
+        if moved.shape != self._anchor.shape:
+            self._anchor = np.empty_like(moved)
+            self._nearest = np.empty(len(moved), dtype=np.intp)
+            self._gap = np.empty(len(moved))
+            self._walk(moved, np.arange(len(moved)))
+        else:
+            step = _lengths(moved - self._anchor)
+            kept = 2.0 * step + CACHE_ROUNDING * self._extent < self._gap
+            tied = self._gap == 0.0
+            self._settle_ties(moved, np.flatnonzero(tied))
+            stale = np.flatnonzero(~(kept | tied))
+            if stale.size:
+                self._walk(moved, stale)
+        nearest = self._nearest.copy()
+        return _lengths(moved - self._index.points[nearest]), nearest
+
+    def _walk(self, moved: np.ndarray, rows: np.ndarray) -> None:
+        """Walk the tree for ``rows`` of ``moved`` and store what it finds."""
+        points = moved[rows]
+        dist, idx = self._index.query(points, 2)
+        self._anchor[rows] = points
+        self._nearest[rows] = idx[:, 0]
+        self._gap[rows] = dist[:, 1] - dist[:, 0]
+        self._settle_ties(moved, rows[dist[:, 1] == dist[:, 0]])
+
+    def _settle_ties(self, moved: np.ndarray, rows: np.ndarray) -> None:
+        """Take the single-neighbour walk's choice for rows with a zero gap."""
+        if rows.size:
+            self._nearest[rows] = self._index.query(moved[rows])[1]
 
 
 @dataclass(frozen=True)
@@ -112,15 +191,18 @@ class Correspondences:
         return self.source_indices.shape[0]
 
 
-def correspond(source, index: NNIndex, transform: RigidTransform,
-               trim_multiplier: float = TRIM_MULTIPLIER) -> Correspondences:
+def correspond(source, index: NNIndex | NeighbourCache,
+               transform: RigidTransform,
+               trim_multiplier: float = TRIM_MULTIPLIER, *,
+               moved: np.ndarray | None = None) -> Correspondences:
     """Nearest-neighbor pairs of the transformed source, median-trimmed.
 
     Pairs farther than ``trim_multiplier`` times the median pair distance are
-    rejected; at least 3 pairs must survive.
+    rejected; at least 3 pairs must survive. ``moved`` is
+    ``transform.apply(source)`` when the caller has it already.
     """
-    src = as_points(source)
-    moved = transform.apply(src)
+    if moved is None:
+        moved = transform.apply(as_points(source))
     dist, tgt_idx = index.query(moved)
     cutoff = trim_multiplier * float(np.median(dist))
     keep = dist <= cutoff
@@ -146,23 +228,27 @@ class IcpResult:
         return float(self.rms_trace[-1])
 
 
-def _icp_loop(src: np.ndarray, tgt: np.ndarray, index: NNIndex,
+def _icp_loop(src: np.ndarray, tgt: np.ndarray, cache: NeighbourCache,
               current: RigidTransform, max_iterations: int, rotation_tol: float,
-              translation_tol: float) -> tuple[RigidTransform, list[float], int, bool]:
-    """The trimmed ICP iteration from ``current``: (pose, RMS trace,
-    iterations, converged)."""
+              translation_tol: float
+              ) -> tuple[RigidTransform, np.ndarray, list[float], int, bool]:
+    """The trimmed ICP iteration from ``current``: (pose, source moved by
+    the pose, RMS trace, iterations, converged)."""
     trace: list[float] = []
     converged = False
     iterations = 0
     prev_rms = None
+    moved = current.apply(src)
     for iterations in range(1, max_iterations + 1):
-        corr = correspond(src, index, current)
+        corr = correspond(src, cache, current, moved=moved)
         pairs_p = src[corr.source_indices]
         pairs_q = tgt[corr.target_indices]
         solved = umeyama_align(pairs_p, pairs_q, with_scale=False)
         new = solved.rigid
 
-        diff = new.apply(pairs_p) - pairs_q
+        # The next query's points; the kept rows give the RMS under ``new``.
+        moved = new.apply(src)
+        diff = moved[corr.source_indices] - pairs_q
         sq = float((diff * diff).sum())
         rms = float(np.sqrt(sq / len(corr)))
         trace.append(rms)
@@ -177,7 +263,7 @@ def _icp_loop(src: np.ndarray, tgt: np.ndarray, index: NNIndex,
         if pose_small or error_small:
             converged = True
             break
-    return current, trace, iterations, converged
+    return current, moved, trace, iterations, converged
 
 
 def icp_register(source, target, cfg: IcpConfig = IcpConfig(),
@@ -192,7 +278,8 @@ def icp_register(source, target, cfg: IcpConfig = IcpConfig(),
     on every ``COARSE_STRIDE``-th point, with a looser stop and at most
     ``COARSE_MAX_ITERATIONS`` iterations; a converged coarse pose replaces
     ``init``. The result's ``iterations``, ``rms_trace`` and ``converged``
-    describe the full-resolution stage only.
+    describe the full-resolution stage only. Each stage keeps its own
+    ``NeighbourCache``; the full-resolution one also serves the final pairs.
     """
     src = as_points(source)
     tgt = as_points(target)
@@ -207,8 +294,8 @@ def icp_register(source, target, cfg: IcpConfig = IcpConfig(),
     current = init if init is not None else RigidTransform.identity()
     if src.shape[0] >= COARSE_MIN_POINTS:
         coarse_src = src[::COARSE_STRIDE]
-        coarse, _, coarse_iterations, coarse_converged = _icp_loop(
-            coarse_src, tgt, index, current,
+        coarse, _, _, coarse_iterations, coarse_converged = _icp_loop(
+            coarse_src, tgt, NeighbourCache(index), current,
             min(COARSE_MAX_ITERATIONS, cfg.max_iterations),
             COARSE_TOL_FACTOR * ROTATION_TOL, COARSE_TOL_FACTOR * trans_tol)
         # An unconverged coarse stage may have walked away from a good init.
@@ -217,11 +304,12 @@ def icp_register(source, target, cfg: IcpConfig = IcpConfig(),
         log.debug("icp coarse stage: %d iterations on %d of %d points, pose %s",
                   coarse_iterations, len(coarse_src), len(src), "kept" if coarse_converged else "dropped")
 
-    current, trace, iterations, converged = _icp_loop(
-        src, tgt, index, current, cfg.max_iterations, ROTATION_TOL, trans_tol)
+    cache = NeighbourCache(index)
+    current, moved, trace, iterations, converged = _icp_loop(
+        src, tgt, cache, current, cfg.max_iterations, ROTATION_TOL, trans_tol)
 
     # Refresh the pair set so theta describes the returned transform.
-    final_corr = correspond(src, index, current)
+    final_corr = correspond(src, cache, current, moved=moved)
     return IcpResult(transform=current,
                      source_indices=final_corr.source_indices,
                      theta=final_corr.target_indices,

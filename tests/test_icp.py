@@ -8,7 +8,7 @@ from pcr import cli, icp
 from pcr.cloudio import Cloud, write_ply
 from pcr.errors import TooFewPairsError
 from pcr.geom import RigidTransform, bounds, rotation_angle, umeyama_align
-from pcr.icp import NNIndex, correspond, icp_register
+from pcr.icp import NNIndex, NeighbourCache, correspond, icp_register
 
 from conftest import rodrigues, rotation_angle_between
 
@@ -24,11 +24,13 @@ def dense_scene(rng, n=20000):
     return pts, tgt + rng.normal(scale=0.005, size=tgt.shape)
 
 
-def single_stage_icp(src, tgt, max_iterations=100):
-    """The trimmed ICP loop without a coarse stage, as a reference."""
+def single_stage_icp(src, tgt, max_iterations=100, init=None, tol_factor=1.0):
+    """The trimmed ICP loop without a coarse stage or neighbour cache, as a
+    reference; ``tol_factor`` loosens the pose stop as the coarse stage's."""
     index = NNIndex(tgt)
-    trans_tol = icp.TRANSLATION_TOL * bounds(tgt).diagonal_length()
-    current = RigidTransform.identity()
+    rotation_tol = tol_factor * icp.ROTATION_TOL
+    trans_tol = tol_factor * (icp.TRANSLATION_TOL * bounds(tgt).diagonal_length())
+    current = RigidTransform.identity() if init is None else init
     trace = []
     converged = False
     prev_rms = None
@@ -41,7 +43,7 @@ def single_stage_icp(src, tgt, max_iterations=100):
         rms = float(np.sqrt(float((diff * diff).sum()) / len(corr)))
         trace.append(rms)
         delta = new.compose(current.inverse())
-        pose_small = (rotation_angle(delta.rotation) < icp.ROTATION_TOL
+        pose_small = (rotation_angle(delta.rotation) < rotation_tol
                       and float(np.linalg.norm(delta.translation)) < trans_tol)
         error_small = (prev_rms is not None and abs(prev_rms - rms)
                        < icp.ERROR_CHANGE_TOL * max(prev_rms, 1e-300))
@@ -97,9 +99,9 @@ class TestNNIndex:
         tree = index._tree
 
         class Recorder:
-            def query(self, pts, workers):
+            def query(self, pts, k, workers):
                 seen.append(workers)
-                return tree.query(pts, workers=workers)
+                return tree.query(pts, k, workers=workers)
 
         index._tree = Recorder()
         per = icp.MIN_QUERIES_PER_WORKER
@@ -121,6 +123,106 @@ class TestNNIndex:
         ref_dist, ref_idx = cKDTree(pts).query(queries, workers=1)
         assert np.array_equal(dist, ref_dist)
         assert np.array_equal(idx, ref_idx)
+
+
+def pose_walk(rng, steps, angle, shift):
+    """Poses from identity by random steps of ``angle`` rad and ``shift``."""
+    rot, trans = np.eye(3), np.zeros(3)
+    poses = []
+    for _ in range(steps):
+        rot = rodrigues(rng.normal(size=3), angle) @ rot
+        direction = rng.normal(size=3)
+        trans = trans + shift * direction / np.linalg.norm(direction)
+        poses.append(RigidTransform(rot, trans))
+    return poses
+
+
+class TestNeighbourCache:
+    @staticmethod
+    def walk(src, tgt, poses):
+        """Query a cache along ``poses``, checking each answer against a
+        single-threaded cKDTree; returns the rows walked per query."""
+        index = NNIndex(tgt)
+        cache = NeighbourCache(index)
+        walked = []
+        tree_query = index.query
+
+        def counted(rows, k=1):
+            walked[-1] += len(rows)
+            return tree_query(rows, k)
+
+        index.query = counted
+        tree = cKDTree(tgt)
+        centre = src.mean(axis=0)
+        for pose in poses:
+            moved = (src - centre) @ pose.rotation.T + centre + pose.translation
+            walked.append(0)
+            dist, idx = cache.query(moved)
+            ref_dist, ref_idx = tree.query(moved, workers=1)
+            assert np.array_equal(dist, ref_dist)
+            assert np.array_equal(idx, ref_idx)
+        return walked
+
+    @pytest.mark.parametrize("offset", [0.0, 1000.0])
+    def test_zero_step_walks_nothing(self, rng, offset):
+        tgt = box_cloud(rng, 2000) + offset
+        src = tgt + rng.normal(scale=0.02, size=tgt.shape)
+        walked = self.walk(src, tgt, [RigidTransform.identity()] * 4)
+        assert walked == [2000, 0, 0, 0]
+
+    @pytest.mark.parametrize("offset", [0.0, 1000.0])
+    @pytest.mark.parametrize("angle, shift", [(1e-7, 1e-7), (1e-4, 1e-4),
+                                              (1e-2, 2e-2)])
+    def test_small_steps_exact(self, rng, offset, angle, shift):
+        tgt = box_cloud(rng, 2000) + offset
+        src = tgt + rng.normal(scale=0.02, size=tgt.shape)
+        walked = self.walk(src, tgt, pose_walk(rng, 12, angle, shift))
+        assert walked[0] == 2000
+        assert sum(walked[1:]) < 11 * 2000
+        if angle <= 1e-4:
+            assert max(walked[1:]) < 200
+
+    @pytest.mark.parametrize("offset", [0.0, 1000.0])
+    def test_steps_beyond_cloud_walk_every_row(self, rng, offset):
+        # a step longer than the target's diameter exceeds every gap
+        tgt = box_cloud(rng, 500) + offset
+        src = tgt + rng.normal(scale=0.02, size=tgt.shape)
+        walked = self.walk(src, tgt, pose_walk(rng, 6, 0.0, 4.0))
+        assert walked == [500] * 6
+
+    @pytest.mark.parametrize("offset", [0.0, 1000.0])
+    def test_near_ties_at_rounding_level(self, rng, offset):
+        # targets mirrored across the plane x = offset, queries on it moved
+        # by a few ulps: the nearest side flips on gaps at rounding level
+        n = 400
+        half = rng.uniform(0.01, 0.5, n)
+        yz = rng.uniform(-1.0, 1.0, size=(n, 2))
+        tgt = np.vstack([np.c_[offset + half, yz], np.c_[offset - half, yz]])
+        src = np.c_[np.full(n, offset), yz + rng.normal(scale=1e-3, size=(n, 2))]
+        ulp = np.spacing(max(offset, 1.0))
+        poses = [RigidTransform(np.eye(3), np.array([k * ulp, 0.0, 0.0]))
+                 for k in rng.integers(-3, 4, 60)]
+        self.walk(src, tgt, poses)
+
+    def test_duplicate_targets_walked_again(self, rng):
+        base = box_cloud(rng, 1000)
+        tgt = np.vstack([base, base[:300], base[:100]])
+        src = base + rng.normal(scale=0.01, size=base.shape)
+        poses = [RigidTransform.identity()] * 2 + pose_walk(rng, 8, 1e-4, 1e-4)
+        walked = self.walk(src, tgt, poses)
+        # rows nearest a duplicated point have a zero gap: at a zero step
+        # they alone are walked, once each, by the single-neighbour walk
+        tied = int((cKDTree(base).query(src)[1] < 300).sum())
+        assert walked[1] == tied > 0
+
+    def test_new_row_count_starts_afresh(self, rng):
+        tgt = box_cloud(rng, 300)
+        cache = NeighbourCache(NNIndex(tgt))
+        tree = cKDTree(tgt)
+        for n in (200, 200, 50):
+            moved = box_cloud(rng, n)
+            dist, idx = cache.query(moved)
+            assert np.array_equal(idx, tree.query(moved, workers=1)[1])
 
 
 class TestCorrespond:
@@ -299,6 +401,34 @@ class TestCoarseStage:
         assert np.abs(res.transform.rotation - plain.transform.rotation).max() < 1e-4
         assert np.abs(res.transform.translation
                       - plain.transform.translation).max() < 1e-4
+
+    def test_kept_coarse_pose_same_as_uncached_loops(self, rng, caplog):
+        pts, tgt = dense_scene(rng)
+        with caplog.at_level(logging.DEBUG, logger="pcr"):
+            res = icp_register(pts, tgt)
+        assert caplog.records[0].getMessage().endswith("pose kept")
+        coarse = single_stage_icp(
+            pts[::icp.COARSE_STRIDE], tgt, max_iterations=icp.COARSE_MAX_ITERATIONS,
+            tol_factor=icp.COARSE_TOL_FACTOR)
+        assert coarse.converged
+        assert_same_result(res, single_stage_icp(pts, tgt, init=coarse.transform))
+
+    def test_full_resolution_rows_mostly_cached(self, rng, monkeypatch):
+        pts, tgt = dense_scene(rng)
+        n = len(pts)
+        rows = []
+        query = NNIndex.query
+
+        def counted(self, queries, k=1):
+            rows.append(len(queries))
+            return query(self, queries, k)
+
+        monkeypatch.setattr(NNIndex, "query", counted)
+        res = icp_register(pts, tgt)
+        # the full-resolution stage starts with a walk of every row
+        full = rows[rows.index(n):]
+        assert res.iterations >= 2
+        assert sum(full) <= 2 * n
 
     def test_one_iteration_cap_warns_and_exits_0(self, tmp_path, rng, capsys,
                                                  caplog):
