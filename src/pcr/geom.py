@@ -13,6 +13,9 @@ import numpy as np
 from .errors import DegenerateGeometryError
 
 ORTHOGONALITY_TOL = 1e-9
+# umeyama_align rejects a source whose second singular value is at most
+# this share of the first: a line, give or take rounding, or one point.
+COLLINEAR_RATIO = 1e-6
 
 
 def freeze(arr) -> np.ndarray:
@@ -182,8 +185,11 @@ def umeyama_align(source, target, with_scale: bool = True) -> SimilarityTransfor
     cs = src - mu_s
     ct = tgt - mu_t
 
-    sv = np.linalg.svd(cs, compute_uv=False)
-    if sv[1] <= 1e-9 * max(sv[0], 1e-300):
+    # The 3x3 scatter's eigenvalues are the squared singular values of cs.
+    # eigvalsh finds them to about 1e-16 of the largest, so the squared
+    # ratio, 1e-12, is well clear of its rounding.
+    ev = np.linalg.eigvalsh(cs.T @ cs)
+    if ev[1] <= COLLINEAR_RATIO**2 * max(ev[2], 1e-300):
         raise DegenerateGeometryError("source points are collinear or coincident")
 
     cross = ct.T @ cs / n

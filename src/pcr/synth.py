@@ -1,12 +1,12 @@
 """Reproducible synthetic scenes: clouds, keypoint matches, ground truth.
 
 The scene is a room-like surface cloud (box shell plus partition walls)
-placed ahead of the source camera, so every point has positive depth in both
-views. The target cloud is a scaled, rotated (about the source centroid),
-translated, optionally noised copy. Matches are pinhole projections of a
-point subset into both cameras, with sub-pixel keypoint noise, depth noise
-relative to the depth, and a chosen fraction of rows replaced by uniform
-garbage on the target side.
+placed ahead of the source camera, so every matched point has positive
+depth in both views. The target cloud is a scaled, rotated (about the source
+centroid), translated, optionally noised copy. Matches are pinhole
+projections of a point subset into both cameras, with sub-pixel keypoint
+noise, depth noise relative to the depth, and a chosen fraction of rows
+replaced by uniform garbage on the target side.
 """
 
 from __future__ import annotations
@@ -110,22 +110,32 @@ def build_scene(spec: SynthSpec) -> SynthScene:
     t_dir /= np.linalg.norm(t_dir)
     shift = 0.5 * diag_src * t_dir
 
-    # q = s * (R @ (p - mu) + mu) + shift, folded into one Sim(3).
-    translation = spec.scale * (centroid - rot @ centroid) + shift
-    truth = SimilarityTransform(spec.scale, RigidTransform(rot, translation))
-
-    tgt_clean = truth.apply(src_pts)
     # noise = RMS 3D perturbation of the target points, as a fraction of the
     # base cloud's bounding diagonal (per-axis std is that over sqrt(3))
     sigma_axis = spec.noise * diag_src / np.sqrt(3.0)
-    tgt_pts = tgt_clean + rng.normal(scale=sigma_axis, size=tgt_clean.shape) \
-        if sigma_axis > 0.0 else tgt_clean.copy()
-    tgt_pts = tgt_pts[rng.permutation(spec.points)]
+    noise = rng.normal(scale=sigma_axis, size=src_pts.shape) \
+        if sigma_axis > 0.0 else None
+    order = rng.permutation(spec.points)
 
     match_idx = rng.choice(spec.points, size=spec.match_count, replace=False)
     n_out = int(np.floor(spec.outlier_fraction * spec.match_count + 0.5))
     outlier_rows = np.sort(rng.choice(spec.match_count, size=n_out, replace=False)) \
         if n_out else np.empty(0, dtype=np.int64)
+
+    # q = s * (R @ (p - mu) + mu) + shift, folded into one Sim(3).
+    pivot = spec.scale * (centroid - rot @ centroid)
+    truth = SimilarityTransform(spec.scale, RigidTransform(rot, pivot + shift))
+    tgt_clean = truth.apply(src_pts)
+    # A shrunk target (s < 1) shifted toward the camera can put matched
+    # points behind it; then the shift's depth is mirrored. The rotated,
+    # shrunk box keeps positive depth (its points lie within about 2 of mu,
+    # at depth about 4), and a shift away from the camera only adds to it.
+    if (tgt_clean[match_idx, 2] <= 0.0).any():
+        shift[2] = -shift[2]
+        truth = SimilarityTransform(spec.scale, RigidTransform(rot, pivot + shift))
+        tgt_clean = truth.apply(src_pts)
+    tgt_pts = (tgt_clean if noise is None else tgt_clean + noise)[order]
+
     outlier_set = set(int(i) for i in outlier_rows)
 
     depth_lo = float(tgt_clean[:, 2].min())

@@ -124,6 +124,28 @@ class TestUmeyama:
         with pytest.raises(DegenerateGeometryError):
             umeyama_align(src, src)
 
+    @pytest.mark.parametrize("offset", [0.0, 1000.0])
+    def test_near_collinear_points_raise(self, rng, offset):
+        # jitter at rounding level is below what the scatter can resolve
+        src = np.outer(np.arange(50.0), [1.0, 2.0, 3.0]) + offset
+        src += rng.normal(scale=1e-13, size=src.shape)
+        with pytest.raises(DegenerateGeometryError):
+            umeyama_align(src, src)
+
+    @pytest.mark.parametrize("point", [[0.0, 0.0, 0.0], [1.5, -2.0, 3e3]])
+    def test_coincident_points_raise(self, point):
+        src = np.tile(point, (10, 1))
+        with pytest.raises(DegenerateGeometryError):
+            umeyama_align(src, src)
+
+    def test_thin_points_are_fine(self, rng):
+        # second singular value 1e-4 of the first, above COLLINEAR_RATIO
+        src = np.outer(rng.uniform(-1.0, 1.0, 40), [1.0, 2.0, 3.0])
+        src += rng.normal(scale=1e-4, size=src.shape)
+        rot = random_rotation(rng)
+        out = umeyama_align(src, src @ rot.T + 0.5)
+        assert rotation_angle_between(out.rotation, rot) < 1e-6
+
     def test_planar_points_are_fine(self, rng):
         src = rng.normal(size=(30, 3))
         src[:, 2] = 0.0

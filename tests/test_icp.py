@@ -371,6 +371,19 @@ class TestIcpRegister:
         assert rotation_angle_between(res.transform.rotation, rot) < 1e-9
 
 
+def pyramid_icp(src, tgt):
+    """The coarse levels and the full-resolution stage chained through the
+    uncached ``single_stage_icp``: each converged level seeds the next."""
+    current = None
+    for stride in icp.coarse_strides(len(src)):
+        level = single_stage_icp(
+            src[::stride], tgt, max_iterations=icp.COARSE_MAX_ITERATIONS,
+            init=current, tol_factor=icp.COARSE_TOL_FACTOR)
+        if level.converged:
+            current = level.transform
+    return single_stage_icp(src, tgt, init=current)
+
+
 class TestCoarseStage:
     def test_below_threshold_is_single_stage(self, rng, caplog):
         pts, tgt = dense_scene(rng, icp.COARSE_MIN_POINTS - 1)
@@ -379,6 +392,16 @@ class TestCoarseStage:
         assert_same_result(res, single_stage_icp(pts, tgt))
         assert not caplog.records
 
+    @pytest.mark.parametrize("n, strides", [
+        (icp.COARSE_MIN_POINTS - 1, []), (icp.COARSE_MIN_POINTS, [8]),
+        (64 * 255, [8]), (64 * 255 + 1, [64, 8]), (20000, [64, 8]),
+        (50000, [64, 8]), (512 * 256, [512, 64, 8])])
+    def test_schedule_by_size(self, n, strides):
+        # a level keeps at least COARSE_MIN_LEVEL_POINTS points
+        assert icp.coarse_strides(n) == strides
+        assert all(len(range(0, n, s)) >= icp.COARSE_MIN_LEVEL_POINTS
+                   for s in strides)
+
     def test_capped_coarse_stage_is_dropped(self, rng, monkeypatch, caplog):
         pts, tgt = dense_scene(rng)
         monkeypatch.setattr(icp, "COARSE_MAX_ITERATIONS", 1)
@@ -386,16 +409,48 @@ class TestCoarseStage:
             res = icp_register(pts, tgt)
         assert_same_result(res, single_stage_icp(pts, tgt))
         assert [r.getMessage() for r in caplog.records] == [
-            "icp coarse stage: 1 iterations on 2500 of 20000 points, pose dropped"]
+            "icp level stride 64: 1 iterations on 313 of 20000 points, pose dropped",
+            "icp level stride 8: 1 iterations on 2500 of 20000 points, pose dropped"]
+
+    def test_dropped_top_level_leaves_next_at_init(self, rng, monkeypatch, caplog):
+        # only the stride-64 level is capped at one iteration
+        pts, tgt = dense_scene(rng)
+        init = RigidTransform(rodrigues([1.0, 0.0, 0.0], np.deg2rad(2.0)),
+                              np.array([0.03, 0.0, 0.0]))
+        loop = icp._icp_loop
+        seeds = {}
+
+        def capped_top(src, tgt, cache, current, max_iterations, *tols):
+            seeds[len(src)] = current
+            if len(src) == len(pts[::64]):
+                max_iterations = 1
+            return loop(src, tgt, cache, current, max_iterations, *tols)
+
+        monkeypatch.setattr(icp, "_icp_loop", capped_top)
+        with caplog.at_level(logging.DEBUG, logger="pcr"):
+            res = icp_register(pts, tgt, init=init)
+        messages = [r.getMessage() for r in caplog.records]
+        assert messages[0].endswith("1 iterations on 313 of 20000 points, pose dropped")
+        assert messages[1].startswith("icp level stride 8:")
+        assert messages[1].endswith("on 2500 of 20000 points, pose kept")
+        assert seeds[313] is seeds[2500] is init
+        level = single_stage_icp(pts[::8], tgt, init=init,
+                                 max_iterations=icp.COARSE_MAX_ITERATIONS,
+                                 tol_factor=icp.COARSE_TOL_FACTOR)
+        assert level.converged
+        assert_same_result(res, single_stage_icp(pts, tgt, init=level.transform))
 
     def test_coarse_pose_seeds_full_resolution(self, rng, caplog):
         pts, tgt = dense_scene(rng)
         with caplog.at_level(logging.DEBUG, logger="pcr"):
             res = icp_register(pts, tgt)
         plain = single_stage_icp(pts, tgt)
-        (record,) = caplog.records
-        assert record.levelno == logging.DEBUG
-        assert record.getMessage().endswith("on 2500 of 20000 points, pose kept")
+        assert [r.levelno for r in caplog.records] == [logging.DEBUG] * 2
+        top, last = (r.getMessage() for r in caplog.records)
+        assert top.startswith("icp level stride 64: ")
+        assert top.endswith(" on 313 of 20000 points, pose kept")
+        assert last.startswith("icp level stride 8: ")
+        assert last.endswith(" on 2500 of 20000 points, pose kept")
         assert res.converged
         assert len(res.rms_trace) == res.iterations < plain.iterations
         assert np.abs(res.transform.rotation - plain.transform.rotation).max() < 1e-4
@@ -406,12 +461,8 @@ class TestCoarseStage:
         pts, tgt = dense_scene(rng)
         with caplog.at_level(logging.DEBUG, logger="pcr"):
             res = icp_register(pts, tgt)
-        assert caplog.records[0].getMessage().endswith("pose kept")
-        coarse = single_stage_icp(
-            pts[::icp.COARSE_STRIDE], tgt, max_iterations=icp.COARSE_MAX_ITERATIONS,
-            tol_factor=icp.COARSE_TOL_FACTOR)
-        assert coarse.converged
-        assert_same_result(res, single_stage_icp(pts, tgt, init=coarse.transform))
+        assert all(r.getMessage().endswith("pose kept") for r in caplog.records)
+        assert_same_result(res, pyramid_icp(pts, tgt))
 
     def test_full_resolution_rows_mostly_cached(self, rng, monkeypatch):
         pts, tgt = dense_scene(rng)
@@ -432,7 +483,7 @@ class TestCoarseStage:
 
     def test_one_iteration_cap_warns_and_exits_0(self, tmp_path, rng, capsys,
                                                  caplog):
-        # the coarse stage's cap becomes 1 too, so its pose is dropped
+        # each coarse level's cap becomes 1 too, so its pose is dropped
         pts, tgt = dense_scene(rng, icp.COARSE_MIN_POINTS + 100)
         write_ply(Cloud(points=pts), tmp_path / "a.ply")
         write_ply(Cloud(points=tgt), tmp_path / "b.ply")

@@ -36,6 +36,18 @@ def config_for(paths, **kw):
         intrinsics_target=paths["intrinsics_target"], **kw)
 
 
+def assert_within_criterion_01(report, paths):
+    """Scale within 1%, rotation within 0.5 deg, translation within 1% of
+    the target diagonal."""
+    truth = read_ground_truth(paths["ground_truth"])
+    assert abs(report.scale / truth.scale - 1.0) < 0.01
+    assert np.degrees(rotation_angle_between(
+        report.final_transform.rotation, truth.rotation)) < 0.5
+    diag = bounds(read_ply(paths["target"]).points).diagonal_length()
+    err = np.linalg.norm(report.final_transform.translation - truth.translation)
+    assert err < 0.01 * diag
+
+
 class TestRunPipeline:
     def test_identical_clouds_no_matches(self, tmp_path, rng):
         pts = rng.uniform(-1, 1, size=(400, 3))
@@ -65,14 +77,18 @@ class TestRunPipeline:
         spec = SynthSpec(seed=4002, scale=2.5, rotation_deg=15.0, noise=0.005,
                          outlier_fraction=0.3, points=2000, match_count=200)
         paths = generate_synthetic(spec, tmp_path)
+        assert_within_criterion_01(run_pipeline(config_for(paths, apply_filters=False)),
+                                   paths)
+
+    @pytest.mark.parametrize("scale, seed", [(0.4, 0), (0.4, 5), (0.5, 10), (0.6, 0)])
+    def test_shrinking_edge_within_criterion_01_tolerances(self, tmp_path, scale, seed):
+        # scenes whose shifted target once left matched points behind the camera
+        spec = SynthSpec(seed=seed, scale=scale, rotation_deg=15.0, noise=0.005,
+                         outlier_fraction=0.3, points=2000, match_count=200)
+        paths = generate_synthetic(spec, tmp_path)
         report = run_pipeline(config_for(paths, apply_filters=False))
-        truth = read_ground_truth(paths["ground_truth"])
-        assert abs(report.scale / truth.scale - 1.0) < 0.01
-        assert np.degrees(rotation_angle_between(
-            report.final_transform.rotation, truth.rotation)) < 0.5
-        diag = bounds(read_ply(paths["target"]).points).diagonal_length()
-        err = np.linalg.norm(report.final_transform.translation - truth.translation)
-        assert err < 0.01 * diag
+        assert report.scale_detected
+        assert_within_criterion_01(report, paths)
 
     def test_filtered_path_still_converges(self, scene_dir):
         # the default filtered path carries a crop-boundary mismatch bias

@@ -41,6 +41,18 @@ class TestBuildScene:
                 mismatched.add(row)
         assert mismatched == flagged
 
+    @pytest.mark.parametrize("scale, seed", [(0.2, 2), (0.4, 7), (0.6, 26)])
+    def test_shrunk_target_stays_in_front(self, scale, seed):
+        # seeds whose shift once put matched target points behind the camera
+        spec = SynthSpec(scale=scale, noise=0.0, points=300, match_count=40,
+                         rotation_deg=40.0, seed=seed)
+        scene = build_scene(spec)
+        assert (scene.target.points[:, 2] > 0.0).all()
+        assert all(m.dt > 0.0 for m in scene.matches)
+        mapped = scene.ground_truth.apply(scene.source.points)
+        assert np.allclose(np.sort(mapped, axis=0),
+                           np.sort(scene.target.points, axis=0), atol=1e-12)
+
     def test_noise_level_matches_definition(self):
         spec = SynthSpec(noise=0.01, outlier_fraction=0.0, points=20000,
                          match_count=50, seed=11)
