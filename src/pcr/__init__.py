@@ -24,7 +24,7 @@ from .relpose import (RansacConfig, RelativePose, angular_threshold,
                       decompose_and_disambiguate, essential_from_rays,
                       ransac_relative_pose)
 from .scale import (ScaleDetection, ScaleEstimate, backproject, detect_scale,
-                    estimate_scale_kalman, scale_least_squares)
+                    estimate_scale_kalman)
 from .synth import SynthSpec, build_scene, generate_synthetic
 
 __version__ = "0.1.0"

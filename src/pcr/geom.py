@@ -163,7 +163,9 @@ def bounds(points) -> Bounds3:
     pts = as_points(points)
     if pts.shape[0] == 0:
         raise ValueError("bounds of an empty point set are undefined")
-    return Bounds3(pts.min(axis=0), pts.max(axis=0))
+    # Along contiguous coordinate rows; min and max are exact in any order.
+    rows = np.ascontiguousarray(pts.T)
+    return Bounds3(rows.min(axis=1), rows.max(axis=1))
 
 
 def umeyama_align(source, target, with_scale: bool = True) -> SimilarityTransform:
@@ -180,19 +182,24 @@ def umeyama_align(source, target, with_scale: bool = True) -> SimilarityTransfor
     n = src.shape[0]
     if n < 3:
         raise DegenerateGeometryError("alignment needs at least 3 point pairs")
-    mu_s = src.mean(axis=0)
-    mu_t = tgt.mean(axis=0)
-    cs = src - mu_s
-    ct = tgt - mu_t
+    # Centred (3, n) coordinate rows: the means, the centring and the 3x3
+    # products run along contiguous memory whatever the inputs' layout (a
+    # transposed view of contiguous rows is taken without a copy).
+    cs = np.ascontiguousarray(src.T)
+    ct = np.ascontiguousarray(tgt.T)
+    mu_s = cs.mean(axis=1)
+    mu_t = ct.mean(axis=1)
+    cs = cs - mu_s[:, None]
+    ct = ct - mu_t[:, None]
 
     # The 3x3 scatter's eigenvalues are the squared singular values of cs.
     # eigvalsh finds them to about 1e-16 of the largest, so the squared
     # ratio, 1e-12, is well clear of its rounding.
-    ev = np.linalg.eigvalsh(cs.T @ cs)
+    ev = np.linalg.eigvalsh(cs @ cs.T)
     if ev[1] <= COLLINEAR_RATIO**2 * max(ev[2], 1e-300):
         raise DegenerateGeometryError("source points are collinear or coincident")
 
-    cross = ct.T @ cs / n
+    cross = ct @ cs.T / n
     u, d, vt = np.linalg.svd(cross)
     sign = np.sign(np.linalg.det(u) * np.linalg.det(vt)) or 1.0
     rot = u @ np.diag([1.0, 1.0, sign]) @ vt

@@ -36,19 +36,21 @@ TRIM_MULTIPLIER = 3.0
 # variants of the ICP algorithm", 2001), as a pyramid of strides (Jost &
 # Hugli, "A multi-resolution scheme ICP algorithm for fast shape
 # registration", 2002): see coarse_strides. Measured on sixteen 20 000-point
-# s = 1, 5 deg scenes (2 vCPUs), ICP alone with the neighbour cache, median:
-# - single stage: 413 ms, 20-31 iterations;
-# - one stride-8 level: 139 ms; 19.3 iterations there on average, 7-10 at
-#   full size;
-# - strides 64 and 8: 95 ms; 20.4 iterations at stride 64 (about 1 ms each),
-#   5.6 at stride 8 (3 ms each), 6-10 at full size (11 ms each, the first
+# s = 1, 5 deg scenes (2 vCPUs), ICP alone with the neighbour cache on
+# coordinate rows, median:
+# - single stage: 320 ms, 20-31 iterations (13.5 ms each);
+# - one stride-8 level: 112 ms; 19.3 iterations there on average (3.4 ms
+#   each), 7-10 at full size;
+# - strides 64 and 8: 72 ms; 20.4 iterations at stride 64 (0.86 ms each),
+#   5.6 at stride 8 (1.8 ms each), 6-10 at full size (4.7 ms each, the first
 #   walk of every point included).
 # All three: rotation error 0.0094-0.0095 deg, translation 1.4e-4 of the
 # diagonal (medians against truth).
 # With the levels' stop at the final tolerances, two levels hit the cap, one
-# full-resolution stage ran 31 iterations, and ICP took 131 ms. Keeping
-# unconverged level poses left 9 of 24 far-offset scenes off or unconverged,
-# against 5. A dropped level costs its cap: 30 ms at stride 64, about three
+# full-resolution stage ran 31 iterations, and ICP took 131 ms against 95
+# (both on (n, 3) arrays, before the row layout). Keeping unconverged level
+# poses left 9 of 24 far-offset scenes off or unconverged, against 5. A
+# dropped level costs its cap: 26 ms at stride 64, about five
 # full-resolution iterations.
 COARSE_MIN_POINTS = 8192
 COARSE_STRIDE = 8
@@ -116,11 +118,17 @@ class NNIndex:
         if pts.shape[0] < 1:
             raise ValueError("cannot index an empty cloud")
         self._points = pts
+        self._rows = np.ascontiguousarray(pts.T)
         self._tree = cKDTree(pts)
 
     @property
     def points(self) -> np.ndarray:
         return self._points
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The target as contiguous (3, m) coordinate rows."""
+        return self._rows
 
     def query(self, queries, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """Distances and target indices of the true closest points.
@@ -135,71 +143,102 @@ class NNIndex:
         return np.atleast_1d(dist), np.atleast_1d(idx)
 
 
-def _lengths(vectors: np.ndarray) -> np.ndarray:
-    """Row norms of an (n, 3) array, summed in cKDTree's order, so the
-    nearest distance of a row comes out bit-equal to the tree's."""
-    x, y, z = vectors[:, 0], vectors[:, 1], vectors[:, 2]
-    return np.sqrt((x * x + y * y) + z * z)
+def _lengths(rows: np.ndarray) -> np.ndarray:
+    """Norms of the columns of (3, n) coordinate rows, summed in cKDTree's
+    order, so the nearest distance of a point comes out bit-equal to the
+    tree's."""
+    x, y, z = rows
+    out = x * x
+    out += y * y
+    out += z * z
+    return np.sqrt(out, out=out)
+
+
+def _transform_rows(pose: RigidTransform, rows: np.ndarray) -> np.ndarray:
+    """``pose.apply`` on (3, n) coordinate rows: one 3x3 BLAS product and a
+    per-row add."""
+    moved = pose.rotation @ rows
+    moved += pose.translation[:, None]
+    return moved
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a 1-D array, bit for bit, from one partition: the
+    upper middle element, averaged for an even count with the largest
+    element below it."""
+    k = values.size // 2
+    part = np.partition(values, k)
+    if values.size % 2:
+        return float(part[k])
+    return float((part[:k].max() + part[k]) / 2.0)
 
 
 class NeighbourCache:
     """Exact nearest neighbours of a query set that moves a little per call.
 
-    Each row keeps the position it was last walked at (its anchor), the
-    nearest target found there and the gap between the second-nearest and
-    the nearest distance. A row that has moved by delta since then keeps its
-    neighbour when 2 delta is below the gap (triangle inequality: no other
-    target can have come closer), with ``CACHE_ROUNDING`` to spare. Other
-    rows are walked again through ``NNIndex.query``. A tie (zero gap, as at
-    duplicate targets) is settled by the tree's single-neighbour walk, which
-    may break it differently from the two-neighbour walk, and the row takes
-    only that walk on every later call. So every answer equals
-    ``index.query(moved)``.
+    Each query point keeps the position it was last walked at (its anchor),
+    the nearest target found there and the gap between the second-nearest
+    and the nearest distance. A point that has moved by delta since then
+    keeps its neighbour when 2 delta is below the gap (triangle inequality:
+    no other target can have come closer), with ``CACHE_ROUNDING`` to spare.
+    Other points are walked again through ``NNIndex.query``. A tie (zero
+    gap, as at duplicate targets) is settled by the tree's single-neighbour
+    walk, which may break it differently from the two-neighbour walk, and
+    the point takes only that walk on every later call. So every answer
+    equals ``index.query(moved)``.
 
-    Rows are the same source points from call to call; a call with another
-    row count starts afresh. Mutable: one cache per ICP loop, not shared
-    between threads.
+    Query points are the same source points from call to call; a call with
+    another point count starts afresh. The arithmetic runs on (3, n)
+    coordinate rows, so ``moved`` is cheapest as the transposed view of
+    contiguous rows, and ``paired`` holds the rows of the last answer's
+    nearest targets. Mutable: one cache per ICP loop, not shared between
+    threads.
     """
 
     def __init__(self, index: NNIndex):
         self._index = index
-        self._extent = float(np.abs(index.points).max())
-        self._anchor = np.empty((0, 3))
+        self._extent = float(np.abs(index.rows).max())
+        self._anchor = np.empty((3, 0))
         self._nearest = np.empty(0, dtype=np.intp)
         self._gap = np.empty(0)
+        self.paired = np.empty((3, 0))
 
     def query(self, moved: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Distances and target indices of the true closest points."""
-        self._extent = max(self._extent, float(np.abs(moved).max()))
-        if moved.shape != self._anchor.shape:
-            self._anchor = np.empty_like(moved)
-            self._nearest = np.empty(len(moved), dtype=np.intp)
-            self._gap = np.empty(len(moved))
-            self._walk(moved, np.arange(len(moved)))
+        rows = np.ascontiguousarray(moved.T)  # no copy for a view of rows
+        self._extent = max(self._extent, float(np.abs(rows).max()))
+        if rows.shape != self._anchor.shape:
+            self._anchor = np.empty_like(rows)
+            self._nearest = np.empty(rows.shape[1], dtype=np.intp)
+            self._gap = np.empty(rows.shape[1])
+            self._walk(rows, np.arange(rows.shape[1]))
         else:
-            step = _lengths(moved - self._anchor)
+            step = _lengths(rows - self._anchor)
             kept = 2.0 * step + CACHE_ROUNDING * self._extent < self._gap
             tied = self._gap == 0.0
-            self._settle_ties(moved, np.flatnonzero(tied))
+            self._settle_ties(rows, np.flatnonzero(tied))
             stale = np.flatnonzero(~(kept | tied))
             if stale.size:
-                self._walk(moved, stale)
+                self._walk(rows, stale)
         nearest = self._nearest.copy()
-        return _lengths(moved - self._index.points[nearest]), nearest
+        self.paired = np.take(self._index.rows, nearest, axis=1)
+        return _lengths(rows - self.paired), nearest
 
-    def _walk(self, moved: np.ndarray, rows: np.ndarray) -> None:
-        """Walk the tree for ``rows`` of ``moved`` and store what it finds."""
-        points = moved[rows]
-        dist, idx = self._index.query(points, 2)
-        self._anchor[rows] = points
-        self._nearest[rows] = idx[:, 0]
-        self._gap[rows] = dist[:, 1] - dist[:, 0]
-        self._settle_ties(moved, rows[dist[:, 1] == dist[:, 0]])
+    def _walk(self, rows: np.ndarray, which: np.ndarray) -> None:
+        """Walk the tree for columns ``which`` of ``rows`` and store what it
+        finds."""
+        points = np.take(rows, which, axis=1)
+        dist, idx = self._index.query(points.T, 2)
+        self._anchor[:, which] = points
+        self._nearest[which] = idx[:, 0]
+        self._gap[which] = dist[:, 1] - dist[:, 0]
+        self._settle_ties(rows, which[dist[:, 1] == dist[:, 0]])
 
-    def _settle_ties(self, moved: np.ndarray, rows: np.ndarray) -> None:
-        """Take the single-neighbour walk's choice for rows with a zero gap."""
-        if rows.size:
-            self._nearest[rows] = self._index.query(moved[rows])[1]
+    def _settle_ties(self, rows: np.ndarray, which: np.ndarray) -> None:
+        """Take the single-neighbour walk's choice for columns with a zero
+        gap."""
+        if which.size:
+            self._nearest[which] = self._index.query(np.take(rows, which, axis=1).T)[1]
 
 
 @dataclass(frozen=True)
@@ -227,7 +266,7 @@ def correspond(source, index: NNIndex | NeighbourCache,
     if moved is None:
         moved = transform.apply(as_points(source))
     dist, tgt_idx = index.query(moved)
-    cutoff = trim_multiplier * float(np.median(dist))
+    cutoff = trim_multiplier * _median(dist)
     keep = dist <= cutoff
     if int(keep.sum()) < 3:
         raise TooFewPairsError(
@@ -251,27 +290,28 @@ class IcpResult:
         return float(self.rms_trace[-1])
 
 
-def _icp_loop(src: np.ndarray, tgt: np.ndarray, cache: NeighbourCache,
-              current: RigidTransform, max_iterations: int, rotation_tol: float,
-              translation_tol: float
+def _icp_loop(src: np.ndarray, cache: NeighbourCache, current: RigidTransform,
+              max_iterations: int, rotation_tol: float, translation_tol: float
               ) -> tuple[RigidTransform, np.ndarray, list[float], int, bool]:
-    """The trimmed ICP iteration from ``current``: (pose, source moved by
-    the pose, RMS trace, iterations, converged)."""
+    """The trimmed ICP iteration from ``current`` on contiguous (3, n) source
+    coordinate rows: (pose, source rows moved by the pose, RMS trace,
+    iterations, converged). The pairs' target rows are the cache's."""
     trace: list[float] = []
     converged = False
     iterations = 0
     prev_rms = None
-    moved = current.apply(src)
+    moved = _transform_rows(current, src)
     for iterations in range(1, max_iterations + 1):
-        corr = correspond(src, cache, current, moved=moved)
-        pairs_p = src[corr.source_indices]
-        pairs_q = tgt[corr.target_indices]
-        solved = umeyama_align(pairs_p, pairs_q, with_scale=False)
+        corr = correspond(src.T, cache, current, moved=moved.T)
+        pairs_p = np.take(src, corr.source_indices, axis=1)
+        pairs_q = np.take(cache.paired, corr.source_indices, axis=1)
+        solved = umeyama_align(pairs_p.T, pairs_q.T, with_scale=False)
         new = solved.rigid
 
-        # The next query's points; the kept rows give the RMS under ``new``.
-        moved = new.apply(src)
-        diff = moved[corr.source_indices] - pairs_q
+        # The next query's points; the kept columns give the RMS under ``new``.
+        moved = _transform_rows(new, src)
+        diff = np.take(moved, corr.source_indices, axis=1)
+        diff -= pairs_q
         sq = float((diff * diff).sum())
         rms = float(np.sqrt(sq / len(corr)))
         trace.append(rms)
@@ -316,26 +356,28 @@ def icp_register(source, target, cfg: IcpConfig = IcpConfig(),
     if trans_tol == 0.0:
         trans_tol = TRANSLATION_TOL
 
+    # Every per-point step runs on contiguous coordinate rows.
+    src_rows = np.ascontiguousarray(src.T)
     current = init if init is not None else RigidTransform.identity()
     for stride in coarse_strides(len(src)):
-        level = src[::stride]
+        level = np.ascontiguousarray(src_rows[:, ::stride])
         pose, _, _, iterations, converged = _icp_loop(
-            level, tgt, NeighbourCache(index), current,
+            level, NeighbourCache(index), current,
             min(COARSE_MAX_ITERATIONS, cfg.max_iterations),
             COARSE_TOL_FACTOR * ROTATION_TOL, COARSE_TOL_FACTOR * trans_tol)
         # An unconverged level may have walked away from a good seed.
         if converged:
             current = pose
         log.debug("icp level stride %d: %d iterations on %d of %d points, pose %s",
-                  stride, iterations, len(level), len(src),
+                  stride, iterations, level.shape[1], len(src),
                   "kept" if converged else "dropped")
 
     cache = NeighbourCache(index)
     current, moved, trace, iterations, converged = _icp_loop(
-        src, tgt, cache, current, cfg.max_iterations, ROTATION_TOL, trans_tol)
+        src_rows, cache, current, cfg.max_iterations, ROTATION_TOL, trans_tol)
 
     # Refresh the pair set so theta describes the returned transform.
-    final_corr = correspond(src, cache, current, moved=moved)
+    final_corr = correspond(src, cache, current, moved=moved.T)
     return IcpResult(transform=current,
                      source_indices=final_corr.source_indices,
                      theta=final_corr.target_indices,

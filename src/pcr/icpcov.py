@@ -136,12 +136,17 @@ def _moments(p, q, pose: PoseParam):
     zero pair; c_6 is f at the mean pair. Centering keeps the moments free of
     cancellation when the clouds sit far from the origin.
     """
-    mean_p, mean_q = p.mean(axis=0), q.mean(axis=0)
-    z = np.column_stack([p - mean_p, q - mean_q, np.ones(len(p))])
-    basis = np.vstack([np.eye(6), np.zeros(6), np.concatenate([mean_p, mean_q])])
+    # z as one (7, n) array of contiguous coordinate rows.
+    z = np.empty((7, len(p)))
+    z[:3] = p.T
+    z[3:6] = q.T
+    mean = z[:6].mean(axis=1)
+    z[:6] -= mean[:, None]
+    z[6] = 1.0
+    basis = np.vstack([np.eye(6), np.zeros(6), mean])
     coefs = tuple(np.concatenate([f[:6] - f[6], f[7:]])
                   for f in _pair_terms(basis[:, :3], basis[:, 3:], pose))
-    return z.T @ z, coefs
+    return z @ z.T, coefs
 
 
 def hessian_xx(pairs_p, pairs_q, pose) -> np.ndarray:

@@ -17,13 +17,14 @@ from pcr.icp import icp_register
 from pcr.icpcov import PoseParam, covariance, hessian_xx, hessian_zx, information_matrix
 from pcr.pipeline import PipelineConfig, run_pipeline
 from pcr.relpose import RansacConfig, ransac_relative_pose
-from pcr.scale import backproject, estimate_scale_kalman, scale_least_squares
+from pcr.scale import backproject, estimate_scale_kalman
 from pcr.synth import SynthSpec, generate_synthetic, read_ground_truth
 
 from conftest import rodrigues, rotation_angle_between
 from test_icpcov import fd_hessian_xx, fd_hessian_zx, random_instance
 from test_relpose import two_view_scene
-from test_scale import bounded_rotation, make_matches, pose_of, K as K_CAM
+from test_scale import (bounded_rotation, make_matches, pose_of, scale_least_squares,
+                        K as K_CAM)
 
 
 def verdict(num, name, ok, detail=""):

@@ -172,6 +172,15 @@ class TestBounds:
         assert np.array_equal(box.minimum, lo)
         assert np.array_equal(box.maximum, hi)
 
+    def test_any_layout_matches_axis_reductions(self, rng):
+        pts = rng.normal(size=(1000, 3)) * 7
+        wide = np.zeros((2000, 6))
+        wide[::2, ::2] = pts
+        for view in (pts, np.asfortranarray(pts), wide[::2, ::2]):
+            box = bounds(view)
+            assert np.array_equal(box.minimum, pts.min(axis=0))
+            assert np.array_equal(box.maximum, pts.max(axis=0))
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             bounds(np.empty((0, 3)))

@@ -24,6 +24,13 @@ def dense_scene(rng, n=20000):
     return pts, tgt + rng.normal(scale=0.005, size=tgt.shape)
 
 
+def layouts(pts):
+    """The same points as C-ordered, Fortran-ordered and strided-view arrays."""
+    wide = np.zeros((2 * len(pts), 6))
+    wide[::2, ::2] = pts
+    return [np.ascontiguousarray(pts), np.asfortranarray(pts), wide[::2, ::2]]
+
+
 def single_stage_icp(src, tgt, max_iterations=100, init=None, tol_factor=1.0):
     """The trimmed ICP loop without a coarse stage or neighbour cache, as a
     reference; ``tol_factor`` loosens the pose stop as the coarse stage's."""
@@ -39,7 +46,8 @@ def single_stage_icp(src, tgt, max_iterations=100, init=None, tol_factor=1.0):
         pairs_p = src[corr.source_indices]
         pairs_q = tgt[corr.target_indices]
         new = umeyama_align(pairs_p, pairs_q, with_scale=False).rigid
-        diff = new.apply(pairs_p) - pairs_q
+        # summed over (3, k) coordinate rows, in the loop's order
+        diff = np.ascontiguousarray((new.apply(pairs_p) - pairs_q).T)
         rms = float(np.sqrt(float((diff * diff).sum()) / len(corr)))
         trace.append(rms)
         delta = new.compose(current.inverse())
@@ -225,6 +233,14 @@ class TestNeighbourCache:
             assert np.array_equal(idx, tree.query(moved, workers=1)[1])
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 101, 1000, 20000])
+def test_trim_median_is_np_median(rng, n):
+    # continuous, spread over ten decades, and with ties
+    for values in (rng.random(n), 10.0 ** rng.uniform(-6.0, 4.0, n),
+                   np.round(rng.random(n), 1)):
+        assert icp._median(values) == np.median(values)
+
+
 class TestCorrespond:
     def test_identity_on_identical_clouds(self, rng):
         pts = box_cloud(rng, 200)
@@ -371,6 +387,32 @@ class TestIcpRegister:
         assert rotation_angle_between(res.transform.rotation, rot) < 1e-9
 
 
+def layout_scene(rng, kind):
+    if kind == "box":
+        pts = box_cloud(rng, 500)
+        return pts, pts @ rodrigues([1.0, 1.0, 0.0], 0.1).T + 0.05
+    return dense_scene(rng)
+
+
+class TestLayouts:
+    @pytest.mark.parametrize("kind", ["box", "dense"])
+    def test_icp_register_same_for_any_layout(self, rng, kind):
+        pts, tgt = layout_scene(rng, kind)
+        ref = icp_register(pts, tgt)
+        for src_view, tgt_view in zip(layouts(pts), layouts(tgt)):
+            assert_same_result(icp_register(src_view, tgt_view), ref)
+
+    @pytest.mark.parametrize("kind", ["box", "dense"])
+    def test_umeyama_align_same_for_any_layout(self, rng, kind):
+        pts, tgt = layout_scene(rng, kind)
+        ref = umeyama_align(pts, tgt)
+        for src_view, tgt_view in zip(layouts(pts), layouts(tgt)):
+            out = umeyama_align(src_view, tgt_view)
+            assert out.scale == ref.scale
+            assert np.array_equal(out.rotation, ref.rotation)
+            assert np.array_equal(out.translation, ref.translation)
+
+
 def pyramid_icp(src, tgt):
     """The coarse levels and the full-resolution stage chained through the
     uncached ``single_stage_icp``: each converged level seeds the next."""
@@ -420,11 +462,11 @@ class TestCoarseStage:
         loop = icp._icp_loop
         seeds = {}
 
-        def capped_top(src, tgt, cache, current, max_iterations, *tols):
-            seeds[len(src)] = current
-            if len(src) == len(pts[::64]):
+        def capped_top(src, cache, current, max_iterations, *tols):
+            seeds[src.shape[1]] = current
+            if src.shape[1] == len(pts[::64]):
                 max_iterations = 1
-            return loop(src, tgt, cache, current, max_iterations, *tols)
+            return loop(src, cache, current, max_iterations, *tols)
 
         monkeypatch.setattr(icp, "_icp_loop", capped_top)
         with caplog.at_level(logging.DEBUG, logger="pcr"):

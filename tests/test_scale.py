@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -7,8 +8,7 @@ from pcr.cloudio import CameraIntrinsics, Cloud, MatchRecord
 from pcr.errors import DegenerateGeometryError, InsufficientMatchesError
 from pcr.relpose import RelativePose
 from pcr.scale import (backproject, depth_consistent_indices, detect_scale,
-                       estimate_scale_kalman, project_pinhole,
-                       scale_least_squares)
+                       estimate_scale_kalman, project_pinhole)
 
 from conftest import rodrigues
 
@@ -43,6 +43,39 @@ def make_matches(rng, rot, tvec, scale, n=60, intrinsics=K, depth_noise=0.0,
             dt *= 1.0 + depth_noise * rng.normal()
         records.append(MatchRecord(us=us, vs=vs, ds=ds, ut=ut, vt=vt, dt=dt))
     return records
+
+
+def scale_least_squares(source_pts, target_pts, rel_rot, t_dir) -> tuple[float, float]:
+    """Closed-form (scale, translation magnitude) along a fixed direction: the
+    paper's Kalman measurement, kept as the oracle of the scale stage.
+
+    Minimizes sum_i |s * R @ p_i + alpha * t_dir - q_i|^2 via the 2x2 normal
+    equations in (s, alpha). ``t_dir`` must be unit length.
+    """
+    src = np.asarray(source_pts, dtype=np.float64).reshape(-1, 3)
+    tgt = np.asarray(target_pts, dtype=np.float64).reshape(-1, 3)
+    if src.shape != tgt.shape or src.shape[0] < 2:
+        raise ValueError("need at least 2 matching point pairs")
+    rot = np.asarray(rel_rot, dtype=np.float64).reshape(3, 3)
+    tdir = np.asarray(t_dir, dtype=np.float64).reshape(3)
+    if abs(np.linalg.norm(tdir) - 1.0) > 1e-9:
+        raise ValueError("t_dir must be a unit vector")
+    # The normal matrix is a Gram matrix, so its condition number is
+    # lambda_max^2 / det.
+    rotated = src @ rot.T
+    n = src.shape[0]
+    sq = float((rotated * rotated).sum())
+    cross = float((rotated * tgt).sum())
+    a12 = float(rotated.sum(axis=0) @ tdir)
+    b2 = float(tgt.sum(axis=0) @ tdir)
+    det = sq * n - a12 * a12
+    lam_max = 0.5 * (sq + n) + math.hypot(0.5 * (sq - n), a12)
+    if not (math.isfinite(lam_max) and det * 1e12 >= lam_max * lam_max):
+        raise DegenerateGeometryError("scale normal equations are singular")
+    scale = (n * cross - a12 * b2) / det
+    if scale <= 0.0:
+        raise DegenerateGeometryError("least-squares scale is nonpositive")
+    return scale, (sq * b2 - a12 * cross) / det
 
 
 def pose_of(rot, tvec):
