@@ -5,7 +5,7 @@ similarity scale, then derives the 6x6 covariance and information matrix of
 the alignment for use as a pose-graph edge.
 """
 
-from .cloudio import (CameraIntrinsics, Cloud, MatchRecord, PipelineReport,
+from .cloudio import (CameraIntrinsics, Cloud, Matches, PipelineReport,
                       read_intrinsics, read_matches, read_ply, read_report,
                       write_ply, write_report)
 from .errors import (AmbiguousDecompositionError, DegenerateGeometryError,

@@ -4,7 +4,7 @@ Formats handled here:
   * PLY clouds, ASCII or binary little-endian, vertex element with float or
     double x/y/z properties (big-endian deliberately rejected).
   * Matches CSV with header exactly ``us,vs,ds,ut,vt,dt``; an empty depth
-    field means the depth is unknown.
+    field means the depth is unknown, NaN in :class:`Matches`.
   * Intrinsics JSON ``{"fx":..., "fy":..., "cx":..., "cy":...}``.
   * Pipeline report JSON (schema documented on :func:`write_report`).
 """
@@ -72,33 +72,67 @@ class CameraIntrinsics:
             raise ValueError("focal lengths must be positive")
 
 
-@dataclass(frozen=True)
-class MatchRecord:
-    """One keypoint correspondence: pixel coordinates plus optional depths."""
+_MATCH_HEADER = "us,vs,ds,ut,vt,dt"
+_MATCH_COLUMNS = _MATCH_HEADER.split(",")
+_DEPTH_COLUMNS = [2, 5]
 
-    us: float
-    vs: float
-    ut: float
-    vt: float
-    ds: float | None = None
-    dt: float | None = None
+
+def _first_invalid_match(table: np.ndarray):
+    """(row, message) of the first entry breaking the Matches rule, or None."""
+    bad = ~np.isfinite(table)
+    depths = table[:, _DEPTH_COLUMNS]
+    bad[:, _DEPTH_COLUMNS] = (depths <= 0.0) | (depths == np.inf)
+    if not bad.any():
+        return None
+    row, col = divmod(int(bad.argmax()), 6)
+    rule = "a positive depth" if col in _DEPTH_COLUMNS else "finite"
+    return row, f"{_MATCH_COLUMNS[col]} must be {rule}"
+
+
+@dataclass(frozen=True, eq=False)
+class Matches:
+    """Keypoint correspondences as one read-only float64 (n, 6) table in the
+    matches CSV's column order ``us, vs, ds, ut, vt, dt``: source pixel and
+    depth, then target pixel and depth. NaN marks an unknown depth; pixels
+    are finite and known depths positive and finite. An index array, boolean
+    mask or slice selects a subset, again as ``Matches``."""
+
+    table: np.ndarray
 
     def __post_init__(self):
-        for name in ("us", "vs", "ut", "vt"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"pixel coordinate {name} must be finite")
-            object.__setattr__(self, name, value)
-        for name in ("ds", "dt"):
-            value = getattr(self, name)
-            if value is not None:
-                value = float(value)
-                if not math.isfinite(value) or value <= 0.0:
-                    raise ValueError(f"depth {name} must be positive when present")
-                object.__setattr__(self, name, value)
+        table = np.asarray(self.table, dtype=np.float64)
+        if table.ndim != 2 or table.shape[1] != 6:
+            raise ValueError(f"expected an (n, 6) match table, got shape {table.shape}")
+        if (invalid := _first_invalid_match(table)) is not None:
+            raise ValueError("match row %d: %s" % invalid)
+        object.__setattr__(self, "table", freeze(table))
 
-    def has_depths(self) -> bool:
-        return self.ds is not None and self.dt is not None
+    def __len__(self) -> int:
+        return self.table.shape[0]
+
+    def __getitem__(self, key) -> "Matches":
+        return Matches(self.table[key])
+
+    @property
+    def source_pixels(self) -> np.ndarray:
+        return self.table[:, 0:2]
+
+    @property
+    def target_pixels(self) -> np.ndarray:
+        return self.table[:, 3:5]
+
+    @property
+    def source_depths(self) -> np.ndarray:
+        return self.table[:, 2]
+
+    @property
+    def target_depths(self) -> np.ndarray:
+        return self.table[:, 5]
+
+    @property
+    def has_depths(self) -> np.ndarray:
+        """Mask of the matches whose source and target depths are both known."""
+        return ~np.isnan(self.table[:, _DEPTH_COLUMNS]).any(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +314,10 @@ def write_ply(cloud, path, fmt: str = "binary-le") -> None:
 # Matches CSV
 # ---------------------------------------------------------------------------
 
-_MATCH_HEADER = "us,vs,ds,ut,vt,dt"
-
-
-def read_matches(path) -> list[MatchRecord]:
-    """Read keypoint correspondences from CSV."""
+def read_matches(path) -> Matches:
+    """Read keypoint correspondences from CSV; an empty depth is unknown. A
+    wrong field count or a non-number is reported where it is met, else the
+    first value, a literal ``nan`` too, that breaks the ``Matches`` rule."""
     path = Path(path)
     try:
         text = path.read_bytes().decode("utf-8")
@@ -297,49 +330,40 @@ def read_matches(path) -> list[MatchRecord]:
     if not lines or lines[0].strip() != _MATCH_HEADER:
         raise ParseError(f"header must be exactly {_MATCH_HEADER!r}", path=path, line=1)
 
-    records = []
+    values = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         fields = line.split(",")
         if len(fields) != 6:
             raise ParseError(f"expected 6 fields, got {len(fields)}", path=path, line=lineno)
-
-        def _pixel(idx, name):
-            try:
-                value = float(fields[idx])
-            except ValueError as exc:
-                raise ParseError(f"{name} is not a number", path=path, line=lineno) from exc
-            if not math.isfinite(value):
-                raise ParseError(f"{name} must be finite", path=path, line=lineno)
-            return value
-
-        def _depth(idx, name):
-            token = fields[idx].strip()
-            if token == "":
-                return None
+        for col, token in enumerate(fields):
+            if col in _DEPTH_COLUMNS and not token.strip():
+                values.append(math.nan)
+                continue
             try:
                 value = float(token)
             except ValueError as exc:
-                raise ParseError(f"{name} is not a number", path=path, line=lineno) from exc
-            if not math.isfinite(value) or value <= 0.0:
-                raise ParseError(f"{name} must be a positive depth", path=path, line=lineno)
-            return value
+                raise ParseError(f"{_MATCH_COLUMNS[col]} is not a number",
+                                 path=path, line=lineno) from exc
+            # NaN marks an unknown depth: a literal one reads as inf, so
+            # that it breaks its column's rule like any non-finite value.
+            values.append(math.inf if value != value else value)
 
-        records.append(MatchRecord(
-            us=_pixel(0, "us"), vs=_pixel(1, "vs"), ds=_depth(2, "ds"),
-            ut=_pixel(3, "ut"), vt=_pixel(4, "vt"), dt=_depth(5, "dt")))
-    return records
+    table = np.array(values, dtype=np.float64).reshape(-1, 6)
+    try:
+        return Matches(table)
+    except ValueError:
+        row, message = _first_invalid_match(table)
+        lineno = [n for n, line in enumerate(lines[1:], start=2) if line.strip()][row]
+        raise ParseError(message, path=path, line=lineno) from None
 
 
-def write_matches(records, path) -> None:
-    lines = [_MATCH_HEADER]
-    for rec in records:
-        ds = "" if rec.ds is None else format(rec.ds, ".17g")
-        dt = "" if rec.dt is None else format(rec.dt, ".17g")
-        lines.append(
-            f"{rec.us:.17g},{rec.vs:.17g},{ds},{rec.ut:.17g},{rec.vt:.17g},{dt}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_matches(matches: Matches, path) -> None:
+    """Write matches as CSV, 17 significant digits, unknown depths empty."""
+    rows = (",".join("" if v != v else format(v, ".17g") for v in row)
+            for row in matches.table.tolist())
+    Path(path).write_text("\n".join([_MATCH_HEADER, *rows]) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +388,6 @@ def read_intrinsics(path) -> CameraIntrinsics:
         if not isinstance(data[key], (int, float)) or isinstance(data[key], bool):
             raise ParseError(f"key {key!r} must be numeric", path=path)
         values[key] = float(data[key])
-    if values["fx"] <= 0.0 or values["fy"] <= 0.0:
-        raise ParseError("focal lengths must be positive", path=path)
     try:
         return CameraIntrinsics(**values)
     except ValueError as exc:

@@ -117,13 +117,8 @@ class NNIndex:
         pts = as_points(points)
         if pts.shape[0] < 1:
             raise ValueError("cannot index an empty cloud")
-        self._points = pts
         self._rows = np.ascontiguousarray(pts.T)
         self._tree = cKDTree(pts)
-
-    @property
-    def points(self) -> np.ndarray:
-        return self._points
 
     @property
     def rows(self) -> np.ndarray:
@@ -253,18 +248,11 @@ class Correspondences:
         return self.source_indices.shape[0]
 
 
-def correspond(source, index: NNIndex | NeighbourCache,
-               transform: RigidTransform,
-               trim_multiplier: float = TRIM_MULTIPLIER, *,
-               moved: np.ndarray | None = None) -> Correspondences:
-    """Nearest-neighbor pairs of the transformed source, median-trimmed.
-
-    Pairs farther than ``trim_multiplier`` times the median pair distance are
-    rejected; at least 3 pairs must survive. ``moved`` is
-    ``transform.apply(source)`` when the caller has it already.
-    """
-    if moved is None:
-        moved = transform.apply(as_points(source))
+def correspond(moved, index: NNIndex | NeighbourCache,
+               trim_multiplier: float = TRIM_MULTIPLIER) -> Correspondences:
+    """Nearest-neighbor pairs of the transformed (n, 3) source ``moved``,
+    median-trimmed: pairs farther than ``trim_multiplier`` times the median
+    pair distance are rejected, and at least 3 pairs must survive."""
     dist, tgt_idx = index.query(moved)
     cutoff = trim_multiplier * _median(dist)
     keep = dist <= cutoff
@@ -302,7 +290,7 @@ def _icp_loop(src: np.ndarray, cache: NeighbourCache, current: RigidTransform,
     prev_rms = None
     moved = _transform_rows(current, src)
     for iterations in range(1, max_iterations + 1):
-        corr = correspond(src.T, cache, current, moved=moved.T)
+        corr = correspond(moved.T, cache)
         pairs_p = np.take(src, corr.source_indices, axis=1)
         pairs_q = np.take(cache.paired, corr.source_indices, axis=1)
         solved = umeyama_align(pairs_p.T, pairs_q.T, with_scale=False)
@@ -377,7 +365,7 @@ def icp_register(source, target, cfg: IcpConfig = IcpConfig(),
         src_rows, cache, current, cfg.max_iterations, ROTATION_TOL, trans_tol)
 
     # Refresh the pair set so theta describes the returned transform.
-    final_corr = correspond(src, cache, current, moved=moved.T)
+    final_corr = correspond(moved.T, cache)
     return IcpResult(transform=current,
                      source_indices=final_corr.source_indices,
                      theta=final_corr.target_indices,

@@ -77,12 +77,12 @@ def run_pipeline(cfg: PipelineConfig) -> cloudio.PipelineReport:
         k_target = _stage("io", cloudio.read_intrinsics, cfg.intrinsics_target)
         rel_pose = _stage("relpose", relpose.ransac_relative_pose,
                           matches, k_source, k_target, cfg.ransac)
-        inlier_matches = [matches[i] for i in rel_pose.inliers]
+        inlier_matches = matches[rel_pose.inliers]
         # Epipolar inliers can still carry inconsistent depths; keep only
         # matches whose backprojected pair fits the common pairwise-ratio.
         consistent = _stage("scale", scale.depth_consistent_indices,
                             inlier_matches, k_source, k_target)
-        good_matches = [inlier_matches[i] for i in consistent]
+        good_matches = inlier_matches[consistent]
         estimate = _stage("scale", scale.estimate_scale_kalman,
                           good_matches, k_source, k_target, rel_pose)
         scale_factor = estimate.scale

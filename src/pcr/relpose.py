@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloudio import CameraIntrinsics
+from .cloudio import CameraIntrinsics, Matches
 from .errors import (AmbiguousDecompositionError, DegenerateGeometryError,
                      InsufficientMatchesError, NoConsensusError)
 from .geom import _GENERATORS, ORTHOGONALITY_TOL, RigidTransform, freeze, skew
@@ -89,10 +89,8 @@ def angular_threshold(psi: float, focal: float) -> float:
     return 1.0 - np.cos(np.arctan(psi / focal))
 
 
-def bearing_rays(pixels_u, pixels_v, intrinsics: CameraIntrinsics) -> np.ndarray:
-    """Unit bearing vectors for pixel coordinates under a pinhole camera."""
-    pixels = np.stack([np.asarray(pixels_u, dtype=np.float64),
-                       np.asarray(pixels_v, dtype=np.float64)], axis=-1)
+def bearing_rays(pixels, intrinsics: CameraIntrinsics) -> np.ndarray:
+    """Unit bearing vectors for (n, 2) pixels under a pinhole camera."""
     rays = backproject(pixels, 1.0, intrinsics)
     return rays / np.linalg.norm(rays, axis=-1, keepdims=True)
 
@@ -376,7 +374,7 @@ def _consensus(rays_s, rays_t, threshold, cfg: RansacConfig):
     return best_model, best_mask, best_count, drawn
 
 
-def ransac_relative_pose(matches, intrinsics_source: CameraIntrinsics,
+def ransac_relative_pose(matches: Matches, intrinsics_source: CameraIntrinsics,
                          intrinsics_target: CameraIntrinsics,
                          cfg: RansacConfig = RansacConfig()) -> RelativePose:
     """Relative pose by adaptive LO-RANSAC over keypoint matches.
@@ -399,12 +397,8 @@ def ransac_relative_pose(matches, intrinsics_source: CameraIntrinsics,
     if n < 8:
         raise InsufficientMatchesError(f"RANSAC needs at least 8 matches, got {n}")
 
-    us = np.array([m.us for m in matches])
-    vs = np.array([m.vs for m in matches])
-    ut = np.array([m.ut for m in matches])
-    vt = np.array([m.vt for m in matches])
-    rays_s = bearing_rays(us, vs, intrinsics_source)
-    rays_t = bearing_rays(ut, vt, intrinsics_target)
+    rays_s = bearing_rays(matches.source_pixels, intrinsics_source)
+    rays_t = bearing_rays(matches.target_pixels, intrinsics_target)
 
     threshold = angular_threshold(cfg.pixel_threshold, intrinsics_target.fx)
 

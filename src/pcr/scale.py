@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloudio import CameraIntrinsics, Cloud
+from .cloudio import CameraIntrinsics, Cloud, Matches
 from .errors import DegenerateGeometryError, InsufficientMatchesError
 from .geom import bounds, freeze, vector_norm
 
@@ -98,13 +98,11 @@ def project_pinhole(point, intrinsics: CameraIntrinsics) -> tuple[float, float]:
             intrinsics.fy * p[1] / p[2] + intrinsics.cy)
 
 
-def _match_points(matches, intrinsics_source: CameraIntrinsics,
+def _match_points(matches: Matches, intrinsics_source: CameraIntrinsics,
                   intrinsics_target: CameraIntrinsics):
     # Backprojected (source, target) 3D points of matches with both depths.
-    rows = np.array([(m.us, m.vs, m.ds, m.ut, m.vt, m.dt) for m in matches],
-                    dtype=np.float64).reshape(-1, 6)
-    return (backproject(rows[:, 0:2], rows[:, 2], intrinsics_source),
-            backproject(rows[:, 3:5], rows[:, 5], intrinsics_target))
+    return (backproject(matches.source_pixels, matches.source_depths, intrinsics_source),
+            backproject(matches.target_pixels, matches.target_depths, intrinsics_target))
 
 
 def _row_nanmedian(values: np.ndarray) -> np.ndarray:
@@ -118,7 +116,7 @@ def _row_nanmedian(values: np.ndarray) -> np.ndarray:
     return (ordered[rows, (count - 1) // 2] + ordered[rows, count // 2]) / 2.0
 
 
-def depth_consistent_indices(matches, intrinsics_source: CameraIntrinsics,
+def depth_consistent_indices(matches: Matches, intrinsics_source: CameraIntrinsics,
                              intrinsics_target: CameraIntrinsics) -> np.ndarray:
     """Indices of matches whose backprojected pair is 3D-consistent.
 
@@ -130,12 +128,10 @@ def depth_consistent_indices(matches, intrinsics_source: CameraIntrinsics,
     relative floor) are rejected. Matches without both depths are rejected
     as well.
     """
-    have = np.array([m.has_depths() for m in matches], dtype=bool)
-    idx = np.flatnonzero(have)
+    idx = np.flatnonzero(matches.has_depths)
     if idx.size < 3:
         return idx
-    src, tgt = _match_points([matches[i] for i in idx], intrinsics_source,
-                             intrinsics_target)
+    src, tgt = _match_points(matches[idx], intrinsics_source, intrinsics_target)
 
     cols = np.arange(src.shape[0])
     if cols.size > 500:
@@ -157,7 +153,7 @@ def depth_consistent_indices(matches, intrinsics_source: CameraIntrinsics,
     return idx[keep]
 
 
-def estimate_scale_kalman(matches, intrinsics_source: CameraIntrinsics,
+def estimate_scale_kalman(matches: Matches, intrinsics_source: CameraIntrinsics,
                           intrinsics_target: CameraIntrinsics, rel_pose) -> ScaleEstimate:
     """Session scale and translation of the matches under the relative rotation.
 
@@ -179,7 +175,7 @@ def estimate_scale_kalman(matches, intrinsics_source: CameraIntrinsics,
     Fewer than 3 matches with both depths, coincident source points or a
     nonpositive s* raise.
     """
-    usable = [m for m in matches if m.has_depths()]
+    usable = matches[matches.has_depths]
     if len(usable) < 3:
         raise InsufficientMatchesError(
             f"scale estimation needs at least 3 matches with both depths, got {len(usable)}")

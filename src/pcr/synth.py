@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cloudio import (CameraIntrinsics, Cloud, MatchRecord, write_intrinsics,
+from .cloudio import (CameraIntrinsics, Cloud, Matches, write_intrinsics,
                       write_matches, write_ply)
 from .geom import RigidTransform, SimilarityTransform, bounds, rotation_about_axis
 from .scale import project_pinhole
@@ -60,7 +60,7 @@ class SynthSpec:
 class SynthScene:
     source: Cloud
     target: Cloud
-    matches: list
+    matches: Matches
     ground_truth: SimilarityTransform
     outlier_indices: np.ndarray
     intrinsics_source: CameraIntrinsics
@@ -141,7 +141,7 @@ def build_scene(spec: SynthSpec) -> SynthScene:
     depth_lo = float(tgt_clean[:, 2].min())
     depth_hi = float(tgt_clean[:, 2].max())
 
-    records = []
+    table = []
     for row, idx in enumerate(match_idx):
         p = src_pts[idx]
         q = tgt_clean[idx]
@@ -160,11 +160,11 @@ def build_scene(spec: SynthSpec) -> SynthScene:
             ut = rng.uniform(0.0, _IMAGE_W)
             vt = rng.uniform(0.0, _IMAGE_H)
             dt = rng.uniform(depth_lo, depth_hi)
-        records.append(MatchRecord(us=us, vs=vs, ds=ds, ut=ut, vt=vt, dt=dt))
+        table.append((us, vs, ds, ut, vt, dt))
 
     return SynthScene(source=Cloud(points=src_pts, label="synthetic-source"),
                       target=Cloud(points=tgt_pts, label="synthetic-target"),
-                      matches=records,
+                      matches=Matches(table),
                       ground_truth=truth,
                       outlier_indices=outlier_rows.astype(np.int64),
                       intrinsics_source=_INTRINSICS,

@@ -17,14 +17,14 @@ from pcr.icp import icp_register
 from pcr.icpcov import PoseParam, covariance, hessian_xx, hessian_zx, information_matrix
 from pcr.pipeline import PipelineConfig, run_pipeline
 from pcr.relpose import RansacConfig, ransac_relative_pose
-from pcr.scale import backproject, estimate_scale_kalman
+from pcr.scale import estimate_scale_kalman
 from pcr.synth import SynthSpec, generate_synthetic, read_ground_truth
 
 from conftest import rodrigues, rotation_angle_between
 from test_icpcov import fd_hessian_xx, fd_hessian_zx, random_instance
 from test_relpose import two_view_scene
-from test_scale import (bounded_rotation, make_matches, pose_of, scale_least_squares,
-                        K as K_CAM)
+from test_scale import (bounded_rotation, make_matches, match_points, pose_of,
+                        scale_least_squares, K as K_CAM)
 
 
 def verdict(num, name, ok, detail=""):
@@ -100,8 +100,7 @@ def test_criterion_03_kalman_matches_closed_form(rng):
         tvec = local.normal(size=3) * 0.5
         tvec[2] = abs(tvec[2])
         matches = make_matches(local, rot, tvec, 2.5, n=80)
-        src = np.array([backproject((m.us, m.vs), m.ds, K_CAM) for m in matches])
-        tgt = np.array([backproject((m.ut, m.vt), m.dt, K_CAM) for m in matches])
+        src, tgt = match_points(matches, K_CAM)
         oracle, _ = scale_least_squares(src, tgt, rot, tvec / np.linalg.norm(tvec))
         est = estimate_scale_kalman(matches, K_CAM, K_CAM, pose_of(rot, tvec))
         worst = max(worst, abs(est.scale - oracle))

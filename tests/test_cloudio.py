@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pcr.cloudio import (CameraIntrinsics, Cloud, MatchRecord, PipelineReport,
+from pcr.cloudio import (CameraIntrinsics, Cloud, Matches, PipelineReport,
                          read_intrinsics, read_matches, read_ply, read_report,
                          write_intrinsics, write_matches, write_ply,
                          write_report)
@@ -148,17 +148,21 @@ class TestMatches:
     def test_full_row(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("us,vs,ds,ut,vt,dt\n10,20,1.5,30,40,3.0\n")
-        recs = read_matches(path)
-        assert len(recs) == 1
-        assert recs[0].ds == 1.5 and recs[0].dt == 3.0
-        assert recs[0].us == 10 and recs[0].vt == 40
+        matches = read_matches(path)
+        assert len(matches) == 1
+        assert np.array_equal(matches.table, [[10.0, 20.0, 1.5, 30.0, 40.0, 3.0]])
+        assert np.array_equal(matches.source_pixels, [[10.0, 20.0]])
+        assert np.array_equal(matches.target_pixels, [[30.0, 40.0]])
+        assert matches.source_depths[0] == 1.5 and matches.target_depths[0] == 3.0
+        assert matches.has_depths.tolist() == [True]
+        assert not matches.table.flags.writeable
 
     def test_absent_depths(self, tmp_path):
         path = tmp_path / "m.csv"
-        path.write_text("us,vs,ds,ut,vt,dt\n10,20,,30,40,\n")
-        recs = read_matches(path)
-        assert recs[0].ds is None and recs[0].dt is None
-        assert not recs[0].has_depths()
+        path.write_text("us,vs,ds,ut,vt,dt\n10,20,,30,40,\n10,20,1.0,30,40,\n")
+        matches = read_matches(path)
+        assert np.isnan(matches.source_depths[0]) and np.isnan(matches.target_depths[0])
+        assert matches.has_depths.tolist() == [False, False]
 
     def test_negative_depth_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -172,14 +176,60 @@ class TestMatches:
         with pytest.raises(ParseError):
             read_matches(path)
 
-    def test_round_trip(self, tmp_path):
-        records = [
-            MatchRecord(us=1.25, vs=2.5, ds=3.75, ut=4.0, vt=5.0, dt=6.0),
-            MatchRecord(us=7.0, vs=8.0, ds=None, ut=9.0, vt=10.0, dt=None),
-        ]
+    @pytest.mark.parametrize("body, line, message", [
+        ("10,abc,1.5,30,40,3.0", 3, "vs is not a number"),
+        ("inf,20,1.5,30,40,3.0", 3, "us must be finite"),
+        ("10,20,1.5,nan,40,3.0", 3, "ut must be finite"),
+        ("10,20,-1,30,40,3.0", 3, "ds must be a positive depth"),
+        ("10,20,1.5,30,40,0", 3, "dt must be a positive depth"),
+        ("10,20,nan,30,40,3.0", 3, "ds must be a positive depth"),
+        ("10,20,1.5,30,40,inf", 3, "dt must be a positive depth"),
+        ("10,20,1.5,30,40", 3, "expected 6 fields, got 5"),
+        ("10,20,1.5,30,40,3.0,7", 3, "expected 6 fields, got 7"),
+        ("\n10,20,1.5,30,-inf,", 4, "vt must be finite"),
+        ("\n10,20,-2,30,40,3.0", 4, "ds must be a positive depth"),
+    ], ids=["word-pixel", "inf-pixel", "nan-pixel", "negative-depth", "zero-depth",
+            "nan-depth", "inf-depth", "5-fields", "7-fields", "blank-line-pixel",
+            "blank-line-depth"])
+    def test_single_error_rejected_at_its_line(self, tmp_path, body, line, message):
         path = tmp_path / "m.csv"
-        write_matches(records, path)
-        assert read_matches(path) == records
+        path.write_text(f"us,vs,ds,ut,vt,dt\n1,2,,3,4,\n{body}\n5,6,7,8,9,10\n")
+        with pytest.raises(ParseError) as err:
+            read_matches(path)
+        assert err.value.line == line
+        assert str(err.value) == f"{path}:{line}: {message}"
+
+    def test_round_trip(self, tmp_path):
+        matches = Matches(np.array([
+            [1.25, 2.5, 3.75, 4.0, 5.0, 6.0],
+            [7.0, 8.0, np.nan, 9.0, 10.0, np.nan],
+            [0.1, -1e-300, 1e300, np.pi, -0.0, 5e-324],
+        ]))
+        path = tmp_path / "m.csv"
+        write_matches(matches, path)
+        assert path.read_text().splitlines()[2] == "7,8,,9,10,"
+        back = read_matches(path)
+        assert np.array_equal(back.table, matches.table, equal_nan=True)
+
+    def test_subsets_stay_matches(self):
+        matches = Matches(np.arange(1.0, 25.0).reshape(4, 6))
+        picked = matches[np.array([3, 1])]
+        assert isinstance(picked, Matches)
+        assert np.array_equal(picked.table, matches.table[[3, 1]])
+        masked = matches[np.array([True, False, False, True])]
+        assert np.array_equal(masked.table, matches.table[[0, 3]])
+        assert len(matches[np.zeros(4, dtype=bool)]) == 0
+
+    @pytest.mark.parametrize("row", [
+        [np.nan, 2, 3, 4, 5, 6], [1, 2, 0, 4, 5, 6], [1, 2, 3, 4, 5, np.inf],
+    ])
+    def test_invalid_values_rejected(self, row):
+        with pytest.raises(ValueError, match="match row 1"):
+            Matches(np.array([[1, 2, 3, 4, 5, 6], row], dtype=float))
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError, match=r"\(n, 6\)"):
+            Matches(np.ones((3, 5)))
 
     def test_fuzz_bytes(self, tmp_path, rng):
         path = tmp_path / "fuzz.csv"

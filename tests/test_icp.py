@@ -42,7 +42,7 @@ def single_stage_icp(src, tgt, max_iterations=100, init=None, tol_factor=1.0):
     converged = False
     prev_rms = None
     for iterations in range(1, max_iterations + 1):
-        corr = correspond(src, index, current)
+        corr = correspond(current.apply(src), index)
         pairs_p = src[corr.source_indices]
         pairs_q = tgt[corr.target_indices]
         new = umeyama_align(pairs_p, pairs_q, with_scale=False).rigid
@@ -60,7 +60,7 @@ def single_stage_icp(src, tgt, max_iterations=100, init=None, tol_factor=1.0):
         if pose_small or error_small:
             converged = True
             break
-    final = correspond(src, index, current)
+    final = correspond(current.apply(src), index)
     return icp.IcpResult(transform=current, source_indices=final.source_indices,
                          theta=final.target_indices, rms_trace=np.asarray(trace),
                          iterations=iterations, converged=converged)
@@ -244,7 +244,7 @@ def test_trim_median_is_np_median(rng, n):
 class TestCorrespond:
     def test_identity_on_identical_clouds(self, rng):
         pts = box_cloud(rng, 200)
-        corr = correspond(pts, NNIndex(pts), RigidTransform.identity(), 3.0)
+        corr = correspond(pts, NNIndex(pts), 3.0)
         assert len(corr) == 200
         assert (corr.distances == 0.0).all()
         assert np.array_equal(corr.target_indices, np.arange(200))
@@ -252,13 +252,13 @@ class TestCorrespond:
     def test_huge_multiplier_keeps_everything(self, rng):
         src = box_cloud(rng, 150)
         tgt = box_cloud(rng, 150)
-        corr = correspond(src, NNIndex(tgt), RigidTransform.identity(), 1e12)
+        corr = correspond(src, NNIndex(tgt), 1e12)
         assert len(corr) == 150
 
     def test_far_outlier_rejected(self, rng):
         tgt = box_cloud(rng, 200)
         src = np.vstack([tgt, [[50.0, 50.0, 50.0]]])
-        corr = correspond(src, NNIndex(tgt), RigidTransform.identity(), 3.0)
+        corr = correspond(src, NNIndex(tgt), 3.0)
         # brute-force check of the trim rule
         moved = src
         diffs = np.linalg.norm(moved[:, None, :] - tgt[None, :, :], axis=2)
@@ -272,7 +272,7 @@ class TestCorrespond:
         tgt = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
         with pytest.raises(TooFewPairsError):
             # trim threshold 0 x median keeps nothing
-            correspond(src, NNIndex(tgt), RigidTransform.identity(), 1e-12)
+            correspond(src, NNIndex(tgt), 1e-12)
 
 
 class TestIcpRegister:

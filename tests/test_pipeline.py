@@ -229,6 +229,23 @@ class TestCli:
         assert rc == 1
         assert "stage io" in capsys.readouterr().err
 
+    def test_bad_match_depth_reports_its_line(self, tmp_path, rng, capsys):
+        pts = rng.uniform(-1, 1, size=(200, 3))
+        write_ply(Cloud(points=pts), tmp_path / "a.ply")
+        write_ply(Cloud(points=pts), tmp_path / "b.ply")
+        matches = tmp_path / "m.csv"
+        # the blank line 3 still counts toward the reported line
+        matches.write_text("us,vs,ds,ut,vt,dt\n1,2,3,4,5,6\n\n1,2,-3,4,5,6\n7,8,9,10,11,12\n")
+        report = tmp_path / "r.json"
+        rc = cli.main(["register", "--source", str(tmp_path / "a.ply"),
+                       "--target", str(tmp_path / "b.ply"), "--matches", str(matches),
+                       "--out", str(report)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"pcr: error in stage io: {matches}:4: ds must be a positive depth"]
+        assert not report.exists()
+
     def test_exit_code_scale_stage(self, tmp_path, rng, capsys):
         pts = rng.uniform(-1, 1, size=(200, 3))
         a = tmp_path / "a.ply"

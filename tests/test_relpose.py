@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcr.cloudio import CameraIntrinsics, MatchRecord
+from pcr.cloudio import CameraIntrinsics, Matches
 from pcr import relpose
 from pcr.errors import (AmbiguousDecompositionError, DegenerateGeometryError,
                         InsufficientMatchesError, NoConsensusError)
@@ -26,6 +26,12 @@ def skew(v):
     return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
 
 
+def pixel_matches(source_pixels, target_pixels):
+    """Matches of (n, 2) pixel arrays, without depths."""
+    unknown = np.full((len(source_pixels), 1), np.nan)
+    return Matches(np.hstack([source_pixels, unknown, target_pixels, unknown]))
+
+
 def two_view_scene(rng, n=200, rot_deg=12.0, pixel_noise=0.0, outliers=0.0,
                    baseline=1.0):
     """Synthetic calibrated two-view geometry with known relative pose."""
@@ -37,7 +43,7 @@ def two_view_scene(rng, n=200, rot_deg=12.0, pixel_noise=0.0, outliers=0.0,
     qts = pts @ rot.T + tvec
     assert (qts[:, 2] > 0.1).all()
 
-    matches = []
+    pixels = []
     n_out = int(np.floor(outliers * n + 0.5))
     out_rows = set(rng.choice(n, size=n_out, replace=False).tolist()) if n_out else set()
     for i, (p, q) in enumerate(zip(pts, qts)):
@@ -51,16 +57,13 @@ def two_view_scene(rng, n=200, rot_deg=12.0, pixel_noise=0.0, outliers=0.0,
         if i in out_rows:
             ut = rng.uniform(0.0, 640.0)
             vt = rng.uniform(0.0, 480.0)
-        matches.append(MatchRecord(us=us, vs=vs, ut=ut, vt=vt))
-    return matches, rot, tvec / np.linalg.norm(tvec), sorted(out_rows)
+        pixels.append((us, vs, ut, vt))
+    pixels = np.array(pixels)
+    return pixel_matches(pixels[:, :2], pixels[:, 2:]), rot, tvec / np.linalg.norm(tvec), sorted(out_rows)
 
 
 def rays_of(matches):
-    us = np.array([m.us for m in matches])
-    vs = np.array([m.vs for m in matches])
-    ut = np.array([m.ut for m in matches])
-    vt = np.array([m.vt for m in matches])
-    return bearing_rays(us, vs, K), bearing_rays(ut, vt, K)
+    return bearing_rays(matches.source_pixels, K), bearing_rays(matches.target_pixels, K)
 
 
 class TestAngularThreshold:
@@ -394,8 +397,7 @@ class TestRansac:
 
     def test_relabeling_views_inverts_pose(self, rng):
         matches, rot, tdir, _ = two_view_scene(rng, n=120)
-        swapped = [MatchRecord(us=m.ut, vs=m.vt, ut=m.us, vt=m.vs)
-                   for m in matches]
+        swapped = pixel_matches(matches.target_pixels, matches.source_pixels)
         fwd = ransac_relative_pose(matches, K, K, RansacConfig(seed=5))
         rev = ransac_relative_pose(swapped, K, K, RansacConfig(seed=5))
         assert rotation_angle_between(rev.rotation, fwd.rotation.T) < 1e-6
@@ -480,8 +482,8 @@ class TestRansac:
                                       noise=0.005, outlier_fraction=0.3,
                                       points=2000, match_count=200))
         cam = scene.intrinsics_source
-        rays_s = bearing_rays([m.us for m in scene.matches], [m.vs for m in scene.matches], cam)
-        rays_t = bearing_rays([m.ut for m in scene.matches], [m.vt for m in scene.matches], cam)
+        rays_s = bearing_rays(scene.matches.source_pixels, cam)
+        rays_t = bearing_rays(scene.matches.target_pixels, cam)
         threshold = angular_threshold(1.0, cam.fx)
         *_, count, drawn = relpose._consensus(rays_s, rays_t, threshold, RansacConfig())
         assert count >= 130
@@ -508,20 +510,21 @@ class TestRansac:
         threshold = angular_threshold(1.0, K.fx)
         for (rot, tdir), group in (((rot_a, dir_a), second), ((rot_b, dir_b), first)):
             assert (epipolar_residuals(skew(tdir) @ rot, *rays_of(group)) > threshold).all()
+        both = Matches(np.vstack([first.table, second.table]))
         with pytest.raises(AmbiguousDecompositionError):
-            ransac_relative_pose(first + second, K, K, RansacConfig(seed=0, max_iterations=2000))
+            ransac_relative_pose(both, K, K, RansacConfig(seed=0, max_iterations=2000))
 
     def test_fewer_than_eight_inliers_is_no_consensus(self, rng):
         # unrelated pixel pairs: no model explains 8 of them at 0.01 px
         px = rng.uniform([0, 0, 0, 0], [640, 480, 640, 480], size=(30, 4))
-        matches = [MatchRecord(us=a, vs=b, ut=c, vt=d) for a, b, c, d in px]
+        matches = pixel_matches(px[:, :2], px[:, 2:])
         with pytest.raises(NoConsensusError, match="need at least 8"):
             ransac_relative_pose(matches, K, K, RansacConfig(pixel_threshold=0.01))
 
     def test_all_hypotheses_degenerate_is_no_consensus(self, rng):
         # every source ray coincides, so no minimal sample can be solved
         targets = rng.uniform(0.0, 400.0, size=(20, 2))
-        matches = [MatchRecord(us=100.0, vs=200.0, ut=u, vt=v) for u, v in targets]
+        matches = pixel_matches(np.tile([100.0, 200.0], (20, 1)), targets)
         rays_s, rays_t = rays_of(matches)
         with pytest.raises(DegenerateGeometryError):
             essential_from_rays(rays_s[:8], rays_t[:8])

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pcr.cloudio import CameraIntrinsics, Cloud, MatchRecord
+from pcr.cloudio import CameraIntrinsics, Cloud, Matches
 from pcr.errors import DegenerateGeometryError, InsufficientMatchesError
 from pcr.relpose import RelativePose
 from pcr.scale import (backproject, depth_consistent_indices, detect_scale,
@@ -28,7 +28,7 @@ def make_matches(rng, rot, tvec, scale, n=60, intrinsics=K, depth_noise=0.0,
     pts[:, 2] += 4.0
     qts = scale * (pts @ rot.T) + tvec
     assert (qts[:, 2] > 0).all(), "scene construction left points behind the camera"
-    records = []
+    rows = []
     for p, q in zip(pts, qts):
         us, vs = project_pinhole(p, intrinsics)
         ut, vt = project_pinhole(q, intrinsics)
@@ -41,8 +41,20 @@ def make_matches(rng, rot, tvec, scale, n=60, intrinsics=K, depth_noise=0.0,
         if depth_noise:
             ds *= 1.0 + depth_noise * rng.normal()
             dt *= 1.0 + depth_noise * rng.normal()
-        records.append(MatchRecord(us=us, vs=vs, ds=ds, ut=ut, vt=vt, dt=dt))
-    return records
+        rows.append((us, vs, ds, ut, vt, dt))
+    return Matches(rows)
+
+
+def with_target_depths(matches, depths):
+    """``matches`` with its target depths replaced by ``depths``."""
+    return Matches(np.column_stack([matches.source_pixels, matches.source_depths,
+                                    matches.target_pixels, depths]))
+
+
+def match_points(matches, intrinsics=K):
+    """Backprojected source and target points of matches with both depths."""
+    return (backproject(matches.source_pixels, matches.source_depths, intrinsics),
+            backproject(matches.target_pixels, matches.target_depths, intrinsics))
 
 
 def scale_least_squares(source_pts, target_pts, rel_rot, t_dir) -> tuple[float, float]:
@@ -196,8 +208,7 @@ def noisy_scene(seed):
     tvec = local.normal(size=3)
     matches = make_matches(local, rot, tvec, 2.5, n=100,
                            depth_noise=0.01, pixel_noise=0.5)
-    src = np.array([backproject((m.us, m.vs), m.ds, K) for m in matches])
-    tgt = np.array([backproject((m.ut, m.vt), m.dt, K) for m in matches])
+    src, tgt = match_points(matches)
     return matches, src, tgt, rot, tvec
 
 
@@ -247,8 +258,7 @@ class TestKalman:
         rot = bounded_rotation(rng)
         tvec = np.array([-0.5, 0.9, 0.2])
         matches = make_matches(rng, rot, tvec, 1.7)
-        src = np.array([backproject((m.us, m.vs), m.ds, K) for m in matches])
-        tgt = np.array([backproject((m.ut, m.vt), m.dt, K) for m in matches])
+        src, tgt = match_points(matches)
         s_ls, _ = scale_least_squares(src, tgt, rot, tvec / np.linalg.norm(tvec))
         est = estimate_scale_kalman(matches, K, K, pose_of(rot, tvec))
         assert est.scale == pytest.approx(s_ls, abs=1e-6)
@@ -258,8 +268,7 @@ class TestKalman:
         tvec = np.array([0.4, 0.4, -0.1])
         matches = make_matches(rng, rot, tvec, 2.0)
         lam = 1.7
-        scaled = [MatchRecord(us=m.us, vs=m.vs, ds=m.ds,
-                              ut=m.ut, vt=m.vt, dt=m.dt * lam) for m in matches]
+        scaled = with_target_depths(matches, matches.target_depths * lam)
         est_a = estimate_scale_kalman(matches, K, K, pose_of(rot, tvec))
         est_b = estimate_scale_kalman(scaled, K, K, pose_of(rot, tvec))
         assert est_b.scale == pytest.approx(lam * est_a.scale, abs=1e-6 * lam * est_a.scale)
@@ -307,9 +316,9 @@ class TestKalman:
         # one match keeps its pixels but carries a wrong target depth: the
         # fit equals the joint least squares over the other 99
         matches, src, tgt, rot, tvec = noisy_scene(5)
-        m = matches[17]
-        matches[17] = MatchRecord(us=m.us, vs=m.vs, ds=m.ds, ut=m.ut, vt=m.vt,
-                                  dt=m.dt * factor)
+        depths = matches.target_depths.copy()
+        depths[17] *= factor
+        matches = with_target_depths(matches, depths)
         others = np.delete(np.arange(100), 17)
         design = np.zeros((3 * 99, 4))
         design[:, 0] = (src[others] @ rot.T).reshape(-1)
@@ -321,16 +330,15 @@ class TestKalman:
 
     def test_requires_three_matches_with_depths(self, rng):
         rot = np.eye(3)
-        records = [MatchRecord(us=1, vs=2, ds=None, ut=3, vt=4, dt=None)] * 5
+        records = Matches(np.tile([1.0, 2.0, np.nan, 3.0, 4.0, np.nan], (5, 1)))
         with pytest.raises(InsufficientMatchesError):
             estimate_scale_kalman(records, K, K, pose_of(rot, [0, 0, 1.0]))
 
     def test_coincident_source_points_rejected(self):
         # one source pixel and depth seen at three target positions: the
         # source spread is zero, so no scale is observable
-        records = [MatchRecord(us=100.0, vs=120.0, ds=3.0,
-                               ut=200.0 + 10 * i, vt=140.0, dt=4.0 + i)
-                   for i in range(3)]
+        records = Matches([(100.0, 120.0, 3.0, 200.0 + 10 * i, 140.0, 4.0 + i)
+                           for i in range(3)])
         with pytest.raises(DegenerateGeometryError, match="coincide"):
             estimate_scale_kalman(records, K, K, pose_of(np.eye(3), [0, 0, 1.0]))
 
@@ -345,10 +353,9 @@ class TestDepthConsistency:
     def test_rejects_depth_corrupted_rows(self, rng):
         rot = bounded_rotation(rng)
         matches = make_matches(rng, rot, [0.5, 0.1, 0.2], 2.5, n=40)
-        bad = MatchRecord(us=matches[3].us, vs=matches[3].vs, ds=matches[3].ds,
-                          ut=matches[3].ut, vt=matches[3].vt,
-                          dt=matches[3].dt * 3.0)
-        matches[3] = bad
+        depths = matches.target_depths.copy()
+        depths[3] *= 3.0
+        matches = with_target_depths(matches, depths)
         kept = depth_consistent_indices(matches, K, K)
         assert 3 not in kept
         assert len(kept) == 39

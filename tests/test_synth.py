@@ -7,6 +7,13 @@ from pcr.scale import backproject
 from pcr.synth import SynthSpec, build_scene, generate_synthetic, read_ground_truth
 
 
+def match_points(scene):
+    """Backprojected source and target points of a scene's matches."""
+    m = scene.matches
+    return (backproject(m.source_pixels, m.source_depths, scene.intrinsics_source),
+            backproject(m.target_pixels, m.target_depths, scene.intrinsics_target))
+
+
 class TestBuildScene:
     def test_noiseless_scene_is_exact(self):
         spec = SynthSpec(noise=0.0, outlier_fraction=0.0, points=500,
@@ -18,10 +25,8 @@ class TestBuildScene:
         b = np.sort(scene.target.points.round(9), axis=0)
         assert np.allclose(a, b, atol=1e-9)
         # matches backproject onto the exact geometry
-        for m in scene.matches:
-            p = backproject((m.us, m.vs), m.ds, scene.intrinsics_source)
-            q = backproject((m.ut, m.vt), m.dt, scene.intrinsics_target)
-            assert np.allclose(scene.ground_truth.apply(p), q, atol=1e-9)
+        p, q = match_points(scene)
+        assert np.allclose(scene.ground_truth.apply(p), q, atol=1e-9)
 
     def test_outlier_count_exact(self):
         spec = SynthSpec(outlier_fraction=0.3, match_count=200, seed=5)
@@ -31,15 +36,9 @@ class TestBuildScene:
     def test_outlier_rows_inconsistent_with_ground_truth(self):
         spec = SynthSpec(noise=0.0, outlier_fraction=0.25, match_count=80, seed=9)
         scene = build_scene(spec)
-        flagged = set(int(i) for i in scene.outlier_indices)
-        mismatched = set()
-        for row, m in enumerate(scene.matches):
-            p = backproject((m.us, m.vs), m.ds, scene.intrinsics_source)
-            q = backproject((m.ut, m.vt), m.dt, scene.intrinsics_target)
-            err = np.linalg.norm(scene.ground_truth.apply(p) - q)
-            if err > 1e-6:
-                mismatched.add(row)
-        assert mismatched == flagged
+        p, q = match_points(scene)
+        err = np.linalg.norm(scene.ground_truth.apply(p) - q, axis=1)
+        assert np.array_equal(np.flatnonzero(err > 1e-6), scene.outlier_indices)
 
     @pytest.mark.parametrize("scale, seed", [(0.2, 2), (0.4, 7), (0.6, 26)])
     def test_shrunk_target_stays_in_front(self, scale, seed):
@@ -48,7 +47,7 @@ class TestBuildScene:
                          rotation_deg=40.0, seed=seed)
         scene = build_scene(spec)
         assert (scene.target.points[:, 2] > 0.0).all()
-        assert all(m.dt > 0.0 for m in scene.matches)
+        assert (scene.matches.target_depths > 0.0).all()
         mapped = scene.ground_truth.apply(scene.source.points)
         assert np.allclose(np.sort(mapped, axis=0),
                            np.sort(scene.target.points, axis=0), atol=1e-12)
