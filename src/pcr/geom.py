@@ -259,6 +259,17 @@ def vector_norm(v) -> np.ndarray:
     return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
+def column_lengths(rows: np.ndarray) -> np.ndarray:
+    """Norms of the columns of (3, ...) coordinate rows, summed x^2 + y^2,
+    then + z^2: cKDTree's order, and ``np.linalg.norm``'s over a last axis of
+    three, so the values come out bit-equal to both."""
+    x, y, z = rows
+    out = x * x
+    out += y * y
+    out += z * z
+    return np.sqrt(out, out=out)
+
+
 def skew(v) -> np.ndarray:
     """Cross-product matrix: skew(v) @ w == np.cross(v, w); (..., 3) -> (..., 3, 3)."""
     v = np.asarray(v, dtype=np.float64)

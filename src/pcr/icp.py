@@ -21,8 +21,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import TooFewPairsError
-from .geom import (RigidTransform, as_points, bounds, rotation_angle,
-                   umeyama_align)
+from .geom import (RigidTransform, as_points, bounds, column_lengths,
+                   rotation_angle, umeyama_align)
 
 # Convergence: the pose step is below ROTATION_TOL radians and
 # TRANSLATION_TOL times the target cloud diagonal, or the RMS changes by less
@@ -138,17 +138,6 @@ class NNIndex:
         return np.atleast_1d(dist), np.atleast_1d(idx)
 
 
-def _lengths(rows: np.ndarray) -> np.ndarray:
-    """Norms of the columns of (3, n) coordinate rows, summed in cKDTree's
-    order, so the nearest distance of a point comes out bit-equal to the
-    tree's."""
-    x, y, z = rows
-    out = x * x
-    out += y * y
-    out += z * z
-    return np.sqrt(out, out=out)
-
-
 def _transform_rows(pose: RigidTransform, rows: np.ndarray) -> np.ndarray:
     """``pose.apply`` on (3, n) coordinate rows: one 3x3 BLAS product and a
     per-row add."""
@@ -208,7 +197,7 @@ class NeighbourCache:
             self._gap = np.empty(rows.shape[1])
             self._walk(rows, np.arange(rows.shape[1]))
         else:
-            step = _lengths(rows - self._anchor)
+            step = column_lengths(rows - self._anchor)
             kept = 2.0 * step + CACHE_ROUNDING * self._extent < self._gap
             tied = self._gap == 0.0
             self._settle_ties(rows, np.flatnonzero(tied))
@@ -217,7 +206,7 @@ class NeighbourCache:
                 self._walk(rows, stale)
         nearest = self._nearest.copy()
         self.paired = np.take(self._index.rows, nearest, axis=1)
-        return _lengths(rows - self.paired), nearest
+        return column_lengths(rows - self.paired), nearest
 
     def _walk(self, rows: np.ndarray, which: np.ndarray) -> None:
         """Walk the tree for columns ``which`` of ``rows`` and store what it

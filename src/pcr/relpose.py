@@ -6,7 +6,10 @@ residual 1 - cos(angle between the target ray and the epipolar plane),
 thresholded at 1 - cos(arctan(psi / l)) so the pixel threshold psi maps onto
 ray space. The local optimisation's refits and the final polish share one
 nonlinear solver: Gauss-Newton on the essential manifold with an analytic
-Jacobian (Helmke et al. 2007).
+Jacobian (Helmke et al. 2007), run on a (k, 3, 3) stack of models at once.
+The hypotheses of a chunk that get locally optimised are known as soon as
+the chunk is scored, so they are refit together in one stack, and the
+winner's polish is the same solver with k = 1.
 """
 
 from __future__ import annotations
@@ -19,13 +22,15 @@ import numpy as np
 from .cloudio import CameraIntrinsics, Matches
 from .errors import (AmbiguousDecompositionError, DegenerateGeometryError,
                      InsufficientMatchesError, NoConsensusError)
-from .geom import _GENERATORS, ORTHOGONALITY_TOL, RigidTransform, freeze, skew
+from .geom import ORTHOGONALITY_TOL, RigidTransform, freeze, skew
 from .scale import backproject
 
 # Hypotheses that RANSAC draws, solves and scores together. Scoring holds a
-# few (chunk, matches[, 3]) float64 arrays, about 1 MB at 200 matches, so
-# memory stays flat for any hypothesis count. The stop is checked between
-# chunks, and the last chunk holds only the hypotheses still needed.
+# few (chunk, matches[, 3]) float64 arrays, about 1 MB at 200 matches, and
+# the local optimisation of the chunk's records holds (records, matches, 5)
+# Jacobians, no more, so memory stays flat for any hypothesis count. The
+# stop is checked between chunks, and the last chunk holds only the
+# hypotheses still needed.
 _CHUNK = 64
 
 # Confidence of the adaptive stop that one drawn minimal sample was
@@ -146,21 +151,16 @@ def essential_from_rays(rays_s, rays_t) -> np.ndarray:
     return ematrix[0]
 
 
-def _sines(ematrices: np.ndarray, rays_s: np.ndarray, rays_t: np.ndarray):
-    # Signed sine of each target ray to its epipolar plane under each of
-    # (..., 3, 3) essentials, with the planes' normals E @ ray_s and their
-    # inverse lengths. A source ray through the epipole has no plane
-    # (E @ ray_s = 0); any target direction is consistent, so its inverse
-    # length and its sine are 0: it counts as fitted and steers no refit.
+def _residuals(ematrices: np.ndarray, rays_s: np.ndarray, rays_t: np.ndarray) -> np.ndarray:
+    # Angular residuals of every ray pair under each of (..., 3, 3)
+    # essentials, from the signed sine of each target ray to its epipolar
+    # plane, whose normal is E @ ray_s. A source ray through the epipole has
+    # no plane (E @ ray_s = 0); any target direction is consistent, so its
+    # sine is 0: it counts as fitted, and _jacobian lets it steer no refit.
     normals = rays_s @ ematrices.swapaxes(-1, -2)
     norms = np.sqrt(np.einsum("...ij,...ij->...i", normals, normals))
     inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms >= 1e-300)
-    return np.einsum("...ij,...ij->...i", rays_t, normals) * inv, normals, inv
-
-
-def _residuals(ematrices: np.ndarray, rays_s: np.ndarray, rays_t: np.ndarray) -> np.ndarray:
-    # Angular residuals of every ray pair under each of (..., 3, 3) essentials.
-    sines = _sines(ematrices, rays_s, rays_t)[0]
+    sines = np.einsum("...ij,...ij->...i", rays_t, normals) * inv
     return 1.0 - np.sqrt(1.0 - np.minimum(sines * sines, 1.0))
 
 
@@ -177,18 +177,20 @@ def epipolar_residuals(ematrix, rays_s, rays_t) -> np.ndarray:
 
 def _triangulate_depths(rays_s, rays_t, rot, tdir):
     # lambda_t * q_t = R (lambda_s * q_s) + t per pair, solved in least
-    # squares as lambda_s * a + lambda_t * q_t = t with a = -R q_s. The
-    # cross-product form keeps a zero-parallax pair exactly singular (the
+    # squares as lambda_s * a + lambda_t * q_t = t with a = -R q_s, for each
+    # of (..., 3, 3) rotations with its (..., 3) direction: (..., n) depths.
+    # The cross-product form keeps a zero-parallax pair exactly singular (the
     # 2x2 normal equations lose it to cancellation); such pairs get NaN
     # depths, so no depth test counts them.
-    a = -(rays_s @ rot.T)
+    tdir = np.asarray(tdir)[..., None, :]
+    a = -(rays_s @ np.swapaxes(rot, -1, -2))
     axb = np.cross(a, rays_t)
-    sq = (axb * axb).sum(axis=1)
+    sq = (axb * axb).sum(axis=-1)
     parallax = np.sqrt(sq) > 4.0 * np.finfo(np.float64).eps \
-        * np.linalg.norm(a, axis=1) * np.linalg.norm(rays_t, axis=1)
+        * np.linalg.norm(a, axis=-1) * np.linalg.norm(rays_t, axis=-1)
     sq = np.where(parallax, sq, np.nan)
-    depth_s = (np.cross(tdir, rays_t) * axb).sum(axis=1) / sq
-    depth_t = (np.cross(a, tdir) * axb).sum(axis=1) / sq
+    depth_s = (np.cross(tdir, rays_t) * axb).sum(axis=-1) / sq
+    depth_t = (np.cross(a, tdir) * axb).sum(axis=-1) / sq
     return depth_s, depth_t
 
 
@@ -205,24 +207,18 @@ def decompose_and_disambiguate(ematrix, rays_s, rays_t) -> RelativePose:
         u = -u
     if np.linalg.det(vt) < 0.0:
         vt = -vt
-    tvec = u[:, 2]
-    candidates = []
-    for rot in (u @ _W @ vt, u @ _W.T @ vt):
-        for tdir in (tvec, -tvec):
-            candidates.append((rot, tdir))
-
-    counts = []
-    for rot, tdir in candidates:
-        ds, dt = _triangulate_depths(qs, qt, rot, tdir)
-        counts.append(int(((ds > 0.0) & (dt > 0.0)).sum()))
+    # The candidates (R1, t), (R1, -t), (R2, t), (R2, -t), scored in one call.
+    rots = np.repeat(u @ np.stack([_W, _W.T]) @ vt, 2, axis=0)
+    tdirs = np.array([1.0, -1.0, 1.0, -1.0])[:, None] * u[:, 2]
+    ds, dt = _triangulate_depths(qs, qt, rots, tdirs)
+    counts = ((ds > 0.0) & (dt > 0.0)).sum(axis=-1)
 
     order = np.argsort(counts)[::-1]
     if counts[order[0]] == counts[order[1]]:
         raise AmbiguousDecompositionError(
             "two pose candidates tie on cheirality count "
             f"({counts[order[0]]} of {qs.shape[0]})")
-    rot, tdir = candidates[order[0]]
-    return RelativePose(rotation=rot, translation=tdir,
+    return RelativePose(rotation=rots[order[0]], translation=tdirs[order[0]],
                         inliers=np.arange(qs.shape[0], dtype=np.int64))
 
 
@@ -247,32 +243,65 @@ _POLISH_STEPS = 30
 _POLISH_TOL = 1e-13
 
 
-def _manifold_step(u, vt, rays_s, rays_t):
-    # One Gauss-Newton step on the essential manifold E = U diag(1, 1, 0) V^T
-    # over the signed sine of each target ray to its epipolar plane. A step
-    # moves U by exp([a]x) and V by exp([b1, b2, 0]x): five degrees of
-    # freedom. Returns E, its five tangent directions and the step (a, b1, b2).
-    ess = u @ _FLAT @ vt
-    sines, normals, inv = _sines(ess, rays_s, rays_t)
-    d_ess = np.concatenate([u @ _GENERATORS @ _FLAT @ vt,
-                            -(u @ _FLAT @ _GENERATORS[:2] @ vt)])
-    d_normals = rays_s @ d_ess.swapaxes(-1, -2)
-    # d sine = (ray_t - sine * unit normal) . d normal / |normal|
-    lever = rays_t - (sines * inv)[:, None] * normals
-    jac = ((lever * d_normals).sum(axis=-1) * inv).T
-    return ess, d_ess, np.linalg.lstsq(jac, -sines, rcond=None)[0]
+def _jacobian(u, vt, rays_s, rays_t):
+    # Signed sine of each target ray to its epipolar plane under each of the
+    # (k, 3, 3) essentials E = U diag(1, 1, 0) V^T, and its (k, 5, n)
+    # Jacobian in the step (a, b1, b2) that moves U by exp([a]x) and V by
+    # exp([b1, b2, 0]x). In the frames p = V^T q_s and r = U^T q_t the
+    # plane's unit normal is U m with m = (p1, p2, 0) / |(p1, p2)|, and with
+    # the lever l = r - sine m (U^T of the target ray less its part along
+    # the unit normal), d sine = l . d(U^T normal) / |normal|:
+    # (m2 l3, -m1 l3, m1 l2 - m2 l1) for a and (p3 l2, -p3 l1) / |(p1, p2)|
+    # for b. The epipole rule of _residuals holds: a ray with no plane has
+    # sine 0 and a zero Jacobian column. The frames are taken as (k, 3, n)
+    # coordinate rows, so each product below runs along contiguous rays.
+    p1, p2, p3 = (vt @ rays_s.T).swapaxes(0, 1)
+    r1, r2, r3 = (u.swapaxes(-1, -2) @ rays_t.T).swapaxes(0, 1)
+    norms = np.sqrt(p1 * p1 + p2 * p2)
+    inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms >= 1e-300)
+    m1, m2, m3 = p1 * inv, p2 * inv, p3 * inv
+    sines = r1 * m1 + r2 * m2
+    l1, l2 = r1 - sines * m1, r2 - sines * m2
+    return sines, np.stack([m2 * r3, -(m1 * r3), m1 * l2 - m2 * l1, m3 * l2, -(m3 * l1)],
+                           axis=-2)
 
 
-def _refit(ematrix, rays_s, rays_t, steps: int, tol: float = 0.0) -> np.ndarray:
-    # At most `steps` _manifold_steps, each projected back onto the manifold
-    # by an SVD, ending after the first shorter than tol. A linear eight-point
-    # refit has eight degrees of freedom, and on near-planar structure its
-    # noise can drop most of the inliers it was fitted to.
-    u, _, vt = np.linalg.svd(ematrix)
+def _manifold_step(u, vt, rays_s, rays_t, weights):
+    # One Gauss-Newton step on the essential manifold for each of the
+    # (k, 3, 3) essentials U diag(1, 1, 0) V^T, over the signed sines of the
+    # rays that its row of the (k, n) 0/1 weights holds: the (k, 5) steps
+    # (a, b1, b2) of _jacobian. The 5x5 normal equations are solved through
+    # their eigenvectors, dropping eigenvalues below 1e-12 of the largest, so
+    # a rank-deficient system (a band with fewer than five rays off the
+    # epipole, say) gets the minimum-norm step that lstsq gives.
+    sines, jac = _jacobian(u, vt, rays_s, rays_t)
+    held = jac * weights[..., None, :]
+    lam, vec = np.linalg.eigh(held @ jac.swapaxes(-1, -2))
+    along = -(vec.swapaxes(-1, -2) @ (held @ sines[..., None]))[..., 0]
+    kept = lam > 1e-12 * lam[..., -1:]
+    along = np.where(kept, along / np.where(kept, lam, 1.0), 0.0)
+    return (vec @ along[..., None])[..., 0]
+
+
+def _refit(ematrices, rays_s, rays_t, weights, steps: int, tol: float = 0.0) -> np.ndarray:
+    # At most `steps` _manifold_steps on each of the (k, 3, 3) essentials over
+    # the rays its row of the (k, n) 0/1 weights holds, each step projected
+    # back onto the manifold by an SVD; ends after the first step that moved
+    # every member less than tol. A step moves E to
+    # U (F + [a]x F - F [b1, b2, 0]x) V^T with F = diag(1, 1, 0), written out
+    # below. A linear eight-point refit has eight degrees of freedom, and on
+    # near-planar structure its noise can drop most of the inliers it was
+    # fitted to.
+    u, _, vt = np.linalg.svd(ematrices)
+    moved = np.repeat(_FLAT[None], len(ematrices), axis=0)
     for _ in range(steps):
-        ess, d_ess, step = _manifold_step(u, vt, rays_s, rays_t)
-        u, _, vt = np.linalg.svd(ess + np.tensordot(step, d_ess, axes=1))
-        if np.linalg.norm(step) < tol:
+        step = _manifold_step(u, vt, rays_s, rays_t, weights)
+        a1, a2, a3, b1, b2 = step.T
+        moved[:, 0, 1], moved[:, 0, 2] = -a3, -b2
+        moved[:, 1, 0], moved[:, 1, 2] = a3, b1
+        moved[:, 2, 0], moved[:, 2, 1] = -a2, a1
+        u, _, vt = np.linalg.svd(u @ moved @ vt)
+        if (np.linalg.norm(step, axis=-1) < tol).all():
             break
     return u @ _FLAT @ vt
 
@@ -305,32 +334,47 @@ def _hypotheses_needed(inliers: int, n: int, cap: int) -> int:
     return min(cap, max(_MIN_HYPOTHESES, needed))
 
 
-def _local_optimisation(model, residuals, rays_s, rays_t, threshold):
-    # Refit a minimal model through _REFIT_LADDER and score each refit at
-    # the threshold. Returns the best (count, total residual, model, inlier
-    # mask) of the minimal model and its refits: most inliers first, then
+def _local_optimisation(models, residuals, rays_s, rays_t, threshold):
+    # Refit each of (k, 3, 3) minimal models, given its row of the (k, n)
+    # residuals, through _REFIT_LADDER: each rung refits over the band of the
+    # previous model's residuals, as 0/1 weights, and scores the refit at the
+    # threshold. A member leaves the stack at the first rung whose band holds
+    # fewer than 8 rays. Returns, per member, the best (count, total
+    # residual, model, inlier mask) of its minimal model and refits, as
+    # (k,), (k,), (k, 3, 3) and (k, n) arrays: most inliers first, then
     # least total.
-    mask = residuals <= threshold
-    best = (int(mask.sum()), float(residuals[mask].sum()), model, mask)
+    masks = residuals <= threshold
+    counts = masks.sum(axis=-1)
+    totals = np.where(masks, residuals, 0.0).sum(axis=-1)
+    best_models = models.copy()
+    live = np.arange(len(models))
     for factor in _REFIT_LADDER:
         band = residuals <= factor * threshold
-        if int(band.sum()) < 8:
+        stay = band.sum(axis=-1) >= 8
+        live, models, band = live[stay], models[stay], band[stay]
+        if not live.size:
             break
-        model = _refit(model, rays_s[band], rays_t[band], _REFIT_STEPS)
-        residuals = epipolar_residuals(model, rays_s, rays_t)
+        models = _refit(models, rays_s, rays_t, band, _REFIT_STEPS)
+        residuals = _residuals(models, rays_s, rays_t)
         mask = residuals <= threshold
-        count, total = int(mask.sum()), float(residuals[mask].sum())
-        if count > best[0] or (count == best[0] and total < best[1]):
-            best = (count, total, model, mask)
-    return best
+        count = mask.sum(axis=-1)
+        total = np.where(mask, residuals, 0.0).sum(axis=-1)
+        better = (count > counts[live]) | ((count == counts[live]) & (total < totals[live]))
+        won = live[better]
+        counts[won], totals[won] = count[better], total[better]
+        best_models[won], masks[won] = models[better], mask[better]
+    return counts, totals, best_models, masks
 
 
 def _consensus(rays_s, rays_t, threshold, cfg: RansacConfig):
     # Adaptive LO-RANSAC. Hypotheses are drawn, solved and scored _CHUNK at
     # a time, then walked in draw order: each one that raises the best
-    # minimal inlier count is locally optimised, and every minimal model and
-    # refit competes under one rule: most inliers, then least total
-    # residual; an exact tie between different inlier sets is an error.
+    # minimal inlier count (a record) is locally optimised, and every
+    # minimal model and refit competes under one rule: most inliers, then
+    # least total residual; an exact tie between different inlier sets is
+    # an error. Which hypotheses are records depends only on the minimal
+    # counts, so a chunk's records are found by one running maximum and
+    # optimised in one stack before the walk, which reads the results.
     # After each chunk the stop count is re-derived from the best count.
     # Returns (model, inlier mask, count, hypotheses drawn).
     n = rays_s.shape[0]
@@ -348,12 +392,15 @@ def _consensus(rays_s, rays_t, threshold, cfg: RansacConfig):
         residuals = _residuals(models, rays_s, rays_t)
         masks = residuals <= threshold
         counts = masks.sum(axis=1)
+        running = np.maximum.accumulate(np.concatenate([[top_minimal], counts]))
+        records = counts > running[:-1]
+        optimised = zip(*_local_optimisation(models[records], residuals[records],
+                                             rays_s, rays_t, threshold))
         for j in np.flatnonzero(counts >= top_minimal):
             count = int(counts[j])
-            if count > top_minimal:
-                top_minimal = count
-                count, total, model, mask = _local_optimisation(
-                    models[j], residuals[j], rays_s, rays_t, threshold)
+            if records[j]:
+                count, total, model, mask = next(optimised)
+                count, total = int(count), float(total)
             elif count == best_count:
                 total, model, mask = float(residuals[j][masks[j]].sum()), models[j], masks[j]
             else:
@@ -364,6 +411,7 @@ def _consensus(rays_s, rays_t, threshold, cfg: RansacConfig):
             elif count == best_count and total == best_total \
                     and not np.array_equal(mask, best_mask):
                 tied = True
+        top_minimal = int(running[-1])
         stop = _hypotheses_needed(best_count, n, cfg.max_iterations)
 
     if best_count < 8:
@@ -403,8 +451,8 @@ def ransac_relative_pose(matches: Matches, intrinsics_source: CameraIntrinsics,
     threshold = angular_threshold(cfg.pixel_threshold, intrinsics_target.fx)
 
     win_model, win_mask, _, _ = _consensus(rays_s, rays_t, threshold, cfg)
-    polished = _refit(win_model, rays_s[win_mask], rays_t[win_mask],
-                      _POLISH_STEPS, _POLISH_TOL)
+    polished = _refit(win_model[None], rays_s, rays_t, win_mask[None],
+                      _POLISH_STEPS, _POLISH_TOL)[0]
     pose = decompose_and_disambiguate(polished, rays_s[win_mask], rays_t[win_mask])
     final_res = epipolar_residuals(skew(pose.translation) @ pose.rotation, rays_s, rays_t)
     final_mask = final_res <= threshold

@@ -15,7 +15,7 @@ import numpy as np
 
 from .cloudio import CameraIntrinsics, Cloud, Matches
 from .errors import DegenerateGeometryError, InsufficientMatchesError
-from .geom import bounds, freeze, vector_norm
+from .geom import bounds, column_lengths, freeze, vector_norm
 
 # Depth-consistency gate: a match is kept when its median pairwise distance
 # ratio lies within GATE_MADS robust scatters of the global median, with a
@@ -116,6 +116,14 @@ def _row_nanmedian(values: np.ndarray) -> np.ndarray:
     return (ordered[rows, (count - 1) // 2] + ordered[rows, count // 2]) / 2.0
 
 
+def _pair_distances(points: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    # |p_i - p_c| for every point i and every c in cols, from the
+    # differences of each coordinate row: bit-equal to np.linalg.norm over
+    # the (n, m, 3) differences, without its strided reduction.
+    rows = np.ascontiguousarray(points.T)
+    return column_lengths(rows[:, :, None] - rows[:, None, cols])
+
+
 def depth_consistent_indices(matches: Matches, intrinsics_source: CameraIntrinsics,
                              intrinsics_target: CameraIntrinsics) -> np.ndarray:
     """Indices of matches whose backprojected pair is 3D-consistent.
@@ -136,8 +144,8 @@ def depth_consistent_indices(matches: Matches, intrinsics_source: CameraIntrinsi
     cols = np.arange(src.shape[0])
     if cols.size > 500:
         cols = cols[:: (cols.size + 499) // 500]
-    ds = np.linalg.norm(src[:, None, :] - src[None, cols, :], axis=2)
-    dt = np.linalg.norm(tgt[:, None, :] - tgt[None, cols, :], axis=2)
+    ds = _pair_distances(src, cols)
+    dt = _pair_distances(tgt, cols)
     ratios = np.where(ds > 1e-12, dt / np.maximum(ds, 1e-12), np.nan)
     ratios[cols, np.arange(cols.size)] = np.nan
     row_med = _row_nanmedian(ratios)

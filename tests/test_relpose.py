@@ -220,6 +220,25 @@ class TestDecompose:
         ds, dt = _triangulate_depths(ray, -ray, np.eye(3), np.array([1.0, 0.0, 0.0]))
         assert np.isnan(ds).all() and np.isnan(dt).all()
 
+    def test_stacked_candidates_match_per_candidate_loop(self, rng):
+        # four (R, t) candidates in one call give each candidate's own depths
+        # and counts; the last pair has zero parallax under the identity
+        from pcr.relpose import _triangulate_depths
+        matches, rot, tdir, _ = two_view_scene(rng, n=40, pixel_noise=0.5)
+        rays_s, rays_t = rays_of(matches)
+        rays_s, rays_t = np.vstack([rays_s, rays_s[:1]]), np.vstack([rays_t, rays_s[:1]])
+        rots = np.stack([rot, np.eye(3), rot.T, rodrigues([1.0, -0.5, 0.2], 2.0)])
+        tdirs = np.stack([tdir, [1.0, 0.0, 0.0], -tdir, [0.0, 0.6, -0.8]])
+        ds, dt = _triangulate_depths(rays_s, rays_t, rots, tdirs)
+        assert np.isnan(ds[1, -1]) and np.isnan(dt[1, -1])
+        counts = ((ds > 0.0) & (dt > 0.0)).sum(axis=-1)
+        for i in range(4):
+            one_s, one_t = _triangulate_depths(rays_s, rays_t, rots[i], tdirs[i])
+            assert np.array_equal(ds[i], one_s, equal_nan=True)
+            assert np.array_equal(dt[i], one_t, equal_nan=True)
+            assert counts[i] == ((one_s > 0.0) & (one_t > 0.0)).sum()
+        assert ((ds[0, :40] > 0.0) & (dt[0, :40] > 0.0)).all()
+
 
 def random_samples(rng, count, rows, pixel_noise=0.5):
     # count (rows, 3) ray bundles drawn from one noisy two-view scene
@@ -309,8 +328,10 @@ def stop_formula(count, n, cap):
 
 def reference_consensus(rays_s, rays_t, threshold, cfg):
     """The adaptive LO-RANSAC loop one hypothesis at a time: each sample of
-    the module's stream is solved and scored on its own, and the stop count
-    is re-derived after every chunk of the stream."""
+    the module's stream is solved and scored on its own, each sample that
+    raises the best minimal count is locally optimised alone (the stacked
+    kernel with k = 1), and the stop count is re-derived after every chunk
+    of the stream."""
     n = len(rays_s)
     rng = np.random.default_rng(cfg.seed)
     best_count, best_total, best_model, best_mask = -1, np.inf, None, None
@@ -328,8 +349,10 @@ def reference_consensus(rays_s, rays_t, threshold, cfg):
             count = int(mask.sum())
             if count > top_minimal:
                 top_minimal = count
-                count, total, model, mask = relpose._local_optimisation(
-                    model, residuals, rays_s, rays_t, threshold)
+                count, total, model, mask = (
+                    out[0] for out in relpose._local_optimisation(
+                        model[None], residuals[None], rays_s, rays_t, threshold))
+                count, total = int(count), float(total)
             elif count == best_count:
                 total = float(residuals[mask].sum())
             else:
@@ -532,6 +555,80 @@ class TestRansac:
             ransac_relative_pose(matches, K, K, RansacConfig(max_iterations=300))
 
 
+def tangent_jacobian(u, vt, rays_s, rays_t):
+    """Signed sines and their (n, 5) Jacobian built from the five tangent
+    directions of E = U diag(1, 1, 0) V^T, one (n, 3) product each: the
+    construction the closed form replaced, kept as an oracle."""
+    from pcr.geom import _GENERATORS
+    flat = np.diag([1.0, 1.0, 0.0])
+    ess = u @ flat @ vt
+    normals = rays_s @ ess.T
+    norms = np.linalg.norm(normals, axis=1)
+    inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms >= 1e-300)
+    sines = (rays_t * normals).sum(axis=1) * inv
+    d_ess = np.concatenate([u @ _GENERATORS @ flat @ vt, -(u @ flat @ _GENERATORS[:2] @ vt)])
+    d_normals = rays_s @ d_ess.swapaxes(-1, -2)
+    lever = rays_t - (sines * inv)[:, None] * normals
+    return sines, ((lever * d_normals).sum(axis=-1) * inv).T
+
+
+class TestManifoldStep:
+    def test_closed_form_jacobian_matches_tangent_stack(self, rng):
+        matches, *_ = two_view_scene(rng, n=60, pixel_noise=0.5, outliers=0.3)
+        rays_s, rays_t = rays_of(matches)
+        ematrices = np.stack([essential_from_rays(rays_s[i:i + 8], rays_t[i:i + 8])
+                              for i in (0, 20, 40)])
+        u, _, vt = np.linalg.svd(ematrices)
+        sines, jac = relpose._jacobian(u, vt, rays_s, rays_t)
+        assert jac.shape == (3, 5, 60)
+        for k in range(3):
+            want_sines, want_jac = tangent_jacobian(u[k], vt[k], rays_s, rays_t)
+            np.testing.assert_allclose(sines[k], want_sines, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(jac[k].T, want_jac, rtol=0, atol=1e-13)
+
+    def test_rank_deficient_band_gets_lstsq_step(self, rng):
+        # E = [z]x: four of the eight source rays lie on its epipole +z and
+        # have no epipolar plane, so only four rows constrain five unknowns
+        start = skew(np.array([0.0, 0.0, 1.0]))
+        others = rng.normal(size=(4, 3)) + [0.0, 0.0, 4.0]
+        rays_s = np.vstack([np.tile([0.0, 0.0, 1.0], (4, 1)), others])
+        rays_s /= np.linalg.norm(rays_s, axis=1, keepdims=True)
+        rays_t = rays_s @ rodrigues([0.3, 1.0, -0.2], 0.1).T + rng.normal(scale=0.05, size=(8, 3))
+        rays_t /= np.linalg.norm(rays_t, axis=1, keepdims=True)
+        u, _, vt = np.linalg.svd(start)
+        sines, jac = tangent_jacobian(u, vt, rays_s, rays_t)
+        assert np.linalg.matrix_rank(jac) == 4
+        want = np.linalg.lstsq(jac, -sines, rcond=None)[0]
+        step = relpose._manifold_step(u[None], vt[None], rays_s, rays_t, np.ones((1, 8)))[0]
+        assert np.linalg.norm(want) > 1e-3
+        np.testing.assert_allclose(step, want, rtol=0, atol=1e-12)
+
+    def test_stacked_local_optimisation_matches_each_member_alone(self):
+        # the four best of 256 minimal models on an edge-small scene, and two
+        # with no band of 8 rays, which leave the stack at its first rung
+        scene = build_scene(SynthSpec(seed=1003, scale=2.5, rotation_deg=15.0,
+                                      noise=0.005, outlier_fraction=0.3,
+                                      points=2000, match_count=200))
+        cam = scene.intrinsics_source
+        rays_s = bearing_rays(scene.matches.source_pixels, cam)
+        rays_t = bearing_rays(scene.matches.target_pixels, cam)
+        threshold = angular_threshold(1.0, cam.fx)
+        samples = relpose._draw_samples(np.random.default_rng(5), 200, 256)
+        models, ok = relpose._essentials(rays_s[samples], rays_t[samples])
+        residuals = relpose._residuals(models[ok], rays_s, rays_t)
+        counts = (residuals <= threshold).sum(axis=1)
+        pick = np.concatenate([np.argsort(counts)[-4:], np.argsort(counts)[:2]])
+        stacked = relpose._local_optimisation(models[ok][pick], residuals[pick],
+                                              rays_s, rays_t, threshold)
+        assert (stacked[0][:4] >= 130).all()
+        assert ((residuals[pick[4:]] <= 8.0 * threshold).sum(axis=1) < 8).all()
+        for k, j in enumerate(pick):
+            alone = relpose._local_optimisation(models[ok][j][None], residuals[j][None],
+                                                rays_s, rays_t, threshold)
+            for got, want in zip(stacked, alone):
+                assert np.array_equal(got[k], want[0])
+
+
 class TestPolish:
     # scenes whose RANSAC winner is off the minimum over its inliers by 0.2%
     # to 41% in cost, so the polish has work to do
@@ -557,7 +654,8 @@ class TestPolish:
         assert abs(cost - cost_lm) <= 1e-12 * cost_lm
         # the polished pose is a fixed point of the Gauss-Newton step
         u, _, vt = np.linalg.svd(skew(pose.translation) @ pose.rotation)
-        *_, step = relpose._manifold_step(u, vt, fit_s, fit_t)
+        step = relpose._manifold_step(u[None], vt[None], fit_s, fit_t,
+                                      np.ones((1, len(fit_s))))[0]
         assert np.linalg.norm(step) < relpose._POLISH_TOL
 
     def test_source_ray_at_epipole_steers_nothing(self, rng):
@@ -570,9 +668,10 @@ class TestPolish:
         rays_s = pts / np.linalg.norm(pts, axis=1, keepdims=True)
         rays_t = qts / np.linalg.norm(qts, axis=1, keepdims=True)
         start = skew(np.array([0.0, 0.0, 1.0]))
-        alone = relpose._refit(start, rays_s, rays_t, 1)
-        with_epipole = relpose._refit(start, np.vstack([rays_s, [0.0, 0.0, 1.0]]),
-                                      np.vstack([rays_t, [0.6, 0.0, 0.8]]), 1)
+        alone = relpose._refit(start[None], rays_s, rays_t, np.ones((1, 40)), 1)[0]
+        with_epipole = relpose._refit(start[None], np.vstack([rays_s, [0.0, 0.0, 1.0]]),
+                                      np.vstack([rays_t, [0.6, 0.0, 0.8]]),
+                                      np.ones((1, 41)), 1)[0]
         assert np.abs(alone - start).max() > 1e-2
         np.testing.assert_allclose(with_epipole, alone, rtol=0, atol=1e-14)
 

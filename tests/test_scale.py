@@ -370,3 +370,20 @@ class TestDepthConsistency:
                 warnings.simplefilter("ignore", RuntimeWarning)
                 expected = np.nanmedian(values, axis=1)
             assert np.array_equal(_row_nanmedian(values), expected, equal_nan=True)
+
+    @pytest.mark.parametrize("n", [139, 1200])
+    def test_pair_distances_bit_equal_to_norm_form(self, rng, monkeypatch, n):
+        # 139 matches take every column; past 500 the gate subsamples them
+        from pcr import scale
+        matches = make_matches(rng, bounded_rotation(rng), [0.5, 0.1, 0.2], 2.5, n=n,
+                               depth_noise=0.02)
+        cols = np.arange(n)
+        if n > 500:
+            cols = cols[:: (n + 499) // 500]
+        for pts in match_points(matches):
+            expected = np.linalg.norm(pts[:, None, :] - pts[None, cols, :], axis=2)
+            assert np.array_equal(scale._pair_distances(pts, cols), expected)
+        kept = depth_consistent_indices(matches, K, K)
+        monkeypatch.setattr(scale, "_pair_distances", lambda pts, cols: np.linalg.norm(
+            pts[:, None, :] - pts[None, cols, :], axis=2))
+        assert np.array_equal(depth_consistent_indices(matches, K, K), kept)
