@@ -23,7 +23,7 @@ from .pipeline import PipelineConfig, run_pipeline
 from .relpose import (RansacConfig, RelativePose, angular_threshold,
                       decompose_and_disambiguate, essential_from_rays,
                       ransac_relative_pose)
-from .scale import (ScaleDetection, ScaleEstimate, backproject, detect_scale,
+from .scale import (ScaleDetection, ScaleEstimate, detect_scale,
                     estimate_scale_kalman)
 from .synth import SynthSpec, build_scene, generate_synthetic
 

@@ -28,28 +28,34 @@ def _build_parser() -> tuple[argparse.ArgumentParser, ...]:
     reg.add_argument("--intrinsics-target", help="target camera intrinsics JSON")
     reg.add_argument("--out", required=True, help="report JSON output path")
     reg.add_argument("--transformed", help="write the transformed source cloud here")
-    reg.add_argument("--crop-fraction", type=float, default=0.25)
+    reg.add_argument("--crop-fraction", type=float,
+                     default=filters.FilterConfig.crop_fraction)
     reg.add_argument("--no-filter", action="store_true",
                      help="skip the crop and remote-point filters")
     reg.add_argument("--no-scale", action="store_true",
                      help="skip scale estimation even when a gap is detected")
-    reg.add_argument("--sigma-z", type=float, default=0.01,
+    reg.add_argument("--sigma-z", type=float, default=PipelineConfig.sigma_z,
                      help="assumed per-coordinate sensor noise std")
-    reg.add_argument("--seed", type=int, default=42, help="RANSAC sampling seed")
-    reg.add_argument("--max-icp-iters", type=int, default=100)
-    reg.add_argument("--ransac-psi", type=float, default=1.0,
+    reg.add_argument("--seed", type=int, default=relpose.RansacConfig.seed,
+                     help="RANSAC sampling seed")
+    reg.add_argument("--max-icp-iters", type=int,
+                     default=icp.IcpConfig.max_iterations)
+    reg.add_argument("--ransac-psi", type=float,
+                     default=relpose.RansacConfig.pixel_threshold,
                      help="RANSAC pixel threshold")
-    reg.add_argument("--ransac-iters", type=int, default=1000,
+    reg.add_argument("--ransac-iters", type=int,
+                     default=relpose.RansacConfig.max_iterations,
                      help="upper bound on RANSAC hypotheses")
 
     syn = sub.add_parser("synth", help="generate a synthetic test scene")
-    syn.add_argument("--scale", type=float, default=2.5)
-    syn.add_argument("--rot-deg", type=float, default=15.0)
-    syn.add_argument("--points", type=int, default=2000)
-    syn.add_argument("--noise", type=float, default=0.005)
-    syn.add_argument("--outliers", type=float, default=0.0)
-    syn.add_argument("--matches", type=int, default=200)
-    syn.add_argument("--seed", type=int, default=7)
+    spec = synth.SynthSpec
+    syn.add_argument("--scale", type=float, default=spec.scale)
+    syn.add_argument("--rot-deg", type=float, default=spec.rotation_deg)
+    syn.add_argument("--points", type=int, default=spec.points)
+    syn.add_argument("--noise", type=float, default=spec.noise)
+    syn.add_argument("--outliers", type=float, default=spec.outlier_fraction)
+    syn.add_argument("--matches", type=int, default=spec.match_count)
+    syn.add_argument("--seed", type=int, default=spec.seed)
     syn.add_argument("--out-dir", required=True)
     return parser, reg, syn
 

@@ -1,5 +1,8 @@
 """Point cloud, correspondence, intrinsics, and report file formats.
 
+``CameraIntrinsics`` also carries the pinhole camera model: backprojection
+of pixels with depth, projection of camera-frame points and bearing rays.
+
 Formats handled here:
   * PLY clouds, ASCII or binary little-endian, vertex element with float or
     double x/y/z properties (big-endian deliberately rejected).
@@ -71,6 +74,36 @@ class CameraIntrinsics:
         if self.fx <= 0.0 or self.fy <= 0.0:
             raise ValueError("focal lengths must be positive")
 
+    def _unit_depth_rays(self, pixels) -> np.ndarray:
+        # ((X - cx)/fx, (Y - cy)/fy, 1) for each (X, Y) in (n, 2) pixels.
+        px = np.asarray(pixels, dtype=np.float64)
+        x, y = px[:, 0], px[:, 1]
+        return np.stack([(x - self.cx) / self.fx, (y - self.cy) / self.fy,
+                         np.ones_like(x)], axis=-1)
+
+    def backproject(self, pixels, depths) -> np.ndarray:
+        """(n, 3) camera-frame points of (n, 2) pixels at (n,) depths: each
+        unit-depth ray scaled by its depth. Every depth must be positive and
+        finite."""
+        depths = np.asarray(depths, dtype=np.float64)
+        if not (np.isfinite(depths).all() and (depths > 0.0).all()):
+            raise ValueError("depth must be positive and finite")
+        return depths[:, None] * self._unit_depth_rays(pixels)
+
+    def project(self, points) -> np.ndarray:
+        """(n, 2) pixels of (n, 3) camera-frame points, every one of which
+        must lie in front of the camera."""
+        pts = np.asarray(points, dtype=np.float64)
+        x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+        if (z <= 0.0).any():
+            raise ValueError("point must lie in front of the camera")
+        return np.stack([self.fx * x / z + self.cx, self.fy * y / z + self.cy], axis=-1)
+
+    def bearings(self, pixels) -> np.ndarray:
+        """(n, 3) unit bearing vectors of (n, 2) pixels."""
+        rays = self._unit_depth_rays(pixels)
+        return rays / np.linalg.norm(rays, axis=-1, keepdims=True)
+
 
 _MATCH_HEADER = "us,vs,ds,ut,vt,dt"
 _MATCH_COLUMNS = _MATCH_HEADER.split(",")
@@ -133,6 +166,12 @@ class Matches:
     def has_depths(self) -> np.ndarray:
         """Mask of the matches whose source and target depths are both known."""
         return ~np.isnan(self.table[:, _DEPTH_COLUMNS]).any(axis=1)
+
+    def points(self, k_source: CameraIntrinsics, k_target: CameraIntrinsics):
+        """Backprojected (source, target) (n, 3) camera-frame points; every
+        match must have both depths."""
+        return (k_source.backproject(self.source_pixels, self.source_depths),
+                k_target.backproject(self.target_pixels, self.target_depths))
 
 
 # ---------------------------------------------------------------------------

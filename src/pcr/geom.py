@@ -70,10 +70,7 @@ class RigidTransform:
         return cls(np.eye(3), np.zeros(3))
 
     def apply(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim == 1:
-            return self.rotation @ pts + self.translation
-        return pts @ self.rotation.T + self.translation
+        return np.asarray(points, dtype=np.float64) @ self.rotation.T + self.translation
 
     def compose(self, other: "RigidTransform") -> "RigidTransform":
         """Transform equal to applying ``other`` first, then ``self``."""
@@ -112,10 +109,8 @@ class SimilarityTransform:
         return self.rigid.translation
 
     def apply(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim == 1:
-            return self.scale * (self.rotation @ pts) + self.translation
-        return self.scale * (pts @ self.rotation.T) + self.translation
+        return self.scale * (np.asarray(points, dtype=np.float64) @ self.rotation.T) \
+            + self.translation
 
     def compose(self, other: "SimilarityTransform") -> "SimilarityTransform":
         """Transform equal to applying ``other`` first, then ``self``.

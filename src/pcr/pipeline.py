@@ -51,7 +51,7 @@ def _stage(name: str, func, *args, **kwargs):
         return func(*args, **kwargs)
     except StageError:
         raise
-    except (RegistrationError, ValueError, IndexError, OSError) as exc:
+    except (RegistrationError, ValueError, OSError) as exc:
         raise StageError(name, EXIT_CODES[name], exc) from exc
 
 

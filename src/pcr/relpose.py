@@ -23,7 +23,6 @@ from .cloudio import CameraIntrinsics, Matches
 from .errors import (AmbiguousDecompositionError, DegenerateGeometryError,
                      InsufficientMatchesError, NoConsensusError)
 from .geom import ORTHOGONALITY_TOL, RigidTransform, freeze, skew
-from .scale import backproject
 
 # Hypotheses that RANSAC draws, solves and scores together. Scoring holds a
 # few (chunk, matches[, 3]) float64 arrays, about 1 MB at 200 matches, and
@@ -92,12 +91,6 @@ def angular_threshold(psi: float, focal: float) -> float:
     if not (0.0 < psi < math.inf and 0.0 < focal < math.inf):
         raise ValueError("psi and focal length must be positive and finite")
     return 1.0 - np.cos(np.arctan(psi / focal))
-
-
-def bearing_rays(pixels, intrinsics: CameraIntrinsics) -> np.ndarray:
-    """Unit bearing vectors for (n, 2) pixels under a pinhole camera."""
-    rays = backproject(pixels, 1.0, intrinsics)
-    return rays / np.linalg.norm(rays, axis=-1, keepdims=True)
 
 
 def _essentials(rays_s: np.ndarray, rays_t: np.ndarray):
@@ -445,8 +438,8 @@ def ransac_relative_pose(matches: Matches, intrinsics_source: CameraIntrinsics,
     if n < 8:
         raise InsufficientMatchesError(f"RANSAC needs at least 8 matches, got {n}")
 
-    rays_s = bearing_rays(matches.source_pixels, intrinsics_source)
-    rays_t = bearing_rays(matches.target_pixels, intrinsics_target)
+    rays_s = intrinsics_source.bearings(matches.source_pixels)
+    rays_t = intrinsics_target.bearings(matches.target_pixels)
 
     threshold = angular_threshold(cfg.pixel_threshold, intrinsics_target.fx)
 

@@ -1,10 +1,11 @@
 """Scale difference detection and estimation between two capture sessions.
 
-Detection compares bounding-diagonal lengths of the two clouds. Estimation
-backprojects matched keypoints to 3D using per-pixel depths and returns, in
-closed form, the fixed point of the paper's scalar Kalman filter over the
-scale: the least-squares scale and translation of the matched points under
-the known relative rotation.
+Detection compares bounding-diagonal lengths of the two clouds. The depth
+gate and the estimate work on the matches' 3D points, which
+``Matches.points`` backprojects through each camera's intrinsics. The
+estimate is, in closed form, the fixed point of the paper's scalar Kalman
+filter over the scale: the least-squares scale and translation of the
+matched points under the known relative rotation.
 """
 
 from __future__ import annotations
@@ -71,40 +72,6 @@ def detect_scale(source: Cloud, target: Cloud, tolerance: float = 0.1) -> ScaleD
     return ScaleDetection(ratio=ratio, differs=abs(ratio - 1.0) > tolerance)
 
 
-def backproject(pixel, depth, intrinsics: CameraIntrinsics) -> np.ndarray:
-    """Lift pixels with known depth to 3D camera-frame points.
-
-    The unit-depth ray ((X - cx)/fx, (Y - cy)/fy, 1) is scaled by the depth.
-    Takes one pixel (2,) with a scalar depth, or pixels (n, 2) with depths
-    (n,), and returns (3,) or (n, 3) accordingly.
-    """
-    px = np.asarray(pixel, dtype=np.float64)
-    depth = np.asarray(depth, dtype=np.float64)
-    if not (np.isfinite(depth).all() and (depth > 0.0).all()):
-        raise ValueError("depth must be positive and finite")
-    x, y = px[..., 0], px[..., 1]
-    rays = np.stack([(x - intrinsics.cx) / intrinsics.fx,
-                     (y - intrinsics.cy) / intrinsics.fy,
-                     np.ones_like(x)], axis=-1)
-    return depth[..., None] * rays
-
-
-def project_pinhole(point, intrinsics: CameraIntrinsics) -> tuple[float, float]:
-    """Pinhole projection of a camera-frame point with positive depth."""
-    p = np.asarray(point, dtype=np.float64).reshape(3)
-    if p[2] <= 0.0:
-        raise ValueError("point must lie in front of the camera")
-    return (intrinsics.fx * p[0] / p[2] + intrinsics.cx,
-            intrinsics.fy * p[1] / p[2] + intrinsics.cy)
-
-
-def _match_points(matches: Matches, intrinsics_source: CameraIntrinsics,
-                  intrinsics_target: CameraIntrinsics):
-    # Backprojected (source, target) 3D points of matches with both depths.
-    return (backproject(matches.source_pixels, matches.source_depths, intrinsics_source),
-            backproject(matches.target_pixels, matches.target_depths, intrinsics_target))
-
-
 def _row_nanmedian(values: np.ndarray) -> np.ndarray:
     # np.nanmedian(values, axis=1) bit for bit, without numpy's masked-array
     # path for short rows. NaNs sort last, so a row's median is the mean of
@@ -139,7 +106,7 @@ def depth_consistent_indices(matches: Matches, intrinsics_source: CameraIntrinsi
     idx = np.flatnonzero(matches.has_depths)
     if idx.size < 3:
         return idx
-    src, tgt = _match_points(matches[idx], intrinsics_source, intrinsics_target)
+    src, tgt = matches[idx].points(intrinsics_source, intrinsics_target)
 
     cols = np.arange(src.shape[0])
     if cols.size > 500:
@@ -188,7 +155,7 @@ def estimate_scale_kalman(matches: Matches, intrinsics_source: CameraIntrinsics,
         raise InsufficientMatchesError(
             f"scale estimation needs at least 3 matches with both depths, got {len(usable)}")
 
-    src, tgt = _match_points(usable, intrinsics_source, intrinsics_target)
+    src, tgt = usable.points(intrinsics_source, intrinsics_target)
     rotated = src @ np.asarray(rel_pose.rotation, dtype=np.float64).T
     scale, translation = _similarity_fit(rotated, tgt)
     residuals = vector_norm(tgt - scale * rotated - translation)

@@ -20,7 +20,6 @@ import numpy as np
 from .cloudio import (CameraIntrinsics, Cloud, Matches, write_intrinsics,
                       write_matches, write_ply)
 from .geom import RigidTransform, SimilarityTransform, bounds, rotation_about_axis
-from .scale import project_pinhole
 
 # 640x480 session camera used for every generated scene.
 _INTRINSICS = CameraIntrinsics(fx=525.0, fy=525.0, cx=319.5, cy=239.5)
@@ -141,14 +140,12 @@ def build_scene(spec: SynthSpec) -> SynthScene:
     depth_lo = float(tgt_clean[:, 2].min())
     depth_hi = float(tgt_clean[:, 2].max())
 
+    # Noise is drawn row by row: every generated scene depends on that order.
+    src_m, tgt_m = src_pts[match_idx], tgt_clean[match_idx]
+    rows = zip(_INTRINSICS.project(src_m), _INTRINSICS.project(tgt_m),
+               src_m[:, 2], tgt_m[:, 2])
     table = []
-    for row, idx in enumerate(match_idx):
-        p = src_pts[idx]
-        q = tgt_clean[idx]
-        us, vs = project_pinhole(p, _INTRINSICS)
-        ut, vt = project_pinhole(q, _INTRINSICS)
-        ds = float(p[2])
-        dt = float(q[2])
+    for row, ((us, vs), (ut, vt), ds, dt) in enumerate(rows):
         if spec.noise > 0.0:
             us += rng.normal(scale=_PIXEL_SIGMA)
             vs += rng.normal(scale=_PIXEL_SIGMA)

@@ -135,6 +135,16 @@ class TestRunPipeline:
         assert err.value.exit_code == 6
         assert "matches" in str(err.value)
 
+    def test_index_error_in_a_stage_propagates(self, scene_dir, monkeypatch):
+        # no stage raises IndexError on purpose: one is a bug, not a stage
+        # failure with an exit code
+        def broken(*args):
+            raise IndexError("index 3 is out of bounds")
+
+        monkeypatch.setattr(pcr.pipeline.scale, "detect_scale", broken)
+        with pytest.raises(IndexError):
+            run_pipeline(config_for(scene_dir))
+
     def test_missing_file_is_stage1(self, tmp_path):
         with pytest.raises(StageError) as err:
             run_pipeline(PipelineConfig(source=str(tmp_path / "nope.ply"),

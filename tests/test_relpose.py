@@ -11,10 +11,8 @@ from pcr.cloudio import CameraIntrinsics, Matches
 from pcr import relpose
 from pcr.errors import (AmbiguousDecompositionError, DegenerateGeometryError,
                         InsufficientMatchesError, NoConsensusError)
-from pcr.relpose import (RansacConfig, angular_threshold, bearing_rays,
-                         decompose_and_disambiguate, epipolar_residuals,
-                         essential_from_rays, ransac_relative_pose)
-from pcr.scale import project_pinhole
+from pcr.relpose import (RansacConfig, angular_threshold, decompose_and_disambiguate,
+                         epipolar_residuals, essential_from_rays, ransac_relative_pose)
 from pcr.synth import SynthSpec, build_scene
 
 from conftest import rodrigues, rotation_angle_between
@@ -46,9 +44,7 @@ def two_view_scene(rng, n=200, rot_deg=12.0, pixel_noise=0.0, outliers=0.0,
     pixels = []
     n_out = int(np.floor(outliers * n + 0.5))
     out_rows = set(rng.choice(n, size=n_out, replace=False).tolist()) if n_out else set()
-    for i, (p, q) in enumerate(zip(pts, qts)):
-        us, vs = project_pinhole(p, K)
-        ut, vt = project_pinhole(q, K)
+    for i, ((us, vs), (ut, vt)) in enumerate(zip(K.project(pts), K.project(qts))):
         if pixel_noise:
             us += rng.normal(scale=pixel_noise)
             vs += rng.normal(scale=pixel_noise)
@@ -63,7 +59,7 @@ def two_view_scene(rng, n=200, rot_deg=12.0, pixel_noise=0.0, outliers=0.0,
 
 
 def rays_of(matches):
-    return bearing_rays(matches.source_pixels, K), bearing_rays(matches.target_pixels, K)
+    return K.bearings(matches.source_pixels), K.bearings(matches.target_pixels)
 
 
 class TestAngularThreshold:
@@ -505,8 +501,8 @@ class TestRansac:
                                       noise=0.005, outlier_fraction=0.3,
                                       points=2000, match_count=200))
         cam = scene.intrinsics_source
-        rays_s = bearing_rays(scene.matches.source_pixels, cam)
-        rays_t = bearing_rays(scene.matches.target_pixels, cam)
+        rays_s = cam.bearings(scene.matches.source_pixels)
+        rays_t = cam.bearings(scene.matches.target_pixels)
         threshold = angular_threshold(1.0, cam.fx)
         *_, count, drawn = relpose._consensus(rays_s, rays_t, threshold, RansacConfig())
         assert count >= 130
@@ -610,8 +606,8 @@ class TestManifoldStep:
                                       noise=0.005, outlier_fraction=0.3,
                                       points=2000, match_count=200))
         cam = scene.intrinsics_source
-        rays_s = bearing_rays(scene.matches.source_pixels, cam)
-        rays_t = bearing_rays(scene.matches.target_pixels, cam)
+        rays_s = cam.bearings(scene.matches.source_pixels)
+        rays_t = cam.bearings(scene.matches.target_pixels)
         threshold = angular_threshold(1.0, cam.fx)
         samples = relpose._draw_samples(np.random.default_rng(5), 200, 256)
         models, ok = relpose._essentials(rays_s[samples], rays_t[samples])

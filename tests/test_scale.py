@@ -7,8 +7,7 @@ import pytest
 from pcr.cloudio import CameraIntrinsics, Cloud, Matches
 from pcr.errors import DegenerateGeometryError, InsufficientMatchesError
 from pcr.relpose import RelativePose
-from pcr.scale import (backproject, depth_consistent_indices, detect_scale,
-                       estimate_scale_kalman, project_pinhole)
+from pcr.scale import depth_consistent_indices, detect_scale, estimate_scale_kalman
 
 from conftest import rodrigues
 
@@ -29,10 +28,8 @@ def make_matches(rng, rot, tvec, scale, n=60, intrinsics=K, depth_noise=0.0,
     qts = scale * (pts @ rot.T) + tvec
     assert (qts[:, 2] > 0).all(), "scene construction left points behind the camera"
     rows = []
-    for p, q in zip(pts, qts):
-        us, vs = project_pinhole(p, intrinsics)
-        ut, vt = project_pinhole(q, intrinsics)
-        ds, dt = p[2], q[2]
+    for (us, vs), (ut, vt), ds, dt in zip(intrinsics.project(pts), intrinsics.project(qts),
+                                          pts[:, 2], qts[:, 2]):
         if pixel_noise:
             us += rng.normal(scale=pixel_noise)
             vs += rng.normal(scale=pixel_noise)
@@ -49,12 +46,6 @@ def with_target_depths(matches, depths):
     """``matches`` with its target depths replaced by ``depths``."""
     return Matches(np.column_stack([matches.source_pixels, matches.source_depths,
                                     matches.target_pixels, depths]))
-
-
-def match_points(matches, intrinsics=K):
-    """Backprojected source and target points of matches with both depths."""
-    return (backproject(matches.source_pixels, matches.source_depths, intrinsics),
-            backproject(matches.target_pixels, matches.target_depths, intrinsics))
 
 
 def scale_least_squares(source_pts, target_pts, rel_rot, t_dir) -> tuple[float, float]:
@@ -126,25 +117,45 @@ class TestDetectScale:
 
 class TestBackproject:
     def test_principal_point_unit_depth(self):
-        out = backproject((K.cx, K.cy), 1.0, K)
-        assert np.allclose(out, [0.0, 0.0, 1.0], atol=0.0)
+        out = K.backproject([[K.cx, K.cy]], [1.0])
+        assert np.allclose(out, [[0.0, 0.0, 1.0]], atol=0.0)
 
     def test_hand_computed_point(self):
         k = CameraIntrinsics(fx=500.0, fy=500.0, cx=250.0, cy=250.0)
-        out = backproject((750.0, 250.0), 2.0, k)
-        assert np.allclose(out, [2.0, 0.0, 2.0], atol=0.0)
+        out = k.backproject([[750.0, 250.0]], [2.0])
+        assert np.allclose(out, [[2.0, 0.0, 2.0]], atol=0.0)
 
     def test_zero_depth_rejected(self):
         with pytest.raises(ValueError):
-            backproject((10.0, 10.0), 0.0, K)
+            K.backproject([[10.0, 10.0]], [0.0])
 
     def test_projection_inverts_backprojection(self, rng):
-        for _ in range(100):
-            px = rng.uniform(0, 640)
-            py = rng.uniform(0, 480)
-            d = rng.uniform(0.3, 20.0)
-            u, v = project_pinhole(backproject((px, py), d, K), K)
-            assert abs(u - px) < 1e-9 and abs(v - py) < 1e-9
+        px = np.column_stack([rng.uniform(0, 640, 100), rng.uniform(0, 480, 100)])
+        d = rng.uniform(0.3, 20.0, 100)
+        assert np.abs(K.project(K.backproject(px, d)) - px).max() < 1e-9
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_batch_with_one_bad_depth_rejected(self, rng, bad):
+        px = rng.uniform(0, 480, size=(20, 2))
+        d = rng.uniform(0.3, 20.0, 20)
+        d[7] = bad
+        with pytest.raises(ValueError, match="depth"):
+            K.backproject(px, d)
+
+    @pytest.mark.parametrize("depth", [0.0, -2.0])
+    def test_batch_with_one_point_behind_rejected(self, rng, depth):
+        pts = rng.uniform(-1.0, 1.0, size=(20, 3))
+        pts[:, 2] += 4.0
+        pts[11, 2] = depth
+        with pytest.raises(ValueError, match="in front"):
+            K.project(pts)
+
+    def test_bearings_are_unit_depth_rays_normalised(self, rng):
+        px = rng.uniform(-200.0, 900.0, size=(50, 2))
+        rays = K.bearings(px)
+        assert np.allclose(np.linalg.norm(rays, axis=1), 1.0, rtol=0, atol=1e-15)
+        assert np.allclose(rays / rays[:, 2:], K.backproject(px, np.ones(50)),
+                           rtol=0, atol=1e-12)
 
 
 class TestScaleLeastSquares:
@@ -208,7 +219,7 @@ def noisy_scene(seed):
     tvec = local.normal(size=3)
     matches = make_matches(local, rot, tvec, 2.5, n=100,
                            depth_noise=0.01, pixel_noise=0.5)
-    src, tgt = match_points(matches)
+    src, tgt = matches.points(K, K)
     return matches, src, tgt, rot, tvec
 
 
@@ -258,7 +269,7 @@ class TestKalman:
         rot = bounded_rotation(rng)
         tvec = np.array([-0.5, 0.9, 0.2])
         matches = make_matches(rng, rot, tvec, 1.7)
-        src, tgt = match_points(matches)
+        src, tgt = matches.points(K, K)
         s_ls, _ = scale_least_squares(src, tgt, rot, tvec / np.linalg.norm(tvec))
         est = estimate_scale_kalman(matches, K, K, pose_of(rot, tvec))
         assert est.scale == pytest.approx(s_ls, abs=1e-6)
@@ -380,7 +391,7 @@ class TestDepthConsistency:
         cols = np.arange(n)
         if n > 500:
             cols = cols[:: (n + 499) // 500]
-        for pts in match_points(matches):
+        for pts in matches.points(K, K):
             expected = np.linalg.norm(pts[:, None, :] - pts[None, cols, :], axis=2)
             assert np.array_equal(scale._pair_distances(pts, cols), expected)
         kept = depth_consistent_indices(matches, K, K)

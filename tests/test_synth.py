@@ -1,17 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from pcr.cloudio import read_matches, read_ply
 from pcr.geom import bounds
-from pcr.scale import backproject
 from pcr.synth import SynthSpec, build_scene, generate_synthetic, read_ground_truth
-
-
-def match_points(scene):
-    """Backprojected source and target points of a scene's matches."""
-    m = scene.matches
-    return (backproject(m.source_pixels, m.source_depths, scene.intrinsics_source),
-            backproject(m.target_pixels, m.target_depths, scene.intrinsics_target))
 
 
 class TestBuildScene:
@@ -25,7 +19,7 @@ class TestBuildScene:
         b = np.sort(scene.target.points.round(9), axis=0)
         assert np.allclose(a, b, atol=1e-9)
         # matches backproject onto the exact geometry
-        p, q = match_points(scene)
+        p, q = scene.matches.points(scene.intrinsics_source, scene.intrinsics_target)
         assert np.allclose(scene.ground_truth.apply(p), q, atol=1e-9)
 
     def test_outlier_count_exact(self):
@@ -36,7 +30,7 @@ class TestBuildScene:
     def test_outlier_rows_inconsistent_with_ground_truth(self):
         spec = SynthSpec(noise=0.0, outlier_fraction=0.25, match_count=80, seed=9)
         scene = build_scene(spec)
-        p, q = match_points(scene)
+        p, q = scene.matches.points(scene.intrinsics_source, scene.intrinsics_target)
         err = np.linalg.norm(scene.ground_truth.apply(p) - q, axis=1)
         assert np.array_equal(np.flatnonzero(err > 1e-6), scene.outlier_indices)
 
@@ -85,8 +79,8 @@ class TestGenerateSynthetic:
         a = generate_synthetic(spec, tmp_path / "a")
         b = generate_synthetic(spec, tmp_path / "b")
         for key in a:
-            bytes_a = open(a[key], "rb").read()
-            bytes_b = open(b[key], "rb").read()
+            bytes_a = Path(a[key]).read_bytes()
+            bytes_b = Path(b[key]).read_bytes()
             assert bytes_a == bytes_b, key
 
     def test_different_seed_differs(self, tmp_path):
@@ -94,4 +88,4 @@ class TestGenerateSynthetic:
                                tmp_path / "a")
         b = generate_synthetic(SynthSpec(points=200, match_count=30, seed=2),
                                tmp_path / "b")
-        assert open(a["source"], "rb").read() != open(b["source"], "rb").read()
+        assert Path(a["source"]).read_bytes() != Path(b["source"]).read_bytes()
