@@ -4,12 +4,13 @@ Eight-point essential matrix estimation on calibrated bearing vectors inside
 an adaptive LO-RANSAC loop. Candidate models are scored by the angular
 residual 1 - cos(angle between the target ray and the epipolar plane),
 thresholded at 1 - cos(arctan(psi / l)) so the pixel threshold psi maps onto
-ray space. The local optimisation's refits and the final polish share one
-nonlinear solver: Gauss-Newton on the essential manifold with an analytic
-Jacobian (Helmke et al. 2007), run on a (k, 3, 3) stack of models at once.
-The hypotheses of a chunk that get locally optimised are known as soon as
-the chunk is scored, so they are refit together in one stack, and the
-winner's polish is the same solver with k = 1.
+ray space. The local optimisation's refits, stacked per chunk, and the final
+polish share one nonlinear solver: Gauss-Newton on the essential manifold
+with an analytic Jacobian (Helmke et al. 2007), run on a (k, 3, 3) stack of
+models at once. Of all minimal models and refits, the winner has the most
+inliers, then the least total residual, then was drawn first (a
+hypothesis's refits follow it, rung by rung); an exact tie between
+different inlier sets is an error.
 """
 
 from __future__ import annotations
@@ -327,19 +328,20 @@ def _hypotheses_needed(inliers: int, n: int, cap: int) -> int:
     return min(cap, max(_MIN_HYPOTHESES, needed))
 
 
+def _score(residuals, threshold):
+    # Inlier count, total inlier residual and inlier mask under each row of
+    # the (..., n) residuals: (...,), (...,) and (..., n) arrays.
+    mask = residuals <= threshold
+    return mask.sum(axis=-1), np.where(mask, residuals, 0.0).sum(axis=-1), mask
+
+
 def _local_optimisation(models, residuals, rays_s, rays_t, threshold):
     # Refit each of (k, 3, 3) minimal models, given its row of the (k, n)
     # residuals, through _REFIT_LADDER: each rung refits over the band of the
-    # previous model's residuals, as 0/1 weights, and scores the refit at the
-    # threshold. A member leaves the stack at the first rung whose band holds
-    # fewer than 8 rays. Returns, per member, the best (count, total
-    # residual, model, inlier mask) of its minimal model and refits, as
-    # (k,), (k,), (k, 3, 3) and (k, n) arrays: most inliers first, then
-    # least total.
-    masks = residuals <= threshold
-    counts = masks.sum(axis=-1)
-    totals = np.where(masks, residuals, 0.0).sum(axis=-1)
-    best_models = models.copy()
+    # previous model's residuals, as 0/1 weights. A member leaves the stack at
+    # the first rung whose band holds fewer than 8 rays. Yields, for each
+    # rung that keeps a member, the indices of its live members, their
+    # (live, 3, 3) refits and their (live, n) residuals.
     live = np.arange(len(models))
     for factor in _REFIT_LADDER:
         band = residuals <= factor * threshold
@@ -349,70 +351,58 @@ def _local_optimisation(models, residuals, rays_s, rays_t, threshold):
             break
         models = _refit(models, rays_s, rays_t, band, _REFIT_STEPS)
         residuals = _residuals(models, rays_s, rays_t)
-        mask = residuals <= threshold
-        count = mask.sum(axis=-1)
-        total = np.where(mask, residuals, 0.0).sum(axis=-1)
-        better = (count > counts[live]) | ((count == counts[live]) & (total < totals[live]))
-        won = live[better]
-        counts[won], totals[won] = count[better], total[better]
-        best_models[won], masks[won] = models[better], mask[better]
-    return counts, totals, best_models, masks
+        yield live, models, residuals
 
 
 def _consensus(rays_s, rays_t, threshold, cfg: RansacConfig):
     # Adaptive LO-RANSAC. Hypotheses are drawn, solved and scored _CHUNK at
-    # a time, then walked in draw order: each one that raises the best
-    # minimal inlier count (a record) is locally optimised, and every
-    # minimal model and refit competes under one rule: most inliers, then
-    # least total residual; an exact tie between different inlier sets is
-    # an error. Which hypotheses are records depends only on the minimal
-    # counts, so a chunk's records are found by one running maximum and
-    # optimised in one stack before the walk, which reads the results.
-    # After each chunk the stop count is re-derived from the best count.
-    # Returns (model, inlier mask, count, hypotheses drawn).
+    # a time; those that raise the best minimal inlier count (records) are
+    # found by one running maximum and locally optimised in one stack. The
+    # chunk's minimal models and refits, behind the best carried from
+    # earlier chunks, form one table, and the module's rule picks its
+    # winner. After each chunk the stop count is re-derived from the best
+    # count. Returns (model, inlier mask, count, hypotheses drawn).
     n = rays_s.shape[0]
     rng = np.random.default_rng(cfg.seed)
-    best_count, best_total, best_model, best_mask = -1, np.inf, None, None
-    top_minimal = -1
-    tied = False
-    drawn = 0
+    slots = len(_REFIT_LADDER) + 1  # draw-order slots of a hypothesis
+    # (count, total, mask, model, draw order) of the best so far, as a
+    # one-row table that any scored model beats
+    best = (np.array([-1]), np.array([np.inf]), np.zeros((1, n), dtype=bool),
+            np.zeros((1, 3, 3)), np.array([-1]))
+    tied, top_minimal, drawn = False, -1, 0
     stop = min(_MIN_HYPOTHESES, cfg.max_iterations)
     while drawn < stop:
         samples = _draw_samples(rng, n, min(_CHUNK, stop - drawn))
-        drawn += samples.shape[0]
         models, ok = _essentials(rays_s[samples], rays_t[samples])
+        order = (drawn + np.flatnonzero(ok)) * slots
+        drawn += samples.shape[0]
         models = models[ok]
         residuals = _residuals(models, rays_s, rays_t)
-        masks = residuals <= threshold
-        counts = masks.sum(axis=1)
-        running = np.maximum.accumulate(np.concatenate([[top_minimal], counts]))
-        records = counts > running[:-1]
-        optimised = zip(*_local_optimisation(models[records], residuals[records],
-                                             rays_s, rays_t, threshold))
-        for j in np.flatnonzero(counts >= top_minimal):
-            count = int(counts[j])
-            if records[j]:
-                count, total, model, mask = next(optimised)
-                count, total = int(count), float(total)
-            elif count == best_count:
-                total, model, mask = float(residuals[j][masks[j]].sum()), models[j], masks[j]
-            else:
-                continue
-            if count > best_count or (count == best_count and total < best_total):
-                best_count, best_total, best_model, best_mask = count, total, model, mask
-                tied = False
-            elif count == best_count and total == best_total \
-                    and not np.array_equal(mask, best_mask):
-                tied = True
+        count, total, mask = _score(residuals, threshold)
+        running = np.maximum.accumulate(np.concatenate([[top_minimal], count]))
+        records = np.flatnonzero(count > running[:-1])
         top_minimal = int(running[-1])
-        stop = _hypotheses_needed(best_count, n, cfg.max_iterations)
+        table = [best, (count, total, mask, models, order)]
+        for rung, (live, refits, refit_residuals) in enumerate(_local_optimisation(
+                models[records], residuals[records], rays_s, rays_t, threshold), 1):
+            table.append((*_score(refit_residuals, threshold), refits,
+                          order[records[live]] + rung))
+        table = [np.concatenate(column) for column in zip(*table)]
+        counts, totals, masks, _, order = table
+        win = np.lexsort((order, totals, -counts))[0]  # most, least, first
+        same = (counts == counts[win]) & (totals == totals[win])
+        # a tie carried from earlier chunks stands while its best does
+        tied = (tied and win == 0) or bool((masks[same] != masks[win]).any())
+        best = tuple(column[win:win + 1] for column in table)
+        stop = _hypotheses_needed(int(counts[win]), n, cfg.max_iterations)
 
-    if best_count < 8:
+    count, _, mask, model, _ = (column[0] for column in best)
+    if count < 8:
         raise NoConsensusError(
-            f"best consensus has {max(best_count, 0)} inliers, need at least 8")
+            f"best consensus has {max(int(count), 0)} inliers, need at least 8")
     if tied:
         raise AmbiguousDecompositionError("two RANSAC models tie exactly on score")
-    return best_model, best_mask, best_count, drawn
+    return model, mask, int(count), drawn
 
 
 def ransac_relative_pose(matches: Matches, intrinsics_source: CameraIntrinsics,
@@ -425,8 +415,8 @@ def ransac_relative_pose(matches: Matches, intrinsics_source: CameraIntrinsics,
     inlier count is locally optimised: refit by Gauss-Newton on the
     essential manifold over a widening-then-tightening band of its inliers
     (a minimal sample's tight inlier set is correlated with its own noise).
-    Among all minimal models and refits, the first with the most inliers
-    wins, ties broken by lower total residual (an exact tie between
+    Of all minimal models and refits, the winner has the most inliers, then
+    the least total residual, then was drawn first (an exact tie between
     different inlier sets is an error). Drawing stops once, with 99%
     confidence, one sample was outlier-free at the best inlier share, and
     never before a floor of hypotheses; ``cfg.max_iterations`` caps it. The

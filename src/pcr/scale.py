@@ -18,6 +18,9 @@ from .cloudio import CameraIntrinsics, Cloud, Matches
 from .errors import DegenerateGeometryError, InsufficientMatchesError
 from .geom import bounds, column_lengths, freeze, vector_norm
 
+# Detection flags a scale gap when the diagonal ratio is off 1 by more.
+DETECT_TOLERANCE = 0.1
+
 # Depth-consistency gate: a match is kept when its median pairwise distance
 # ratio lies within GATE_MADS robust scatters of the global median, with a
 # band of at least GATE_MIN_BAND times that median.
@@ -62,14 +65,14 @@ class ScaleEstimate:
         object.__setattr__(self, "translation", freeze(trans))
 
 
-def detect_scale(source: Cloud, target: Cloud, tolerance: float = 0.1) -> ScaleDetection:
+def detect_scale(source: Cloud, target: Cloud) -> ScaleDetection:
     """Compare the bounding-diagonal lengths of the two clouds."""
     diag_s = bounds(source.points).diagonal_length()
     diag_t = bounds(target.points).diagonal_length()
     if diag_s == 0.0 or diag_t == 0.0:
         raise DegenerateGeometryError("cloud has zero spatial extent")
     ratio = diag_t / diag_s
-    return ScaleDetection(ratio=ratio, differs=abs(ratio - 1.0) > tolerance)
+    return ScaleDetection(ratio=ratio, differs=abs(ratio - 1.0) > DETECT_TOLERANCE)
 
 
 def _row_nanmedian(values: np.ndarray) -> np.ndarray:

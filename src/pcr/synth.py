@@ -157,6 +157,10 @@ def build_scene(spec: SynthSpec) -> SynthScene:
             ut = rng.uniform(0.0, _IMAGE_W)
             vt = rng.uniform(0.0, _IMAGE_H)
             dt = rng.uniform(depth_lo, depth_hi)
+            # a shrunk target can reach behind the camera (depth_lo <= 0):
+            # redraw there, so a scene that never draws there keeps its stream
+            while dt <= 0.0:
+                dt = rng.uniform(depth_lo, depth_hi)
         table.append((us, vs, ds, ut, vt, dt))
 
     return SynthScene(source=Cloud(points=src_pts, label="synthetic-source"),

@@ -326,8 +326,11 @@ def reference_consensus(rays_s, rays_t, threshold, cfg):
     """The adaptive LO-RANSAC loop one hypothesis at a time: each sample of
     the module's stream is solved and scored on its own, each sample that
     raises the best minimal count is locally optimised alone (the stacked
-    kernel with k = 1), and the stop count is re-derived after every chunk
-    of the stream."""
+    kernel with k = 1), and each minimal model, then each of its refits rung
+    by rung, meets the best so far: more inliers, or as many at a lower
+    total residual, replace it, and as many at the same total with another
+    inlier set tie. The stop count is re-derived after every chunk of the
+    stream."""
     n = len(rays_s)
     rng = np.random.default_rng(cfg.seed)
     best_count, best_total, best_model, best_mask = -1, np.inf, None, None
@@ -341,24 +344,23 @@ def reference_consensus(rays_s, rays_t, threshold, cfg):
             except DegenerateGeometryError:
                 continue
             residuals = epipolar_residuals(model, rays_s, rays_t)
-            mask = residuals <= threshold
-            count = int(mask.sum())
-            if count > top_minimal:
-                top_minimal = count
-                count, total, model, mask = (
-                    out[0] for out in relpose._local_optimisation(
-                        model[None], residuals[None], rays_s, rays_t, threshold))
-                count, total = int(count), float(total)
-            elif count == best_count:
-                total = float(residuals[mask].sum())
-            else:
-                continue
-            if count > best_count or (count == best_count and total < best_total):
-                best_count, best_total, best_model, best_mask = count, total, model, mask
-                tied = False
-            elif count == best_count and total == best_total \
-                    and not np.array_equal(mask, best_mask):
-                tied = True
+            candidates = [(model, residuals)]
+            minimal = int((residuals <= threshold).sum())
+            if minimal > top_minimal:
+                top_minimal = minimal
+                candidates += [(refits[0], res[0]) for _, refits, res in
+                               relpose._local_optimisation(model[None], residuals[None],
+                                                           rays_s, rays_t, threshold)]
+            for model, residuals in candidates:
+                mask = residuals <= threshold
+                # summed as the module sums, so that near-ties fall alike
+                count, total = int(mask.sum()), float(np.where(mask, residuals, 0.0).sum())
+                if count > best_count or (count == best_count and total < best_total):
+                    best_count, best_total, best_model, best_mask = count, total, model, mask
+                    tied = False
+                elif count == best_count and total == best_total \
+                        and not np.array_equal(mask, best_mask):
+                    tied = True
         stop = stop_formula(max(best_count, 0), n, cfg.max_iterations)
     assert best_count >= 8 and not tied
     return best_model, best_mask, best_count, drawn
@@ -450,12 +452,22 @@ class TestRansac:
         assert (np.diff(np.sort(first, axis=1), axis=1) > 0).all()
         assert np.array_equal(run(), first)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_same_winner_as_per_hypothesis_loop(self, monkeypatch, seed):
+    @pytest.mark.parametrize("seed, pixel_noise, outliers, cap", [
+        pytest.param(0, 0.3, 0.3, 600, id="0"),
+        pytest.param(1, 0.3, 0.3, 600, id="1"),
+        pytest.param(2, 0.3, 0.3, 600, id="2"),
+        # exact residuals: many models tie at a total of 0, so draw order
+        # picks among them
+        pytest.param(3, 0.0, 0.3, 600, id="noiseless"),
+        # 40% outliers: the stop asks for more than the cap, three chunks
+        pytest.param(4, 0.3, 0.4, 150, id="three-chunks"),
+    ])
+    def test_same_winner_as_per_hypothesis_loop(self, monkeypatch, seed, pixel_noise,
+                                                 outliers, cap):
         rng = np.random.default_rng(seed + 300)
-        matches, *_ = two_view_scene(rng, n=150, pixel_noise=0.3, outliers=0.3)
+        matches, *_ = two_view_scene(rng, n=150, pixel_noise=pixel_noise, outliers=outliers)
         rays_s, rays_t = rays_of(matches)
-        cfg = RansacConfig(max_iterations=600, seed=seed)
+        cfg = RansacConfig(max_iterations=cap, seed=seed)
         threshold = angular_threshold(cfg.pixel_threshold, K.fx)
         ref_model, ref_mask, ref_count, ref_drawn = reference_consensus(
             rays_s, rays_t, threshold, cfg)
@@ -463,8 +475,12 @@ class TestRansac:
         assert count == ref_count
         assert np.array_equal(mask, ref_mask)
         assert drawn == ref_drawn
+        if cap == 150:
+            assert drawn == cap > 2 * relpose._CHUNK
+        # the oracle solves each sample alone, whose null vector may take the
+        # other sign; every later step is the module's own kernel
         sign = np.sign(model.ravel() @ ref_model.ravel())
-        np.testing.assert_allclose(sign * model, ref_model, rtol=1e-9, atol=1e-12)
+        assert np.array_equal(sign * model, ref_model)
         batched = ransac_relative_pose(matches, K, K, cfg)
         monkeypatch.setattr(relpose, "_consensus",
                             lambda *args: (ref_model, ref_mask, ref_count, ref_drawn))
@@ -614,15 +630,22 @@ class TestManifoldStep:
         residuals = relpose._residuals(models[ok], rays_s, rays_t)
         counts = (residuals <= threshold).sum(axis=1)
         pick = np.concatenate([np.argsort(counts)[-4:], np.argsort(counts)[:2]])
-        stacked = relpose._local_optimisation(models[ok][pick], residuals[pick],
-                                              rays_s, rays_t, threshold)
-        assert (stacked[0][:4] >= 130).all()
+        stacked = list(relpose._local_optimisation(models[ok][pick], residuals[pick],
+                                                   rays_s, rays_t, threshold))
+        assert len(stacked) == len(relpose._REFIT_LADDER)
+        assert all(np.array_equal(live, np.arange(4)) for live, _, _ in stacked)
+        assert ((stacked[-1][2] <= threshold).sum(axis=1) >= 130).all()
         assert ((residuals[pick[4:]] <= 8.0 * threshold).sum(axis=1) < 8).all()
         for k, j in enumerate(pick):
-            alone = relpose._local_optimisation(models[ok][j][None], residuals[j][None],
-                                                rays_s, rays_t, threshold)
-            for got, want in zip(stacked, alone):
-                assert np.array_equal(got[k], want[0])
+            alone = list(relpose._local_optimisation(models[ok][j][None], residuals[j][None],
+                                                     rays_s, rays_t, threshold))
+            rungs = [(refits[live == k], res[live == k]) for live, refits, res in stacked
+                     if k in live]
+            assert len(rungs) == len(alone)
+            for (refit, res), (live, want_refit, want_res) in zip(rungs, alone):
+                assert np.array_equal(live, [0])
+                assert np.array_equal(refit, want_refit)
+                assert np.array_equal(res, want_res)
 
 
 class TestPolish:

@@ -7,7 +7,8 @@ import pytest
 from pcr.cloudio import CameraIntrinsics, Cloud, Matches
 from pcr.errors import DegenerateGeometryError, InsufficientMatchesError
 from pcr.relpose import RelativePose
-from pcr.scale import depth_consistent_indices, detect_scale, estimate_scale_kalman
+from pcr.scale import (DETECT_TOLERANCE, depth_consistent_indices, detect_scale,
+                       estimate_scale_kalman)
 
 from conftest import rodrigues
 
@@ -106,12 +107,14 @@ class TestDetectScale:
         with pytest.raises(DegenerateGeometryError):
             detect_scale(one, other)
 
-    def test_tolerance_boundary(self, rng):
+    def test_tolerance_boundary(self, rng, monkeypatch):
         pts = rng.normal(size=(50, 3))
         near = Cloud(points=1.05 * pts)
-        det = detect_scale(Cloud(points=pts), near, tolerance=0.1)
+        assert DETECT_TOLERANCE == 0.1
+        det = detect_scale(Cloud(points=pts), near)
         assert not det.differs
-        det = detect_scale(Cloud(points=pts), near, tolerance=0.01)
+        monkeypatch.setattr("pcr.scale.DETECT_TOLERANCE", 0.01)
+        det = detect_scale(Cloud(points=pts), near)
         assert det.differs
 
 

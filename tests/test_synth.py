@@ -46,6 +46,19 @@ class TestBuildScene:
         assert np.allclose(np.sort(mapped, axis=0),
                            np.sort(scene.target.points, axis=0), atol=1e-12)
 
+    @pytest.mark.parametrize("spec", [
+        SynthSpec(scale=0.5, outlier_fraction=0.3, seed=370),
+        SynthSpec(scale=0.6, rotation_deg=25.0, points=1000, noise=0.01,
+                  outlier_fraction=0.5, match_count=120, seed=1136)],
+        ids=["0.5-370", "0.6-1136"])
+    def test_shrunk_target_outliers_stay_in_front(self, spec):
+        # shrunk targets that reach behind the camera, whose outlier depths,
+        # drawn over the target cloud's depth range, were once not positive
+        scene = build_scene(spec)
+        assert (scene.target.points[:, 2] <= 0.0).any()
+        assert (scene.matches.target_depths > 0.0).all()
+        assert len(scene.outlier_indices) == round(spec.outlier_fraction * spec.match_count)
+
     def test_noise_level_matches_definition(self):
         spec = SynthSpec(noise=0.01, outlier_fraction=0.0, points=20000,
                          match_count=50, seed=11)
