@@ -187,16 +187,20 @@ def read_ply(path) -> Cloud:
     except OSError as exc:
         raise ParseError(f"cannot read file: {exc}", path=path) from exc
 
-    marker = raw.find(b"end_header")
-    if marker < 0:
-        raise ParseError("missing end_header", path=path)
-    newline = raw.find(b"\n", marker)
+    # The header ends at the first line that reads end_header; a comment
+    # line may hold the word too.
+    start = 0
+    while (newline := raw.find(b"\n", start)) >= 0 \
+            and raw[start:newline].strip() != b"end_header":
+        start = newline + 1
     if newline < 0:
-        raise ParseError("header not terminated by newline", path=path)
+        if raw[start:].strip() == b"end_header":
+            raise ParseError("header not terminated by newline", path=path)
+        raise ParseError("missing end_header", path=path)
     body = raw[newline + 1:]
 
     try:
-        header_lines = raw[:marker].decode("ascii").splitlines()
+        header_lines = raw[:start].decode("ascii").split("\n")[:-1]
     except UnicodeDecodeError as exc:
         raise ParseError("header is not ASCII", path=path) from exc
 
@@ -206,6 +210,11 @@ def read_ply(path) -> Cloud:
     label = ""
     in_vertex = False
     for lineno, line in enumerate(header_lines, start=1):
+        # A CR ends a line only before its LF; elsewhere write_ply could not
+        # write it back.
+        line = line.removesuffix("\r")
+        if "\r" in line:
+            raise ParseError("carriage return inside a header line", path=path, line=lineno)
         tokens = line.strip().split()
         if not tokens:
             continue
@@ -226,7 +235,8 @@ def read_ply(path) -> Cloud:
             else:
                 raise ParseError(f"unknown PLY format {tokens[1]!r}", path=path, line=lineno)
         elif keyword == "comment":
-            rest = line.strip()[len("comment"):].strip()
+            # Only the line end is cut, so a label keeps its own spaces.
+            rest = line.lstrip()[len("comment"):].lstrip()
             if rest.startswith("label ") and not label:
                 label = rest[len("label "):]
         elif keyword == "element":
@@ -246,6 +256,8 @@ def read_ply(path) -> Cloud:
                 raise ParseError("unsupported property declaration", path=path, line=lineno)
             if tokens[1] not in _PLY_FLOAT_TYPES:
                 raise ParseError(f"unsupported property type {tokens[1]!r}", path=path, line=lineno)
+            if any(name == tokens[2] for name, _ in properties):
+                raise ParseError(f"repeated property {tokens[2]!r}", path=path, line=lineno)
             properties.append((tokens[2], _PLY_FLOAT_TYPES[tokens[1]]))
         elif keyword == "obj_info":
             continue
@@ -322,7 +334,7 @@ def write_ply(cloud, path, fmt: str = "binary-le") -> None:
 
     Binary mode stores doubles, so a write/read round trip is bit exact.
     ASCII mode keeps 9 significant digits. The label is preserved in a
-    header comment line.
+    header comment line, so it may not hold a line break.
     """
     if fmt not in ("ascii", "binary-le"):
         raise ValueError(f"unknown PLY format {fmt!r}")
@@ -330,6 +342,8 @@ def write_ply(cloud, path, fmt: str = "binary-le") -> None:
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
         raise ValueError("refusing to write an empty or malformed cloud")
     label = getattr(cloud, "label", "")
+    if "\r" in label or "\n" in label:
+        raise ValueError("a PLY label must not hold a line break")
 
     header = ["ply"]
     header.append("format ascii 1.0" if fmt == "ascii" else "format binary_little_endian 1.0")

@@ -163,12 +163,12 @@ def bounds(points) -> Bounds3:
     return Bounds3(rows.min(axis=1), rows.max(axis=1))
 
 
-def umeyama_align(source, target, with_scale: bool = True) -> SimilarityTransform:
-    """Least-squares similarity (or rigid) alignment of paired point sets.
+def umeyama_align(source, target) -> RigidTransform:
+    """Least-squares rigid alignment of paired point sets.
 
-    Returns the transform minimizing sum_i |s * R @ p_i + t - q_i|^2 via the
-    SVD closed form with determinant-sign correction; the scale uses the
-    variance-ratio form. With ``with_scale`` off the scale is fixed to 1.
+    Returns the transform minimizing sum_i |R @ p_i + t - q_i|^2 via the SVD
+    closed form with determinant-sign correction (Umeyama 1991, scale fixed
+    to 1).
     """
     src = as_points(source)
     tgt = as_points(target)
@@ -195,18 +195,10 @@ def umeyama_align(source, target, with_scale: bool = True) -> SimilarityTransfor
         raise DegenerateGeometryError("source points are collinear or coincident")
 
     cross = ct @ cs.T / n
-    u, d, vt = np.linalg.svd(cross)
+    u, _, vt = np.linalg.svd(cross)
     sign = np.sign(np.linalg.det(u) * np.linalg.det(vt)) or 1.0
     rot = u @ np.diag([1.0, 1.0, sign]) @ vt
-    if with_scale:
-        var_s = float((cs**2).sum()) / n
-        scale = float(d[0] + d[1] + sign * d[2]) / var_s
-        if scale <= 0.0:
-            raise DegenerateGeometryError("alignment produced a nonpositive scale")
-    else:
-        scale = 1.0
-    trans = mu_t - scale * (rot @ mu_s)
-    return SimilarityTransform(scale, RigidTransform(rot, trans))
+    return RigidTransform(rot, mu_t - rot @ mu_s)
 
 
 # ---------------------------------------------------------------------------

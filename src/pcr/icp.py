@@ -282,8 +282,7 @@ def _icp_loop(src: np.ndarray, cache: NeighbourCache, current: RigidTransform,
         corr = correspond(moved.T, cache)
         pairs_p = np.take(src, corr.source_indices, axis=1)
         pairs_q = np.take(cache.paired, corr.source_indices, axis=1)
-        solved = umeyama_align(pairs_p.T, pairs_q.T, with_scale=False)
-        new = solved.rigid
+        new = umeyama_align(pairs_p.T, pairs_q.T)
 
         # The next query's points; the kept columns give the RMS under ``new``.
         moved = _transform_rows(new, src)

@@ -61,7 +61,6 @@ class PoseParam:
 @dataclass(frozen=True)
 class CovarianceResult:
     d2j_dx2: np.ndarray       # 6x6
-    noise_variance: float     # sigma_z^2
     cov_x: np.ndarray         # 6x6
     information: np.ndarray   # 6x6
 
@@ -202,8 +201,7 @@ def covariance(pairs_p, pairs_q, pose, sigma_z: float = 0.01) -> CovarianceResul
     cov = (sigma_z**2) * np.linalg.solve(hxx, half.T)
     cov = 0.5 * (cov + cov.T)
     info = information_matrix(cov)
-    return CovarianceResult(d2j_dx2=hxx, noise_variance=float(sigma_z**2),
-                            cov_x=cov, information=info)
+    return CovarianceResult(d2j_dx2=hxx, cov_x=cov, information=info)
 
 
 def information_matrix(cov) -> np.ndarray:

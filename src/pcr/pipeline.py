@@ -1,12 +1,14 @@
 """End-to-end registration: files in, report and transformed cloud out.
 
 Stage order: scale detection, then (when a scale gap is detected and matches
-are available) relative pose + closed-form scale estimation, source scaling,
-filtration of both clouds, trimmed ICP, covariance and information matrix on
-the final correspondence set. Any stage failure is wrapped in a StageError
-carrying the stage name and its CLI exit code. An ICP run that stops at its
-iteration cap unconverged is not a failure: it is logged as a WARNING on the
-``pcr`` logger, and the run goes on.
+are available) relative pose, the lift of its inliers with both depths to 3D
+points, the depth gate and the closed-form scale estimate, which together
+make one Sim(3) seed; source scaling by the seed's scale, filtration of both
+clouds, trimmed ICP from the seed's rigid part, covariance and information
+matrix on the final correspondence set. Any stage failure is wrapped in a
+StageError carrying the stage name and its CLI exit code. An ICP run that
+stops at its iteration cap unconverged is not a failure: it is logged as a
+WARNING on the ``pcr`` logger, and the run goes on.
 """
 
 from __future__ import annotations
@@ -63,9 +65,12 @@ def run_pipeline(cfg: PipelineConfig) -> cloudio.PipelineReport:
 
     detection = _stage("scale", scale.detect_scale, source, target)
 
-    scale_factor = 1.0
-    rel_pose = None
-    estimate = None
+    # The keyframe relative pose and the session scale coarsely align the
+    # two sessions; seeding ICP with them keeps the refinement inside its
+    # convergence basin. The seed is the identity when no scale gap is
+    # detected or the scale stage is off.
+    seed = SimilarityTransform.identity()
+    relative = RigidTransform.identity()
     if detection.differs and cfg.use_scale:
         if matches is None:
             raise StageError("scale", EXIT_CODES["scale"],
@@ -77,21 +82,20 @@ def run_pipeline(cfg: PipelineConfig) -> cloudio.PipelineReport:
         k_target = _stage("io", cloudio.read_intrinsics, cfg.intrinsics_target)
         rel_pose = _stage("relpose", relpose.ransac_relative_pose,
                           matches, k_source, k_target, cfg.ransac)
-        inlier_matches = matches[rel_pose.inliers]
+        relative = RigidTransform(rel_pose.rotation, rel_pose.translation)
+        # The inliers with both depths, lifted to 3D once.
+        inliers = matches[rel_pose.inliers]
+        src, tgt = inliers[inliers.has_depths].points(k_source, k_target)
         # Epipolar inliers can still carry inconsistent depths; keep only
-        # matches whose backprojected pair fits the common pairwise-ratio.
-        consistent = _stage("scale", scale.depth_consistent_indices,
-                            inlier_matches, k_source, k_target)
-        good_matches = inlier_matches[consistent]
+        # pairs that fit the common pairwise-distance ratio.
+        consistent = _stage("scale", scale.depth_consistent_indices, src, tgt)
         estimate = _stage("scale", scale.estimate_scale_kalman,
-                          good_matches, k_source, k_target, rel_pose)
-        scale_factor = estimate.scale
+                          src[consistent], tgt[consistent], rel_pose.rotation)
+        seed = SimilarityTransform(
+            estimate.scale, RigidTransform(rel_pose.rotation, estimate.translation))
 
-    scaling = SimilarityTransform(scale_factor, RigidTransform.identity()) \
-        if scale_factor != 1.0 else SimilarityTransform.identity()
-    scaled_source = cloudio.Cloud(points=scaling.apply(source.points),
-                                  label=source.label) \
-        if scale_factor != 1.0 else source
+    scaled_source = source if seed.scale == 1.0 else \
+        cloudio.Cloud(points=seed.scale * source.points, label=source.label)
 
     if cfg.apply_filters:
         icp_source = _stage("icp", filters.crop_lower, scaled_source, cfg.filter_cfg)
@@ -102,13 +106,8 @@ def run_pipeline(cfg: PipelineConfig) -> cloudio.PipelineReport:
         icp_source = scaled_source
         icp_target = target
 
-    # The keyframe relative pose is the coarse alignment of the two sessions;
-    # seeding ICP with it keeps the refinement inside its convergence basin.
-    init = None
-    if rel_pose is not None and estimate is not None:
-        init = RigidTransform(rel_pose.rotation, estimate.translation)
     result = _stage("icp", icp.icp_register, icp_source, icp_target,
-                    cfg.icp_cfg, init)
+                    cfg.icp_cfg, seed.rigid)
     if not result.converged:
         log.warning("stage icp: ICP stopped unconverged after %d iterations",
                     result.iterations)
@@ -119,13 +118,11 @@ def run_pipeline(cfg: PipelineConfig) -> cloudio.PipelineReport:
     cov_result = _stage("covariance", icpcov.covariance, pairs_p, pairs_q, pose,
                         cfg.sigma_z)
 
-    final = SimilarityTransform(scale_factor, result.transform)
-    rel_rigid = RigidTransform(rel_pose.rotation, rel_pose.translation) \
-        if rel_pose is not None else RigidTransform.identity()
+    final = SimilarityTransform(seed.scale, result.transform)
     report = cloudio.PipelineReport(
         scale_detected=detection.differs,
-        scale=scale_factor,
-        relative_pose=rel_rigid,
+        scale=seed.scale,
+        relative_pose=relative,
         icp_transform=result.transform,
         final_transform=final,
         rms=result.rms,

@@ -1,11 +1,11 @@
 """Scale difference detection and estimation between two capture sessions.
 
 Detection compares bounding-diagonal lengths of the two clouds. The depth
-gate and the estimate work on the matches' 3D points, which
-``Matches.points`` backprojects through each camera's intrinsics. The
-estimate is, in closed form, the fixed point of the paper's scalar Kalman
-filter over the scale: the least-squares scale and translation of the
-matched points under the known relative rotation.
+gate and the estimate take the matches' backprojected 3D points as paired
+(n, 3) source and target arrays, lifted once by the caller. The estimate is,
+in closed form, the fixed point of the paper's scalar Kalman filter over the
+scale: the least-squares scale and translation of the matched points under
+the known relative rotation.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloudio import CameraIntrinsics, Cloud, Matches
 from .errors import DegenerateGeometryError, InsufficientMatchesError
 from .geom import bounds, column_lengths, freeze, vector_norm
 
@@ -65,10 +64,11 @@ class ScaleEstimate:
         object.__setattr__(self, "translation", freeze(trans))
 
 
-def detect_scale(source: Cloud, target: Cloud) -> ScaleDetection:
-    """Compare the bounding-diagonal lengths of the two clouds."""
-    diag_s = bounds(source.points).diagonal_length()
-    diag_t = bounds(target.points).diagonal_length()
+def detect_scale(source, target) -> ScaleDetection:
+    """Compare the bounding-diagonal lengths of the two clouds (point arrays
+    or ``Cloud``s)."""
+    diag_s = bounds(source).diagonal_length()
+    diag_t = bounds(target).diagonal_length()
     if diag_s == 0.0 or diag_t == 0.0:
         raise DegenerateGeometryError("cloud has zero spatial extent")
     ratio = diag_t / diag_s
@@ -94,26 +94,22 @@ def _pair_distances(points: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return column_lengths(rows[:, :, None] - rows[:, None, cols])
 
 
-def depth_consistent_indices(matches: Matches, intrinsics_source: CameraIntrinsics,
-                             intrinsics_target: CameraIntrinsics) -> np.ndarray:
-    """Indices of matches whose backprojected pair is 3D-consistent.
+def depth_consistent_indices(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+    """Indices of the (source, target) point pairs that are 3D-consistent.
 
     The epipolar test cannot constrain depth, so a match can pass it with an
-    arbitrary depth. For each match the median of pairwise distance ratios
-    |q_i - q_j| / |p_i - p_j| over the other matches is rigid-invariant and
+    arbitrary depth. For each pair the median of pairwise distance ratios
+    |q_i - q_j| / |p_i - p_j| over the other pairs is rigid-invariant and
     clusters at the session scale; rows whose median deviates from the global
     one by more than ``GATE_MADS`` robust scatters (with a ``GATE_MIN_BAND``
-    relative floor) are rejected. Matches without both depths are rejected
-    as well.
+    relative floor) are rejected. Fewer than 3 pairs, or fewer than 3 left
+    by the gate, keep every pair.
     """
-    idx = np.flatnonzero(matches.has_depths)
-    if idx.size < 3:
-        return idx
-    src, tgt = matches[idx].points(intrinsics_source, intrinsics_target)
-
-    cols = np.arange(src.shape[0])
-    if cols.size > 500:
-        cols = cols[:: (cols.size + 499) // 500]
+    every = np.arange(len(src))
+    if every.size < 3:
+        return every
+    # Past 500 pairs, the ratios are taken against every k-th pair only.
+    cols = every[:: (every.size + 499) // 500]
     ds = _pair_distances(src, cols)
     dt = _pair_distances(tgt, cols)
     ratios = np.where(ds > 1e-12, dt / np.maximum(ds, 1e-12), np.nan)
@@ -121,19 +117,18 @@ def depth_consistent_indices(matches: Matches, intrinsics_source: CameraIntrinsi
     row_med = _row_nanmedian(ratios)
     finite = np.isfinite(row_med)
     if finite.sum() < 3:
-        return idx
+        return every
     center = float(np.median(row_med[finite]))
     scatter = 1.4826 * float(np.median(np.abs(row_med[finite] - center)))
     band = max(GATE_MADS * scatter, GATE_MIN_BAND * abs(center))
     keep = finite & (np.abs(row_med - center) <= band)
     if keep.sum() < 3:
-        return idx
-    return idx[keep]
+        return every
+    return np.flatnonzero(keep)
 
 
-def estimate_scale_kalman(matches: Matches, intrinsics_source: CameraIntrinsics,
-                          intrinsics_target: CameraIntrinsics, rel_pose) -> ScaleEstimate:
-    """Session scale and translation of the matches under the relative rotation.
+def estimate_scale_kalman(src: np.ndarray, tgt: np.ndarray, rotation) -> ScaleEstimate:
+    """Session scale and translation of (n, 3) point pairs under a rotation.
 
     The paper estimates the scale with a scalar Kalman filter whose
     measurement is the joint (scale, alpha) least squares along the
@@ -145,21 +140,18 @@ def estimate_scale_kalman(matches: Matches, intrinsics_source: CameraIntrinsics,
         s* = sum_i (R p_i - mean R p) . (q_i - mean q) / sum_i |R p_i - mean R p|^2,
         t  = mean q - s* mean R p,
 
-    which is returned here directly. Only ``rel_pose.rotation`` is read.
-    Matches whose residual |q_i - (s* R p_i + t)| exceeds ``RESIDUAL_TRIM``
+    which is returned here directly, for the relative pose's ``rotation``.
+    Pairs whose residual |q_i - (s* R p_i + t)| exceeds ``RESIDUAL_TRIM``
     times the median are dropped once and s*, t solved again: an outlier
     that fits the epipolar geometry and passes the depth gate can carry a
     depth far off its true one.
-    Fewer than 3 matches with both depths, coincident source points or a
-    nonpositive s* raise.
+    Fewer than 3 pairs, coincident source points or a nonpositive s* raise.
     """
-    usable = matches[matches.has_depths]
-    if len(usable) < 3:
+    if len(src) < 3:
         raise InsufficientMatchesError(
-            f"scale estimation needs at least 3 matches with both depths, got {len(usable)}")
+            f"scale estimation needs at least 3 matches with both depths, got {len(src)}")
 
-    src, tgt = usable.points(intrinsics_source, intrinsics_target)
-    rotated = src @ np.asarray(rel_pose.rotation, dtype=np.float64).T
+    rotated = src @ np.asarray(rotation, dtype=np.float64).T
     scale, translation = _similarity_fit(rotated, tgt)
     residuals = vector_norm(tgt - scale * rotated - translation)
     kept = residuals <= RESIDUAL_TRIM * np.median(residuals)

@@ -23,7 +23,7 @@ from pcr.synth import SynthSpec, generate_synthetic, read_ground_truth
 from conftest import rodrigues, rotation_angle_between
 from test_icpcov import fd_hessian_xx, fd_hessian_zx, random_instance
 from test_relpose import two_view_scene
-from test_scale import (bounded_rotation, make_matches, pose_of,
+from test_scale import (bounded_rotation, make_matches,
                         scale_least_squares, K as K_CAM)
 
 
@@ -102,7 +102,7 @@ def test_criterion_03_kalman_matches_closed_form(rng):
         matches = make_matches(local, rot, tvec, 2.5, n=80)
         src, tgt = matches.points(K_CAM, K_CAM)
         oracle, _ = scale_least_squares(src, tgt, rot, tvec / np.linalg.norm(tvec))
-        est = estimate_scale_kalman(matches, K_CAM, K_CAM, pose_of(rot, tvec))
+        est = estimate_scale_kalman(src, tgt, rot)
         worst = max(worst, abs(est.scale - oracle))
     verdict(3, "Kalman fixed point equals closed form", worst < 1e-6,
             f"max |SC - s_ls| = {worst:.2e}")

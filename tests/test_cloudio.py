@@ -57,6 +57,68 @@ class TestPly:
         header = path.read_bytes().split(b"end_header")[0].decode()
         assert "comment label session-a" in header
 
+    @pytest.mark.parametrize("fmt", ["ascii", "binary-le"])
+    @pytest.mark.parametrize("label", ["scan end_header v2", "trailing ", " ", "\ttab"])
+    def test_label_round_trips(self, tmp_path, rng, fmt, label):
+        # the header ends at the end_header line, not at the word in a
+        # comment, and the label keeps its spaces
+        cloud = make_cloud(rng, n=5, label=label)
+        path = tmp_path / "c.ply"
+        write_ply(cloud, path, fmt=fmt)
+        back = read_ply(path)
+        assert back.label == cloud.label
+        assert np.allclose(back.points, cloud.points, rtol=1e-7, atol=0)
+
+    @pytest.mark.parametrize("fmt", ["ascii", "binary-le"])
+    @pytest.mark.parametrize("label", ["a\nb", "a\rb", "a\r\nb", "trailing\n"])
+    def test_label_with_line_break_not_writable(self, tmp_path, rng, fmt, label):
+        path = tmp_path / "never.ply"
+        with pytest.raises(ValueError, match="line break"):
+            write_ply(make_cloud(rng, n=5, label=label), path, fmt=fmt)
+        assert not path.exists()
+
+    def test_repeated_property_rejected_at_its_line(self, tmp_path):
+        text = ("ply\nformat ascii 1.0\nelement vertex 1\n"
+                "property double x\nproperty double x\n"
+                "property double y\nproperty double z\n"
+                "end_header\n1 1 2 3\n")
+        path = tmp_path / "twice.ply"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="repeated property 'x'") as err:
+            read_ply(path)
+        assert err.value.line == 5
+
+    def test_header_lines_end_at_newlines(self, tmp_path):
+        # CRLF line ends are read; the header stops at its end_header line
+        text = ("ply\r\nformat ascii 1.0\r\ncomment label crlf\r\nelement vertex 1\r\n"
+                "property float x\r\nproperty float y\r\nproperty float z\r\n"
+                "end_header\r\n1 2 3\r\n")
+        path = tmp_path / "crlf.ply"
+        path.write_bytes(text.encode())
+        cloud = read_ply(path)
+        assert cloud.label == "crlf"
+        assert np.array_equal(cloud.points, [[1, 2, 3]])
+
+    def test_carriage_return_inside_header_line_rejected(self, tmp_path):
+        # such a label could not be written back by write_ply
+        text = ("ply\nformat ascii 1.0\ncomment label a\rb\nelement vertex 1\n"
+                "property float x\nproperty float y\nproperty float z\n"
+                "end_header\n1 2 3\n")
+        path = tmp_path / "cr.ply"
+        path.write_bytes(text.encode())
+        with pytest.raises(ParseError, match="carriage return") as err:
+            read_ply(path)
+        assert err.value.line == 3
+
+    def test_header_without_end_header_line(self, tmp_path):
+        path = tmp_path / "open.ply"
+        path.write_bytes(b"ply\nformat ascii 1.0\ncomment end_header\n")
+        with pytest.raises(ParseError, match="missing end_header"):
+            read_ply(path)
+        path.write_bytes(b"ply\nformat ascii 1.0\nend_header")
+        with pytest.raises(ParseError, match="not terminated by newline"):
+            read_ply(path)
+
     def test_vertex_count_mismatch(self, tmp_path):
         text = ("ply\nformat ascii 1.0\nelement vertex 3\n"
                 "property float x\nproperty float y\nproperty float z\n"

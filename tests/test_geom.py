@@ -98,26 +98,18 @@ class TestUmeyama:
     def test_identity_when_target_equals_source(self, rng):
         pts = rng.normal(size=(40, 3))
         out = umeyama_align(pts, pts)
-        assert abs(out.scale - 1.0) < 1e-12
         assert np.abs(out.rotation - np.eye(3)).max() < 1e-9
         assert np.abs(out.translation).max() < 1e-9
 
     def test_recovers_generating_transform(self, rng):
         for _ in range(20):
-            x = rand_similarity(rng)
+            x = rand_similarity(rng).rigid
             src = rng.normal(size=(25, 3))
             tgt = x.apply(src)
             out = umeyama_align(src, tgt)
-            assert abs(out.scale - x.scale) < 1e-9 * x.scale
+            assert isinstance(out, RigidTransform)
             assert rotation_angle_between(out.rotation, x.rotation) < 1e-9
             assert np.abs(out.translation - x.translation).max() < 1e-8
-
-    def test_rigid_mode_fixes_scale_to_one(self, rng):
-        rot = random_rotation(rng)
-        src = rng.normal(size=(30, 3))
-        tgt = 2.0 * (src @ rot.T)
-        out = umeyama_align(src, tgt, with_scale=False)
-        assert out.scale == 1.0
 
     def test_collinear_points_raise(self):
         src = np.outer(np.arange(5.0), [1.0, 2.0, 3.0])

@@ -45,7 +45,7 @@ def single_stage_icp(src, tgt, max_iterations=100, init=None, tol_factor=1.0):
         corr = correspond(current.apply(src), index)
         pairs_p = src[corr.source_indices]
         pairs_q = tgt[corr.target_indices]
-        new = umeyama_align(pairs_p, pairs_q, with_scale=False).rigid
+        new = umeyama_align(pairs_p, pairs_q)
         # summed over (3, k) coordinate rows, in the loop's order
         diff = np.ascontiguousarray((new.apply(pairs_p) - pairs_q).T)
         rms = float(np.sqrt(float((diff * diff).sum()) / len(corr)))
@@ -408,7 +408,6 @@ class TestLayouts:
         ref = umeyama_align(pts, tgt)
         for src_view, tgt_view in zip(layouts(pts), layouts(tgt)):
             out = umeyama_align(src_view, tgt_view)
-            assert out.scale == ref.scale
             assert np.array_equal(out.rotation, ref.rotation)
             assert np.array_equal(out.translation, ref.translation)
 

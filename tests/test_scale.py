@@ -6,7 +6,6 @@ import pytest
 
 from pcr.cloudio import CameraIntrinsics, Cloud, Matches
 from pcr.errors import DegenerateGeometryError, InsufficientMatchesError
-from pcr.relpose import RelativePose
 from pcr.scale import (DETECT_TOLERANCE, depth_consistent_indices, detect_scale,
                        estimate_scale_kalman)
 
@@ -80,12 +79,6 @@ def scale_least_squares(source_pts, target_pts, rel_rot, t_dir) -> tuple[float, 
     if scale <= 0.0:
         raise DegenerateGeometryError("least-squares scale is nonpositive")
     return scale, (sq * b2 - a12 * cross) / det
-
-
-def pose_of(rot, tvec):
-    tdir = np.asarray(tvec, dtype=float)
-    tdir = tdir / np.linalg.norm(tdir)
-    return RelativePose(rotation=rot, translation=tdir, inliers=np.arange(1))
 
 
 class TestDetectScale:
@@ -256,7 +249,7 @@ class TestKalman:
         rot = bounded_rotation(rng)
         tvec = np.array([0.8, -0.2, 0.5])
         matches = make_matches(rng, rot, tvec, 2.5)
-        est = estimate_scale_kalman(matches, K, K, pose_of(rot, tvec))
+        est = estimate_scale_kalman(*matches.points(K, K), rot)
         assert est.converged
         assert est.scale == pytest.approx(2.5, abs=1e-6)
         assert np.allclose(est.translation, tvec, atol=1e-6)
@@ -265,7 +258,7 @@ class TestKalman:
         rot = bounded_rotation(rng)
         tvec = np.array([0.3, 0.1, -0.4])
         matches = make_matches(rng, rot, tvec, 1.0)
-        est = estimate_scale_kalman(matches, K, K, pose_of(rot, tvec))
+        est = estimate_scale_kalman(*matches.points(K, K), rot)
         assert est.scale == pytest.approx(1.0, abs=1e-6)
 
     def test_fixed_point_equals_one_shot_least_squares(self, rng):
@@ -274,7 +267,7 @@ class TestKalman:
         matches = make_matches(rng, rot, tvec, 1.7)
         src, tgt = matches.points(K, K)
         s_ls, _ = scale_least_squares(src, tgt, rot, tvec / np.linalg.norm(tvec))
-        est = estimate_scale_kalman(matches, K, K, pose_of(rot, tvec))
+        est = estimate_scale_kalman(src, tgt, rot)
         assert est.scale == pytest.approx(s_ls, abs=1e-6)
 
     def test_scale_equivariance_in_target_depths(self, rng):
@@ -283,8 +276,8 @@ class TestKalman:
         matches = make_matches(rng, rot, tvec, 2.0)
         lam = 1.7
         scaled = with_target_depths(matches, matches.target_depths * lam)
-        est_a = estimate_scale_kalman(matches, K, K, pose_of(rot, tvec))
-        est_b = estimate_scale_kalman(scaled, K, K, pose_of(rot, tvec))
+        est_a = estimate_scale_kalman(*matches.points(K, K), rot)
+        est_b = estimate_scale_kalman(*scaled.points(K, K), rot)
         assert est_b.scale == pytest.approx(lam * est_a.scale, abs=1e-6 * lam * est_a.scale)
 
     def test_noisy_recovery_within_two_percent(self, rng):
@@ -297,7 +290,7 @@ class TestKalman:
             tvec /= np.linalg.norm(tvec)
             matches = make_matches(local, rot, tvec, 2.5, n=100,
                                    depth_noise=0.01, pixel_noise=0.5)
-            est = estimate_scale_kalman(matches, K, K, pose_of(rot, tvec))
+            est = estimate_scale_kalman(*matches.points(K, K), rot)
             if abs(est.scale / 2.5 - 1.0) < 0.02:
                 hits += 1
         assert hits >= 48  # 95% of 50 seeds, with one seed of slack
@@ -308,7 +301,7 @@ class TestKalman:
         matches, src, tgt, rot, tvec = noisy_scene(seed)
         state, translation = reference_filter_loop(
             src, tgt, rot, tvec / np.linalg.norm(tvec), state=2.0)
-        est = estimate_scale_kalman(matches, K, K, pose_of(rot, tvec))
+        est = estimate_scale_kalman(src, tgt, rot)
         assert est.scale == pytest.approx(state, rel=1e-9)
         assert np.allclose(est.translation, translation, rtol=0, atol=1e-8)
 
@@ -321,7 +314,7 @@ class TestKalman:
         design[:, 0] = (src @ rot.T).reshape(-1)
         design[:, 1:] = np.tile(np.eye(3), (n, 1))
         (s, *t), *_ = np.linalg.lstsq(design, tgt.reshape(-1), rcond=None)
-        est = estimate_scale_kalman(matches, K, K, pose_of(rot, tvec))
+        est = estimate_scale_kalman(src, tgt, rot)
         assert est.scale == pytest.approx(s, rel=1e-12)
         assert np.allclose(est.translation, t, rtol=1e-12, atol=0)
 
@@ -338,7 +331,7 @@ class TestKalman:
         design[:, 0] = (src[others] @ rot.T).reshape(-1)
         design[:, 1:] = np.tile(np.eye(3), (99, 1))
         (s, *t), *_ = np.linalg.lstsq(design, tgt[others].reshape(-1), rcond=None)
-        est = estimate_scale_kalman(matches, K, K, pose_of(rot, tvec))
+        est = estimate_scale_kalman(*matches.points(K, K), rot)
         assert est.scale == pytest.approx(s, rel=1e-12)
         assert np.allclose(est.translation, t, rtol=1e-12, atol=0)
 
@@ -346,7 +339,7 @@ class TestKalman:
         rot = np.eye(3)
         records = Matches(np.tile([1.0, 2.0, np.nan, 3.0, 4.0, np.nan], (5, 1)))
         with pytest.raises(InsufficientMatchesError):
-            estimate_scale_kalman(records, K, K, pose_of(rot, [0, 0, 1.0]))
+            estimate_scale_kalman(*records[records.has_depths].points(K, K), rot)
 
     def test_coincident_source_points_rejected(self):
         # one source pixel and depth seen at three target positions: the
@@ -354,14 +347,14 @@ class TestKalman:
         records = Matches([(100.0, 120.0, 3.0, 200.0 + 10 * i, 140.0, 4.0 + i)
                            for i in range(3)])
         with pytest.raises(DegenerateGeometryError, match="coincide"):
-            estimate_scale_kalman(records, K, K, pose_of(np.eye(3), [0, 0, 1.0]))
+            estimate_scale_kalman(*records.points(K, K), np.eye(3))
 
 
 class TestDepthConsistency:
     def test_keeps_clean_matches(self, rng):
         rot = bounded_rotation(rng)
         matches = make_matches(rng, rot, [0.5, 0.1, 0.2], 2.5, n=40)
-        kept = depth_consistent_indices(matches, K, K)
+        kept = depth_consistent_indices(*matches.points(K, K))
         assert len(kept) == 40
 
     def test_rejects_depth_corrupted_rows(self, rng):
@@ -370,7 +363,7 @@ class TestDepthConsistency:
         depths = matches.target_depths.copy()
         depths[3] *= 3.0
         matches = with_target_depths(matches, depths)
-        kept = depth_consistent_indices(matches, K, K)
+        kept = depth_consistent_indices(*matches.points(K, K))
         assert 3 not in kept
         assert len(kept) == 39
 
@@ -397,7 +390,7 @@ class TestDepthConsistency:
         for pts in matches.points(K, K):
             expected = np.linalg.norm(pts[:, None, :] - pts[None, cols, :], axis=2)
             assert np.array_equal(scale._pair_distances(pts, cols), expected)
-        kept = depth_consistent_indices(matches, K, K)
+        kept = depth_consistent_indices(*matches.points(K, K))
         monkeypatch.setattr(scale, "_pair_distances", lambda pts, cols: np.linalg.norm(
             pts[:, None, :] - pts[None, cols, :], axis=2))
-        assert np.array_equal(depth_consistent_indices(matches, K, K), kept)
+        assert np.array_equal(depth_consistent_indices(*matches.points(K, K)), kept)
