@@ -174,6 +174,22 @@ class Matches:
                 k_target.backproject(self.target_pixels, self.target_depths))
 
 
+def _read_bytes(path: Path) -> bytes:
+    """The file's bytes; a file that cannot be read is a ParseError."""
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise ParseError(f"cannot read file: {exc}", path=path) from exc
+
+
+def _read_json(path: Path):
+    """The file's UTF-8 JSON value; a file that is not one is a ParseError."""
+    try:
+        return json.loads(_read_bytes(path).decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"not valid JSON: {exc}", path=path) from exc
+
+
 # ---------------------------------------------------------------------------
 # PLY
 # ---------------------------------------------------------------------------
@@ -182,10 +198,7 @@ class Matches:
 def read_ply(path) -> Cloud:
     """Read an ASCII or binary little-endian PLY vertex cloud."""
     path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise ParseError(f"cannot read file: {exc}", path=path) from exc
+    raw = _read_bytes(path)
 
     # The header ends at the first line that reads end_header; a comment
     # line may hold the word too.
@@ -329,7 +342,7 @@ def _read_ply_binary(body, count, properties, path):
     return pts
 
 
-def write_ply(cloud, path, fmt: str = "binary-le") -> None:
+def write_ply(cloud: Cloud, path, fmt: str = "binary-le") -> None:
     """Write a cloud as PLY; ``fmt`` is ``"ascii"`` or ``"binary-le"``.
 
     Binary mode stores doubles, so a write/read round trip is bit exact.
@@ -338,10 +351,8 @@ def write_ply(cloud, path, fmt: str = "binary-le") -> None:
     """
     if fmt not in ("ascii", "binary-le"):
         raise ValueError(f"unknown PLY format {fmt!r}")
-    pts = np.asarray(cloud.points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
-        raise ValueError("refusing to write an empty or malformed cloud")
-    label = getattr(cloud, "label", "")
+    pts = cloud.points
+    label = cloud.label
     if "\r" in label or "\n" in label:
         raise ValueError("a PLY label must not hold a line break")
 
@@ -373,9 +384,7 @@ def read_matches(path) -> Matches:
     first value, a literal ``nan`` too, that breaks the ``Matches`` rule."""
     path = Path(path)
     try:
-        text = path.read_bytes().decode("utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read file: {exc}", path=path) from exc
+        text = _read_bytes(path).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError("file is not UTF-8 text", path=path) from exc
 
@@ -426,12 +435,7 @@ def write_matches(matches: Matches, path) -> None:
 
 def read_intrinsics(path) -> CameraIntrinsics:
     path = Path(path)
-    try:
-        data = json.loads(path.read_bytes().decode("utf-8"))
-    except OSError as exc:
-        raise ParseError(f"cannot read file: {exc}", path=path) from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ParseError(f"not valid JSON: {exc}", path=path) from exc
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise ParseError("intrinsics JSON must be an object", path=path)
     values = {}
@@ -549,12 +553,7 @@ def _rigid_from_json(obj, path) -> RigidTransform:
 
 def read_report(path) -> PipelineReport:
     path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ParseError(f"cannot read file: {exc}", path=path) from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ParseError(f"not valid JSON: {exc}", path=path) from exc
+    data = _read_json(path)
     try:
         final = data["final_transform"]
         final_transform = SimilarityTransform(

@@ -16,8 +16,8 @@ from .geom import bounds
 
 # Column of the vertical (up) axis: y in both clouds.
 VERTICAL_AXIS = 1
-# Points farther from the centroid than this many median centroid distances
-# are remote.
+# Points farther from the centroid than this many times the median centroid
+# distance are remote.
 REMOTE_MULTIPLIER = 10.0
 
 
@@ -51,15 +51,15 @@ def crop_lower(cloud: Cloud, cfg: FilterConfig = FilterConfig()) -> Cloud:
     return Cloud(points=cloud.points[mask], label=cloud.label, bounds_hint=box)
 
 
-def remove_remote(cloud: Cloud, multiplier: float = REMOTE_MULTIPLIER) -> Cloud:
-    """Drop points farther from the centroid than ``multiplier`` times the
-    median centroid distance. Order is preserved; may return the cloud
+def remove_remote(cloud: Cloud) -> Cloud:
+    """Drop points farther from the centroid than ``REMOTE_MULTIPLIER`` times
+    the median centroid distance. Order is preserved; may return the cloud
     unchanged."""
     if len(cloud) < 2:
         raise ValueError("remote-point removal needs at least 2 points")
     centroid = cloud.points.mean(axis=0)
     dist = np.linalg.norm(cloud.points - centroid, axis=1)
-    mask = dist <= multiplier * np.median(dist)
+    mask = dist <= REMOTE_MULTIPLIER * np.median(dist)
     if not mask.any():
         return cloud
     box = cloud.bounds_hint if cloud.bounds_hint is not None else bounds(cloud.points)

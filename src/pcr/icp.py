@@ -126,16 +126,13 @@ class NNIndex:
         return self._rows
 
     def query(self, queries, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        """Distances and target indices of the true closest points.
+        """Distances and target indices of the true closest points to (n, 3) queries.
 
         With ``k`` > 1 each row holds the ``k`` closest, nearest first. Among
         equidistant points, ``k`` = 1 and ``k`` = 2 may choose differently.
         """
-        pts = np.asarray(queries, dtype=np.float64)
-        rows = pts.size // 3
-        workers = min(QUERY_WORKERS, max(1, rows // MIN_QUERIES_PER_WORKER))
-        dist, idx = self._tree.query(pts, k, workers=workers)
-        return np.atleast_1d(dist), np.atleast_1d(idx)
+        workers = min(QUERY_WORKERS, max(1, len(queries) // MIN_QUERIES_PER_WORKER))
+        return self._tree.query(queries, k, workers=workers)
 
 
 def _transform_rows(pose: RigidTransform, rows: np.ndarray) -> np.ndarray:
@@ -227,30 +224,26 @@ class NeighbourCache:
 
 @dataclass(frozen=True)
 class Correspondences:
-    """Surviving source/target index pairs with their current distances."""
+    """Surviving source/target index pairs."""
 
     source_indices: np.ndarray
     target_indices: np.ndarray
-    distances: np.ndarray
 
     def __len__(self) -> int:
         return self.source_indices.shape[0]
 
 
-def correspond(moved, index: NNIndex | NeighbourCache,
-               trim_multiplier: float = TRIM_MULTIPLIER) -> Correspondences:
+def correspond(moved, index: NNIndex | NeighbourCache) -> Correspondences:
     """Nearest-neighbor pairs of the transformed (n, 3) source ``moved``,
-    median-trimmed: pairs farther than ``trim_multiplier`` times the median
+    median-trimmed: pairs farther than ``TRIM_MULTIPLIER`` times the median
     pair distance are rejected, and at least 3 pairs must survive."""
     dist, tgt_idx = index.query(moved)
-    cutoff = trim_multiplier * _median(dist)
-    keep = dist <= cutoff
+    keep = dist <= TRIM_MULTIPLIER * _median(dist)
     if int(keep.sum()) < 3:
         raise TooFewPairsError(
             f"only {int(keep.sum())} pairs survive trimming, need at least 3")
     return Correspondences(source_indices=np.flatnonzero(keep),
-                           target_indices=tgt_idx[keep],
-                           distances=dist[keep])
+                           target_indices=tgt_idx[keep])
 
 
 @dataclass(frozen=True)

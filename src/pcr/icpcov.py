@@ -90,12 +90,6 @@ def rotation_derivatives(roll: float, pitch: float, yaw: float):
     return rot, drot, ddrot
 
 
-def _check_pose(pose: PoseParam) -> PoseParam:
-    if not isinstance(pose, PoseParam):
-        pose = PoseParam(np.asarray(pose, dtype=np.float64))
-    return pose
-
-
 def _pair_arrays(pairs_p, pairs_q):
     p = np.asarray(pairs_p, dtype=np.float64)
     q = np.asarray(pairs_q, dtype=np.float64)
@@ -148,43 +142,46 @@ def _moments(p, q, pose: PoseParam):
     return z @ z.T, coefs
 
 
-def hessian_xx(pairs_p, pairs_q, pose) -> np.ndarray:
+def hessian_xx(pairs_p, pairs_q, pose: PoseParam) -> np.ndarray:
     """Sum over pairs of the exact 6x6 second derivative of J_i.
 
     The translation block is 2n * I for any pose; rotation blocks use the
     analytic first and second derivatives of the Euler-parameterized
     rotation. The sum is taken through the pairs' 7x7 moment matrix.
     """
-    pose = _check_pose(pose)
     moments, (g, dg, ddg, _) = _moments(*_pair_arrays(pairs_p, pairs_q), pose)
     out = 2.0 * np.einsum("kl,kca,lcb->ab", moments, dg, dg)
     out[3:, 3:] += 2.0 * np.einsum("kl,kc,ljmc->jm", moments, g, ddg)
     return out
 
 
-def hessian_zx(pairs_p, pairs_q, pose) -> np.ndarray:
+def hessian_zx(pairs_p, pairs_q, pose: PoseParam) -> np.ndarray:
     """Mixed derivative d2J/dz dx as a 6 x 6n matrix.
 
     Column block i holds d2J_i/d(P_i, Q_i) dx; only pair i's own block is
     nonzero, so blocks are laid out side by side.
     """
-    pose = _check_pose(pose)
     mixed = _pair_terms(*_pair_arrays(pairs_p, pairs_q), pose)[3]
     return mixed.transpose(1, 0, 2).reshape(6, -1)
 
 
-def covariance(pairs_p, pairs_q, pose, sigma_z: float = 0.01) -> CovarianceResult:
+def check_sigma_z(sigma_z: float) -> None:
+    """Refuse a noise level unless sigma_z > 0 and sigma_z * sigma_z is
+    positive and finite: no overflow, no underflow to 0, no nan or inf."""
+    if not (sigma_z > 0.0 and 0.0 < sigma_z * sigma_z < np.inf):
+        raise ValueError("sigma_z must be positive, with a positive finite square")
+
+
+def covariance(pairs_p, pairs_q, pose: PoseParam, sigma_z: float) -> CovarianceResult:
     """Closed-form pose covariance at a converged alignment.
 
     ``pose`` must be the minimizer for the given (frozen) correspondence
     pairs; ``sigma_z`` is the isotropic standard deviation of every point
-    coordinate. Every pair is used: the sum over pairs of B_i B_i^T, with
-    B_i = d2J_i/d(P_i, Q_i) dx, comes from the 7x7 moment matrix, so the
-    6 x 6n matrix d2J/dz dx is never built.
+    coordinate (see ``check_sigma_z``). Every pair is used: the sum over
+    pairs of B_i B_i^T, with B_i = d2J_i/d(P_i, Q_i) dx, comes from the 7x7
+    moment matrix, so the 6 x 6n matrix d2J/dz dx is never built.
     """
-    if sigma_z <= 0.0:
-        raise ValueError("sigma_z must be positive")
-    pose = _check_pose(pose)
+    check_sigma_z(sigma_z)
     p, q = _pair_arrays(pairs_p, pairs_q)
     if p.shape[0] < 3:
         raise DegenerateGeometryError("covariance needs at least 3 pairs")
@@ -198,7 +195,7 @@ def covariance(pairs_p, pairs_q, pose, sigma_z: float = 0.01) -> CovarianceResul
     spread = np.einsum("kl,kam,lbm->ab", moments, mixed, mixed)
 
     half = np.linalg.solve(hxx, spread)
-    cov = (sigma_z**2) * np.linalg.solve(hxx, half.T)
+    cov = (sigma_z * sigma_z) * np.linalg.solve(hxx, half.T)
     cov = 0.5 * (cov + cov.T)
     info = information_matrix(cov)
     return CovarianceResult(d2j_dx2=hxx, cov_x=cov, information=info)

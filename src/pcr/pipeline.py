@@ -14,7 +14,6 @@ WARNING on the ``pcr`` logger, and the run goes on.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 from . import cloudio, filters, icp, icpcov, relpose, scale
@@ -44,8 +43,7 @@ class PipelineConfig:
     use_scale: bool = True
 
     def __post_init__(self):
-        if not 0.0 < self.sigma_z < math.inf:
-            raise ValueError("sigma_z must be positive and finite")
+        icpcov.check_sigma_z(self.sigma_z)
 
 
 def _stage(name: str, func, *args, **kwargs):
@@ -119,7 +117,10 @@ def run_pipeline(cfg: PipelineConfig) -> cloudio.PipelineReport:
                         cfg.sigma_z)
 
     final = SimilarityTransform(seed.scale, result.transform)
-    report = cloudio.PipelineReport(
+    # The report refuses an information matrix that does not invert the
+    # covariance, as after a clamped eigenvalue or an underflowing sigma_z.
+    report = _stage(
+        "covariance", cloudio.PipelineReport,
         scale_detected=detection.differs,
         scale=seed.scale,
         relative_pose=relative,

@@ -188,9 +188,10 @@ def _triangulate_depths(rays_s, rays_t, rot, tdir):
     return depth_s, depth_t
 
 
-def decompose_and_disambiguate(ematrix, rays_s, rays_t) -> RelativePose:
+def decompose_and_disambiguate(ematrix, rays_s, rays_t) -> RigidTransform:
     """Pick the (R, t) candidate from the four-way decomposition that
-    triangulates the most correspondences with positive depth in both views."""
+    triangulates the most correspondences with positive depth in both views;
+    t is the unit translation direction."""
     qs = np.asarray(rays_s, dtype=np.float64).reshape(-1, 3)
     qt = np.asarray(rays_t, dtype=np.float64).reshape(-1, 3)
     if qs.shape[0] < 1:
@@ -212,8 +213,7 @@ def decompose_and_disambiguate(ematrix, rays_s, rays_t) -> RelativePose:
         raise AmbiguousDecompositionError(
             "two pose candidates tie on cheirality count "
             f"({counts[order[0]]} of {qs.shape[0]})")
-    return RelativePose(rotation=rots[order[0]], translation=tdirs[order[0]],
-                        inliers=np.arange(qs.shape[0], dtype=np.int64))
+    return RigidTransform(rots[order[0]], tdirs[order[0]])
 
 
 # Local optimisation schedule: bands in multiples of the threshold, each

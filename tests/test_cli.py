@@ -15,6 +15,8 @@ from pcr.cloudio import Cloud, write_ply
     ("--sigma-z", "0"),
     ("--sigma-z", "nan"),
     ("--sigma-z", "inf"),
+    ("--sigma-z", "1e200"),
+    ("--sigma-z", "1e-200"),
     ("--seed", "-1"),
 ])
 def test_bad_flag_value_is_usage_error(tmp_path, rng, capsys, flag, value):

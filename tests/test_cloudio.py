@@ -175,16 +175,6 @@ class TestPly:
         with pytest.raises(ParseError):
             read_ply(path)
 
-    def test_empty_cloud_not_writable(self, tmp_path):
-        class Stub:
-            points = np.empty((0, 3))
-            label = ""
-
-        path = tmp_path / "never.ply"
-        with pytest.raises(ValueError):
-            write_ply(Stub(), path)
-        assert not path.exists()
-
     def test_cloud_type_rejects_empty_and_nonfinite(self):
         with pytest.raises(ValueError):
             Cloud(points=np.empty((0, 3)))

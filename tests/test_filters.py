@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pcr.cloudio import Cloud
-from pcr.filters import FilterConfig, crop_lower, remove_remote
+from pcr.filters import REMOTE_MULTIPLIER, FilterConfig, crop_lower, remove_remote
 
 from conftest import rodrigues
 
@@ -100,19 +100,14 @@ class TestRemoveRemote:
         pts = rng.uniform(-1, 1, size=(200, 3))
         far = np.array([[100.0, 0.0, 0.0]])
         cloud = cloud_from(np.vstack([pts, far]))
-        out = remove_remote(cloud, multiplier=5.0)
+        out = remove_remote(cloud)
         # brute-force check of the rule
         centroid = cloud.points.mean(axis=0)
         dist = np.linalg.norm(cloud.points - centroid, axis=1)
-        expected = cloud.points[dist <= 5.0 * np.median(dist)]
+        expected = cloud.points[dist <= REMOTE_MULTIPLIER * np.median(dist)]
         assert np.array_equal(out.points, expected)
         assert len(out) == 200
         assert not any(np.array_equal(row, far[0]) for row in out.points)
-
-    def test_huge_multiplier_is_identity(self, rng):
-        cloud = cloud_from(rng.normal(size=(50, 3)))
-        out = remove_remote(cloud, multiplier=1e12)
-        assert np.array_equal(out.points, cloud.points)
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
@@ -121,7 +116,7 @@ class TestRemoveRemote:
     def test_order_preserved(self, rng):
         pts = rng.normal(size=(100, 3))
         pts[7] *= 50
-        out = remove_remote(cloud_from(pts), multiplier=3.0)
+        out = remove_remote(cloud_from(pts))
         rows = [tuple(r) for r in pts]
         positions = [rows.index(tuple(k)) for k in out.points]
         assert positions == sorted(positions)

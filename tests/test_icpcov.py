@@ -192,6 +192,13 @@ class TestCovariance:
         b = covariance(p, q, pose, sigma_z=0.03)
         assert np.allclose(b.cov_x, 9.0 * a.cov_x, rtol=1e-9)
 
+    @pytest.mark.parametrize("sigma", [-1.0, 0.0, np.nan, np.inf, 1e200, 1e-200])
+    def test_sigma_without_positive_finite_square_refused(self, rng, sigma):
+        # 1e200 squares to inf and 1e-200 to 0: no usable variance either
+        pts = rng.uniform(-1, 1, size=(20, 3))
+        with pytest.raises(ValueError, match="sigma_z"):
+            covariance(pts, pts, PoseParam(np.zeros(6)), sigma_z=sigma)
+
     def test_collinear_pairs_singular(self):
         t = np.linspace(0.0, 1.0, 12)
         pts = np.outer(t, [1.0, 1.0, 1.0])

@@ -1,12 +1,21 @@
-"""The package's import graph: each registration stage stands on the shared
-value types alone, so a stage can change without touching another."""
+"""The package's import graph and its root: each registration stage stands
+on the shared value types alone, so a stage can change without touching
+another, and ``import pcr`` exposes the pipeline's surface and the modules."""
 
 import ast
+import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pcr"
+from pcr.synth import SynthSpec, generate_synthetic
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "pcr"
 STAGES = ("scale", "relpose", "filters", "icp", "icpcov")
 # Stages that work on plain point arrays need neither file formats nor
 # camera models.
@@ -49,3 +58,39 @@ def test_no_stage_module_imports_another(stage):
 @pytest.mark.parametrize("stage", ARRAY_STAGES)
 def test_array_stages_import_only_geom_and_errors(stage):
     assert package_imports(stage) <= {"geom", "errors"}
+
+
+# The root's names: the pipeline and its configs, file I/O with its value
+# types, the transforms and the errors. Stage functions stay in their modules.
+ROOT_EXPORTS = {
+    "PipelineConfig", "run_pipeline", "FilterConfig", "IcpConfig", "RansacConfig",
+    "read_ply", "write_ply", "read_matches", "read_intrinsics", "read_report",
+    "write_report", "Cloud", "Matches", "CameraIntrinsics", "PipelineReport",
+    "RigidTransform", "SimilarityTransform",
+    "RegistrationError", "StageError", "ParseError", "DegenerateGeometryError",
+    "GimbalLockError", "InsufficientMatchesError", "NoConsensusError",
+    "AmbiguousDecompositionError", "TooFewPairsError",
+}
+# Modules that perfbench reads as attributes of the package after ``import pcr``.
+ROOT_MODULES = {"pipeline", "synth", "cloudio", "geom", "errors", *STAGES}
+
+
+def test_root_holds_the_modules_and_exactly_the_kept_names():
+    # a fresh interpreter, so that no other test's imports add to the root
+    probe = "import json, pcr; print(json.dumps([n for n in vars(pcr) if n[0] != '_']))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert set(json.loads(out)) == ROOT_EXPORTS | ROOT_MODULES
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    generate_synthetic(SynthSpec(), tmp_path / "scene")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(example, "README.md", "exec"), {})
+    scale, rms = map(float, capsys.readouterr().out.splitlines()[0].split())
+    assert abs(scale / SynthSpec.scale - 1.0) < 0.01
+    assert rms > 0.0

@@ -48,6 +48,19 @@ def assert_within_criterion_01(report, paths):
     assert err < 0.01 * diag
 
 
+def write_thin_pair(directory):
+    """A source 1e-5 thick across two axes and its copy shifted by 0.01 in x,
+    with 1e-6 noise: its Hessian (cond about 4e9) passes the covariance gate,
+    but the information matrix clamps an eigenvalue and so does not invert
+    the covariance."""
+    rng = np.random.default_rng(1)
+    pts = rng.normal(size=(2000, 3)) * [1.0, 1e-5, 1e-5]
+    write_ply(Cloud(points=pts), directory / "s.ply")
+    write_ply(Cloud(points=pts + [0.01, 0.0, 0.0] + rng.normal(scale=1e-6, size=pts.shape)),
+              directory / "t.ply")
+    return directory / "s.ply", directory / "t.ply"
+
+
 class TestRunPipeline:
     def test_identical_clouds_no_matches(self, tmp_path, rng):
         pts = rng.uniform(-1, 1, size=(400, 3))
@@ -144,6 +157,26 @@ class TestRunPipeline:
         monkeypatch.setattr(pcr.pipeline.scale, "detect_scale", broken)
         with pytest.raises(IndexError):
             run_pipeline(config_for(scene_dir))
+
+    def test_report_that_fails_its_check_is_covariance_stage(self, tmp_path):
+        source, target = write_thin_pair(tmp_path)
+        report = tmp_path / "r.json"
+        with pytest.raises(StageError) as err:
+            run_pipeline(PipelineConfig(source=str(source), target=str(target),
+                                        report_path=str(report), apply_filters=False))
+        assert err.value.stage == "covariance"
+        assert err.value.exit_code == 5
+        assert "information must invert the covariance" in str(err.value)
+        assert not report.exists()
+
+    # information_matrix's inverse overflows on the way, with numpy's warnings
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_underflowing_covariance_is_covariance_stage(self, scene_dir):
+        # sigma_z^2 = 1e-320 is a positive subnormal, so the flag is valid,
+        # but the covariance underflows and its information is not finite
+        with pytest.raises(StageError) as err:
+            run_pipeline(config_for(scene_dir, sigma_z=1e-160, apply_filters=False))
+        assert (err.value.stage, err.value.exit_code) == ("covariance", 5)
 
     def test_missing_file_is_stage1(self, tmp_path):
         with pytest.raises(StageError) as err:
@@ -254,6 +287,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.splitlines() == [
             f"pcr: error in stage io: {matches}:4: ds must be a positive depth"]
+        assert not report.exists()
+
+    def test_exit_code_covariance_stage(self, tmp_path, capsys):
+        source, target = write_thin_pair(tmp_path)
+        report = tmp_path / "r.json"
+        rc = cli.main(["register", "--source", str(source), "--target", str(target),
+                       "--out", str(report), "--no-filter"])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["pcr: error in stage covariance: "
+                                    "information must invert the covariance within 1e-6"]
         assert not report.exists()
 
     def test_exit_code_scale_stage(self, tmp_path, rng, capsys):
