@@ -7,12 +7,14 @@ cannot increase within an iteration. A transformation checker (pose change,
 error change, or iteration cap) ends the loop. A dense source is first
 registered on ever finer subsamples, each converged pose seeding the next
 level and finally the full-resolution loop.
-Each loop keeps a neighbour cache, so a point's tree walk is repeated only when
-its step since the last walk could have changed its nearest target point.
+One neighbour cache serves every level of a registration, so a point's tree
+walk is repeated only when its step since its last walk, at any level, could
+have changed its nearest target point.
 """
 
 from __future__ import annotations
 
+import copy
 import logging
 import os
 from dataclasses import dataclass
@@ -21,7 +23,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import TooFewPairsError
-from .geom import (RigidTransform, as_points, bounds, column_lengths,
+from .geom import (ORTHOGONALITY_TOL, RigidTransform, as_points, bounds,
+                   column_lengths, orthogonality_residual, project_rotation,
                    rotation_angle, umeyama_align)
 
 # Convergence: the pose step is below ROTATION_TOL radians and
@@ -77,10 +80,13 @@ def _usable_cpus() -> int:
 QUERY_WORKERS = _usable_cpus()
 MIN_QUERIES_PER_WORKER = 4096
 
-# Rounding allowance of NeighbourCache's reuse test, relative to the largest
-# coordinate magnitude seen. Each distance in the test is computed to within
-# a few ulps of itself and is below four times that magnitude, so the test's
-# summed rounding stays below about 2e-14 of it.
+# Rounding allowance of NeighbourCache's reuse test and walk bounds, relative
+# to the largest coordinate magnitude seen. Each distance in the test is
+# computed to within a few ulps of itself and is below four times that
+# magnitude, so the test's summed rounding stays below about 2e-14 of it.
+# The same allowance widens a bounded walk's radius; it is added, not scaled
+# with the radius, because a distance's rounding follows the coordinates'
+# magnitude, however short the distance.
 CACHE_ROUNDING = 1e-12
 
 
@@ -125,14 +131,17 @@ class NNIndex:
         """The target as contiguous (3, m) coordinate rows."""
         return self._rows
 
-    def query(self, queries, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    def query(self, queries, k: int = 1, bound: float = np.inf
+              ) -> tuple[np.ndarray, np.ndarray]:
         """Distances and target indices of the true closest points to (n, 3) queries.
 
         With ``k`` > 1 each row holds the ``k`` closest, nearest first. Among
         equidistant points, ``k`` = 1 and ``k`` = 2 may choose differently.
+        Only targets closer than ``bound`` are searched for: a closest point
+        not found within it has distance inf and the target count as index.
         """
         workers = min(QUERY_WORKERS, max(1, len(queries) // MIN_QUERIES_PER_WORKER))
-        return self._tree.query(queries, k, workers=workers)
+        return self._tree.query(queries, k, distance_upper_bound=bound, workers=workers)
 
 
 def _transform_rows(pose: RigidTransform, rows: np.ndarray) -> np.ndarray:
@@ -155,63 +164,101 @@ def _median(values: np.ndarray) -> float:
 
 
 class NeighbourCache:
-    """Exact nearest neighbours of a query set that moves a little per call.
+    """Exact nearest neighbours of a registration's source rows, which move a
+    little per call.
 
-    Each query point keeps the position it was last walked at (its anchor),
-    the nearest target found there and the gap between the second-nearest
-    and the nearest distance. A point that has moved by delta since then
-    keeps its neighbour when 2 delta is below the gap (triangle inequality:
-    no other target can have come closer), with ``CACHE_ROUNDING`` to spare.
-    Other points are walked again through ``NNIndex.query``. A tie (zero
-    gap, as at duplicate targets) is settled by the tree's single-neighbour
+    The cache covers ``size`` source rows; ``every(stride)`` is the cache of
+    every stride-th row and shares this one's state, so a row walked at a
+    coarse level is reused at a finer one. Each row keeps the position it
+    was last walked at (its anchor), the nearest target found there, that
+    target's distance d1 and the gap to the second-nearest distance d2. A
+    row that has moved by delta since then keeps its neighbour when 2 delta
+    is below the gap (triangle inequality: no other target can have come
+    closer), with ``CACHE_ROUNDING`` to spare. Other rows are walked again
+    through ``NNIndex.query`` for their two nearest targets, within a bound
+    taken from the distances the cache holds:
+
+    - a row walked before has both its anchor's neighbours within d2 +
+      delta, so the batch takes its largest d2 + delta;
+    - a row never walked takes ``TRIM_MULTIPLIER`` times the median d1 the
+      cache holds, and no bound while it holds none.
+
+    Both bounds get ``CACHE_ROUNDING`` to spare, which also keeps a median
+    of 0 (a source on its target) from missing every row.
+
+    A row that finds no target within its bound is walked again without
+    one. A row that finds only one keeps the bound as its d2, a lower bound
+    of the true one, so the reuse test stays a proof. A tie (zero gap, as at
+    duplicate targets) is settled by the tree's unbounded single-neighbour
     walk, which may break it differently from the two-neighbour walk, and
-    the point takes only that walk on every later call. So every answer
-    equals ``index.query(moved)``.
+    the row takes only that walk on every later call. So every answer equals
+    ``index.query(moved)``.
 
-    Query points are the same source points from call to call; a call with
-    another point count starts afresh. The arithmetic runs on (3, n)
-    coordinate rows, so ``moved`` is cheapest as the transposed view of
-    contiguous rows, and ``paired`` holds the rows of the last answer's
-    nearest targets. Mutable: one cache per ICP loop, not shared between
+    The arithmetic runs on (3, n) coordinate rows, so ``moved`` is cheapest
+    as the transposed view of contiguous rows, and ``paired`` holds the rows
+    of the last answer's nearest targets. Mutable and not shared between
     threads.
     """
 
-    def __init__(self, index: NNIndex):
+    def __init__(self, index: NNIndex, size: int):
         self._index = index
+        self._root = None  # the cache this one is a strided view of
         self._extent = float(np.abs(index.rows).max())
-        self._anchor = np.empty((3, 0))
-        self._nearest = np.empty(0, dtype=np.intp)
-        self._gap = np.empty(0)
+        self._anchor = np.zeros((3, size))
+        self._nearest = np.zeros(size, dtype=np.intp)
+        self._d1 = np.zeros(size)
+        self._gap = np.full(size, -np.inf)  # never walked
         self.paired = np.empty((3, 0))
+
+    def every(self, stride: int) -> NeighbourCache:
+        """The cache of every ``stride``-th row: its state is a view of this
+        cache's, so a row walked through either is cached for both."""
+        level = copy.copy(self)
+        level._root = self._root or self
+        level._anchor = self._anchor[:, ::stride]
+        level._nearest = self._nearest[::stride]
+        level._d1 = self._d1[::stride]
+        level._gap = self._gap[::stride]
+        return level
 
     def query(self, moved: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Distances and target indices of the true closest points."""
         rows = np.ascontiguousarray(moved.T)  # no copy for a view of rows
-        self._extent = max(self._extent, float(np.abs(rows).max()))
-        if rows.shape != self._anchor.shape:
-            self._anchor = np.empty_like(rows)
-            self._nearest = np.empty(rows.shape[1], dtype=np.intp)
-            self._gap = np.empty(rows.shape[1])
-            self._walk(rows, np.arange(rows.shape[1]))
-        else:
-            step = column_lengths(rows - self._anchor)
-            kept = 2.0 * step + CACHE_ROUNDING * self._extent < self._gap
-            tied = self._gap == 0.0
-            self._settle_ties(rows, np.flatnonzero(tied))
-            stale = np.flatnonzero(~(kept | tied))
-            if stale.size:
-                self._walk(rows, stale)
+        root = self._root or self
+        root._extent = max(root._extent, float(np.abs(rows).max()))
+        slack = CACHE_ROUNDING * root._extent
+        step = column_lengths(rows - self._anchor)
+        kept = 2.0 * step + slack < self._gap
+        tied = self._gap == 0.0
+        self._settle_ties(rows, np.flatnonzero(tied))
+        stale = ~(kept | tied)
+        fresh = np.flatnonzero(stale & (self._gap < 0.0))  # never walked
+        drifted = np.flatnonzero(stale & (self._gap > 0.0))
+        if fresh.size:
+            held = root._d1[root._gap >= 0.0]
+            self._walk(rows, fresh, TRIM_MULTIPLIER * _median(held) + slack
+                       if held.size else np.inf)
+        if drifted.size:
+            reach = self._d1[drifted] + self._gap[drifted] + step[drifted]
+            self._walk(rows, drifted, float(reach.max()) + slack)
         nearest = self._nearest.copy()
         self.paired = np.take(self._index.rows, nearest, axis=1)
         return column_lengths(rows - self.paired), nearest
 
-    def _walk(self, rows: np.ndarray, which: np.ndarray) -> None:
-        """Walk the tree for columns ``which`` of ``rows`` and store what it
-        finds."""
+    def _walk(self, rows: np.ndarray, which: np.ndarray, bound: float) -> None:
+        """Walk the tree within ``bound`` for columns ``which`` of ``rows``
+        and store what it finds."""
         points = np.take(rows, which, axis=1)
-        dist, idx = self._index.query(points.T, 2)
+        dist, idx = self._index.query(points.T, 2, bound)
+        # a second target not found lies at least the bound away
+        np.minimum(dist[:, 1], bound, out=dist[:, 1])
+        missed = np.flatnonzero(dist[:, 0] == np.inf)
+        if missed.size:
+            dist[missed], idx[missed] = self._index.query(
+                np.take(points, missed, axis=1).T, 2)
         self._anchor[:, which] = points
         self._nearest[which] = idx[:, 0]
+        self._d1[which] = dist[:, 0]
         self._gap[which] = dist[:, 1] - dist[:, 0]
         self._settle_ties(rows, which[dist[:, 1] == dist[:, 0]])
 
@@ -260,6 +307,18 @@ class IcpResult:
         return float(self.rms_trace[-1])
 
 
+def _pose_step(new: RigidTransform, current: RigidTransform) -> tuple[float, float]:
+    """Rotation angle and translation length of the step from ``current`` to
+    ``new``: those of ``new.compose(current.inverse())``, bit for bit, with
+    the same arithmetic and projection rule but no transforms built."""
+    inv_rot = current.rotation.T
+    rot = new.rotation @ inv_rot
+    if orthogonality_residual(rot) > ORTHOGONALITY_TOL:
+        rot = project_rotation(rot)
+    shift = new.rotation @ (-inv_rot @ current.translation) + new.translation
+    return rotation_angle(rot), float(np.linalg.norm(shift))
+
+
 def _icp_loop(src: np.ndarray, cache: NeighbourCache, current: RigidTransform,
               max_iterations: int, rotation_tol: float, translation_tol: float
               ) -> tuple[RigidTransform, np.ndarray, list[float], int, bool]:
@@ -285,9 +344,8 @@ def _icp_loop(src: np.ndarray, cache: NeighbourCache, current: RigidTransform,
         rms = float(np.sqrt(sq / len(corr)))
         trace.append(rms)
 
-        delta = new.compose(current.inverse())
-        pose_small = (rotation_angle(delta.rotation) < rotation_tol
-                      and float(np.linalg.norm(delta.translation)) < translation_tol)
+        angle, shift = _pose_step(new, current)
+        pose_small = angle < rotation_tol and shift < translation_tol
         error_small = (prev_rms is not None
                        and abs(prev_rms - rms) < ERROR_CHANGE_TOL * max(prev_rms, 1e-300))
         current = new
@@ -311,9 +369,9 @@ def icp_register(source, target, cfg: IcpConfig = IcpConfig(),
     coarsest first, with a looser stop and at most ``COARSE_MAX_ITERATIONS``
     iterations; a converged level's pose seeds the next level, an
     unconverged one is dropped. The result's ``iterations``, ``rms_trace``
-    and ``converged`` describe the full-resolution stage only. Each level
-    keeps its own ``NeighbourCache``; the full-resolution one also serves
-    the final pairs.
+    and ``converged`` describe the full-resolution stage only. One
+    ``NeighbourCache`` over every source row serves all levels, each through
+    its own strided rows, and the final pairs.
     """
     src = as_points(source)
     tgt = as_points(target)
@@ -328,10 +386,11 @@ def icp_register(source, target, cfg: IcpConfig = IcpConfig(),
     # Every per-point step runs on contiguous coordinate rows.
     src_rows = np.ascontiguousarray(src.T)
     current = init if init is not None else RigidTransform.identity()
+    cache = NeighbourCache(index, len(src))
     for stride in coarse_strides(len(src)):
         level = np.ascontiguousarray(src_rows[:, ::stride])
         pose, _, _, iterations, converged = _icp_loop(
-            level, NeighbourCache(index), current,
+            level, cache.every(stride), current,
             min(COARSE_MAX_ITERATIONS, cfg.max_iterations),
             COARSE_TOL_FACTOR * ROTATION_TOL, COARSE_TOL_FACTOR * trans_tol)
         # An unconverged level may have walked away from a good seed.
@@ -341,7 +400,6 @@ def icp_register(source, target, cfg: IcpConfig = IcpConfig(),
                   stride, iterations, level.shape[1], len(src),
                   "kept" if converged else "dropped")
 
-    cache = NeighbourCache(index)
     current, moved, trace, iterations, converged = _icp_loop(
         src_rows, cache, current, cfg.max_iterations, ROTATION_TOL, trans_tol)
 

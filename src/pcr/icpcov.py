@@ -206,7 +206,8 @@ def information_matrix(cov) -> np.ndarray:
 
     Eigenvalues below 1e-12 times the trace are clamped to that floor before
     inverting, so a nearly unobservable direction yields a large but finite
-    information weight. The output is exactly symmetric.
+    information weight. The output is exactly symmetric. A covariance so
+    small that its inverse would overflow raises DegenerateGeometryError.
     """
     mat = np.asarray(cov, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -220,5 +221,11 @@ def information_matrix(cov) -> np.ndarray:
     eigenvalues, eigenvectors = np.linalg.eigh(mat)
     floor = 1e-12 * trace
     clamped = np.maximum(eigenvalues, floor)
+    # The eigenvectors are orthonormal, so no entry of the inverse exceeds
+    # 1 / clamped.min(), nor of its symmetrised sum twice that. The floor
+    # underflows for a tiny trace; refuse before dividing what would overflow.
+    if clamped.min() <= 4.0 / np.finfo(np.float64).max:
+        raise DegenerateGeometryError(
+            "covariance too small to invert: its information would overflow")
     inv = eigenvectors @ np.diag(1.0 / clamped) @ eigenvectors.T
     return 0.5 * (inv + inv.T)

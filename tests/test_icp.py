@@ -1,4 +1,6 @@
+import gc
 import logging
+import weakref
 
 import numpy as np
 import pytest
@@ -107,9 +109,10 @@ class TestNNIndex:
         tree = index._tree
 
         class Recorder:
-            def query(self, pts, k, workers):
+            def query(self, pts, k, distance_upper_bound, workers):
                 seen.append(workers)
-                return tree.query(pts, k, workers=workers)
+                return tree.query(pts, k, distance_upper_bound=distance_upper_bound,
+                                  workers=workers)
 
         index._tree = Recorder()
         per = icp.MIN_QUERIES_PER_WORKER
@@ -147,25 +150,30 @@ def pose_walk(rng, steps, angle, shift):
 
 class TestNeighbourCache:
     @staticmethod
-    def walk(src, tgt, poses):
-        """Query a cache along ``poses``, checking each answer against a
-        single-threaded cKDTree; returns the rows walked per query."""
+    def walk(src, tgt, poses, strides=None, walks=None):
+        """Query one cache along ``poses``, the i-th through every
+        ``strides[i]``-th row (every row by default), checking each answer
+        against a single-threaded cKDTree; returns the rows walked per query.
+        ``walks``, if given, collects each tree walk's (k, bound, distances)."""
         index = NNIndex(tgt)
-        cache = NeighbourCache(index)
+        cache = NeighbourCache(index, len(src))
         walked = []
         tree_query = index.query
 
-        def counted(rows, k=1):
+        def counted(rows, k=1, bound=np.inf):
             walked[-1] += len(rows)
-            return tree_query(rows, k)
+            dist, idx = tree_query(rows, k, bound)
+            if walks is not None:
+                walks.append((k, bound, dist.copy()))
+            return dist, idx
 
         index.query = counted
         tree = cKDTree(tgt)
         centre = src.mean(axis=0)
-        for pose in poses:
-            moved = (src - centre) @ pose.rotation.T + centre + pose.translation
+        for pose, stride in zip(poses, strides or [1] * len(poses)):
+            moved = ((src - centre) @ pose.rotation.T + centre + pose.translation)[::stride]
             walked.append(0)
-            dist, idx = cache.query(moved)
+            dist, idx = cache.every(stride).query(moved)
             ref_dist, ref_idx = tree.query(moved, workers=1)
             assert np.array_equal(dist, ref_dist)
             assert np.array_equal(idx, ref_idx)
@@ -224,13 +232,97 @@ class TestNeighbourCache:
         assert walked[1] == tied > 0
 
     def test_new_row_count_starts_afresh(self, rng):
+        # every 4th row after all of them, each query at new random points
         tgt = box_cloud(rng, 300)
-        cache = NeighbourCache(NNIndex(tgt))
+        cache = NeighbourCache(NNIndex(tgt), 200)
         tree = cKDTree(tgt)
-        for n in (200, 200, 50):
-            moved = box_cloud(rng, n)
-            dist, idx = cache.query(moved)
+        for stride in (1, 1, 4):
+            moved = box_cloud(rng, 200)[::stride]
+            dist, idx = cache.every(stride).query(moved)
             assert np.array_equal(idx, tree.query(moved, workers=1)[1])
+
+    def test_freed_without_cycle_collector(self, rng):
+        # a registration's cache holds a row's worth of state per source
+        # point; a reference cycle would keep it until a collection
+        cache = NeighbourCache(NNIndex(box_cloud(rng, 50)), 100)
+        level = cache.every(8)
+        level.query(box_cloud(rng, 13))
+        freed = weakref.ref(cache)
+        gc.disable()
+        try:
+            del cache, level
+            assert freed() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("offset", [0.0, 1000.0])
+    def test_coarse_to_fine_levels_share_rows(self, rng, offset):
+        # strides 64, 8 and 1, three small pose steps per level: each finer
+        # level's first query finds the coarser level's rows cached
+        tgt = box_cloud(rng, 20000) + offset
+        src = tgt + rng.normal(scale=0.005, size=tgt.shape)
+        strides = [64] * 3 + [8] * 3 + [1] * 3
+        walked = self.walk(src, tgt, pose_walk(rng, 9, 1e-5, 1e-5), strides)
+        assert walked[0] == len(src[::64])
+        assert len(src[::8]) - len(src[::64]) <= walked[3] < len(src[::8])
+        assert len(src) - len(src[::8]) <= walked[6] < len(src)
+        assert max(walked[1:3] + walked[4:6] + walked[7:]) < 100
+
+    def test_rows_on_their_targets_walked_once(self, rng):
+        # every pair distance is 0, and so is the median that bounds the
+        # full level's fresh rows: the allowance keeps them inside it
+        pts = box_cloud(rng, 2000)
+        walked = self.walk(pts, pts, [RigidTransform.identity()] * 2, [8, 1])
+        assert walked == [len(pts[::8]), len(pts) - len(pts[::8])]
+
+    def test_rows_far_outside_walked_without_bound(self, rng):
+        # rows 100 diagonals away have no target within any bound: their
+        # bounded walk finds nothing, and they are walked again without one
+        tgt = box_cloud(rng, 2000)
+        src = tgt + rng.normal(scale=0.01, size=tgt.shape)
+        far = np.flatnonzero(rng.random(len(src)) < 0.1)
+        direction = rng.normal(size=(len(far), 3))
+        src[far] += 100.0 * bounds(tgt).diagonal_length() * direction \
+            / np.linalg.norm(direction, axis=1)[:, None]
+        walks = []
+        poses = pose_walk(rng, 6, 1e-3, 1e-3)
+        self.walk(src, tgt, poses, [8, 8, 1, 1, 1, 1], walks)
+        empty = [int(np.isinf(dist[:, 0]).sum()) for k, bound, dist in walks
+                 if k == 2 and bound < np.inf]
+        # the far rows of the full level's first query, among others
+        assert max(empty) >= np.setdiff1d(far, np.arange(0, len(src), 8)).size
+
+    def test_rows_with_one_target_in_bound(self, rng):
+        # lone targets 2 apart, far from the cloud, each with a source row
+        # beside it: a fresh row's bound, three median pair distances, holds
+        # that one; the last step, 1.2 along the line, brings the next one
+        # nearer, which the bound as d2 must not hide
+        tgt = box_cloud(rng, 2000)
+        lone = np.c_[np.arange(5.0, 45.0, 2.0), np.zeros(20), np.zeros(20)]
+        tgt = np.vstack([tgt, lone])
+        src = tgt + rng.normal(scale=0.01, size=tgt.shape)
+        src[-20:] = lone + [0.0, 0.004, 0.0]
+        walks = []
+        poses = pose_walk(rng, 9, 1e-4, 2e-3)
+        poses.append(RigidTransform(poses[-1].rotation,
+                                    poses[-1].translation + [1.2, 0.0, 0.0]))
+        strides = [7] * 2 + [1] * 8
+        self.walk(src, tgt, poses, strides, walks)
+        single = sum(int((np.isfinite(dist[:, 0]) & np.isinf(dist[:, 1])).sum())
+                     for k, bound, dist in walks if k == 2 and bound < np.inf)
+        assert single >= 20 - len(range(len(src) - 20, len(src), 7))
+
+    def test_duplicate_targets_through_bounded_walks(self, rng):
+        # ties met by fresh rows at a finer level and by rows walked again
+        base = box_cloud(rng, 4000)
+        tgt = np.vstack([base, base[:1500]])
+        src = base + rng.normal(scale=0.01, size=base.shape)
+        walks = []
+        strides = [8] * 3 + [1] * 6
+        self.walk(src, tgt, pose_walk(rng, 9, 1e-3, 3e-3), strides, walks)
+        bounded_ties = sum(int((dist[:, 0] == dist[:, 1]).sum())
+                           for k, bound, dist in walks if k == 2 and bound < np.inf)
+        assert bounded_ties > 0
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 101, 1000, 20000])
@@ -239,6 +331,19 @@ def test_trim_median_is_np_median(rng, n):
     for values in (rng.random(n), 10.0 ** rng.uniform(-6.0, 4.0, n),
                    np.round(rng.random(n), 1)):
         assert icp._median(values) == np.median(values)
+
+
+@pytest.mark.parametrize("stretch", [0.0, 3e-10])
+def test_pose_step_is_compose_of_inverse(rng, stretch):
+    # rotations stretched by 1 + 3e-10 pass RigidTransform's checks, but
+    # their product does not, so compose projects it
+    for _ in range(20):
+        new, current = (RigidTransform(
+            (1.0 + stretch) * rodrigues(rng.normal(size=3), rng.uniform(0.0, 1e-3)),
+            rng.normal(size=3)) for _ in range(2))
+        delta = new.compose(current.inverse())
+        assert icp._pose_step(new, current) == (
+            rotation_angle(delta.rotation), float(np.linalg.norm(delta.translation)))
 
 
 class TestCorrespond:
@@ -503,19 +608,31 @@ class TestCoarseStage:
     def test_full_resolution_rows_mostly_cached(self, rng, monkeypatch):
         pts, tgt = dense_scene(rng)
         n = len(pts)
-        rows = []
-        query = NNIndex.query
+        walked = []   # rows walked per cache query
+        starts = []   # the first cache query of each level
+        query, cached, loop = NNIndex.query, NeighbourCache.query, icp._icp_loop
 
-        def counted(self, queries, k=1):
-            rows.append(len(queries))
-            return query(self, queries, k)
+        def counted(self, queries, k=1, bound=np.inf):
+            walked[-1] += len(queries)
+            return query(self, queries, k, bound)
+
+        def counted_cache(self, moved):
+            walked.append(0)
+            return cached(self, moved)
+
+        def level(src, *args):
+            starts.append(len(walked))
+            return loop(src, *args)
 
         monkeypatch.setattr(NNIndex, "query", counted)
+        monkeypatch.setattr(NeighbourCache, "query", counted_cache)
+        monkeypatch.setattr(icp, "_icp_loop", level)
         res = icp_register(pts, tgt)
-        # the full-resolution stage starts with a walk of every row
-        full = rows[rows.index(n):]
+        full = walked[starts[-1]:]
         assert res.iterations >= 2
         assert sum(full) <= 2 * n
+        # the stride-8 level's rows arrive cached
+        assert full[0] < n
 
     def test_one_iteration_cap_warns_and_exits_0(self, tmp_path, rng, capsys,
                                                  caplog):

@@ -281,6 +281,18 @@ class TestInformationMatrix:
         with pytest.raises(ValueError):
             information_matrix(m)
 
+    @pytest.mark.parametrize("tiny", [1e-320, 1e-310])
+    def test_overflowing_inverse_refused(self, tiny):
+        # subnormal, or normal with a reciprocal beyond the largest float;
+        # the suite turns numpy's overflow warnings into errors
+        with pytest.raises(DegenerateGeometryError, match="would overflow"):
+            information_matrix(tiny * np.eye(6))
+
+    def test_smallest_invertible_scale(self):
+        info = information_matrix(1e-300 * np.eye(6))
+        assert np.isfinite(info).all()
+        assert info[0, 0] == pytest.approx(1e300, rel=1e-12)
+
     def test_clamps_near_singular(self):
         cov = np.diag([1.0, 1, 1, 1, 1, 0.0])
         info = information_matrix(cov)

@@ -169,8 +169,6 @@ class TestRunPipeline:
         assert "information must invert the covariance" in str(err.value)
         assert not report.exists()
 
-    # information_matrix's inverse overflows on the way, with numpy's warnings
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_underflowing_covariance_is_covariance_stage(self, scene_dir):
         # sigma_z^2 = 1e-320 is a positive subnormal, so the flag is valid,
         # but the covariance underflows and its information is not finite
@@ -298,6 +296,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.splitlines() == ["pcr: error in stage covariance: "
                                     "information must invert the covariance within 1e-6"]
+        assert not report.exists()
+
+    def test_underflowing_covariance_prints_stage_line_only(self, tmp_path, scene_dir):
+        # a separate interpreter, so numpy's warnings would reach stderr
+        report = tmp_path / "r.json"
+        src_dir = str(Path(pcr.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pcr", "register",
+             "--source", scene_dir["source"], "--target", scene_dir["target"],
+             "--matches", scene_dir["matches"],
+             "--intrinsics-source", scene_dir["intrinsics_source"],
+             "--intrinsics-target", scene_dir["intrinsics_target"],
+             "--out", str(report), "--sigma-z", "1e-160"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 5
+        assert proc.stderr.splitlines() == [
+            "pcr: error in stage covariance: "
+            "covariance too small to invert: its information would overflow"]
+        assert "RuntimeWarning" not in proc.stderr
         assert not report.exists()
 
     def test_exit_code_scale_stage(self, tmp_path, rng, capsys):
