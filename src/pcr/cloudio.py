@@ -433,6 +433,20 @@ def write_matches(matches: Matches, path) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _number(value, key, path) -> float:
+    """A JSON number as a float; a bool or a string is no number."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ParseError(f"key {key!r} must be numeric", path=path)
+    return float(value)
+
+
+def _numbers(value, key, path) -> np.ndarray:
+    """A JSON list of numbers as a float64 array."""
+    if not isinstance(value, list):
+        raise ParseError(f"key {key!r} must be a list of numbers", path=path)
+    return np.array([_number(v, key, path) for v in value], dtype=np.float64)
+
+
 def read_intrinsics(path) -> CameraIntrinsics:
     path = Path(path)
     data = _read_json(path)
@@ -442,9 +456,7 @@ def read_intrinsics(path) -> CameraIntrinsics:
     for key in ("fx", "fy", "cx", "cy"):
         if key not in data:
             raise ParseError(f"missing key {key!r}", path=path)
-        if not isinstance(data[key], (int, float)) or isinstance(data[key], bool):
-            raise ParseError(f"key {key!r} must be numeric", path=path)
-        values[key] = float(data[key])
+        values[key] = _number(data[key], key, path)
     try:
         return CameraIntrinsics(**values)
     except ValueError as exc:
@@ -472,7 +484,6 @@ class PipelineReport:
     scale: float
     relative_pose: RigidTransform
     icp_transform: RigidTransform
-    final_transform: SimilarityTransform
     rms: float
     iterations: int
     covariance: np.ndarray
@@ -493,10 +504,16 @@ class PipelineReport:
             raise ValueError("information must invert the covariance within 1e-6")
         object.__setattr__(self, "covariance", freeze(cov))
         object.__setattr__(self, "information", freeze(info))
-        object.__setattr__(self, "scale", float(self.scale))
+        # The final transform refuses a scale that is not positive and finite.
+        object.__setattr__(self, "scale", self.final_transform.scale)
         object.__setattr__(self, "rms", float(self.rms))
         object.__setattr__(self, "iterations", int(self.iterations))
         object.__setattr__(self, "scale_detected", bool(self.scale_detected))
+
+    @property
+    def final_transform(self) -> SimilarityTransform:
+        """The source-to-target transform: ``scale`` times ``icp_transform``."""
+        return SimilarityTransform(self.scale, self.icp_transform)
 
 
 def _fmt_float(value: float) -> str:
@@ -542,35 +559,43 @@ def write_report(report: PipelineReport, path) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _rigid_from_json(obj, path) -> RigidTransform:
-    try:
-        rot = np.asarray(obj["rotation"], dtype=np.float64).reshape(3, 3)
-        trans = np.asarray(obj["translation"], dtype=np.float64).reshape(3)
-        return RigidTransform(rot, trans)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ParseError(f"bad transform block: {exc}", path=path) from exc
+def _rigid_from_json(obj, key, path) -> RigidTransform:
+    return RigidTransform(_numbers(obj["rotation"], f"{key}.rotation", path).reshape(3, 3),
+                          _numbers(obj["translation"], f"{key}.translation", path))
 
 
 def read_report(path) -> PipelineReport:
+    """Read a report JSON: ``scale_detected`` must be a bool, ``iterations``
+    an integer and every other value a number, and ``final_transform`` must
+    equal ``scale`` times ``icp_transform`` exactly, as ``write_report``
+    writes it."""
     path = Path(path)
     data = _read_json(path)
     try:
-        final = data["final_transform"]
-        final_transform = SimilarityTransform(
-            float(final["scale"]),
-            RigidTransform(
-                np.asarray(final["rotation"], dtype=np.float64).reshape(3, 3),
-                np.asarray(final["translation"], dtype=np.float64).reshape(3)))
-        return PipelineReport(
-            scale_detected=bool(data["scale_detected"]),
-            scale=float(data["scale"]),
-            relative_pose=_rigid_from_json(data["relative_pose"], path),
-            icp_transform=_rigid_from_json(data["icp_transform"], path),
-            final_transform=final_transform,
-            rms=float(data["rms"]),
-            iterations=int(data["iterations"]),
-            covariance=np.asarray(data["covariance"], dtype=np.float64).reshape(6, 6),
-            information=np.asarray(data["information"], dtype=np.float64).reshape(6, 6),
+        if not isinstance(data["scale_detected"], bool):
+            raise ParseError("key 'scale_detected' must be true or false", path=path)
+        iterations = data["iterations"]
+        if not isinstance(iterations, int) or isinstance(iterations, bool):
+            raise ParseError("key 'iterations' must be an integer", path=path)
+        report = PipelineReport(
+            scale_detected=data["scale_detected"],
+            scale=_number(data["scale"], "scale", path),
+            relative_pose=_rigid_from_json(data["relative_pose"], "relative_pose", path),
+            icp_transform=_rigid_from_json(data["icp_transform"], "icp_transform", path),
+            rms=_number(data["rms"], "rms", path),
+            iterations=iterations,
+            covariance=_numbers(data["covariance"], "covariance", path).reshape(6, 6),
+            information=_numbers(data["information"], "information", path).reshape(6, 6),
         )
-    except (KeyError, ValueError, TypeError) as exc:
+        final = data["final_transform"]
+        stored = SimilarityTransform(_number(final["scale"], "final_transform.scale", path),
+                                     _rigid_from_json(final, "final_transform", path))
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ParseError(f"bad report structure: {exc}", path=path) from exc
+    expected = report.final_transform
+    if not (stored.scale == expected.scale
+            and np.array_equal(stored.rotation, expected.rotation)
+            and np.array_equal(stored.translation, expected.translation)):
+        raise ParseError("final_transform must equal scale times icp_transform",
+                         path=path)
+    return report

@@ -12,8 +12,8 @@ cov(z) is isotropic sigma_z^2 * I and is never materialized; the product
 collapses to sigma_z^2 * H^-1 * (sum_i B_i B_i^T) * H^-1, where B_i is pair
 i's 6x6 block of d2J/dz dx. Both H and that sum are taken over every pair
 through the 7x7 moment matrix of the pairs (see ``_moments``). The information
-matrix is the clamped inverse of the covariance and is the edge weight a
-pose graph consumes.
+matrix is the exact inverse of the covariance and is the edge weight a pose
+graph consumes; a covariance too close to singular to invert is refused.
 """
 
 from __future__ import annotations
@@ -63,12 +63,6 @@ class CovarianceResult:
     d2j_dx2: np.ndarray       # 6x6
     cov_x: np.ndarray         # 6x6
     information: np.ndarray   # 6x6
-
-    def __post_init__(self):
-        cov = np.asarray(self.cov_x, dtype=np.float64)
-        eigenvalues = np.linalg.eigvalsh(cov)
-        if eigenvalues.min() < -1e-12 * max(np.trace(cov), 1e-300):
-            raise ValueError("covariance is not positive semi-definite")
 
 
 def rotation_derivatives(roll: float, pitch: float, yaw: float):
@@ -202,12 +196,13 @@ def covariance(pairs_p, pairs_q, pose: PoseParam, sigma_z: float) -> CovarianceR
 
 
 def information_matrix(cov) -> np.ndarray:
-    """Inverse of a symmetric PSD matrix, safe near singularity.
+    """Exact inverse of a symmetric positive-definite matrix.
 
-    Eigenvalues below 1e-12 times the trace are clamped to that floor before
-    inverting, so a nearly unobservable direction yields a large but finite
-    information weight. The output is exactly symmetric. A covariance so
-    small that its inverse would overflow raises DegenerateGeometryError.
+    One rule refuses a matrix: a smallest eigenvalue at most 1e-12 times the
+    trace, or at most 4 / float max, raises DegenerateGeometryError. The
+    first floor marks a direction the data leaves nearly unobservable (a
+    negative eigenvalue is below it too); the second keeps the inverse and
+    the sum that symmetrises it finite. The output is exactly symmetric.
     """
     mat = np.asarray(cov, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -216,16 +211,10 @@ def information_matrix(cov) -> np.ndarray:
     if np.abs(mat - mat.T).max() > 1e-9 * scale:
         raise ValueError("input matrix is not symmetric")
     trace = float(np.trace(mat))
-    if trace <= 0.0:
-        raise DegenerateGeometryError("matrix trace must be positive")
     eigenvalues, eigenvectors = np.linalg.eigh(mat)
-    floor = 1e-12 * trace
-    clamped = np.maximum(eigenvalues, floor)
-    # The eigenvectors are orthonormal, so no entry of the inverse exceeds
-    # 1 / clamped.min(), nor of its symmetrised sum twice that. The floor
-    # underflows for a tiny trace; refuse before dividing what would overflow.
-    if clamped.min() <= 4.0 / np.finfo(np.float64).max:
+    if not eigenvalues[0] > max(1e-12 * trace, 4.0 / np.finfo(np.float64).max):
         raise DegenerateGeometryError(
-            "covariance too small to invert: its information would overflow")
-    inv = eigenvectors @ np.diag(1.0 / clamped) @ eigenvectors.T
+            f"covariance is singular: smallest eigenvalue {eigenvalues[0]:.3e}, "
+            f"trace {trace:.3e}")
+    inv = eigenvectors @ np.diag(1.0 / eigenvalues) @ eigenvectors.T
     return 0.5 * (inv + inv.T)

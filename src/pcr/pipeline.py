@@ -116,16 +116,14 @@ def run_pipeline(cfg: PipelineConfig) -> cloudio.PipelineReport:
     cov_result = _stage("covariance", icpcov.covariance, pairs_p, pairs_q, pose,
                         cfg.sigma_z)
 
-    final = SimilarityTransform(seed.scale, result.transform)
     # The report refuses an information matrix that does not invert the
-    # covariance, as after a clamped eigenvalue or an underflowing sigma_z.
+    # covariance within 1e-6, as one just above the singularity floor may not.
     report = _stage(
         "covariance", cloudio.PipelineReport,
         scale_detected=detection.differs,
         scale=seed.scale,
         relative_pose=relative,
         icp_transform=result.transform,
-        final_transform=final,
         rms=result.rms,
         iterations=result.iterations,
         covariance=cov_result.cov_x,
@@ -135,6 +133,7 @@ def run_pipeline(cfg: PipelineConfig) -> cloudio.PipelineReport:
     if cfg.report_path:
         _stage("io", cloudio.write_report, report, cfg.report_path)
     if cfg.transformed_path:
-        moved = cloudio.Cloud(points=final.apply(source.points), label=source.label)
+        moved = cloudio.Cloud(points=report.final_transform.apply(source.points),
+                              label=source.label)
         _stage("io", cloudio.write_ply, moved, cfg.transformed_path)
     return report

@@ -8,7 +8,7 @@ from pcr.cloudio import (CameraIntrinsics, Cloud, Matches, PipelineReport,
                          write_intrinsics, write_matches, write_ply,
                          write_report)
 from pcr.errors import ParseError
-from pcr.geom import RigidTransform, SimilarityTransform
+from pcr.geom import RigidTransform, rot_z
 
 
 def make_cloud(rng, n=100, label="test"):
@@ -327,12 +327,21 @@ def make_report(rng):
         scale=2.5,
         relative_pose=RigidTransform.identity(),
         icp_transform=RigidTransform.identity(),
-        final_transform=SimilarityTransform(2.5, RigidTransform.identity()),
         rms=0.01,
         iterations=7,
         covariance=cov,
         information=np.diag(1.0 / np.diag(cov)),
     )
+
+
+def edited_report(tmp_path, rng, edit):
+    """A report that write_report wrote, with ``edit`` applied to its JSON."""
+    path = tmp_path / "r.json"
+    write_report(make_report(rng), path)
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    return path
 
 
 class TestReport:
@@ -357,7 +366,6 @@ class TestReport:
             scale_detected=False, scale=1.0,
             relative_pose=RigidTransform.identity(),
             icp_transform=RigidTransform.identity(),
-            final_transform=SimilarityTransform.identity(),
             rms=0.1 + 0.2, iterations=1,
             covariance=cov, information=np.diag(1.0 / np.diag(cov)))
         path = tmp_path / "r.json"
@@ -405,7 +413,6 @@ class TestReport:
                 scale_detected=False, scale=1.0,
                 relative_pose=RigidTransform.identity(),
                 icp_transform=RigidTransform.identity(),
-                final_transform=SimilarityTransform.identity(),
                 rms=0.0, iterations=1,
                 covariance=cov, information=np.eye(6))
 
@@ -415,6 +422,82 @@ class TestReport:
                 scale_detected=False, scale=1.0,
                 relative_pose=RigidTransform.identity(),
                 icp_transform=RigidTransform.identity(),
-                final_transform=SimilarityTransform.identity(),
                 rms=0.0, iterations=1,
                 covariance=np.eye(6) * 2.0, information=np.eye(6))
+
+    def test_round_trip_reads_back_equal(self, tmp_path, rng):
+        cov = np.diag(rng.uniform(0.5, 2.0, size=6))
+        report = PipelineReport(
+            scale_detected=True, scale=0.7,
+            relative_pose=RigidTransform(rot_z(0.3), [1.0, 2.0, 3.0]),
+            icp_transform=RigidTransform(rot_z(-1.1), [0.1, -0.2, 1.0 / 3.0]),
+            rms=0.02, iterations=12,
+            covariance=cov, information=np.diag(1.0 / np.diag(cov)))
+        path, again = tmp_path / "r.json", tmp_path / "again.json"
+        write_report(report, path)
+        write_report(read_report(path), again)
+        assert again.read_bytes() == path.read_bytes()
+        final = json.loads(path.read_text())["final_transform"]
+        assert final["scale"] == 0.7
+        assert final["rotation"] == report.icp_transform.rotation.ravel().tolist()
+        assert final["translation"] == report.icp_transform.translation.tolist()
+
+    @pytest.mark.parametrize("edit", [
+        {"scale": 3.0, "translation": [5.0, 5.0, 5.0]},
+        {"scale": 2.5000000000000004},
+        {"translation": [0.0, 0.0, 1e-300]},
+        {"rotation": rot_z(0.1).ravel().tolist()},
+    ])
+    def test_disagreeing_final_transform_refused(self, tmp_path, rng, edit):
+        path = edited_report(tmp_path, rng, lambda data: data["final_transform"].update(edit))
+        with pytest.raises(ParseError, match="final_transform must equal scale "
+                                             "times icp_transform") as err:
+            read_report(path)
+        assert err.value.path == path
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_scale_detected_must_be_bool(self, tmp_path, rng, value):
+        path = edited_report(tmp_path, rng, lambda data: data.update(scale_detected=value))
+        with pytest.raises(ParseError, match="'scale_detected' must be true or false") as err:
+            read_report(path)
+        assert err.value.path == path
+
+    @pytest.mark.parametrize("value", [7.9, 7.0, True, "7"])
+    def test_iterations_must_be_integer(self, tmp_path, rng, value):
+        path = edited_report(tmp_path, rng, lambda data: data.update(iterations=value))
+        with pytest.raises(ParseError, match="'iterations' must be an integer") as err:
+            read_report(path)
+        assert err.value.path == path
+
+    @pytest.mark.parametrize("key, value", [
+        ("rms", True), ("rms", "0.01"), ("scale", "2.5"), ("scale", False)])
+    def test_scalars_must_be_numbers(self, tmp_path, rng, key, value):
+        path = edited_report(tmp_path, rng, lambda data: data.update({key: value}))
+        with pytest.raises(ParseError, match=f"'{key}' must be numeric") as err:
+            read_report(path)
+        assert err.value.path == path
+
+    @pytest.mark.parametrize("key, inner", [
+        ("covariance", None), ("information", None),
+        ("icp_transform", "translation"), ("relative_pose", "rotation"),
+        ("final_transform", "translation")])
+    @pytest.mark.parametrize("entry", [True, "0", None])
+    def test_matrix_entries_must_be_numbers(self, tmp_path, rng, key, inner, entry):
+        def edit(data):
+            values = data[key] if inner is None else data[key][inner]
+            values[1] = entry
+
+        path = edited_report(tmp_path, rng, edit)
+        name = key if inner is None else f"{key}.{inner}"
+        with pytest.raises(ParseError, match=f"'{name}' must be numeric") as err:
+            read_report(path)
+        assert err.value.path == path
+
+    def test_integer_numbers_accepted(self, tmp_path, rng):
+        # a JSON integer is a number: 1 reads as 1.0 wherever a float goes
+        def edit(data):
+            data["scale"] = data["final_transform"]["scale"] = 2
+            data["rms"] = 0
+
+        report = read_report(edited_report(tmp_path, rng, edit))
+        assert report.scale == 2.0 and report.rms == 0.0

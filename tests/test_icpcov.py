@@ -285,17 +285,28 @@ class TestInformationMatrix:
     def test_overflowing_inverse_refused(self, tiny):
         # subnormal, or normal with a reciprocal beyond the largest float;
         # the suite turns numpy's overflow warnings into errors
-        with pytest.raises(DegenerateGeometryError, match="would overflow"):
+        with pytest.raises(DegenerateGeometryError) as err:
             information_matrix(tiny * np.eye(6))
+        assert str(err.value) == (f"covariance is singular: smallest eigenvalue "
+                                  f"{tiny:.3e}, trace {6 * tiny:.3e}")
 
     def test_smallest_invertible_scale(self):
         info = information_matrix(1e-300 * np.eye(6))
         assert np.isfinite(info).all()
         assert info[0, 0] == pytest.approx(1e300, rel=1e-12)
 
-    def test_clamps_near_singular(self):
-        cov = np.diag([1.0, 1, 1, 1, 1, 0.0])
-        info = information_matrix(cov)
-        assert np.isfinite(info).all()
-        # clamped direction gets the floor weight, not infinity
-        assert info[5, 5] == pytest.approx(1.0 / (1e-12 * 5.0), rel=1e-9)
+    def test_refuses_singular(self):
+        with pytest.raises(DegenerateGeometryError) as err:
+            information_matrix(np.diag([1.0, 1, 1, 1, 1, 0.0]))
+        assert str(err.value) == ("covariance is singular: smallest eigenvalue "
+                                  "0.000e+00, trace 5.000e+00")
+
+    def test_refuses_negative_eigenvalue(self):
+        # symmetric, but not positive semi-definite
+        q = rotation_zyx(0.1, 0.2, 0.4)
+        cov = np.eye(6)
+        cov[:3, :3] = q @ np.diag([2.0, 1.0, -1e-3]) @ q.T
+        with pytest.raises(DegenerateGeometryError) as err:
+            information_matrix(cov)
+        assert str(err.value) == ("covariance is singular: smallest eigenvalue "
+                                  "-1.000e-03, trace 5.999e+00")

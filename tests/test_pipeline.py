@@ -51,8 +51,8 @@ def assert_within_criterion_01(report, paths):
 def write_thin_pair(directory):
     """A source 1e-5 thick across two axes and its copy shifted by 0.01 in x,
     with 1e-6 noise: its Hessian (cond about 4e9) passes the covariance gate,
-    but the information matrix clamps an eigenvalue and so does not invert
-    the covariance."""
+    but the covariance's smallest eigenvalue is below 1e-12 times its trace,
+    so the information matrix refuses it."""
     rng = np.random.default_rng(1)
     pts = rng.normal(size=(2000, 3)) * [1.0, 1e-5, 1e-5]
     write_ply(Cloud(points=pts), directory / "s.ply")
@@ -166,12 +166,13 @@ class TestRunPipeline:
                                         report_path=str(report), apply_filters=False))
         assert err.value.stage == "covariance"
         assert err.value.exit_code == 5
-        assert "information must invert the covariance" in str(err.value)
+        assert str(err.value) == ("covariance: covariance is singular: smallest "
+                                  "eigenvalue 1.224e-07, trace 5.030e+05")
         assert not report.exists()
 
     def test_underflowing_covariance_is_covariance_stage(self, scene_dir):
         # sigma_z^2 = 1e-320 is a positive subnormal, so the flag is valid,
-        # but the covariance underflows and its information is not finite
+        # but the covariance underflows and its inverse would overflow
         with pytest.raises(StageError) as err:
             run_pipeline(config_for(scene_dir, sigma_z=1e-160, apply_filters=False))
         assert (err.value.stage, err.value.exit_code) == ("covariance", 5)
@@ -294,8 +295,9 @@ class TestCli:
                        "--out", str(report), "--no-filter"])
         assert rc == 5
         err = capsys.readouterr().err
-        assert err.splitlines() == ["pcr: error in stage covariance: "
-                                    "information must invert the covariance within 1e-6"]
+        assert err.splitlines() == ["pcr: error in stage covariance: covariance is "
+                                    "singular: smallest eigenvalue 1.224e-07, "
+                                    "trace 5.030e+05"]
         assert not report.exists()
 
     def test_underflowing_covariance_prints_stage_line_only(self, tmp_path, scene_dir):
@@ -314,8 +316,8 @@ class TestCli:
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 5
         assert proc.stderr.splitlines() == [
-            "pcr: error in stage covariance: "
-            "covariance too small to invert: its information would overflow"]
+            "pcr: error in stage covariance: covariance is singular: "
+            "smallest eigenvalue -0.000e+00, trace 4.125e-321"]
         assert "RuntimeWarning" not in proc.stderr
         assert not report.exists()
 
