@@ -5,7 +5,8 @@ of pixels with depth, projection of camera-frame points and bearing rays.
 
 Formats handled here:
   * PLY clouds, ASCII or binary little-endian, vertex element with float or
-    double x/y/z properties (big-endian deliberately rejected).
+    double x/y/z properties (big-endian deliberately rejected), coordinates
+    within ``COORDINATE_LIMIT``.
   * Matches CSV with header exactly ``us,vs,ds,ut,vt,dt``; an empty depth
     field means the depth is unknown, NaN in :class:`Matches`.
   * Intrinsics JSON ``{"fx":..., "fy":..., "cx":..., "cy":...}``.
@@ -32,9 +33,16 @@ _PLY_FLOAT_TYPES = {
 }
 
 
+# Largest coordinate magnitude a cloud may hold. The squared distance of two
+# such points, at most 3 * (2e150)^2 = 1.2e301, stays finite, so every
+# nearest-neighbour and alignment sum does too; at 1e154 they overflow.
+COORDINATE_LIMIT = 1e150
+
+
 @dataclass(frozen=True)
 class Cloud:
-    """Ordered 3D point set with a source label and bounds metadata.
+    """Ordered 3D point set with a source label and bounds metadata. Every
+    coordinate is finite and at most ``COORDINATE_LIMIT`` in magnitude.
 
     ``bounds_hint`` records the axis-aligned bounds of the cloud the points
     were taken from; filters preserve it so that boundaries keep referring to
@@ -49,8 +57,9 @@ class Cloud:
         pts = as_points(self.points)
         if pts.shape[0] < 1:
             raise ValueError("a cloud needs at least one point")
-        if not np.isfinite(pts).all():
-            raise ValueError("cloud points must all be finite")
+        if not (np.abs(pts) <= COORDINATE_LIMIT).all():
+            raise ValueError("cloud coordinates must be finite and at most "
+                             f"{COORDINATE_LIMIT:g} in magnitude")
         object.__setattr__(self, "points", freeze(pts))
 
     def __len__(self) -> int:
@@ -239,6 +248,8 @@ def read_ply(path) -> Cloud:
         if keyword == "format":
             if len(tokens) != 3:
                 raise ParseError("malformed format line", path=path, line=lineno)
+            if fmt is not None:
+                raise ParseError("repeated format line", path=path, line=lineno)
             if tokens[1] == "ascii":
                 fmt = "ascii"
             elif tokens[1] == "binary_little_endian":
@@ -257,6 +268,8 @@ def read_ply(path) -> Cloud:
                 raise ParseError("malformed element line", path=path, line=lineno)
             if tokens[1] != "vertex":
                 raise ParseError(f"unsupported element {tokens[1]!r}", path=path, line=lineno)
+            if vertex_count is not None:
+                raise ParseError("repeated element line", path=path, line=lineno)
             try:
                 vertex_count = int(tokens[2])
             except ValueError as exc:
@@ -293,9 +306,10 @@ def read_ply(path) -> Cloud:
     else:
         pts = _read_ply_binary(body, vertex_count, properties, path)
 
-    if not np.isfinite(pts).all():
-        raise ParseError("non-finite vertex coordinate", path=path)
-    return Cloud(points=pts, label=label)
+    try:
+        return Cloud(points=pts, label=label)
+    except ValueError as exc:
+        raise ParseError(str(exc), path=path) from exc
 
 
 def _read_ply_ascii(body, count, names, path, header_len):
@@ -478,7 +492,11 @@ def write_intrinsics(intrinsics: CameraIntrinsics, path) -> None:
 
 @dataclass(frozen=True)
 class PipelineReport:
-    """End-to-end registration result written to the report JSON."""
+    """End-to-end registration result written to the report JSON.
+
+    The one keeper of the report's rules: each field is checked and stored as
+    given, apart from the matrices' read-only copies, so every report that
+    exists can be written and read back."""
 
     scale_detected: bool
     scale: float
@@ -490,8 +508,20 @@ class PipelineReport:
     information: np.ndarray
 
     def __post_init__(self):
-        cov = np.asarray(self.covariance, dtype=np.float64)
-        info = np.asarray(self.information, dtype=np.float64)
+        if not isinstance(self.scale_detected, bool):
+            raise ValueError("'scale_detected' must be true or false")
+        if not (isinstance(self.scale, float) and 0.0 < self.scale < math.inf):
+            raise ValueError("'scale' must be a positive finite float")
+        for name in ("relative_pose", "icp_transform"):
+            if not isinstance(getattr(self, name), RigidTransform):
+                raise ValueError(f"'{name}' must be a RigidTransform")
+        if not (isinstance(self.rms, float) and 0.0 <= self.rms < math.inf):
+            raise ValueError("'rms' must be a finite float of at least 0")
+        # ICP always runs at least one iteration.
+        if not isinstance(self.iterations, int) or isinstance(self.iterations, bool) \
+                or self.iterations < 1:
+            raise ValueError("'iterations' must be an integer of at least 1")
+        cov, info = freeze(self.covariance), freeze(self.information)
         if cov.shape != (6, 6) or info.shape != (6, 6):
             raise ValueError("covariance and information must be 6x6")
         if not (np.isfinite(cov).all() and np.isfinite(info).all()):
@@ -502,13 +532,8 @@ class PipelineReport:
         product = info @ cov
         if np.abs(product - np.eye(6)).max() > 1e-6:
             raise ValueError("information must invert the covariance within 1e-6")
-        object.__setattr__(self, "covariance", freeze(cov))
-        object.__setattr__(self, "information", freeze(info))
-        # The final transform refuses a scale that is not positive and finite.
-        object.__setattr__(self, "scale", self.final_transform.scale)
-        object.__setattr__(self, "rms", float(self.rms))
-        object.__setattr__(self, "iterations", int(self.iterations))
-        object.__setattr__(self, "scale_detected", bool(self.scale_detected))
+        object.__setattr__(self, "covariance", cov)
+        object.__setattr__(self, "information", info)
 
     @property
     def final_transform(self) -> SimilarityTransform:
@@ -517,10 +542,7 @@ class PipelineReport:
 
 
 def _fmt_float(value: float) -> str:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError("report values must be finite")
-    return format(value, ".17g")
+    return format(float(value), ".17g")
 
 
 def _fmt_array(arr) -> str:
@@ -565,25 +587,20 @@ def _rigid_from_json(obj, key, path) -> RigidTransform:
 
 
 def read_report(path) -> PipelineReport:
-    """Read a report JSON: ``scale_detected`` must be a bool, ``iterations``
-    an integer and every other value a number, and ``final_transform`` must
-    equal ``scale`` times ``icp_transform`` exactly, as ``write_report``
-    writes it."""
+    """Read a report JSON: every value except ``scale_detected`` and
+    ``iterations`` must be a number, the values must meet the rules of
+    ``PipelineReport``, and ``final_transform`` must equal ``scale`` times
+    ``icp_transform`` exactly, as ``write_report`` writes it."""
     path = Path(path)
     data = _read_json(path)
     try:
-        if not isinstance(data["scale_detected"], bool):
-            raise ParseError("key 'scale_detected' must be true or false", path=path)
-        iterations = data["iterations"]
-        if not isinstance(iterations, int) or isinstance(iterations, bool):
-            raise ParseError("key 'iterations' must be an integer", path=path)
         report = PipelineReport(
             scale_detected=data["scale_detected"],
             scale=_number(data["scale"], "scale", path),
             relative_pose=_rigid_from_json(data["relative_pose"], "relative_pose", path),
             icp_transform=_rigid_from_json(data["icp_transform"], "icp_transform", path),
             rms=_number(data["rms"], "rms", path),
-            iterations=iterations,
+            iterations=data["iterations"],
             covariance=_numbers(data["covariance"], "covariance", path).reshape(6, 6),
             information=_numbers(data["information"], "information", path).reshape(6, 6),
         )

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the CLI exit code of
+each pipeline stage's failure."""
+
+# Exit code 2 is left to argparse: it means a usage or flag error.
+EXIT_CODES = {"io": 1, "scale": 6, "relpose": 3, "icp": 4, "covariance": 5}
 
 
 class RegistrationError(Exception):
@@ -49,10 +53,14 @@ class TooFewPairsError(RegistrationError):
 
 
 class StageError(RegistrationError):
-    """Pipeline stage failure; carries the stage name and its exit code."""
+    """Pipeline stage failure: the stage name (a key of ``EXIT_CODES``) and
+    its cause; ``exit_code`` is the stage's CLI exit code."""
 
-    def __init__(self, stage, exit_code, cause):
+    def __init__(self, stage, cause):
         super().__init__(f"{stage}: {cause}")
         self.stage = stage
-        self.exit_code = exit_code
         self.cause = cause
+
+    @property
+    def exit_code(self) -> int:
+        return EXIT_CODES[self.stage]

@@ -26,8 +26,8 @@ def freeze(arr) -> np.ndarray:
 
 
 def as_points(points) -> np.ndarray:
-    """(n, 3) float64 view of a point array or of a ``Cloud``'s points."""
-    pts = np.asarray(getattr(points, "points", points), dtype=np.float64)
+    """(n, 3) float64 view of a point array."""
+    pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected an (n, 3) point array, got shape {pts.shape}")
     return pts

@@ -269,28 +269,17 @@ class NeighbourCache:
             self._nearest[which] = self._index.query(np.take(rows, which, axis=1).T)[1]
 
 
-@dataclass(frozen=True)
-class Correspondences:
-    """Surviving source/target index pairs."""
-
-    source_indices: np.ndarray
-    target_indices: np.ndarray
-
-    def __len__(self) -> int:
-        return self.source_indices.shape[0]
-
-
-def correspond(moved, index: NNIndex | NeighbourCache) -> Correspondences:
-    """Nearest-neighbor pairs of the transformed (n, 3) source ``moved``,
-    median-trimmed: pairs farther than ``TRIM_MULTIPLIER`` times the median
-    pair distance are rejected, and at least 3 pairs must survive."""
+def correspond(moved, index: NNIndex | NeighbourCache) -> tuple[np.ndarray, np.ndarray]:
+    """Source and target indices of the nearest-neighbor pairs of the
+    transformed (n, 3) source ``moved``, median-trimmed: pairs farther than
+    ``TRIM_MULTIPLIER`` times the median pair distance are rejected, and at
+    least 3 pairs must survive."""
     dist, tgt_idx = index.query(moved)
     keep = dist <= TRIM_MULTIPLIER * _median(dist)
     if int(keep.sum()) < 3:
         raise TooFewPairsError(
             f"only {int(keep.sum())} pairs survive trimming, need at least 3")
-    return Correspondences(source_indices=np.flatnonzero(keep),
-                           target_indices=tgt_idx[keep])
+    return np.flatnonzero(keep), tgt_idx[keep]
 
 
 @dataclass(frozen=True)
@@ -331,17 +320,17 @@ def _icp_loop(src: np.ndarray, cache: NeighbourCache, current: RigidTransform,
     prev_rms = None
     moved = _transform_rows(current, src)
     for iterations in range(1, max_iterations + 1):
-        corr = correspond(moved.T, cache)
-        pairs_p = np.take(src, corr.source_indices, axis=1)
-        pairs_q = np.take(cache.paired, corr.source_indices, axis=1)
+        kept, _ = correspond(moved.T, cache)
+        pairs_p = np.take(src, kept, axis=1)
+        pairs_q = np.take(cache.paired, kept, axis=1)
         new = umeyama_align(pairs_p.T, pairs_q.T)
 
         # The next query's points; the kept columns give the RMS under ``new``.
         moved = _transform_rows(new, src)
-        diff = np.take(moved, corr.source_indices, axis=1)
+        diff = np.take(moved, kept, axis=1)
         diff -= pairs_q
         sq = float((diff * diff).sum())
-        rms = float(np.sqrt(sq / len(corr)))
+        rms = float(np.sqrt(sq / kept.size))
         trace.append(rms)
 
         angle, shift = _pose_step(new, current)
@@ -358,7 +347,8 @@ def _icp_loop(src: np.ndarray, cache: NeighbourCache, current: RigidTransform,
 
 def icp_register(source, target, cfg: IcpConfig = IcpConfig(),
                  init: RigidTransform | None = None) -> IcpResult:
-    """Register source onto target by trimmed point-to-point ICP.
+    """Register the (n, 3) source points onto the (m, 3) target points by
+    trimmed point-to-point ICP.
 
     ``init`` seeds only the first correspondence search; every iteration
     solves the absolute transform in closed form, so the result does not
@@ -404,10 +394,10 @@ def icp_register(source, target, cfg: IcpConfig = IcpConfig(),
         src_rows, cache, current, cfg.max_iterations, ROTATION_TOL, trans_tol)
 
     # Refresh the pair set so theta describes the returned transform.
-    final_corr = correspond(moved.T, cache)
+    source_indices, theta = correspond(moved.T, cache)
     return IcpResult(transform=current,
-                     source_indices=final_corr.source_indices,
-                     theta=final_corr.target_indices,
+                     source_indices=source_indices,
+                     theta=theta,
                      rms_trace=np.asarray(trace),
                      iterations=iterations,
                      converged=converged)

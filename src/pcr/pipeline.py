@@ -6,9 +6,9 @@ points, the depth gate and the closed-form scale estimate, which together
 make one Sim(3) seed; source scaling by the seed's scale, filtration of both
 clouds, trimmed ICP from the seed's rigid part, covariance and information
 matrix on the final correspondence set. Any stage failure is wrapped in a
-StageError carrying the stage name and its CLI exit code. An ICP run that
-stops at its iteration cap unconverged is not a failure: it is logged as a
-WARNING on the ``pcr`` logger, and the run goes on.
+StageError carrying the stage name, which gives its CLI exit code. An ICP
+run that stops at its iteration cap unconverged is not a failure: it is
+logged as a WARNING on the ``pcr`` logger, and the run goes on.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ from dataclasses import dataclass, field
 from . import cloudio, filters, icp, icpcov, relpose, scale
 from .errors import RegistrationError, StageError
 from .geom import RigidTransform, SimilarityTransform
-
-# Exit code 2 is left to argparse: it means a usage or flag error.
-EXIT_CODES = {"io": 1, "scale": 6, "relpose": 3, "icp": 4, "covariance": 5}
 
 log = logging.getLogger("pcr")
 
@@ -52,7 +49,7 @@ def _stage(name: str, func, *args, **kwargs):
     except StageError:
         raise
     except (RegistrationError, ValueError, OSError) as exc:
-        raise StageError(name, EXIT_CODES[name], exc) from exc
+        raise StageError(name, exc) from exc
 
 
 def run_pipeline(cfg: PipelineConfig) -> cloudio.PipelineReport:
@@ -61,7 +58,7 @@ def run_pipeline(cfg: PipelineConfig) -> cloudio.PipelineReport:
     target = _stage("io", cloudio.read_ply, cfg.target)
     matches = _stage("io", cloudio.read_matches, cfg.matches) if cfg.matches else None
 
-    detection = _stage("scale", scale.detect_scale, source, target)
+    detection = _stage("scale", scale.detect_scale, source.points, target.points)
 
     # The keyframe relative pose and the session scale coarsely align the
     # two sessions; seeding ICP with them keeps the refinement inside its
@@ -71,16 +68,14 @@ def run_pipeline(cfg: PipelineConfig) -> cloudio.PipelineReport:
     relative = RigidTransform.identity()
     if detection.differs and cfg.use_scale:
         if matches is None:
-            raise StageError("scale", EXIT_CODES["scale"],
-                             "scale estimation requires matches")
+            raise StageError("scale", "scale estimation requires matches")
         if not cfg.intrinsics_source or not cfg.intrinsics_target:
-            raise StageError("scale", EXIT_CODES["scale"],
-                             "scale estimation requires intrinsics for both sides")
+            raise StageError("scale", "scale estimation requires intrinsics for both sides")
         k_source = _stage("io", cloudio.read_intrinsics, cfg.intrinsics_source)
         k_target = _stage("io", cloudio.read_intrinsics, cfg.intrinsics_target)
         rel_pose = _stage("relpose", relpose.ransac_relative_pose,
                           matches, k_source, k_target, cfg.ransac)
-        relative = RigidTransform(rel_pose.rotation, rel_pose.translation)
+        relative = rel_pose.transform
         # The inliers with both depths, lifted to 3D once.
         inliers = matches[rel_pose.inliers]
         src, tgt = inliers[inliers.has_depths].points(k_source, k_target)
@@ -88,12 +83,13 @@ def run_pipeline(cfg: PipelineConfig) -> cloudio.PipelineReport:
         # pairs that fit the common pairwise-distance ratio.
         consistent = _stage("scale", scale.depth_consistent_indices, src, tgt)
         estimate = _stage("scale", scale.estimate_scale_kalman,
-                          src[consistent], tgt[consistent], rel_pose.rotation)
+                          src[consistent], tgt[consistent], relative.rotation)
         seed = SimilarityTransform(
-            estimate.scale, RigidTransform(rel_pose.rotation, estimate.translation))
+            estimate.scale, RigidTransform(relative.rotation, estimate.translation))
 
-    scaled_source = source if seed.scale == 1.0 else \
-        cloudio.Cloud(points=seed.scale * source.points, label=source.label)
+    # The cloud refuses a scaled coordinate past its magnitude limit.
+    scaled_source = source if seed.scale == 1.0 else _stage(
+        "scale", cloudio.Cloud, points=seed.scale * source.points, label=source.label)
 
     if cfg.apply_filters:
         icp_source = _stage("icp", filters.crop_lower, scaled_source, cfg.filter_cfg)
@@ -104,7 +100,7 @@ def run_pipeline(cfg: PipelineConfig) -> cloudio.PipelineReport:
         icp_source = scaled_source
         icp_target = target
 
-    result = _stage("icp", icp.icp_register, icp_source, icp_target,
+    result = _stage("icp", icp.icp_register, icp_source.points, icp_target.points,
                     cfg.icp_cfg, seed.rigid)
     if not result.converged:
         log.warning("stage icp: ICP stopped unconverged after %d iterations",
@@ -133,7 +129,7 @@ def run_pipeline(cfg: PipelineConfig) -> cloudio.PipelineReport:
     if cfg.report_path:
         _stage("io", cloudio.write_report, report, cfg.report_path)
     if cfg.transformed_path:
-        moved = cloudio.Cloud(points=report.final_transform.apply(source.points),
-                              label=source.label)
+        moved = _stage("io", cloudio.Cloud, label=source.label,
+                       points=report.final_transform.apply(source.points))
         _stage("io", cloudio.write_ply, moved, cfg.transformed_path)
     return report

@@ -51,19 +51,16 @@ _FLAT = np.diag([1.0, 1.0, 0.0])
 
 @dataclass(frozen=True)
 class RelativePose:
-    """Rotation plus unit translation direction mapping source-camera points
-    into the target camera frame, with the supporting inlier indices."""
+    """The transform (rotation plus unit translation direction) mapping
+    source-camera points into the target camera frame, with the supporting
+    inlier indices."""
 
-    rotation: np.ndarray
-    translation: np.ndarray
+    transform: RigidTransform
     inliers: np.ndarray
 
     def __post_init__(self):
-        rigid = RigidTransform(self.rotation, self.translation)
-        if abs(np.linalg.norm(rigid.translation) - 1.0) > ORTHOGONALITY_TOL:
+        if abs(np.linalg.norm(self.transform.translation) - 1.0) > ORTHOGONALITY_TOL:
             raise ValueError("translation direction must be unit length")
-        object.__setattr__(self, "rotation", rigid.rotation)
-        object.__setattr__(self, "translation", rigid.translation)
         object.__setattr__(self, "inliers",
                            freeze(np.asarray(self.inliers, dtype=np.int64)))
 
@@ -441,5 +438,4 @@ def ransac_relative_pose(matches: Matches, intrinsics_source: CameraIntrinsics,
     final_mask = final_res <= threshold
     if int(final_mask.sum()) < 8:
         raise NoConsensusError("refined model keeps fewer than 8 inliers")
-    return RelativePose(rotation=pose.rotation, translation=pose.translation,
-                        inliers=np.flatnonzero(final_mask).astype(np.int64))
+    return RelativePose(pose, np.flatnonzero(final_mask))

@@ -65,8 +65,7 @@ class ScaleEstimate:
 
 
 def detect_scale(source, target) -> ScaleDetection:
-    """Compare the bounding-diagonal lengths of the two clouds (point arrays
-    or ``Cloud``s)."""
+    """Compare the bounding-diagonal lengths of two (n, 3) point arrays."""
     diag_s = bounds(source).diagonal_length()
     diag_t = bounds(target).diagonal_length()
     if diag_s == 0.0 or diag_t == 0.0:

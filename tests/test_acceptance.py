@@ -174,8 +174,8 @@ def test_criterion_06_ransac_robustness():
                 matches, cam, cam, RansacConfig(pixel_threshold=1.0, seed=seed))
         except Exception:
             continue
-        rot_err = np.degrees(rotation_angle_between(pose.rotation, rot))
-        dir_err = np.degrees(np.arccos(np.clip(abs(pose.translation @ tdir), -1, 1)))
+        rot_err = np.degrees(rotation_angle_between(pose.transform.rotation, rot))
+        dir_err = np.degrees(np.arccos(np.clip(abs(pose.transform.translation @ tdir), -1, 1)))
         hits += rot_err < 1.0 and dir_err < 2.0
     verdict(6, "RANSAC with 30% outliers at 1 px threshold", hits >= 48,
             f"{hits}/50 seeds")

@@ -1,7 +1,7 @@
 import pytest
 
 from pcr import cli
-from pcr.cloudio import Cloud, write_ply
+from pcr.cloudio import Cloud, read_ply, write_ply
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -68,3 +68,28 @@ def test_synth_out_dir_is_a_file(tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert out.read_text(encoding="utf-8") == "not a directory\n"
 
+
+
+def test_coordinates_past_limit_end_in_io_stage(tmp_path, capsys):
+    # at 1e160 the squared distances of ICP's nearest-neighbour search
+    # overflow; the reader refuses the clouds first
+    scene = tmp_path / "scene"
+    assert cli.main(["synth", "--scale", "1", "--rot-deg", "5", "--seed", "3",
+                     "--out-dir", str(scene)]) == 0
+    for name in ("source", "target"):
+        points = read_ply(scene / f"{name}.ply").points * 1e160
+        header = ("ply\nformat binary_little_endian 1.0\n"
+                  f"element vertex {len(points)}\nproperty double x\n"
+                  "property double y\nproperty double z\nend_header\n")
+        (tmp_path / f"{name}.ply").write_bytes(header.encode() + points.astype("<f8").tobytes())
+    capsys.readouterr()
+    report = tmp_path / "r.json"
+    code = cli.main(["register", "--source", str(tmp_path / "source.ply"),
+                     "--target", str(tmp_path / "target.ply"), "--out", str(report),
+                     "--no-filter"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("pcr: error in stage io: ")
+    assert "at most 1e+150 in magnitude" in err
+    assert not report.exists()

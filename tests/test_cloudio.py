@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -87,6 +88,35 @@ class TestPly:
         with pytest.raises(ParseError, match="repeated property 'x'") as err:
             read_ply(path)
         assert err.value.line == 5
+
+    @pytest.mark.parametrize("first, second, line", [
+        ("format binary_little_endian 1.0", "format ascii 1.0", 3),
+        ("element vertex 2", "element vertex 1", 4),
+    ], ids=["format", "element"])
+    def test_repeated_header_line_rejected_at_its_line(self, tmp_path, first, second, line):
+        # the last line would win: an ASCII or a one-point cloud
+        text = ("ply\nformat ascii 1.0\nelement vertex 1\n"
+                "property double x\nproperty double y\nproperty double z\n"
+                "end_header\n1 2 3\n").replace(second, f"{first}\n{second}")
+        path = tmp_path / "twice.ply"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"repeated {second.split()[0]} line") as err:
+            read_ply(path)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("value", ["1.0000000000000001e150", "-1e151", "1e160"])
+    def test_coordinate_past_limit_rejected(self, tmp_path, value):
+        # squared distances of such coordinates would overflow in ICP
+        text = ("ply\nformat ascii 1.0\nelement vertex 2\n"
+                "property double x\nproperty double y\nproperty double z\n"
+                f"end_header\n1e150 -1e150 0\n1 {value} 3\n")
+        path = tmp_path / "far.ply"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="at most 1e\\+150 in magnitude") as err:
+            read_ply(path)
+        assert err.value.path == path
+        path.write_text(text.replace(value, "2"))
+        assert np.abs(read_ply(path).points).max() == 1e150
 
     def test_header_lines_end_at_newlines(self, tmp_path):
         # CRLF line ends are read; the header stops at its end_header line
@@ -468,6 +498,24 @@ class TestReport:
         with pytest.raises(ParseError, match="'iterations' must be an integer") as err:
             read_report(path)
         assert err.value.path == path
+
+    @pytest.mark.parametrize("key, value", [
+        ("rms", float("nan")), ("rms", float("inf")), ("rms", -1.0),
+        ("iterations", 0), ("iterations", -3)])
+    def test_values_out_of_range_refused(self, tmp_path, rng, key, value):
+        # json writes the literals NaN and Infinity, and reads them back
+        path = edited_report(tmp_path, rng, lambda data: data.update({key: value}))
+        with pytest.raises(ParseError, match=f"'{key}' must be .* at least") as err:
+            read_report(path)
+        assert err.value.path == path
+
+    @pytest.mark.parametrize("field, value", [
+        ("iterations", 7.9), ("iterations", np.int64(7)), ("scale_detected", "false"),
+        ("scale_detected", 1), ("rms", float("nan")), ("rms", 1), ("scale", 2),
+        ("icp_transform", None)])
+    def test_report_type_coerces_nothing(self, rng, field, value):
+        with pytest.raises(ValueError, match=f"'{field}' must be"):
+            dataclasses.replace(make_report(rng), **{field: value})
 
     @pytest.mark.parametrize("key, value", [
         ("rms", True), ("rms", "0.01"), ("scale", "2.5"), ("scale", False)])

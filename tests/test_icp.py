@@ -44,13 +44,13 @@ def single_stage_icp(src, tgt, max_iterations=100, init=None, tol_factor=1.0):
     converged = False
     prev_rms = None
     for iterations in range(1, max_iterations + 1):
-        corr = correspond(current.apply(src), index)
-        pairs_p = src[corr.source_indices]
-        pairs_q = tgt[corr.target_indices]
+        kept, paired = correspond(current.apply(src), index)
+        pairs_p = src[kept]
+        pairs_q = tgt[paired]
         new = umeyama_align(pairs_p, pairs_q)
         # summed over (3, k) coordinate rows, in the loop's order
         diff = np.ascontiguousarray((new.apply(pairs_p) - pairs_q).T)
-        rms = float(np.sqrt(float((diff * diff).sum()) / len(corr)))
+        rms = float(np.sqrt(float((diff * diff).sum()) / len(kept)))
         trace.append(rms)
         delta = new.compose(current.inverse())
         pose_small = (rotation_angle(delta.rotation) < rotation_tol
@@ -62,9 +62,9 @@ def single_stage_icp(src, tgt, max_iterations=100, init=None, tol_factor=1.0):
         if pose_small or error_small:
             converged = True
             break
-    final = correspond(current.apply(src), index)
-    return icp.IcpResult(transform=current, source_indices=final.source_indices,
-                         theta=final.target_indices, rms_trace=np.asarray(trace),
+    source_indices, theta = correspond(current.apply(src), index)
+    return icp.IcpResult(transform=current, source_indices=source_indices,
+                         theta=theta, rms_trace=np.asarray(trace),
                          iterations=iterations, converged=converged)
 
 
@@ -349,22 +349,22 @@ def test_pose_step_is_compose_of_inverse(rng, stretch):
 class TestCorrespond:
     def test_identity_on_identical_clouds(self, rng):
         pts = box_cloud(rng, 200)
-        corr = correspond(pts, NNIndex(pts))
-        assert len(corr) == 200
-        assert np.array_equal(corr.source_indices, np.arange(200))
-        assert np.array_equal(corr.target_indices, np.arange(200))
+        source_indices, target_indices = correspond(pts, NNIndex(pts))
+        assert len(source_indices) == 200
+        assert np.array_equal(source_indices, np.arange(200))
+        assert np.array_equal(target_indices, np.arange(200))
 
     def test_far_outlier_rejected(self, rng):
         tgt = box_cloud(rng, 200)
         src = np.vstack([tgt, [[50.0, 50.0, 50.0]]])
-        corr = correspond(src, NNIndex(tgt))
+        source_indices, _ = correspond(src, NNIndex(tgt))
         # brute-force check of the trim rule
         moved = src
         diffs = np.linalg.norm(moved[:, None, :] - tgt[None, :, :], axis=2)
         dist = diffs.min(axis=1)
         keep = dist <= icp.TRIM_MULTIPLIER * np.median(dist)
-        assert np.array_equal(corr.source_indices, np.flatnonzero(keep))
-        assert 200 not in corr.source_indices
+        assert np.array_equal(source_indices, np.flatnonzero(keep))
+        assert 200 not in source_indices
 
     def test_too_few_pairs(self):
         # pair distances 0.1, 0.1 and 10: the third is beyond 3 x median,

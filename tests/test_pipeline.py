@@ -148,6 +148,26 @@ class TestRunPipeline:
         assert err.value.exit_code == 6
         assert "matches" in str(err.value)
 
+    def test_scaled_source_past_coordinate_limit_is_scale_stage(self, scene_dir, tmp_path):
+        # a source at 5e149 is readable, but the scale of 2.5 takes it past
+        # the 1e150 that a cloud may hold
+        source = read_ply(scene_dir["source"])
+        far = tmp_path / "far.ply"
+        write_ply(Cloud(points=source.points * (5e149 / np.abs(source.points).max())), far)
+        report = tmp_path / "r.json"
+        with pytest.raises(StageError) as err:
+            run_pipeline(config_for({**scene_dir, "source": str(far)},
+                                    report_path=str(report), apply_filters=False))
+        assert (err.value.stage, err.value.exit_code) == ("scale", 6)
+        assert "at most 1e+150 in magnitude" in str(err.value)
+        assert not report.exists()
+
+    @pytest.mark.parametrize("stage, code", [
+        ("io", 1), ("relpose", 3), ("icp", 4), ("covariance", 5), ("scale", 6)])
+    def test_exit_code_follows_the_stage(self, stage, code):
+        # the README's table of exit codes
+        assert StageError(stage, "x").exit_code == code
+
     def test_index_error_in_a_stage_propagates(self, scene_dir, monkeypatch):
         # no stage raises IndexError on purpose: one is a bug, not a stage
         # failure with an exit code

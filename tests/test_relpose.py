@@ -371,7 +371,7 @@ class TestRansac:
         matches, rot, tdir, _ = two_view_scene(rng, n=200)
         pose = ransac_relative_pose(matches, K, K)
         assert len(pose.inliers) == 200
-        assert np.degrees(rotation_angle_between(pose.rotation, rot)) < 0.1
+        assert np.degrees(rotation_angle_between(pose.transform.rotation, rot)) < 0.1
 
     def test_monte_carlo_robustness(self):
         # 200 matches, 30% outliers, psi = 1 px: rotation < 1 deg and
@@ -386,8 +386,8 @@ class TestRansac:
                 pose = ransac_relative_pose(matches, K, K, cfg)
             except Exception:
                 continue
-            rot_err = np.degrees(rotation_angle_between(pose.rotation, rot))
-            dir_err = np.degrees(np.arccos(np.clip(abs(pose.translation @ tdir), -1, 1)))
+            rot_err = np.degrees(rotation_angle_between(pose.transform.rotation, rot))
+            dir_err = np.degrees(np.arccos(np.clip(abs(pose.transform.translation @ tdir), -1, 1)))
             if rot_err < 1.0 and dir_err < 2.0:
                 hits += 1
         assert hits >= 48
@@ -402,8 +402,8 @@ class TestRansac:
         cfg = RansacConfig(seed=11)
         a = ransac_relative_pose(matches, K, K, cfg)
         b = ransac_relative_pose(matches, K, K, cfg)
-        assert np.array_equal(a.rotation, b.rotation)
-        assert np.array_equal(a.translation, b.translation)
+        assert np.array_equal(a.transform.rotation, b.transform.rotation)
+        assert np.array_equal(a.transform.translation, b.transform.translation)
         assert np.array_equal(a.inliers, b.inliers)
 
     def test_reported_inliers_satisfy_threshold(self, rng):
@@ -411,7 +411,7 @@ class TestRansac:
         cfg = RansacConfig(pixel_threshold=1.0, seed=3)
         pose = ransac_relative_pose(matches, K, K, cfg)
         rays_s, rays_t = rays_of(matches)
-        e = skew(pose.translation) @ pose.rotation
+        e = skew(pose.transform.translation) @ pose.transform.rotation
         res = epipolar_residuals(e, rays_s, rays_t)
         threshold = angular_threshold(1.0, K.fx)
         assert (res[pose.inliers] <= threshold).all()
@@ -421,9 +421,9 @@ class TestRansac:
         swapped = pixel_matches(matches.target_pixels, matches.source_pixels)
         fwd = ransac_relative_pose(matches, K, K, RansacConfig(seed=5))
         rev = ransac_relative_pose(swapped, K, K, RansacConfig(seed=5))
-        assert rotation_angle_between(rev.rotation, fwd.rotation.T) < 1e-6
-        expected_dir = -(fwd.rotation.T @ fwd.translation)
-        assert np.abs(rev.translation - expected_dir).max() < 1e-6
+        assert rotation_angle_between(rev.transform.rotation, fwd.transform.rotation.T) < 1e-6
+        expected_dir = -(fwd.transform.rotation.T @ fwd.transform.translation)
+        assert np.abs(rev.transform.translation - expected_dir).max() < 1e-6
 
     @pytest.mark.parametrize("iterations", [1, 255, 256, 257, 1000])
     def test_samples_are_distinct_and_repeat_for_seed(self, rng, monkeypatch, iterations):
@@ -667,12 +667,12 @@ class TestPolish:
         pose = ransac_relative_pose(matches, K, K, cfg)
         assert np.array_equal(pose.inliers, np.flatnonzero(lm_res <= threshold))
         cost_lm = (signed_sines(rot_lm, dir_lm, fit_s, fit_t) ** 2).sum()
-        cost = (signed_sines(pose.rotation, pose.translation, fit_s, fit_t) ** 2).sum()
+        cost = (signed_sines(pose.transform.rotation, pose.transform.translation, fit_s, fit_t) ** 2).sum()
         cost_start = (signed_sines(start.rotation, start.translation, fit_s, fit_t) ** 2).sum()
         assert cost_start > (1.0 + 1e-3) * cost_lm
         assert abs(cost - cost_lm) <= 1e-12 * cost_lm
         # the polished pose is a fixed point of the Gauss-Newton step
-        u, _, vt = np.linalg.svd(skew(pose.translation) @ pose.rotation)
+        u, _, vt = np.linalg.svd(skew(pose.transform.translation) @ pose.transform.rotation)
         step = relpose._manifold_step(u[None], vt[None], fit_s, fit_t,
                                       np.ones((1, len(fit_s))))[0]
         assert np.linalg.norm(step) < relpose._POLISH_TOL

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pcr.cloudio import CameraIntrinsics, Cloud, Matches
+from pcr.cloudio import CameraIntrinsics, Matches
 from pcr.errors import DegenerateGeometryError, InsufficientMatchesError
 from pcr.scale import (DETECT_TOLERANCE, depth_consistent_indices, detect_scale,
                        estimate_scale_kalman)
@@ -84,30 +84,30 @@ def scale_least_squares(source_pts, target_pts, rel_rot, t_dir) -> tuple[float, 
 class TestDetectScale:
     def test_identical_clouds(self, rng):
         pts = rng.normal(size=(100, 3))
-        det = detect_scale(Cloud(points=pts), Cloud(points=pts))
+        det = detect_scale(pts, pts)
         assert det.ratio == 1.0
         assert not det.differs
 
     def test_scaled_cloud(self, rng):
         pts = rng.normal(size=(100, 3))
-        det = detect_scale(Cloud(points=pts), Cloud(points=2.5 * pts))
+        det = detect_scale(pts, 2.5 * pts)
         assert det.ratio == pytest.approx(2.5, rel=1e-12)
         assert det.differs
 
     def test_single_point_source(self):
-        one = Cloud(points=[[1.0, 2.0, 3.0]])
-        other = Cloud(points=np.random.default_rng(0).normal(size=(10, 3)))
+        one = np.array([[1.0, 2.0, 3.0]])
+        other = np.random.default_rng(0).normal(size=(10, 3))
         with pytest.raises(DegenerateGeometryError):
             detect_scale(one, other)
 
     def test_tolerance_boundary(self, rng, monkeypatch):
         pts = rng.normal(size=(50, 3))
-        near = Cloud(points=1.05 * pts)
+        near = 1.05 * pts
         assert DETECT_TOLERANCE == 0.1
-        det = detect_scale(Cloud(points=pts), near)
+        det = detect_scale(pts, near)
         assert not det.differs
         monkeypatch.setattr("pcr.scale.DETECT_TOLERANCE", 0.01)
-        det = detect_scale(Cloud(points=pts), near)
+        det = detect_scale(pts, near)
         assert det.differs
 
 
