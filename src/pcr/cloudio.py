@@ -5,8 +5,9 @@ of pixels with depth, projection of camera-frame points and bearing rays.
 
 Formats handled here:
   * PLY clouds, ASCII or binary little-endian, vertex element with float or
-    double x/y/z properties (big-endian deliberately rejected), coordinates
-    within ``COORDINATE_LIMIT``.
+    double x/y/z properties, other properties of any scalar type ignored
+    (big-endian deliberately rejected), coordinates within
+    ``geom.COORDINATE_LIMIT``.
   * Matches CSV with header exactly ``us,vs,ds,ut,vt,dt``; an empty depth
     field means the depth is unknown, NaN in :class:`Matches`.
   * Intrinsics JSON ``{"fx":..., "fy":..., "cx":..., "cy":...}``.
@@ -25,24 +26,19 @@ import numpy as np
 from .errors import ParseError
 from .geom import RigidTransform, SimilarityTransform, as_points, freeze
 
-_PLY_FLOAT_TYPES = {
-    "float": "<f4",
-    "float32": "<f4",
-    "double": "<f8",
-    "float64": "<f8",
+# Every PLY scalar type under both of its names, as little-endian numpy codes.
+_PLY_TYPES = {
+    "char": "i1", "int8": "i1", "uchar": "u1", "uint8": "u1",
+    "short": "<i2", "int16": "<i2", "ushort": "<u2", "uint16": "<u2",
+    "int": "<i4", "int32": "<i4", "uint": "<u4", "uint32": "<u4",
+    "float": "<f4", "float32": "<f4", "double": "<f8", "float64": "<f8",
 }
-
-
-# Largest coordinate magnitude a cloud may hold. The squared distance of two
-# such points, at most 3 * (2e150)^2 = 1.2e301, stays finite, so every
-# nearest-neighbour and alignment sum does too; at 1e154 they overflow.
-COORDINATE_LIMIT = 1e150
 
 
 @dataclass(frozen=True)
 class Cloud:
-    """Ordered 3D point set with a source label and bounds metadata. Every
-    coordinate is finite and at most ``COORDINATE_LIMIT`` in magnitude.
+    """Ordered 3D point set with a source label and bounds metadata: at least
+    one point, checked by ``geom.as_points``.
 
     ``bounds_hint`` records the axis-aligned bounds of the cloud the points
     were taken from; filters preserve it so that boundaries keep referring to
@@ -57,9 +53,6 @@ class Cloud:
         pts = as_points(self.points)
         if pts.shape[0] < 1:
             raise ValueError("a cloud needs at least one point")
-        if not (np.abs(pts) <= COORDINATE_LIMIT).all():
-            raise ValueError("cloud coordinates must be finite and at most "
-                             f"{COORDINATE_LIMIT:g} in magnitude")
         object.__setattr__(self, "points", freeze(pts))
 
     def __len__(self) -> int:
@@ -205,7 +198,8 @@ def _read_json(path: Path):
 
 
 def read_ply(path) -> Cloud:
-    """Read an ASCII or binary little-endian PLY vertex cloud."""
+    """Read an ASCII or binary little-endian PLY vertex cloud: x, y and z
+    float or double, other properties of any scalar type ignored."""
     path = Path(path)
     raw = _read_bytes(path)
 
@@ -280,11 +274,14 @@ def read_ply(path) -> Cloud:
                 raise ParseError("property outside the vertex element", path=path, line=lineno)
             if len(tokens) != 3:
                 raise ParseError("unsupported property declaration", path=path, line=lineno)
-            if tokens[1] not in _PLY_FLOAT_TYPES:
+            if tokens[1] not in _PLY_TYPES:
                 raise ParseError(f"unsupported property type {tokens[1]!r}", path=path, line=lineno)
+            if tokens[2] in ("x", "y", "z") and np.dtype(_PLY_TYPES[tokens[1]]).kind != "f":
+                raise ParseError(f"property {tokens[2]!r} must be float or double",
+                                 path=path, line=lineno)
             if any(name == tokens[2] for name, _ in properties):
                 raise ParseError(f"repeated property {tokens[2]!r}", path=path, line=lineno)
-            properties.append((tokens[2], _PLY_FLOAT_TYPES[tokens[1]]))
+            properties.append((tokens[2], _PLY_TYPES[tokens[1]]))
         elif keyword == "obj_info":
             continue
         else:

@@ -53,14 +53,12 @@ def crop_lower(cloud: Cloud, cfg: FilterConfig = FilterConfig()) -> Cloud:
 
 def remove_remote(cloud: Cloud) -> Cloud:
     """Drop points farther from the centroid than ``REMOTE_MULTIPLIER`` times
-    the median centroid distance. Order is preserved; may return the cloud
-    unchanged."""
+    the median centroid distance. Order is preserved; at least half the
+    points are kept, since half lie within the median distance."""
     if len(cloud) < 2:
         raise ValueError("remote-point removal needs at least 2 points")
     centroid = cloud.points.mean(axis=0)
     dist = np.linalg.norm(cloud.points - centroid, axis=1)
     mask = dist <= REMOTE_MULTIPLIER * np.median(dist)
-    if not mask.any():
-        return cloud
     box = cloud.bounds_hint if cloud.bounds_hint is not None else bounds(cloud.points)
     return Cloud(points=cloud.points[mask], label=cloud.label, bounds_hint=box)

@@ -16,6 +16,10 @@ ORTHOGONALITY_TOL = 1e-9
 # umeyama_align rejects a source whose second singular value is at most
 # this share of the first: a line, give or take rounding, or one point.
 COLLINEAR_RATIO = 1e-6
+# Largest coordinate magnitude a point array may hold. The squared distance
+# of two such points, at most 3 * (2e150)^2 = 1.2e301, stays finite, so every
+# nearest-neighbour and alignment sum does too; at 1e154 they overflow.
+COORDINATE_LIMIT = 1e150
 
 
 def freeze(arr) -> np.ndarray:
@@ -26,10 +30,16 @@ def freeze(arr) -> np.ndarray:
 
 
 def as_points(points) -> np.ndarray:
-    """(n, 3) float64 view of a point array."""
+    """(n, 3) float64 view of a point array, the one rule for every stage's
+    points: another shape, or a coordinate not finite or past
+    ``COORDINATE_LIMIT`` in magnitude, raises ValueError. (0, 3) passes."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected an (n, 3) point array, got shape {pts.shape}")
+    # max and min return NaN when any entry is NaN, and NaN fails both tests.
+    if pts.size and not (pts.max() <= COORDINATE_LIMIT and pts.min() >= -COORDINATE_LIMIT):
+        raise ValueError("coordinates must be finite and at most "
+                         f"{COORDINATE_LIMIT:g} in magnitude")
     return pts
 
 
@@ -146,11 +156,8 @@ class Bounds3:
         object.__setattr__(self, "minimum", freeze(lo))
         object.__setattr__(self, "maximum", freeze(hi))
 
-    def diagonal(self) -> np.ndarray:
-        return self.maximum - self.minimum
-
     def diagonal_length(self) -> float:
-        return float(np.linalg.norm(self.diagonal()))
+        return float(np.linalg.norm(self.maximum - self.minimum))
 
 
 def bounds(points) -> Bounds3:
@@ -194,10 +201,7 @@ def umeyama_align(source, target) -> RigidTransform:
     if ev[1] <= COLLINEAR_RATIO**2 * max(ev[2], 1e-300):
         raise DegenerateGeometryError("source points are collinear or coincident")
 
-    cross = ct @ cs.T / n
-    u, _, vt = np.linalg.svd(cross)
-    sign = np.sign(np.linalg.det(u) * np.linalg.det(vt)) or 1.0
-    rot = u @ np.diag([1.0, 1.0, sign]) @ vt
+    rot = project_rotation(ct @ cs.T / n)
     return RigidTransform(rot, mu_t - rot @ mu_s)
 
 

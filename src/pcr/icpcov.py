@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError, GimbalLockError
-from .geom import _GENERATORS, RigidTransform, euler_zyx, freeze, rot_x, rot_y, rot_z
+from .geom import (_GENERATORS, RigidTransform, as_points, euler_zyx, freeze, rot_x,
+                   rot_y, rot_z)
 
 GIMBAL_MARGIN = 1e-6
 
@@ -85,9 +86,8 @@ def rotation_derivatives(roll: float, pitch: float, yaw: float):
 
 
 def _pair_arrays(pairs_p, pairs_q):
-    p = np.asarray(pairs_p, dtype=np.float64)
-    q = np.asarray(pairs_q, dtype=np.float64)
-    if p.ndim != 2 or p.shape[1] != 3 or p.shape != q.shape or p.shape[0] < 1:
+    p, q = as_points(pairs_p), as_points(pairs_q)
+    if p.shape != q.shape or p.shape[0] < 1:
         raise ValueError("pairs must be matching (n, 3) arrays")
     return p, q
 

@@ -196,6 +196,36 @@ class TestPly:
         cloud = read_ply(path)
         assert np.array_equal(cloud.points, [[1, 2, 3], [4, 5, 6]])
 
+    @pytest.mark.parametrize("fmt", ["ascii", "binary-le"])
+    def test_coloured_cloud_reads_like_colourless(self, tmp_path, rng, fmt):
+        # an RGB-D keyframe cloud: uchar colour after the double coordinates
+        cloud = make_cloud(rng, n=20, label="")
+        plain = tmp_path / "plain.ply"
+        write_ply(cloud, plain, fmt=fmt)
+        head, body = plain.read_bytes().split(b"end_header\n")
+        head += b"property uchar red\nproperty uint8 green\nproperty uchar blue\nend_header\n"
+        colours = rng.integers(0, 256, size=(20, 3)).astype(np.uint8)
+        if fmt == "ascii":
+            rows = zip(body.decode().splitlines(), colours.tolist())
+            body = "".join(f"{xyz} {r} {g} {b}\n" for xyz, (r, g, b) in rows).encode()
+        else:
+            table = np.empty(20, dtype=[("xyz", "<f8", 3), ("rgb", "u1", 3)])
+            table["xyz"], table["rgb"] = cloud.points, colours
+            body = table.tobytes()
+        coloured = tmp_path / "coloured.ply"
+        coloured.write_bytes(head + body)
+        assert np.array_equal(read_ply(coloured).points, read_ply(plain).points)
+
+    def test_integer_coordinate_rejected_at_its_line(self, tmp_path):
+        text = ("ply\nformat ascii 1.0\nelement vertex 1\n"
+                "property int x\nproperty float y\nproperty float z\n"
+                "end_header\n1 2 3\n")
+        path = tmp_path / "intx.ply"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="'x' must be float or double") as err:
+            read_ply(path)
+        assert err.value.line == 4
+
     def test_truncated_binary_body(self, tmp_path, rng):
         cloud = make_cloud(rng, n=10)
         path = tmp_path / "t.ply"

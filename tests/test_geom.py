@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from pcr import icp, icpcov, scale
 from pcr.errors import DegenerateGeometryError
-from pcr.geom import (Bounds3, RigidTransform, SimilarityTransform, bounds,
-                      euler_zyx, rotation_about_axis, rotation_zyx, skew,
-                      umeyama_align, vector_norm)
+from pcr.geom import (COORDINATE_LIMIT, Bounds3, RigidTransform,
+                      SimilarityTransform, as_points, bounds, euler_zyx,
+                      rotation_about_axis, rotation_zyx, skew, umeyama_align,
+                      vector_norm)
 
 from conftest import random_rotation, rodrigues, rotation_angle_between
 
@@ -180,6 +182,58 @@ class TestBounds:
     def test_inverted_corners_rejected(self):
         with pytest.raises(ValueError):
             Bounds3([1.0, 0.0, 0.0], [0.0, 1.0, 1.0])
+
+
+PAST_LIMIT = "at most 1e\\+150 in magnitude"
+
+# Every stage function that takes point arrays, called on (source, target).
+POINT_STAGES = {
+    "detect_scale": scale.detect_scale,
+    "depth_consistent_indices": scale.depth_consistent_indices,
+    "estimate_scale_kalman": lambda p, q: scale.estimate_scale_kalman(p, q, np.eye(3)),
+    "icp_register": icp.icp_register,
+    "umeyama_align": umeyama_align,
+    "covariance": lambda p, q: icpcov.covariance(p, q, icpcov.PoseParam(np.zeros(6)), 0.01),
+}
+
+
+class TestPointContract:
+    @pytest.mark.parametrize("value", [np.inf, -1e151, np.nan])
+    def test_coordinate_past_limit_refused(self, value):
+        pts = np.zeros((4, 3))
+        pts[2, 1] = value
+        with pytest.raises(ValueError, match=PAST_LIMIT):
+            as_points(pts)
+
+    def test_limit_itself_accepted(self):
+        pts = np.array([[COORDINATE_LIMIT, -COORDINATE_LIMIT, 0.0]])
+        assert as_points(pts) is pts
+
+    @pytest.mark.parametrize("side", ["source", "target"])
+    @pytest.mark.parametrize("bad", ["1e154", "nan"])
+    @pytest.mark.parametrize("stage", POINT_STAGES)
+    def test_every_stage_refuses_points_past_limit(self, rng, stage, bad, side):
+        # squares of 1e154 overflow, and a NaN poisons every sum
+        good = rng.random((2000, 3))
+        if bad == "nan":
+            wrong = good.copy()
+            wrong[1000, 1] = np.nan
+        else:
+            wrong = good * 1e154
+        pair = (wrong, good) if side == "source" else (good, wrong)
+        with pytest.raises(ValueError, match=PAST_LIMIT):
+            POINT_STAGES[stage](*pair)
+
+    def test_stages_run_at_the_limit(self, rng):
+        # coordinates up to half the limit, so that a rotation keeps them in
+        src = (rng.random((2000, 3)) - 0.5) * COORDINATE_LIMIT
+        rot = rotation_zyx(0.01, -0.02, 0.03)
+        tgt = src @ rot.T
+        detection = scale.detect_scale(2.0 * src, src)
+        assert detection.differs and detection.ratio == pytest.approx(0.5)
+        assert rotation_angle_between(umeyama_align(src, tgt).rotation, rot) < 1e-9
+        result = icp.icp_register(src, tgt)
+        assert rotation_angle_between(result.transform.rotation, rot) < 1e-9
 
 
 class TestValidation:
