@@ -16,7 +16,6 @@ from .errors import (AmbiguousDecompositionError, DegenerateGeometryError,
                      GimbalLockError, InsufficientMatchesError,
                      NoConsensusError, ParseError, RegistrationError,
                      StageError, TooFewPairsError)
-from .filters import FilterConfig
 from .geom import RigidTransform, SimilarityTransform
 from .icp import IcpConfig
 from .pipeline import PipelineConfig, run_pipeline

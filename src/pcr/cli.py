@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import filters, icp, relpose, synth
+from . import icp, relpose, synth
 from .errors import StageError
 from .pipeline import PipelineConfig, run_pipeline
 
@@ -28,10 +28,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, ...]:
     reg.add_argument("--intrinsics-target", help="target camera intrinsics JSON")
     reg.add_argument("--out", required=True, help="report JSON output path")
     reg.add_argument("--transformed", help="write the transformed source cloud here")
-    reg.add_argument("--crop-fraction", type=float,
-                     default=filters.FilterConfig.crop_fraction)
-    reg.add_argument("--no-filter", action="store_true",
-                     help="skip the crop and remote-point filters")
     reg.add_argument("--no-scale", action="store_true",
                      help="skip scale estimation even when a gap is detected")
     reg.add_argument("--sigma-z", type=float, default=PipelineConfig.sigma_z,
@@ -73,10 +69,8 @@ def _register(reg: argparse.ArgumentParser, args) -> int:
             ransac=relpose.RansacConfig(pixel_threshold=args.ransac_psi,
                                         max_iterations=args.ransac_iters,
                                         seed=args.seed),
-            filter_cfg=filters.FilterConfig(crop_fraction=args.crop_fraction),
             icp_cfg=icp.IcpConfig(max_iterations=args.max_icp_iters),
             sigma_z=args.sigma_z,
-            apply_filters=not args.no_filter,
             use_scale=not args.no_scale,
         )
     except ValueError as exc:
@@ -114,10 +108,12 @@ def _synth(syn: argparse.ArgumentParser, args) -> int:
 
 def main(argv=None) -> int:
     parser, reg, syn = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "register":
-        return _register(reg, args)
-    return _synth(syn, args)
+    args, unknown = parser.parse_known_args(argv)
+    sub, run = (reg, _register) if args.command == "register" else (syn, _synth)
+    if unknown:
+        # A removed or misspelt flag prints its sub-command's usage.
+        sub.error("unrecognized arguments: " + " ".join(unknown))
+    return run(sub, args)
 
 
 if __name__ == "__main__":

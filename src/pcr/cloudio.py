@@ -37,17 +37,11 @@ _PLY_TYPES = {
 
 @dataclass(frozen=True)
 class Cloud:
-    """Ordered 3D point set with a source label and bounds metadata: at least
-    one point, checked by ``geom.as_points``.
-
-    ``bounds_hint`` records the axis-aligned bounds of the cloud the points
-    were taken from; filters preserve it so that boundaries keep referring to
-    the original extent. It is None for freshly loaded clouds.
-    """
+    """Ordered 3D point set with a source label: at least one point, checked
+    by ``geom.as_points``."""
 
     points: np.ndarray
     label: str = ""
-    bounds_hint: "object" = None
 
     def __post_init__(self):
         pts = as_points(self.points)

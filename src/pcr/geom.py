@@ -43,6 +43,16 @@ def as_points(points) -> np.ndarray:
     return pts
 
 
+def as_pairs(source, target) -> tuple[np.ndarray, np.ndarray]:
+    """``as_points`` views of paired source and target points, row i of one
+    paired with row i of the other: unequal shapes raise ValueError."""
+    src, tgt = as_points(source), as_points(target)
+    if src.shape != tgt.shape:
+        raise ValueError(f"paired point arrays must have equal shapes, got "
+                         f"{src.shape} and {tgt.shape}")
+    return src, tgt
+
+
 def project_rotation(mat: np.ndarray) -> np.ndarray:
     """Nearest proper rotation to ``mat`` (SVD projection, det forced to +1)."""
     u, _, vt = np.linalg.svd(mat)
@@ -177,10 +187,7 @@ def umeyama_align(source, target) -> RigidTransform:
     closed form with determinant-sign correction (Umeyama 1991, scale fixed
     to 1).
     """
-    src = as_points(source)
-    tgt = as_points(target)
-    if src.shape != tgt.shape:
-        raise ValueError("source and target must have matching shapes")
+    src, tgt = as_pairs(source, target)
     n = src.shape[0]
     if n < 3:
         raise DegenerateGeometryError("alignment needs at least 3 point pairs")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError, GimbalLockError
-from .geom import (_GENERATORS, RigidTransform, as_points, euler_zyx, freeze, rot_x,
+from .geom import (_GENERATORS, RigidTransform, as_pairs, euler_zyx, freeze, rot_x,
                    rot_y, rot_z)
 
 GIMBAL_MARGIN = 1e-6
@@ -85,13 +85,6 @@ def rotation_derivatives(roll: float, pitch: float, yaw: float):
     return rot, drot, ddrot
 
 
-def _pair_arrays(pairs_p, pairs_q):
-    p, q = as_points(pairs_p), as_points(pairs_q)
-    if p.shape != q.shape or p.shape[0] < 1:
-        raise ValueError("pairs must be matching (n, 3) arrays")
-    return p, q
-
-
 def _pair_terms(p, q, pose: PoseParam):
     """Per-pair factors of J_i = |R p_i + t - q_i|^2 for k pairs at once.
 
@@ -123,6 +116,8 @@ def _moments(p, q, pose: PoseParam):
     zero pair; c_6 is f at the mean pair. Centering keeps the moments free of
     cancellation when the clouds sit far from the origin.
     """
+    if len(p) < 1:
+        raise ValueError("the moments need at least one pair")
     # z as one (7, n) array of contiguous coordinate rows.
     z = np.empty((7, len(p)))
     z[:3] = p.T
@@ -143,7 +138,7 @@ def hessian_xx(pairs_p, pairs_q, pose: PoseParam) -> np.ndarray:
     analytic first and second derivatives of the Euler-parameterized
     rotation. The sum is taken through the pairs' 7x7 moment matrix.
     """
-    moments, (g, dg, ddg, _) = _moments(*_pair_arrays(pairs_p, pairs_q), pose)
+    moments, (g, dg, ddg, _) = _moments(*as_pairs(pairs_p, pairs_q), pose)
     out = 2.0 * np.einsum("kl,kca,lcb->ab", moments, dg, dg)
     out[3:, 3:] += 2.0 * np.einsum("kl,kc,ljmc->jm", moments, g, ddg)
     return out
@@ -155,7 +150,7 @@ def hessian_zx(pairs_p, pairs_q, pose: PoseParam) -> np.ndarray:
     Column block i holds d2J_i/d(P_i, Q_i) dx; only pair i's own block is
     nonzero, so blocks are laid out side by side.
     """
-    mixed = _pair_terms(*_pair_arrays(pairs_p, pairs_q), pose)[3]
+    mixed = _pair_terms(*as_pairs(pairs_p, pairs_q), pose)[3]
     return mixed.transpose(1, 0, 2).reshape(6, -1)
 
 
@@ -176,7 +171,7 @@ def covariance(pairs_p, pairs_q, pose: PoseParam, sigma_z: float) -> CovarianceR
     moment matrix, so the 6 x 6n matrix d2J/dz dx is never built.
     """
     check_sigma_z(sigma_z)
-    p, q = _pair_arrays(pairs_p, pairs_q)
+    p, q = as_pairs(pairs_p, pairs_q)
     if p.shape[0] < 3:
         raise DegenerateGeometryError("covariance needs at least 3 pairs")
 

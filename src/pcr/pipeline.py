@@ -3,12 +3,13 @@
 Stage order: scale detection, then (when a scale gap is detected and matches
 are available) relative pose, the lift of its inliers with both depths to 3D
 points, the depth gate and the closed-form scale estimate, which together
-make one Sim(3) seed; source scaling by the seed's scale, filtration of both
-clouds, trimmed ICP from the seed's rigid part, covariance and information
-matrix on the final correspondence set. Any stage failure is wrapped in a
-StageError carrying the stage name, which gives its CLI exit code. An ICP
-run that stops at its iteration cap unconverged is not a failure: it is
-logged as a WARNING on the ``pcr`` logger, and the run goes on.
+make one Sim(3) seed; source scaling by the seed's scale, trimmed ICP from
+the seed's rigid part on the scaled source and the target as read, and
+covariance and information matrix on the final correspondence set. Any
+stage failure is wrapped in a StageError carrying the stage name, which
+gives its CLI exit code. An ICP run that stops at its iteration cap
+unconverged is not a failure: it is logged as a WARNING on the ``pcr``
+logger, and the run goes on.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-from . import cloudio, filters, icp, icpcov, relpose, scale
+from . import cloudio, icp, icpcov, relpose, scale
 from .errors import RegistrationError, StageError
 from .geom import RigidTransform, SimilarityTransform
 
@@ -33,14 +34,16 @@ class PipelineConfig:
     report_path: str | None = None
     transformed_path: str | None = None
     ransac: relpose.RansacConfig = field(default_factory=relpose.RansacConfig)
-    filter_cfg: filters.FilterConfig = field(default_factory=filters.FilterConfig)
     icp_cfg: icp.IcpConfig = field(default_factory=icp.IcpConfig)
     sigma_z: float = 0.01
-    apply_filters: bool = True
     use_scale: bool = True
+    # Kept only because perfbench/workloads.py passes apply_filters=False.
+    apply_filters: bool = False
 
     def __post_init__(self):
         icpcov.check_sigma_z(self.sigma_z)
+        if self.apply_filters:
+            raise ValueError("the cloud filters were removed; apply_filters must be False")
 
 
 def _stage(name: str, func, *args, **kwargs):
@@ -91,23 +94,14 @@ def run_pipeline(cfg: PipelineConfig) -> cloudio.PipelineReport:
     scaled_source = source if seed.scale == 1.0 else _stage(
         "scale", cloudio.Cloud, points=seed.scale * source.points, label=source.label)
 
-    if cfg.apply_filters:
-        icp_source = _stage("icp", filters.crop_lower, scaled_source, cfg.filter_cfg)
-        icp_source = _stage("icp", filters.remove_remote, icp_source)
-        icp_target = _stage("icp", filters.crop_lower, target, cfg.filter_cfg)
-        icp_target = _stage("icp", filters.remove_remote, icp_target)
-    else:
-        icp_source = scaled_source
-        icp_target = target
-
-    result = _stage("icp", icp.icp_register, icp_source.points, icp_target.points,
+    result = _stage("icp", icp.icp_register, scaled_source.points, target.points,
                     cfg.icp_cfg, seed.rigid)
     if not result.converged:
         log.warning("stage icp: ICP stopped unconverged after %d iterations",
                     result.iterations)
 
-    pairs_p = icp_source.points[result.source_indices]
-    pairs_q = icp_target.points[result.theta]
+    pairs_p = scaled_source.points[result.source_indices]
+    pairs_q = target.points[result.theta]
     pose = _stage("covariance", icpcov.PoseParam.from_rigid, result.transform)
     cov_result = _stage("covariance", icpcov.covariance, pairs_p, pairs_q, pose,
                         cfg.sigma_z)

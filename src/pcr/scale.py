@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError, InsufficientMatchesError
-from .geom import as_points, bounds, column_lengths, freeze, vector_norm
+from .geom import as_pairs, bounds, column_lengths, freeze, vector_norm
 
 # Detection flags a scale gap when the diagonal ratio is off 1 by more.
 DETECT_TOLERANCE = 0.1
@@ -94,7 +94,7 @@ def _pair_distances(points: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 def depth_consistent_indices(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
-    """Indices of the 3D-consistent pairs of (n, 3) ``geom.as_points`` arrays.
+    """Indices of the 3D-consistent pairs of (n, 3) ``geom.as_pairs`` arrays.
 
     The epipolar test cannot constrain depth, so a match can pass it with an
     arbitrary depth. For each pair the median of pairwise distance ratios
@@ -104,7 +104,7 @@ def depth_consistent_indices(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     relative floor) are rejected. Fewer than 3 pairs, or fewer than 3 left
     by the gate, keep every pair.
     """
-    src, tgt = as_points(src), as_points(tgt)
+    src, tgt = as_pairs(src, tgt)
     every = np.arange(len(src))
     if every.size < 3:
         return every
@@ -128,7 +128,7 @@ def depth_consistent_indices(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
 
 
 def estimate_scale_kalman(src: np.ndarray, tgt: np.ndarray, rotation) -> ScaleEstimate:
-    """Session scale and translation of (n, 3) ``geom.as_points`` pairs under
+    """Session scale and translation of (n, 3) ``geom.as_pairs`` pairs under
     a rotation.
 
     The paper estimates the scale with a scalar Kalman filter whose
@@ -148,7 +148,7 @@ def estimate_scale_kalman(src: np.ndarray, tgt: np.ndarray, rotation) -> ScaleEs
     depth far off its true one.
     Fewer than 3 pairs, coincident source points or a nonpositive s* raise.
     """
-    src, tgt = as_points(src), as_points(tgt)
+    src, tgt = as_pairs(src, tgt)
     if len(src) < 3:
         raise InsufficientMatchesError(
             f"scale estimation needs at least 3 matches with both depths, got {len(src)}")

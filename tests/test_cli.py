@@ -9,7 +9,9 @@ from pcr.cloudio import Cloud, read_ply, write_ply
     ("--ransac-psi", "abc"),
     ("--ransac-psi", "nan"),
     ("--ransac-psi", "inf"),
-    ("--crop-fraction", "0"),
+    # flags of the removed cloud filters
+    pytest.param("--no-filter", None, id="--no-filter"),
+    ("--crop-fraction", "0.25"),
     ("--max-icp-iters", "0"),
     ("--ransac-iters", "0"),
     ("--sigma-z", "0"),
@@ -28,7 +30,7 @@ def test_bad_flag_value_is_usage_error(tmp_path, rng, capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
         cli.main(["register", "--source", str(tmp_path / "a.ply"),
                   "--target", str(tmp_path / "b.ply"), "--out", str(report),
-                  "--no-scale", "--no-filter", flag, value])
+                  "--no-scale", flag] + ([value] if value else []))
     assert exc.value.code == 2
     err = capsys.readouterr().err
     # out-of-range and malformed values print the same sub-command usage
@@ -85,8 +87,7 @@ def test_coordinates_past_limit_end_in_io_stage(tmp_path, capsys):
     capsys.readouterr()
     report = tmp_path / "r.json"
     code = cli.main(["register", "--source", str(tmp_path / "source.ply"),
-                     "--target", str(tmp_path / "target.ply"), "--out", str(report),
-                     "--no-filter"])
+                     "--target", str(tmp_path / "target.ply"), "--out", str(report)])
     assert code == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1

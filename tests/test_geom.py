@@ -197,6 +197,11 @@ POINT_STAGES = {
 }
 
 
+# Every stage function that takes paired points, called on (source, target).
+PAIR_STAGES = {name: POINT_STAGES[name] for name in (
+    "depth_consistent_indices", "estimate_scale_kalman", "umeyama_align", "covariance")}
+
+
 class TestPointContract:
     @pytest.mark.parametrize("value", [np.inf, -1e151, np.nan])
     def test_coordinate_past_limit_refused(self, value):
@@ -223,6 +228,12 @@ class TestPointContract:
         pair = (wrong, good) if side == "source" else (good, wrong)
         with pytest.raises(ValueError, match=PAST_LIMIT):
             POINT_STAGES[stage](*pair)
+
+    @pytest.mark.parametrize("stage", PAIR_STAGES)
+    def test_unequal_pair_counts_refused(self, rng, stage):
+        with pytest.raises(ValueError, match=r"paired point arrays must have equal "
+                                             r"shapes, got \(50, 3\) and \(40, 3\)"):
+            PAIR_STAGES[stage](rng.random((50, 3)), rng.random((40, 3)))
 
     def test_stages_run_at_the_limit(self, rng):
         # coordinates up to half the limit, so that a rotation keeps them in

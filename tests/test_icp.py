@@ -644,7 +644,7 @@ class TestCoarseStage:
         with caplog.at_level(logging.WARNING, logger="pcr"):
             code = cli.main(["register", "--source", str(tmp_path / "a.ply"),
                              "--target", str(tmp_path / "b.ply"),
-                             "--out", str(report), "--no-scale", "--no-filter",
+                             "--out", str(report), "--no-scale",
                              "--max-icp-iters", "1"])
         assert code == 0
         assert report.exists()

@@ -16,7 +16,7 @@ from pcr.synth import SynthSpec, generate_synthetic
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "pcr"
-STAGES = ("scale", "relpose", "filters", "icp", "icpcov")
+STAGES = ("scale", "relpose", "icp", "icpcov")
 # Stages that work on plain point arrays need neither file formats nor
 # camera models.
 ARRAY_STAGES = ("scale", "icp", "icpcov")
@@ -46,8 +46,7 @@ def test_every_module_is_parsed():
     modules = {path.stem for path in PACKAGE.glob("*.py")}
     assert set(STAGES) <= modules
     assert "cloudio" in package_imports("relpose")
-    assert {"cloudio", "filters", "icp", "icpcov", "relpose", "scale"} \
-        <= package_imports("pipeline")
+    assert {"cloudio", "icp", "icpcov", "relpose", "scale"} <= package_imports("pipeline")
 
 
 @pytest.mark.parametrize("stage", STAGES)
@@ -63,7 +62,7 @@ def test_array_stages_import_only_geom_and_errors(stage):
 # The root's names: the pipeline and its configs, file I/O with its value
 # types, the transforms and the errors. Stage functions stay in their modules.
 ROOT_EXPORTS = {
-    "PipelineConfig", "run_pipeline", "FilterConfig", "IcpConfig", "RansacConfig",
+    "PipelineConfig", "run_pipeline", "IcpConfig", "RansacConfig",
     "read_ply", "write_ply", "read_matches", "read_intrinsics", "read_report",
     "write_report", "Cloud", "Matches", "CameraIntrinsics", "PipelineReport",
     "RigidTransform", "SimilarityTransform",

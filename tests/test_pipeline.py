@@ -74,7 +74,7 @@ class TestRunPipeline:
         assert report.rms < 1e-9
 
     def test_recovers_ground_truth(self, scene_dir):
-        report = run_pipeline(config_for(scene_dir, apply_filters=False))
+        report = run_pipeline(config_for(scene_dir))
         truth = read_ground_truth(scene_dir["ground_truth"])
         assert report.scale_detected
         assert abs(report.scale / truth.scale - 1.0) < 0.01
@@ -90,7 +90,7 @@ class TestRunPipeline:
         spec = SynthSpec(seed=4002, scale=2.5, rotation_deg=15.0, noise=0.005,
                          outlier_fraction=0.3, points=2000, match_count=200)
         paths = generate_synthetic(spec, tmp_path)
-        assert_within_criterion_01(run_pipeline(config_for(paths, apply_filters=False)),
+        assert_within_criterion_01(run_pipeline(config_for(paths)),
                                    paths)
 
     @pytest.mark.parametrize("scale, seed", [(0.4, 0), (0.4, 5), (0.5, 10), (0.6, 0)])
@@ -99,21 +99,9 @@ class TestRunPipeline:
         spec = SynthSpec(seed=seed, scale=scale, rotation_deg=15.0, noise=0.005,
                          outlier_fraction=0.3, points=2000, match_count=200)
         paths = generate_synthetic(spec, tmp_path)
-        report = run_pipeline(config_for(paths, apply_filters=False))
+        report = run_pipeline(config_for(paths))
         assert report.scale_detected
         assert_within_criterion_01(report, paths)
-
-    def test_filtered_path_still_converges(self, scene_dir):
-        # the default filtered path carries a crop-boundary mismatch bias
-        # under arbitrary-axis rotation; document its looser envelope
-        report = run_pipeline(config_for(scene_dir))
-        truth = read_ground_truth(scene_dir["ground_truth"])
-        assert abs(report.scale / truth.scale - 1.0) < 0.01
-        assert np.degrees(rotation_angle_between(
-            report.final_transform.rotation, truth.rotation)) < 2.0
-        diag = bounds(read_ply(scene_dir["target"]).points).diagonal_length()
-        err = np.linalg.norm(report.final_transform.translation - truth.translation)
-        assert err < 0.03 * diag
 
     def test_benchmark_tracer_hooks_resolve(self, scene_dir):
         # perfbench/tracer.py wraps pcr functions by name; a renamed one
@@ -127,7 +115,7 @@ class TestRunPipeline:
         try:
             assert tracer.missing == []
             tracer.request = 0
-            report = pcr.pipeline.run_pipeline(config_for(scene_dir, apply_filters=False))
+            report = pcr.pipeline.run_pipeline(config_for(scene_dir))
         finally:
             tracer.close()
         assert report.scale_detected
@@ -157,7 +145,7 @@ class TestRunPipeline:
         report = tmp_path / "r.json"
         with pytest.raises(StageError) as err:
             run_pipeline(config_for({**scene_dir, "source": str(far)},
-                                    report_path=str(report), apply_filters=False))
+                                    report_path=str(report)))
         assert (err.value.stage, err.value.exit_code) == ("scale", 6)
         assert "at most 1e+150 in magnitude" in str(err.value)
         assert not report.exists()
@@ -183,7 +171,7 @@ class TestRunPipeline:
         report = tmp_path / "r.json"
         with pytest.raises(StageError) as err:
             run_pipeline(PipelineConfig(source=str(source), target=str(target),
-                                        report_path=str(report), apply_filters=False))
+                                        report_path=str(report)))
         assert err.value.stage == "covariance"
         assert err.value.exit_code == 5
         assert str(err.value) == ("covariance: covariance is singular: smallest "
@@ -194,8 +182,12 @@ class TestRunPipeline:
         # sigma_z^2 = 1e-320 is a positive subnormal, so the flag is valid,
         # but the covariance underflows and its inverse would overflow
         with pytest.raises(StageError) as err:
-            run_pipeline(config_for(scene_dir, sigma_z=1e-160, apply_filters=False))
+            run_pipeline(config_for(scene_dir, sigma_z=1e-160))
         assert (err.value.stage, err.value.exit_code) == ("covariance", 5)
+
+    def test_removed_filters_refused(self):
+        with pytest.raises(ValueError, match="filters were removed"):
+            PipelineConfig(source="a.ply", target="b.ply", apply_filters=True)
 
     def test_missing_file_is_stage1(self, tmp_path):
         with pytest.raises(StageError) as err:
@@ -207,8 +199,7 @@ class TestRunPipeline:
         report_path = tmp_path / "report.json"
         moved_path = tmp_path / "moved.ply"
         report = run_pipeline(config_for(
-            scene_dir, apply_filters=False,
-            report_path=str(report_path), transformed_path=str(moved_path)))
+            scene_dir, report_path=str(report_path), transformed_path=str(moved_path)))
         disk = read_report(report_path)
         assert disk.scale == report.scale
         assert np.array_equal(disk.covariance, report.covariance)
@@ -218,7 +209,7 @@ class TestRunPipeline:
             moved.points, report.final_transform.apply(source.points), atol=1e-12)
 
     def test_final_transform_consistent_with_rms(self, scene_dir):
-        report = run_pipeline(config_for(scene_dir, apply_filters=False))
+        report = run_pipeline(config_for(scene_dir))
         source = read_ply(scene_dir["source"]).points
         target = read_ply(scene_dir["target"]).points
         moved = report.final_transform.apply(source)
@@ -243,7 +234,7 @@ class TestRunPipeline:
                       - r2.final_transform.translation).max() < 1e-6
 
     def test_covariance_fields_consistent(self, scene_dir):
-        report = run_pipeline(config_for(scene_dir, apply_filters=False))
+        report = run_pipeline(config_for(scene_dir))
         assert np.abs(report.covariance - report.covariance.T).max() <= 1e-9
         assert np.abs(report.information @ report.covariance - np.eye(6)).max() < 1e-6
 
@@ -251,7 +242,7 @@ class TestRunPipeline:
         spec = SynthSpec(points=900, match_count=100, noise=0.0,
                          outlier_fraction=0.0, seed=17)
         paths = generate_synthetic(spec, tmp_path)
-        report = run_pipeline(config_for(paths, apply_filters=False))
+        report = run_pipeline(config_for(paths))
         truth = read_ground_truth(paths["ground_truth"])
         assert abs(report.scale / truth.scale - 1.0) < 1e-4
         assert rotation_angle_between(report.final_transform.rotation,
@@ -277,7 +268,6 @@ class TestCli:
             "--intrinsics-source", str(out_dir / "intrinsics_source.json"),
             "--intrinsics-target", str(out_dir / "intrinsics_target.json"),
             "--out", str(report_path),
-            "--no-filter",
         ])
         assert rc == 0
         report = read_report(report_path)
@@ -312,7 +302,7 @@ class TestCli:
         source, target = write_thin_pair(tmp_path)
         report = tmp_path / "r.json"
         rc = cli.main(["register", "--source", str(source), "--target", str(target),
-                       "--out", str(report), "--no-filter"])
+                       "--out", str(report)])
         assert rc == 5
         err = capsys.readouterr().err
         assert err.splitlines() == ["pcr: error in stage covariance: covariance is "
@@ -337,7 +327,7 @@ class TestCli:
         assert proc.returncode == 5
         assert proc.stderr.splitlines() == [
             "pcr: error in stage covariance: covariance is singular: "
-            "smallest eigenvalue -0.000e+00, trace 4.125e-321"]
+            "smallest eigenvalue 0.000e+00, trace 6.324e-322"]
         assert "RuntimeWarning" not in proc.stderr
         assert not report.exists()
 
@@ -386,7 +376,7 @@ class TestCli:
             [sys.executable, "-m", "pcr", "register",
              "--source", str(tmp_path / "a.ply"),
              "--target", str(tmp_path / "b.ply"), "--out", str(report),
-             "--no-scale", "--no-filter", "--max-icp-iters", "1"],
+             "--no-scale", "--max-icp-iters", "1"],
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert "stage icp: ICP stopped unconverged after 1 iterations" in proc.stderr
@@ -409,3 +399,17 @@ class TestCli:
         assert cli.main(args + ["--out", str(r1)]) == 0
         assert cli.main(args + ["--out", str(r2)]) == 0
         assert r1.read_bytes() == r2.read_bytes()
+
+    def test_default_report_equals_library_default(self, tmp_path):
+        # one path from the clouds to ICP: the CLI with no optional flag and
+        # run_pipeline with a default config write the same bytes
+        paths = generate_synthetic(SynthSpec(), tmp_path / "scene")
+        by_cli = tmp_path / "cli.json"
+        by_library = tmp_path / "library.json"
+        assert cli.main(["register", "--source", paths["source"],
+                         "--target", paths["target"], "--matches", paths["matches"],
+                         "--intrinsics-source", paths["intrinsics_source"],
+                         "--intrinsics-target", paths["intrinsics_target"],
+                         "--out", str(by_cli)]) == 0
+        run_pipeline(config_for(paths, report_path=str(by_library)))
+        assert by_cli.read_bytes() == by_library.read_bytes()
