@@ -13,9 +13,8 @@ from .cloudio import (CameraIntrinsics, Cloud, Matches, PipelineReport,
                       read_intrinsics, read_matches, read_ply, read_report,
                       write_ply, write_report)
 from .errors import (AmbiguousDecompositionError, DegenerateGeometryError,
-                     GimbalLockError, InsufficientMatchesError,
-                     NoConsensusError, ParseError, RegistrationError,
-                     StageError, TooFewPairsError)
+                     InsufficientMatchesError, NoConsensusError, ParseError,
+                     RegistrationError, StageError, TooFewPairsError)
 from .geom import RigidTransform, SimilarityTransform
 from .icp import IcpConfig
 from .pipeline import PipelineConfig, run_pipeline

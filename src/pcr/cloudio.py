@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .geom import RigidTransform, SimilarityTransform, as_points, freeze
+from .geom import (RigidTransform, SimilarityTransform, as_points, check_symmetric,
+                   freeze)
 
 # Every PLY scalar type under both of its names, as little-endian numpy codes.
 _PLY_TYPES = {
@@ -517,9 +518,7 @@ class PipelineReport:
             raise ValueError("covariance and information must be 6x6")
         if not (np.isfinite(cov).all() and np.isfinite(info).all()):
             raise ValueError("covariance and information must be finite")
-        scale_cov = max(1.0, float(np.abs(cov).max()))
-        if np.abs(cov - cov.T).max() > 1e-9 * scale_cov:
-            raise ValueError("covariance must be symmetric within 1e-9")
+        check_symmetric(cov, "covariance")
         product = info @ cov
         if np.abs(product - np.eye(6)).max() > 1e-6:
             raise ValueError("information must invert the covariance within 1e-6")

@@ -44,10 +44,6 @@ class AmbiguousDecompositionError(RegistrationError):
     """Candidate poses cannot be told apart (tied cheirality or tied score)."""
 
 
-class GimbalLockError(RegistrationError):
-    """Euler parameterization evaluated too close to pitch = +/-90 degrees."""
-
-
 class TooFewPairsError(RegistrationError):
     """Distance trimming left fewer correspondence pairs than the solver needs."""
 

@@ -53,6 +53,14 @@ def as_pairs(source, target) -> tuple[np.ndarray, np.ndarray]:
     return src, tgt
 
 
+def check_symmetric(mat: np.ndarray, name: str) -> None:
+    """Refuse, with ValueError, a square matrix whose asymmetry |M - M^T|
+    exceeds 1e-9 times its largest entry: the one symmetry rule for the
+    covariance and information matrices, whatever their scale."""
+    if np.abs(mat - mat.T).max() > 1e-9 * np.abs(mat).max():
+        raise ValueError(f"{name} must be symmetric within 1e-9 of its largest entry")
+
+
 def project_rotation(mat: np.ndarray) -> np.ndarray:
     """Nearest proper rotation to ``mat`` (SVD projection, det forced to +1)."""
     u, _, vt = np.linalg.svd(mat)
@@ -210,43 +218,6 @@ def umeyama_align(source, target) -> RigidTransform:
 
     rot = project_rotation(ct @ cs.T / n)
     return RigidTransform(rot, mu_t - rot @ mu_s)
-
-
-# ---------------------------------------------------------------------------
-# Rotation helpers (ZYX Euler convention: R = Rz(yaw) @ Ry(pitch) @ Rx(roll))
-# ---------------------------------------------------------------------------
-
-
-def rot_x(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def rot_y(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def rot_z(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def rotation_zyx(roll: float, pitch: float, yaw: float) -> np.ndarray:
-    return rot_z(yaw) @ rot_y(pitch) @ rot_x(roll)
-
-
-def euler_zyx(rot: np.ndarray) -> tuple[float, float, float]:
-    """(roll, pitch, yaw) with pitch in [-pi/2, pi/2] for a ZYX rotation."""
-    pitch = np.arctan2(-rot[2, 0], float(np.hypot(rot[0, 0], rot[1, 0])))
-    if np.isclose(abs(pitch), np.pi / 2.0, atol=1e-12):
-        # Roll and yaw are coupled here; report yaw = 0 and fold into roll.
-        yaw = 0.0
-        roll = np.arctan2(-rot[1, 2], rot[1, 1])
-    else:
-        yaw = np.arctan2(rot[1, 0], rot[0, 0])
-        roll = np.arctan2(rot[2, 1], rot[2, 2])
-    return float(roll), float(pitch), float(yaw)
 
 
 def vector_norm(v) -> np.ndarray:

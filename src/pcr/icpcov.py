@@ -1,9 +1,14 @@
 """Closed-form covariance of a converged point-to-point alignment.
 
 With the final correspondences frozen, the squared-distance objective J is a
-smooth function of the 6-DOF pose x = (tx, ty, tz, roll, pitch, yaw) and of
-the stacked pair coordinates z_i = (P_i, Q_i). The pose covariance follows
-from the sensitivity of the minimizer to measurement noise:
+smooth function of a perturbation x = (dt, dtheta) of the pose (R, t) that
+ICP returned: the perturbed pose maps p to R exp([dtheta]x) p + t + dt, and
+every derivative is taken at x = 0. These are local tangent coordinates
+(Barfoot & Furgale 2014; Sola, Deray & Atchuthan 2018), ordered
+(tx, ty, tz, thx, thy, thz): dt is in the caller's frame and units, dtheta a
+body-frame rotation vector in radians. They are regular at every rotation.
+The pose covariance follows from the sensitivity of the minimizer to noise
+in the stacked pair coordinates z_i = (P_i, Q_i):
 
     cov(x) = H^-1 * (d2J/dz dx) * cov(z) * (d2J/dz dx)^T * H^-1,
     H = d2J/dx2.
@@ -22,41 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, GimbalLockError
-from .geom import (_GENERATORS, RigidTransform, as_pairs, euler_zyx, freeze, rot_x,
-                   rot_y, rot_z)
+from .errors import DegenerateGeometryError
+from .geom import _GENERATORS, RigidTransform, as_pairs, check_symmetric
 
-GIMBAL_MARGIN = 1e-6
-
-
-@dataclass(frozen=True)
-class PoseParam:
-    """Pose as (tx, ty, tz, roll, pitch, yaw); ZYX Euler angles in radians."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vec = np.asarray(self.values, dtype=np.float64).reshape(-1)
-        if vec.shape != (6,):
-            raise ValueError("pose parameter vector must have 6 entries")
-        if not np.isfinite(vec).all():
-            raise ValueError("pose parameters must be finite")
-        if abs(vec[4]) >= np.pi / 2.0 - GIMBAL_MARGIN:
-            raise GimbalLockError(f"pitch {vec[4]:.6f} rad is too close to +/-90 deg")
-        object.__setattr__(self, "values", freeze(vec))
-
-    @property
-    def translation(self) -> np.ndarray:
-        return self.values[:3]
-
-    @property
-    def angles(self) -> np.ndarray:
-        return self.values[3:]
-
-    @classmethod
-    def from_rigid(cls, transform: RigidTransform) -> "PoseParam":
-        roll, pitch, yaw = euler_zyx(transform.rotation)
-        return cls(np.concatenate([transform.translation, [roll, pitch, yaw]]))
+# d2/dthj dthk exp([theta]x) at theta = 0: (G_j G_k + G_k G_j) / 2.
+_SECOND_DERIVATIVES = 0.5 * (_GENERATORS[:, None] @ _GENERATORS[None, :]
+                             + _GENERATORS[None, :] @ _GENERATORS[:, None])
 
 
 @dataclass(frozen=True)
@@ -66,34 +42,19 @@ class CovarianceResult:
     information: np.ndarray   # 6x6
 
 
-def rotation_derivatives(roll: float, pitch: float, yaw: float):
-    """R, dR/dangle (3,3,3), d2R/dangle2 (3,3,3,3) for the ZYX composition.
-
-    Each factor of R = Rz Ry Rx is exp(angle [e_k]x), so differentiating by
-    angle k swaps factor R_k for R_k [e_k]x (twice over for a second
-    derivative by the same angle)."""
-    factors = [(r, r @ g, r @ g @ g) for r, g in
-               zip((rot_x(roll), rot_y(pitch), rot_z(yaw)), _GENERATORS)]
-
-    def term(*angles):
-        x, y, z = (factors[k][angles.count(k)] for k in range(3))
-        return z @ y @ x
-
-    rot = term()
-    drot = np.array([term(j) for j in range(3)])
-    ddrot = np.array([[term(j, k) for k in range(3)] for j in range(3)])
-    return rot, drot, ddrot
-
-
-def _pair_terms(p, q, pose: PoseParam):
-    """Per-pair factors of J_i = |R p_i + t - q_i|^2 for k pairs at once.
+def _pair_terms(p, q, pose: RigidTransform):
+    """Per-pair factors of J_i = |R exp([dtheta]x) p_i + t + dt - q_i|^2 at
+    dt = dtheta = 0, for k pairs at once.
 
     Returns the residual g (k, 3), its pose Jacobian dg (k, 3, 6), the second
-    angle derivatives of R p (k, 3, 3, 3), indexed [pair, angle, angle, axis],
-    and the mixed block d2J_i/dx d(P_i, Q_i) (k, 6, 6). Each is affine in
-    (p_i, q_i).
+    angle derivatives of R exp([dtheta]x) p (k, 3, 3, 3), indexed [pair,
+    angle, angle, axis], and the mixed block d2J_i/dx d(P_i, Q_i) (k, 6, 6).
+    Each is affine in (p_i, q_i). The rotation derivatives R G_j and
+    R (G_j G_k + G_k G_j) / 2 hold no angle.
     """
-    rot, drot, ddrot = rotation_derivatives(*pose.angles)
+    rot = pose.rotation
+    drot = rot @ _GENERATORS
+    ddrot = rot @ _SECOND_DERIVATIVES
     g = p @ rot.T + pose.translation - q
     dg = np.zeros((len(p), 3, 6))
     dg[:, :, :3] = np.eye(3)
@@ -106,7 +67,7 @@ def _pair_terms(p, q, pose: PoseParam):
     return g, dg, ddg, mixed
 
 
-def _moments(p, q, pose: PoseParam):
+def _moments(p, q, pose: RigidTransform):
     """Moment matrix of the pairs and the affine coefficients of the factors.
 
     With z_i = (P_i - P_mean, Q_i - Q_mean, 1), every factor f of
@@ -131,12 +92,13 @@ def _moments(p, q, pose: PoseParam):
     return z @ z.T, coefs
 
 
-def hessian_xx(pairs_p, pairs_q, pose: PoseParam) -> np.ndarray:
-    """Sum over pairs of the exact 6x6 second derivative of J_i.
+def hessian_xx(pairs_p, pairs_q, pose: RigidTransform) -> np.ndarray:
+    """Sum over pairs of the exact 6x6 second derivative of J_i, in the
+    tangent coordinates about ``pose``, the transform ICP returned.
 
-    The translation block is 2n * I for any pose; rotation blocks use the
-    analytic first and second derivatives of the Euler-parameterized
-    rotation. The sum is taken through the pairs' 7x7 moment matrix.
+    The translation block is 2n * I for any pose; the rotation blocks use the
+    first and second derivatives of R exp([dtheta]x) at dtheta = 0. The sum
+    is taken through the pairs' 7x7 moment matrix.
     """
     moments, (g, dg, ddg, _) = _moments(*as_pairs(pairs_p, pairs_q), pose)
     out = 2.0 * np.einsum("kl,kca,lcb->ab", moments, dg, dg)
@@ -144,7 +106,7 @@ def hessian_xx(pairs_p, pairs_q, pose: PoseParam) -> np.ndarray:
     return out
 
 
-def hessian_zx(pairs_p, pairs_q, pose: PoseParam) -> np.ndarray:
+def hessian_zx(pairs_p, pairs_q, pose: RigidTransform) -> np.ndarray:
     """Mixed derivative d2J/dz dx as a 6 x 6n matrix.
 
     Column block i holds d2J_i/d(P_i, Q_i) dx; only pair i's own block is
@@ -161,14 +123,16 @@ def check_sigma_z(sigma_z: float) -> None:
         raise ValueError("sigma_z must be positive, with a positive finite square")
 
 
-def covariance(pairs_p, pairs_q, pose: PoseParam, sigma_z: float) -> CovarianceResult:
-    """Closed-form pose covariance at a converged alignment.
+def covariance(pairs_p, pairs_q, pose: RigidTransform, sigma_z: float) -> CovarianceResult:
+    """Closed-form pose covariance at a converged alignment, in the tangent
+    coordinates (tx, ty, tz, thx, thy, thz) about ``pose``.
 
     ``pose`` must be the minimizer for the given (frozen) correspondence
-    pairs; ``sigma_z`` is the isotropic standard deviation of every point
-    coordinate (see ``check_sigma_z``). Every pair is used: the sum over
-    pairs of B_i B_i^T, with B_i = d2J_i/d(P_i, Q_i) dx, comes from the 7x7
-    moment matrix, so the 6 x 6n matrix d2J/dz dx is never built.
+    pairs, as ``icp_register`` returns it; ``sigma_z`` is the isotropic
+    standard deviation of every point coordinate (see ``check_sigma_z``).
+    Every pair is used: the sum over pairs of B_i B_i^T, with
+    B_i = d2J_i/d(P_i, Q_i) dx, comes from the 7x7 moment matrix, so the
+    6 x 6n matrix d2J/dz dx is never built.
     """
     check_sigma_z(sigma_z)
     p, q = as_pairs(pairs_p, pairs_q)
@@ -202,9 +166,7 @@ def information_matrix(cov) -> np.ndarray:
     mat = np.asarray(cov, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("information_matrix expects a square matrix")
-    scale = max(1.0, float(np.abs(mat).max()))
-    if np.abs(mat - mat.T).max() > 1e-9 * scale:
-        raise ValueError("input matrix is not symmetric")
+    check_symmetric(mat, "input matrix")
     trace = float(np.trace(mat))
     eigenvalues, eigenvectors = np.linalg.eigh(mat)
     if not eigenvalues[0] > max(1e-12 * trace, 4.0 / np.finfo(np.float64).max):

@@ -102,9 +102,8 @@ def run_pipeline(cfg: PipelineConfig) -> cloudio.PipelineReport:
 
     pairs_p = scaled_source.points[result.source_indices]
     pairs_q = target.points[result.theta]
-    pose = _stage("covariance", icpcov.PoseParam.from_rigid, result.transform)
-    cov_result = _stage("covariance", icpcov.covariance, pairs_p, pairs_q, pose,
-                        cfg.sigma_z)
+    cov_result = _stage("covariance", icpcov.covariance, pairs_p, pairs_q,
+                        result.transform, cfg.sigma_z)
 
     # The report refuses an information matrix that does not invert the
     # covariance within 1e-6, as one just above the singularity floor may not.

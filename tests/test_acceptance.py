@@ -7,12 +7,13 @@ import time
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from pcr import cli
 from pcr.cloudio import Cloud, read_ply, write_ply
 from pcr.geom import bounds
 from pcr.icp import icp_register
-from pcr.icpcov import PoseParam, covariance, hessian_xx, hessian_zx, information_matrix
+from pcr.icpcov import covariance, hessian_xx, hessian_zx, information_matrix
 from pcr.pipeline import PipelineConfig, run_pipeline
 from pcr.relpose import RansacConfig, ransac_relative_pose
 from pcr.scale import estimate_scale_kalman
@@ -107,13 +108,14 @@ def test_criterion_04_derivatives_match_finite_differences(rng):
     worst_xx = 0.0
     worst_zx = 0.0
     for _ in range(20):
-        pts_p, pts_q, x = random_instance(rng, n=8)
-        pose = PoseParam(x)
+        # finite differences of J over the tangent perturbation
+        # (R exp([dtheta]x), t + dt) of a random pose, at dt = dtheta = 0
+        pts_p, pts_q, pose = random_instance(rng, n=8)
         hxx = hessian_xx(pts_p, pts_q, pose)
-        worst_xx = max(worst_xx, np.abs(hxx - fd_hessian_xx(pts_p, pts_q, x)).max()
+        worst_xx = max(worst_xx, np.abs(hxx - fd_hessian_xx(pts_p, pts_q, pose)).max()
                        / np.abs(hxx).max())
         hzx = hessian_zx(pts_p, pts_q, pose)
-        worst_zx = max(worst_zx, np.abs(hzx - fd_hessian_zx(pts_p, pts_q, x)).max()
+        worst_zx = max(worst_zx, np.abs(hzx - fd_hessian_zx(pts_p, pts_q, pose)).max()
                        / np.abs(hzx).max())
         # pairwise accumulation: the sum over disjoint halves is the total
         half = hessian_xx(pts_p[:4], pts_q[:4], pose) \
@@ -135,18 +137,21 @@ def test_criterion_05_covariance_calibration():
     sigma_z = 0.01
 
     clean = icp_register(base, target)
-    pose = PoseParam.from_rigid(clean.transform)
     closed = covariance(base[clean.source_indices], target[clean.theta],
-                        pose, sigma_z=sigma_z)
+                        clean.transform, sigma_z=sigma_z)
     closed_std = np.sqrt(np.diag(closed.cov_x))
 
+    # each re-run in tangent coordinates about the clean pose:
+    # (t_k, log(R_clean^T R_k))
     samples = np.empty((200, 6))
     for k in range(200):
         local = np.random.default_rng(5000 + k)
         noisy_src = base + local.normal(scale=sigma_z, size=base.shape)
         noisy_tgt = target + local.normal(scale=sigma_z, size=target.shape)
         res = icp_register(noisy_src, noisy_tgt)
-        samples[k] = PoseParam.from_rigid(res.transform).values
+        samples[k, :3] = res.transform.translation
+        samples[k, 3:] = Rotation.from_matrix(
+            clean.transform.rotation.T @ res.transform.rotation).as_rotvec()
     mc_std = samples.std(axis=0, ddof=1)
     elapsed = time.perf_counter() - start
 

@@ -9,7 +9,8 @@ from pcr.cloudio import (CameraIntrinsics, Cloud, Matches, PipelineReport,
                          write_intrinsics, write_matches, write_ply,
                          write_report)
 from pcr.errors import ParseError
-from pcr.geom import RigidTransform, rot_z
+from pcr.geom import RigidTransform, rotation_about_axis
+from pcr.icpcov import information_matrix
 
 
 def make_cloud(rng, n=100, label="test"):
@@ -476,6 +477,30 @@ class TestReport:
                 rms=0.0, iterations=1,
                 covariance=cov, information=np.eye(6))
 
+    def test_small_covariance_asymmetric_by_8_percent_refused(self, tmp_path, rng):
+        # every real covariance has entries far below 1, so symmetry is
+        # judged against the largest entry, not against 1: 8e-10 off a 1e-8
+        # diagonal is 8%, and M and M^T would give different information
+        cov = 1e-8 * np.eye(6)
+        cov[0, 1] = 8e-10
+        # an information matrix that inverts it, so only symmetry is at issue
+        info = np.linalg.inv(cov)
+        with pytest.raises(ValueError, match="input matrix must be symmetric"):
+            information_matrix(cov)
+        with pytest.raises(ValueError, match="covariance must be symmetric"):
+            PipelineReport(
+                scale_detected=False, scale=1.0,
+                relative_pose=RigidTransform.identity(),
+                icp_transform=RigidTransform.identity(),
+                rms=0.0, iterations=1, covariance=cov, information=info)
+        path = edited_report(tmp_path, rng, lambda data: data.update(
+            covariance=cov.ravel().tolist(), information=info.ravel().tolist()))
+        with pytest.raises(ParseError, match="covariance must be symmetric"):
+            read_report(path)
+        # rounding-sized asymmetry at the same scale passes
+        cov[0, 1] = 1e-24
+        assert np.isfinite(information_matrix(cov)).all()
+
     def test_inconsistent_information_rejected(self, rng):
         with pytest.raises(ValueError):
             PipelineReport(
@@ -489,8 +514,8 @@ class TestReport:
         cov = np.diag(rng.uniform(0.5, 2.0, size=6))
         report = PipelineReport(
             scale_detected=True, scale=0.7,
-            relative_pose=RigidTransform(rot_z(0.3), [1.0, 2.0, 3.0]),
-            icp_transform=RigidTransform(rot_z(-1.1), [0.1, -0.2, 1.0 / 3.0]),
+            relative_pose=RigidTransform(rotation_about_axis([0, 0, 1], 0.3), [1.0, 2.0, 3.0]),
+            icp_transform=RigidTransform(rotation_about_axis([0, 0, 1], -1.1), [0.1, -0.2, 1.0 / 3.0]),
             rms=0.02, iterations=12,
             covariance=cov, information=np.diag(1.0 / np.diag(cov)))
         path, again = tmp_path / "r.json", tmp_path / "again.json"
@@ -506,7 +531,7 @@ class TestReport:
         {"scale": 3.0, "translation": [5.0, 5.0, 5.0]},
         {"scale": 2.5000000000000004},
         {"translation": [0.0, 0.0, 1e-300]},
-        {"rotation": rot_z(0.1).ravel().tolist()},
+        {"rotation": rotation_about_axis([0, 0, 1], 0.1).ravel().tolist()},
     ])
     def test_disagreeing_final_transform_refused(self, tmp_path, rng, edit):
         path = edited_report(tmp_path, rng, lambda data: data["final_transform"].update(edit))

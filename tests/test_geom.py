@@ -4,9 +4,8 @@ import pytest
 from pcr import icp, icpcov, scale
 from pcr.errors import DegenerateGeometryError
 from pcr.geom import (COORDINATE_LIMIT, Bounds3, RigidTransform,
-                      SimilarityTransform, as_points, bounds, euler_zyx,
-                      rotation_about_axis, rotation_zyx, skew, umeyama_align,
-                      vector_norm)
+                      SimilarityTransform, as_points, bounds,
+                      rotation_about_axis, skew, umeyama_align, vector_norm)
 
 from conftest import random_rotation, rodrigues, rotation_angle_between
 
@@ -76,7 +75,7 @@ class TestApply:
         assert np.allclose(t.apply([1.0, 1.0, 1.0]), [2.0, 2.0, 2.0])
 
     def test_rot_z_quarter_turn_plus_lift(self):
-        # rot_z(90 deg) @ (1,0,0) = (0,1,0); plus (0,0,1) lift
+        # a quarter turn about z takes (1,0,0) to (0,1,0); plus (0,0,1) lift
         rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         t = SimilarityTransform(1.0, RigidTransform(rot, [0.0, 0.0, 1.0]))
         assert np.allclose(t.apply([1.0, 0.0, 0.0]), [0.0, 1.0, 1.0], atol=1e-15)
@@ -193,7 +192,7 @@ POINT_STAGES = {
     "estimate_scale_kalman": lambda p, q: scale.estimate_scale_kalman(p, q, np.eye(3)),
     "icp_register": icp.icp_register,
     "umeyama_align": umeyama_align,
-    "covariance": lambda p, q: icpcov.covariance(p, q, icpcov.PoseParam(np.zeros(6)), 0.01),
+    "covariance": lambda p, q: icpcov.covariance(p, q, RigidTransform.identity(), 0.01),
 }
 
 
@@ -238,7 +237,7 @@ class TestPointContract:
     def test_stages_run_at_the_limit(self, rng):
         # coordinates up to half the limit, so that a rotation keeps them in
         src = (rng.random((2000, 3)) - 0.5) * COORDINATE_LIMIT
-        rot = rotation_zyx(0.01, -0.02, 0.03)
+        rot = rotation_about_axis([0.01, -0.02, 0.03], 0.0374)
         tgt = src @ rot.T
         detection = scale.detect_scale(2.0 * src, src)
         assert detection.differs and detection.ratio == pytest.approx(0.5)
@@ -264,16 +263,6 @@ class TestValidation:
         t = RigidTransform.identity()
         with pytest.raises(ValueError):
             t.rotation[0, 0] = 2.0
-
-
-class TestEuler:
-    def test_round_trip(self, rng):
-        for _ in range(50):
-            angles = rng.uniform([-np.pi, -np.pi / 2 + 0.05, -np.pi],
-                                 [np.pi, np.pi / 2 - 0.05, np.pi])
-            rot = rotation_zyx(*angles)
-            back = np.array(euler_zyx(rot))
-            assert np.abs(back - angles).max() < 1e-9
 
 
 class TestRotationHelpers:

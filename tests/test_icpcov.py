@@ -1,23 +1,29 @@
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
-from pcr.errors import DegenerateGeometryError, GimbalLockError
-from pcr.geom import rotation_zyx
+from pcr.errors import DegenerateGeometryError
+from pcr.geom import RigidTransform, rotation_about_axis, umeyama_align
 from pcr.icp import icp_register
-from pcr.icpcov import (CovarianceResult, PoseParam, covariance, hessian_xx,
-                        hessian_zx, information_matrix, rotation_derivatives)
+from pcr.icpcov import (CovarianceResult, covariance, hessian_xx, hessian_zx,
+                        information_matrix)
 
-from conftest import rodrigues
+from conftest import random_rotation, rodrigues
+
+# [e_k]x, built from the cross product: [e_k]x @ w == np.cross(e_k, w).
+GENERATORS = np.array([np.cross(axis, np.eye(3)).T for axis in np.eye(3)])
 
 
-def objective_value(x, pts_p, pts_q):
-    """Independent evaluation of J(x) for the finite-difference oracles."""
-    rot = rotation_zyx(x[3], x[4], x[5])
-    diff = pts_p @ rot.T + x[:3] - pts_q
+def objective_value(delta, pts_p, pts_q, pose):
+    """Independent evaluation of J at the perturbation delta = (dt, dtheta)
+    of ``pose``, (R exp([dtheta]x), t + dt), for the finite-difference
+    oracles."""
+    rot = pose.rotation @ Rotation.from_rotvec(delta[3:]).as_matrix()
+    diff = pts_p @ rot.T + pose.translation + delta[:3] - pts_q
     return float((diff * diff).sum())
 
 
-def fd_hessian_xx(pts_p, pts_q, x, step=1e-5):
+def fd_hessian_xx(pts_p, pts_q, pose, step=1e-5):
     out = np.empty((6, 6))
     for a in range(6):
         for b in range(6):
@@ -26,15 +32,15 @@ def fd_hessian_xx(pts_p, pts_q, x, step=1e-5):
             xb = np.zeros(6)
             xb[b] = step
             out[a, b] = (
-                objective_value(x + xa + xb, pts_p, pts_q)
-                - objective_value(x + xa - xb, pts_p, pts_q)
-                - objective_value(x - xa + xb, pts_p, pts_q)
-                + objective_value(x - xa - xb, pts_p, pts_q)
+                objective_value(xa + xb, pts_p, pts_q, pose)
+                - objective_value(xa - xb, pts_p, pts_q, pose)
+                - objective_value(-xa + xb, pts_p, pts_q, pose)
+                + objective_value(-xa - xb, pts_p, pts_q, pose)
             ) / (4.0 * step * step)
     return out
 
 
-def fd_hessian_zx(pts_p, pts_q, x, step_x=1e-5, step_z=1e-6):
+def fd_hessian_zx(pts_p, pts_q, pose, step_x=1e-5, step_z=1e-6):
     n = pts_p.shape[0]
     out = np.empty((6, 6 * n))
     for i in range(n):
@@ -52,49 +58,84 @@ def fd_hessian_zx(pts_p, pts_q, x, step_x=1e-5, step_z=1e-6):
                         p2[0, m] += sz * step_z
                     else:
                         q2[0, m - 3] += sz * step_z
-                    vals.append(objective_value(x + sx * xa, p2, q2))
+                    vals.append(objective_value(sx * xa, p2, q2, pose))
                 out[a, 6 * i + m] = (vals[0] - vals[1] - vals[2] + vals[3]) \
                     / (4.0 * step_x * step_z)
     return out
 
 
-def per_pair_hessian_xx(pts_p, pts_q, x):
-    """Pair-by-pair sum of the exact second derivative of J_i: the reference
-    for the moment-matrix form."""
-    rot, drot, ddrot = rotation_derivatives(*x[3:])
-    out = np.zeros((6, 6))
+def tangent_derivatives(rot):
+    """First and second derivatives of R exp([dtheta]x) at dtheta = 0."""
+    pairs = np.array([[gj @ gk + gk @ gj for gk in GENERATORS] for gj in GENERATORS])
+    return rot @ GENERATORS, 0.5 * (rot @ pairs)
+
+
+def euler_derivatives(roll, pitch, yaw):
+    """R, dR/dangle (3,3,3), d2R/dangle2 (3,3,3,3) for the ZYX Euler
+    composition R = Rz(yaw) Ry(pitch) Rx(roll), the coordinates the
+    covariance was once taken in; an oracle only.
+
+    Each factor is exp(angle [e_k]x), so differentiating by angle k swaps
+    factor R_k for R_k [e_k]x (twice over for a second derivative by the
+    same angle)."""
+    factors = [(r, r @ g, r @ g @ g) for r, g in
+               zip((rodrigues(axis, angle) for axis, angle
+                    in zip(np.eye(3), (roll, pitch, yaw))), GENERATORS)]
+
+    def term(*angles):
+        x, y, z = (factors[k][angles.count(k)] for k in range(3))
+        return z @ y @ x
+
+    rot = term()
+    drot = np.array([term(j) for j in range(3)])
+    ddrot = np.array([[term(j, k) for k in range(3)] for j in range(3)])
+    return rot, drot, ddrot
+
+
+def per_pair_sums(pts_p, pts_q, rot, trans, drot, ddrot):
+    """Pair-by-pair H = sum_i d2J_i/dx2 and S = sum_i B_i B_i^T, with
+    B_i = d2J_i/dx d(P_i, Q_i), for J_i = |R(x) p_i + t + dt - q_i|^2 given
+    the rotation's derivatives at x: the reference for the moment form."""
+    hxx = np.zeros((6, 6))
+    spread = np.zeros((6, 6))
     for p, q in zip(pts_p, pts_q):
-        g = rot @ p + x[:3] - q
+        g = rot @ p + trans - q
         dg = np.column_stack([np.eye(3), (drot @ p).T])
-        out += 2.0 * dg.T @ dg
-        out[3:, 3:] += 2.0 * (ddrot @ p) @ g
-    return out
+        hxx += 2.0 * dg.T @ dg
+        hxx[3:, 3:] += 2.0 * (ddrot @ p) @ g
+        block = np.empty((6, 6))
+        block[:, :3] = 2.0 * dg.T @ rot
+        block[3:, :3] += 2.0 * drot.transpose(0, 2, 1) @ g
+        block[:, 3:] = -2.0 * dg.T
+        spread += block @ block.T
+    return hxx, spread
+
+
+def per_pair_hessian_xx(pts_p, pts_q, pose):
+    return per_pair_sums(pts_p, pts_q, pose.rotation, pose.translation,
+                         *tangent_derivatives(pose.rotation))[0]
 
 
 def random_instance(rng, n=20):
     pts_p = rng.normal(size=(n, 3)) * 2.0
-    x = np.concatenate([
-        rng.normal(size=3),
-        rng.uniform([-np.pi / 2, -1.2, -np.pi / 2], [np.pi / 2, 1.2, np.pi / 2]),
-    ])
-    rot = rotation_zyx(x[3], x[4], x[5])
-    pts_q = pts_p @ rot.T + x[:3] + rng.normal(scale=0.05, size=(n, 3))
-    return pts_p, pts_q, x
+    pose = RigidTransform(random_rotation(rng), rng.normal(size=3))
+    pts_q = pose.apply(pts_p) + rng.normal(scale=0.05, size=(n, 3))
+    return pts_p, pts_q, pose
 
 
 class TestHessianXX:
     def test_translation_block_is_2n_identity(self, rng):
         for n in (3, 17, 80):
-            pts_p, pts_q, x = random_instance(rng, n)
-            h = hessian_xx(pts_p, pts_q, PoseParam(x))
+            pts_p, pts_q, pose = random_instance(rng, n)
+            h = hessian_xx(pts_p, pts_q, pose)
             assert np.allclose(h[:3, :3], 2.0 * n * np.eye(3), atol=1e-12)
 
     def test_matches_finite_differences(self, rng):
         worst = 0.0
         for _ in range(20):
-            pts_p, pts_q, x = random_instance(rng)
-            h = hessian_xx(pts_p, pts_q, PoseParam(x))
-            fd = fd_hessian_xx(pts_p, pts_q, x)
+            pts_p, pts_q, pose = random_instance(rng)
+            h = hessian_xx(pts_p, pts_q, pose)
+            fd = fd_hessian_xx(pts_p, pts_q, pose)
             worst = max(worst, np.abs(h - fd).max() / np.abs(h).max())
         assert worst < 1e-4
 
@@ -103,50 +144,60 @@ class TestHessianXX:
         # rounding, also with every coordinate far from the origin
         for offset in (0.0, 100.0):
             for _ in range(5):
-                pts_p, pts_q, x = random_instance(rng, 50)
+                pts_p, pts_q, pose = random_instance(rng, 50)
                 pts_p, pts_q = pts_p + offset, pts_q + offset
-                h = hessian_xx(pts_p, pts_q, PoseParam(x))
-                ref = per_pair_hessian_xx(pts_p, pts_q, x)
+                h = hessian_xx(pts_p, pts_q, pose)
+                ref = per_pair_hessian_xx(pts_p, pts_q, pose)
                 assert np.abs(h - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_point_on_yaw_axis_contributes_nothing(self):
-        # pure-yaw pose, single pair with P on the z axis: rotating it does
-        # nothing, so every yaw derivative vanishes
-        x = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.4])
+        # a pose turned about z, single pair with P on the z axis: turning
+        # it further about the body z axis does nothing, so the thz-thz
+        # derivative vanishes
+        pose = RigidTransform(rotation_about_axis([0.0, 0.0, 1.0], 0.4), np.zeros(3))
         p = np.array([[0.0, 0.0, 2.0]])
         q = np.array([[0.3, -0.1, 2.0]])
-        h = hessian_xx(p, q, PoseParam(x))
+        h = hessian_xx(p, q, pose)
         assert h[5, 5] == pytest.approx(0.0, abs=1e-12)
 
     def test_single_pair_yaw_yaw_hand_value(self):
-        # at zero pose with P=(1,0,0), Q=0: J(yaw) = |Rz P - 0|^2 = 1,
-        # so the yaw-yaw second derivative is exactly 0; with Q=P it is 2.
+        # at the identity with P=(1,0,0), Q=0: J(thz) = |exp(thz [e_z]x) P|^2
+        # = 1, so the thz-thz second derivative is exactly 0; with Q=P,
+        # J = 2 - 2 cos(thz) and it is 2.
         p = np.array([[1.0, 0.0, 0.0]])
-        x = PoseParam(np.zeros(6))
-        h0 = hessian_xx(p, np.zeros((1, 3)), x)
+        pose = RigidTransform.identity()
+        h0 = hessian_xx(p, np.zeros((1, 3)), pose)
         assert h0[5, 5] == pytest.approx(0.0, abs=1e-12)
-        h1 = hessian_xx(p, p, x)
+        h1 = hessian_xx(p, p, pose)
         assert h1[5, 5] == pytest.approx(2.0, abs=1e-12)
 
     def test_accumulation_is_additive_over_pairs(self, rng):
-        pts_p, pts_q, x = random_instance(rng, 24)
-        pose = PoseParam(x)
+        pts_p, pts_q, pose = random_instance(rng, 24)
         whole = hessian_xx(pts_p, pts_q, pose)
         left = hessian_xx(pts_p[:11], pts_q[:11], pose)
         right = hessian_xx(pts_p[11:], pts_q[11:], pose)
         assert np.allclose(whole, left + right, rtol=1e-12, atol=1e-12)
 
-    def test_gimbal_lock_rejected(self):
-        x = np.zeros(6)
-        x[4] = np.pi / 2.0
-        with pytest.raises(GimbalLockError):
-            PoseParam(x)
+    def test_quarter_turn_about_y_is_regular(self, rng):
+        # a quarter turn about y, where ZYX Euler angles lock: on exactly
+        # aligned pairs the Hessian is the identity pose's with its
+        # translation rows turned into the target frame, H = A H0 A^T with
+        # A = diag(R, I), and as well conditioned
+        pts = rng.uniform(-1, 1, size=(50, 3))
+        pose = RigidTransform(rotation_about_axis([0.0, 1.0, 0.0], np.pi / 2.0),
+                              [0.3, -0.2, 0.1])
+        h = hessian_xx(pts, pose.apply(pts), pose)
+        h0 = hessian_xx(pts, pts, RigidTransform.identity())
+        turn = np.eye(6)
+        turn[:3, :3] = pose.rotation
+        assert np.allclose(h, turn @ h0 @ turn.T, rtol=0, atol=1e-12 * np.abs(h0).max())
+        assert np.linalg.cond(h) == pytest.approx(np.linalg.cond(h0), rel=1e-9)
 
 
 class TestHessianZX:
     def test_translation_rows_q_block(self, rng):
-        pts_p, pts_q, x = random_instance(rng, 7)
-        h = hessian_zx(pts_p, pts_q, PoseParam(x))
+        pts_p, pts_q, pose = random_instance(rng, 7)
+        h = hessian_zx(pts_p, pts_q, pose)
         for i in range(7):
             q_block = h[:3, 6 * i + 3:6 * i + 6]
             assert np.allclose(q_block, -2.0 * np.eye(3), atol=1e-12)
@@ -158,8 +209,7 @@ class TestHessianZX:
         pts_p = rng.normal(size=(9, 3))
         shift = np.array([0.4, -0.1, 0.25])
         pts_q = pts_p + shift
-        x = PoseParam(np.concatenate([shift, np.zeros(3)]))
-        h = hessian_zx(pts_p, pts_q, x)
+        h = hessian_zx(pts_p, pts_q, RigidTransform(np.eye(3), shift))
         for i in range(9):
             p_block = h[:3, 6 * i:6 * i + 3]
             q_block = h[:3, 6 * i + 3:6 * i + 6]
@@ -168,9 +218,9 @@ class TestHessianZX:
     def test_matches_finite_differences(self, rng):
         worst = 0.0
         for _ in range(20):
-            pts_p, pts_q, x = random_instance(rng, 8)
-            h = hessian_zx(pts_p, pts_q, PoseParam(x))
-            fd = fd_hessian_zx(pts_p, pts_q, x)
+            pts_p, pts_q, pose = random_instance(rng, 8)
+            h = hessian_zx(pts_p, pts_q, pose)
+            fd = fd_hessian_zx(pts_p, pts_q, pose)
             worst = max(worst, np.abs(h - fd).max() / np.abs(h).max())
         assert worst < 1e-4
 
@@ -183,8 +233,7 @@ class TestCovariance:
         pts_q = pts_p @ rot.T + shift
         pts_p, pts_q = pts_p + offset, pts_q + offset
         res = icp_register(pts_p, pts_q)
-        pose = PoseParam.from_rigid(res.transform)
-        return pts_p[res.source_indices], pts_q[res.theta], pose
+        return pts_p[res.source_indices], pts_q[res.theta], res.transform
 
     def test_sigma_scaling_is_quadratic(self, rng):
         p, q, pose = self.converged_instance(rng)
@@ -197,21 +246,20 @@ class TestCovariance:
         # 1e200 squares to inf and 1e-200 to 0: no usable variance either
         pts = rng.uniform(-1, 1, size=(20, 3))
         with pytest.raises(ValueError, match="sigma_z"):
-            covariance(pts, pts, PoseParam(np.zeros(6)), sigma_z=sigma)
+            covariance(pts, pts, RigidTransform.identity(), sigma_z=sigma)
 
     def test_collinear_pairs_singular(self):
         t = np.linspace(0.0, 1.0, 12)
         pts = np.outer(t, [1.0, 1.0, 1.0])
         with pytest.raises(DegenerateGeometryError):
-            covariance(pts, pts, PoseParam(np.zeros(6)), sigma_z=0.01)
+            covariance(pts, pts, RigidTransform.identity(), sigma_z=0.01)
 
     def test_covariance_shrinks_with_more_pairs(self, rng):
         traces = []
         for n in (250, 500, 1000):
             local = np.random.default_rng(5)
             pts_p = local.uniform(-1, 1, size=(n, 3))
-            pose = PoseParam(np.zeros(6))
-            out = covariance(pts_p, pts_p, pose, sigma_z=0.01)
+            out = covariance(pts_p, pts_p, RigidTransform.identity(), sigma_z=0.01)
             traces.append(np.trace(out.cov_x))
         assert traces[0] / traces[1] == pytest.approx(2.0, rel=0.2)
         assert traces[1] / traces[2] == pytest.approx(2.0, rel=0.2)
@@ -222,10 +270,10 @@ class TestCovariance:
         # the finite-sample rotation-translation coupling vanishes
         n = 400
         pts = rng.uniform(-1, 1, size=(n, 3))
-        out = covariance(pts, pts, PoseParam(np.zeros(6)), sigma_z=0.02)
+        out = covariance(pts, pts, RigidTransform.identity(), sigma_z=0.02)
         assert np.allclose(np.diag(out.cov_x)[:3], 2.0 * 0.02**2 / n, rtol=0.05)
         sym = np.vstack([pts, -pts])
-        out = covariance(sym, sym, PoseParam(np.zeros(6)), sigma_z=0.02)
+        out = covariance(sym, sym, RigidTransform.identity(), sigma_z=0.02)
         assert np.allclose(np.diag(out.cov_x)[:3], 2.0 * 0.02**2 / (2 * n),
                            rtol=1e-12)
 
@@ -235,7 +283,7 @@ class TestCovariance:
         half = rng.uniform(-1, 1, size=(1500, 3))
         pts = np.vstack([half, -half])
         n = len(pts)
-        pose = PoseParam(np.zeros(6))
+        pose = RigidTransform.identity()
         a = covariance(pts, pts, pose, sigma_z=0.01)
         b = covariance(pts, pts, pose, sigma_z=0.01)
         assert np.allclose(np.diag(a.cov_x)[:3], 2.0 * 0.01**2 / n, rtol=1e-12)
@@ -258,6 +306,43 @@ class TestCovariance:
         eig = np.linalg.eigvalsh(out.cov_x)
         assert eig.min() >= -1e-12 * np.trace(out.cov_x)
         assert np.abs(out.information @ out.cov_x - np.eye(6)).max() < 1e-6
+
+    @pytest.mark.parametrize("degrees", [15.0, 60.0, 89.5])
+    def test_same_information_as_euler_coordinates(self, rng, degrees):
+        # the tangent covariance is the ZYX Euler one mapped through the
+        # Euler-rate Jacobian E (dtheta = E d(roll, pitch, yaw)): the same
+        # information in new coordinates. Pitch near 90 deg makes the Euler
+        # covariance near singular, not the tangent one.
+        sigma = 0.01
+        pts_p = rng.uniform(-1, 1, size=(200, 3))
+        rot = rotation_about_axis([0.0, 1.0, 0.0], np.radians(degrees))
+        pts_q = pts_p @ rot.T + [0.2, -0.1, 0.3] + rng.normal(scale=sigma, size=(200, 3))
+        # the exact minimizer of J over these pairs
+        pose = umeyama_align(pts_p, pts_q)
+        yaw, pitch, roll = Rotation.from_matrix(pose.rotation).as_euler("ZYX")
+        rot_e, drot, ddrot = euler_derivatives(roll, pitch, yaw)
+        hxx, spread = per_pair_sums(pts_p, pts_q, rot_e, pose.translation, drot, ddrot)
+        cov_euler = sigma**2 * np.linalg.solve(hxx, np.linalg.solve(hxx, spread).T)
+        rates = np.eye(6)
+        for j, body in enumerate(rot_e.T @ drot):
+            rates[3:, 3 + j] = body[2, 1], body[0, 2], body[1, 0]
+        expected = rates @ cov_euler @ rates.T
+        out = covariance(pts_p, pts_q, pose, sigma_z=sigma)
+        assert np.abs(out.cov_x - expected).max() <= 1e-9 * np.abs(expected).max()
+
+    def test_quarter_turn_is_the_identity_covariance_turned(self, rng):
+        # the same pairs with the target turned a quarter about y: the
+        # translation rows turn with the target frame, the body-frame
+        # rotation block stays, and nothing locks
+        pts = rng.uniform(-1, 1, size=(300, 3))
+        pose = RigidTransform(rotation_about_axis([0.0, 1.0, 0.0], np.pi / 2.0),
+                              [0.3, -0.2, 0.1])
+        turned = covariance(pts, pose.apply(pts), pose, sigma_z=0.01).cov_x
+        base = covariance(pts, pts, RigidTransform.identity(), sigma_z=0.01).cov_x
+        turn = np.eye(6)
+        turn[:3, :3] = pose.rotation
+        expected = turn @ base @ turn.T
+        assert np.abs(turned - expected).max() <= 1e-9 * np.abs(base).max()
 
 
 class TestInformationMatrix:
@@ -303,7 +388,7 @@ class TestInformationMatrix:
 
     def test_refuses_negative_eigenvalue(self):
         # symmetric, but not positive semi-definite
-        q = rotation_zyx(0.1, 0.2, 0.4)
+        q = rotation_about_axis([0.1, 0.2, 0.4], 0.46)
         cov = np.eye(6)
         cov[:3, :3] = q @ np.diag([2.0, 1.0, -1e-3]) @ q.T
         with pytest.raises(DegenerateGeometryError) as err:

@@ -67,7 +67,7 @@ ROOT_EXPORTS = {
     "write_report", "Cloud", "Matches", "CameraIntrinsics", "PipelineReport",
     "RigidTransform", "SimilarityTransform",
     "RegistrationError", "StageError", "ParseError", "DegenerateGeometryError",
-    "GimbalLockError", "InsufficientMatchesError", "NoConsensusError",
+    "InsufficientMatchesError", "NoConsensusError",
     "AmbiguousDecompositionError", "TooFewPairsError",
 }
 # Modules that perfbench reads as attributes of the package after ``import pcr``.

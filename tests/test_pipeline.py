@@ -10,10 +10,10 @@ import pytest
 from scipy.spatial import cKDTree
 
 import pcr
-from pcr import cli
+from pcr import cli, synth
 from pcr.cloudio import Cloud, read_ply, read_report, write_ply
 from pcr.errors import StageError
-from pcr.geom import bounds
+from pcr.geom import bounds, rotation_about_axis
 from pcr.pipeline import PipelineConfig, run_pipeline
 from pcr.synth import SynthSpec, generate_synthetic, read_ground_truth
 
@@ -249,6 +249,25 @@ class TestRunPipeline:
                                       truth.rotation) < 1e-4
         assert np.abs(report.final_transform.translation
                       - truth.translation).max() < 1e-4
+
+    @pytest.mark.parametrize("noise", [0.0, 0.0005, 0.005])
+    @pytest.mark.parametrize("seed", [1000, 1001, 1002, 1003])
+    def test_quarter_turn_about_y_registers(self, tmp_path, monkeypatch, seed, noise):
+        # y is the cameras' vertical axis, so a quarter turn about it is the
+        # commonest offset between two sessions; it is where ZYX Euler
+        # angles lock. The edge must register, and its rotation standard
+        # deviations (body-frame tangent coordinates) must match the same
+        # scene turned 15 degrees within 10%.
+        monkeypatch.setattr(synth, "rotation_about_axis",
+                            lambda axis, angle: rotation_about_axis([0.0, 1.0, 0.0], angle))
+        rotation_std = {}
+        for degrees in (15.0, 90.0):
+            spec = SynthSpec(rotation_deg=degrees, noise=noise, seed=seed)
+            paths = generate_synthetic(spec, tmp_path / str(degrees))
+            report = run_pipeline(config_for(paths))
+            assert_within_criterion_01(report, paths)
+            rotation_std[degrees] = np.sqrt(np.diag(report.covariance)[3:])
+        assert np.abs(rotation_std[90.0] / rotation_std[15.0] - 1.0).max() < 0.1
 
 
 class TestCli:
