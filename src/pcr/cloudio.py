@@ -72,32 +72,41 @@ class CameraIntrinsics:
             raise ValueError("focal lengths must be positive")
 
     def _unit_depth_rays(self, pixels) -> np.ndarray:
-        # ((X - cx)/fx, (Y - cy)/fy, 1) for each (X, Y) in (n, 2) pixels.
+        # ((X - cx)/fx, (Y - cy)/fy, 1) for each (X, Y) in (n, 2) pixels,
+        # which must be finite.
         px = np.asarray(pixels, dtype=np.float64)
+        if px.ndim != 2 or px.shape[1] != 2:
+            raise ValueError(f"expected (n, 2) pixels, got shape {px.shape}")
+        if not np.isfinite(px).all():
+            raise ValueError("pixels must be finite")
         x, y = px[:, 0], px[:, 1]
         return np.stack([(x - self.cx) / self.fx, (y - self.cy) / self.fy,
                          np.ones_like(x)], axis=-1)
 
     def backproject(self, pixels, depths) -> np.ndarray:
-        """(n, 3) camera-frame points of (n, 2) pixels at (n,) depths: each
-        unit-depth ray scaled by its depth. Every depth must be positive and
-        finite."""
+        """(n, 3) camera-frame points of finite (n, 2) pixels at (n,) depths:
+        each unit-depth ray scaled by its depth. Every depth must be positive
+        and finite."""
+        rays = self._unit_depth_rays(pixels)
         depths = np.asarray(depths, dtype=np.float64)
+        if depths.shape != rays.shape[:1]:
+            raise ValueError(f"expected one depth per pixel, shape ({len(rays)},), "
+                             f"got shape {depths.shape}")
         if not (np.isfinite(depths).all() and (depths > 0.0).all()):
             raise ValueError("depth must be positive and finite")
-        return depths[:, None] * self._unit_depth_rays(pixels)
+        return depths[:, None] * rays
 
     def project(self, points) -> np.ndarray:
-        """(n, 2) pixels of (n, 3) camera-frame points, every one of which
-        must lie in front of the camera."""
-        pts = np.asarray(points, dtype=np.float64)
+        """(n, 2) pixels of (n, 3) camera-frame points (``geom.as_points``),
+        every one of which must lie in front of the camera."""
+        pts = as_points(points)
         x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
         if (z <= 0.0).any():
             raise ValueError("point must lie in front of the camera")
         return np.stack([self.fx * x / z + self.cx, self.fy * y / z + self.cy], axis=-1)
 
     def bearings(self, pixels) -> np.ndarray:
-        """(n, 3) unit bearing vectors of (n, 2) pixels."""
+        """(n, 3) unit bearing vectors of finite (n, 2) pixels."""
         rays = self._unit_depth_rays(pixels)
         return rays / np.linalg.norm(rays, axis=-1, keepdims=True)
 

@@ -4,9 +4,9 @@ Each iteration pairs every transformed source point with its exact nearest
 target point, rejects pairs beyond ``TRIM_MULTIPLIER`` times the median pair
 distance, and solves the rigid alignment in closed form, so the objective
 cannot increase within an iteration. A transformation checker (pose change,
-error change, or iteration cap) ends the loop. A dense source is first
-registered on ever finer subsamples, each converged pose seeding the next
-level and finally the full-resolution loop.
+error change, or iteration cap) ends the loop. A source with enough points
+is first registered by the same loop on ever finer subsamples, each level's
+pose seeding the next level and finally the full-resolution loop.
 One neighbour cache serves every level of a registration, so a point's tree
 walk is repeated only when its step since its last walk, at any level, could
 have changed its nearest target point.
@@ -48,17 +48,17 @@ TRIM_MULTIPLIER = 3.0
 #   5.6 at stride 8 (1.8 ms each), 6-10 at full size (4.7 ms each, the first
 #   walk of every point included).
 # All three: rotation error 0.0094-0.0095 deg, translation 1.4e-4 of the
-# diagonal (medians against truth).
-# With the levels' stop at the final tolerances, two levels hit the cap, one
-# full-resolution stage ran 31 iterations, and ICP took 131 ms against 95
-# (both on (n, 3) arrays, before the row layout). Keeping unconverged level
-# poses left 9 of 24 far-offset scenes off or unconverged, against 5. A
-# dropped level costs its cap: 26 ms at stride 64, about five
-# full-resolution iterations.
-COARSE_MIN_POINTS = 8192
+# diagonal (medians against truth). With the levels' stop at the final
+# tolerances, two levels hit a 30-iteration cap and ICP took 131 ms against
+# 95 (before the row layout).
+# Every level has the full-resolution cap and seeds the next level, even
+# unconverged. Against levels only from 8192 points, capped at 30 iterations
+# and dropped when unconverged (2-vCPU Xeon, end to end, medians): a
+# 100 000-point scene took 0.60 s, not 3.4 s (both levels had been dropped);
+# 3000, 5000 and 8000 points from a 0.1 offset 11, 17 and 28 ms, not 23, 47
+# and 103; 21 of 24 far-offset scenes were right, not 19.
 COARSE_STRIDE = 8
 COARSE_MIN_LEVEL_POINTS = 256
-COARSE_MAX_ITERATIONS = 30
 COARSE_TOL_FACTOR = 100.0
 
 log = logging.getLogger("pcr")
@@ -93,13 +93,12 @@ CACHE_ROUNDING = 1e-12
 def coarse_strides(n: int) -> list[int]:
     """Strides of the coarse levels for an ``n``-point source, coarsest
     first: the powers of ``COARSE_STRIDE`` whose subsample keeps at least
-    ``COARSE_MIN_LEVEL_POINTS`` points, or none below ``COARSE_MIN_POINTS``."""
+    ``COARSE_MIN_LEVEL_POINTS`` points (stride 8 from 2041 points on)."""
     strides: list[int] = []
-    if n >= COARSE_MIN_POINTS:
-        stride = COARSE_STRIDE
-        while len(range(0, n, stride)) >= COARSE_MIN_LEVEL_POINTS:
-            strides.insert(0, stride)
-            stride *= COARSE_STRIDE
+    stride = COARSE_STRIDE
+    while len(range(0, n, stride)) >= COARSE_MIN_LEVEL_POINTS:
+        strides.insert(0, stride)
+        stride *= COARSE_STRIDE
     return strides
 
 
@@ -354,12 +353,12 @@ def icp_register(source, target, cfg: IcpConfig = IcpConfig(),
     solves the absolute transform in closed form, so the result does not
     depend on composing increments. Deterministic for identical inputs.
 
-    A source of at least ``COARSE_MIN_POINTS`` points is first registered
-    on every stride-th point, for each stride of ``coarse_strides``,
-    coarsest first, with a looser stop and at most ``COARSE_MAX_ITERATIONS``
-    iterations; a converged level's pose seeds the next level, an
-    unconverged one is dropped. The result's ``iterations``, ``rms_trace``
-    and ``converged`` describe the full-resolution stage only. One
+    The source is first registered on every stride-th point, for each
+    stride of ``coarse_strides``, coarsest first, by the same loop with a
+    pose stop ``COARSE_TOL_FACTOR`` times looser and the same
+    ``cfg.max_iterations`` cap; each level's pose, converged or not, seeds
+    the next level. The result's ``iterations``, ``rms_trace`` and
+    ``converged`` describe the full-resolution stage only. One
     ``NeighbourCache`` over every source row serves all levels, each through
     its own strided rows, and the final pairs.
     """
@@ -379,16 +378,12 @@ def icp_register(source, target, cfg: IcpConfig = IcpConfig(),
     cache = NeighbourCache(index, len(src))
     for stride in coarse_strides(len(src)):
         level = np.ascontiguousarray(src_rows[:, ::stride])
-        pose, _, _, iterations, converged = _icp_loop(
-            level, cache.every(stride), current,
-            min(COARSE_MAX_ITERATIONS, cfg.max_iterations),
+        current, _, _, iterations, converged = _icp_loop(
+            level, cache.every(stride), current, cfg.max_iterations,
             COARSE_TOL_FACTOR * ROTATION_TOL, COARSE_TOL_FACTOR * trans_tol)
-        # An unconverged level may have walked away from a good seed.
-        if converged:
-            current = pose
-        log.debug("icp level stride %d: %d iterations on %d of %d points, pose %s",
+        log.debug("icp level stride %d: %d iterations on %d of %d points, %s",
                   stride, iterations, level.shape[1], len(src),
-                  "kept" if converged else "dropped")
+                  "converged" if converged else "unconverged")
 
     current, moved, trace, iterations, converged = _icp_loop(
         src_rows, cache, current, cfg.max_iterations, ROTATION_TOL, trans_tol)

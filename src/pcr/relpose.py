@@ -23,7 +23,7 @@ import numpy as np
 from .cloudio import CameraIntrinsics, Matches
 from .errors import (AmbiguousDecompositionError, DegenerateGeometryError,
                      InsufficientMatchesError, NoConsensusError)
-from .geom import ORTHOGONALITY_TOL, RigidTransform, freeze, skew
+from .geom import ORTHOGONALITY_TOL, RigidTransform, as_pairs, freeze, skew
 
 # Hypotheses that RANSAC draws, solves and scores together. Scoring holds a
 # few (chunk, matches[, 3]) float64 arrays, about 1 MB at 200 matches, and
@@ -129,10 +129,10 @@ def essential_from_rays(rays_s, rays_t) -> np.ndarray:
     before the linear solve of q_t^T E q_s = 0, which keeps the system
     conditioned for narrow fields of view and for rays at any angle to the
     bundle's mean. The result is projected onto the essential manifold
-    (singular values (1, 1, 0))."""
-    qs = np.asarray(rays_s, dtype=np.float64).reshape(-1, 3)
-    qt = np.asarray(rays_t, dtype=np.float64).reshape(-1, 3)
-    if qs.shape != qt.shape or qs.shape[0] < 8:
+    (singular values (1, 1, 0)). The rays are (n, 3) arrays of equal shape
+    (``geom.as_pairs``)."""
+    qs, qt = as_pairs(rays_s, rays_t)
+    if qs.shape[0] < 8:
         raise InsufficientMatchesError("essential matrix needs at least 8 ray pairs")
     ematrix, ok = _essentials(qs[None], qt[None])
     if not ok[0]:
@@ -160,10 +160,9 @@ def epipolar_residuals(ematrix, rays_s, rays_t) -> np.ndarray:
 
     The plane's normal is E @ ray_s. A source ray through the epipole has no
     plane (E @ ray_s = 0); any target direction is consistent, so it scores 0.
+    The rays are (n, 3) arrays of equal shape (``geom.as_pairs``).
     """
-    return _residuals(np.asarray(ematrix, dtype=np.float64),
-                      np.asarray(rays_s, dtype=np.float64),
-                      np.asarray(rays_t, dtype=np.float64))
+    return _residuals(np.asarray(ematrix, dtype=np.float64), *as_pairs(rays_s, rays_t))
 
 
 def _triangulate_depths(rays_s, rays_t, rot, tdir):
@@ -188,9 +187,9 @@ def _triangulate_depths(rays_s, rays_t, rot, tdir):
 def decompose_and_disambiguate(ematrix, rays_s, rays_t) -> RigidTransform:
     """Pick the (R, t) candidate from the four-way decomposition that
     triangulates the most correspondences with positive depth in both views;
-    t is the unit translation direction."""
-    qs = np.asarray(rays_s, dtype=np.float64).reshape(-1, 3)
-    qt = np.asarray(rays_t, dtype=np.float64).reshape(-1, 3)
+    t is the unit translation direction. The rays are (n, 3) arrays of equal
+    shape (``geom.as_pairs``)."""
+    qs, qt = as_pairs(rays_s, rays_t)
     if qs.shape[0] < 1:
         raise InsufficientMatchesError("need at least one correspondence")
 

@@ -11,6 +11,7 @@ from pcr.cloudio import Cloud, write_ply
 from pcr.errors import TooFewPairsError
 from pcr.geom import RigidTransform, bounds, rotation_angle, umeyama_align
 from pcr.icp import NNIndex, NeighbourCache, correspond, icp_register
+from pcr.synth import SynthSpec, build_scene
 
 from conftest import rodrigues, rotation_angle_between
 
@@ -514,71 +515,65 @@ class TestLayouts:
 
 def pyramid_icp(src, tgt):
     """The coarse levels and the full-resolution stage chained through the
-    uncached ``single_stage_icp``: each converged level seeds the next."""
+    uncached ``single_stage_icp``: each level, capped at the same 100
+    iterations as full resolution, seeds the next, converged or not."""
     current = None
     for stride in icp.coarse_strides(len(src)):
-        level = single_stage_icp(
-            src[::stride], tgt, max_iterations=icp.COARSE_MAX_ITERATIONS,
-            init=current, tol_factor=icp.COARSE_TOL_FACTOR)
-        if level.converged:
-            current = level.transform
+        current = single_stage_icp(src[::stride], tgt, init=current,
+                                   tol_factor=icp.COARSE_TOL_FACTOR).transform
     return single_stage_icp(src, tgt, init=current)
 
 
 class TestCoarseStage:
     def test_below_threshold_is_single_stage(self, rng, caplog):
-        pts, tgt = dense_scene(rng, icp.COARSE_MIN_POINTS - 1)
+        pts, tgt = dense_scene(rng, 2040)
         with caplog.at_level(logging.DEBUG, logger="pcr"):
             res = icp_register(pts, tgt)
         assert_same_result(res, single_stage_icp(pts, tgt))
         assert not caplog.records
 
     @pytest.mark.parametrize("n, strides", [
-        (icp.COARSE_MIN_POINTS - 1, []), (icp.COARSE_MIN_POINTS, [8]),
+        (2040, []), (2041, [8]),
         (64 * 255, [8]), (64 * 255 + 1, [64, 8]), (20000, [64, 8]),
-        (50000, [64, 8]), (512 * 256, [512, 64, 8])])
+        (50000, [64, 8]), (512 * 256, [512, 64, 8]), (5000, [8])])
     def test_schedule_by_size(self, n, strides):
         # a level keeps at least COARSE_MIN_LEVEL_POINTS points
         assert icp.coarse_strides(n) == strides
         assert all(len(range(0, n, s)) >= icp.COARSE_MIN_LEVEL_POINTS
                    for s in strides)
 
-    def test_capped_coarse_stage_is_dropped(self, rng, monkeypatch, caplog):
-        pts, tgt = dense_scene(rng)
-        monkeypatch.setattr(icp, "COARSE_MAX_ITERATIONS", 1)
-        with caplog.at_level(logging.DEBUG, logger="pcr"):
-            res = icp_register(pts, tgt)
-        assert_same_result(res, single_stage_icp(pts, tgt))
-        assert [r.getMessage() for r in caplog.records] == [
-            "icp level stride 64: 1 iterations on 313 of 20000 points, pose dropped",
-            "icp level stride 8: 1 iterations on 2500 of 20000 points, pose dropped"]
-
-    def test_dropped_top_level_leaves_next_at_init(self, rng, monkeypatch, caplog):
+    def test_unconverged_level_seeds_next(self, rng, monkeypatch, caplog):
         # only the stride-64 level is capped at one iteration
         pts, tgt = dense_scene(rng)
         init = RigidTransform(rodrigues([1.0, 0.0, 0.0], np.deg2rad(2.0)),
                               np.array([0.03, 0.0, 0.0]))
         loop = icp._icp_loop
-        seeds = {}
+        seeds, poses = {}, {}
 
         def capped_top(src, cache, current, max_iterations, *tols):
             seeds[src.shape[1]] = current
             if src.shape[1] == len(pts[::64]):
                 max_iterations = 1
-            return loop(src, cache, current, max_iterations, *tols)
+            out = loop(src, cache, current, max_iterations, *tols)
+            poses[src.shape[1]] = out[0]
+            return out
 
         monkeypatch.setattr(icp, "_icp_loop", capped_top)
         with caplog.at_level(logging.DEBUG, logger="pcr"):
             res = icp_register(pts, tgt, init=init)
         messages = [r.getMessage() for r in caplog.records]
-        assert messages[0].endswith("1 iterations on 313 of 20000 points, pose dropped")
+        assert messages[0] == ("icp level stride 64: 1 iterations on 313 of "
+                               "20000 points, unconverged")
         assert messages[1].startswith("icp level stride 8:")
-        assert messages[1].endswith("on 2500 of 20000 points, pose kept")
-        assert seeds[313] is seeds[2500] is init
-        level = single_stage_icp(pts[::8], tgt, init=init,
-                                 max_iterations=icp.COARSE_MAX_ITERATIONS,
+        assert messages[1].endswith("on 2500 of 20000 points, converged")
+        assert seeds[313] is init
+        assert seeds[2500] is poses[313]
+        assert not np.array_equal(poses[313].rotation, init.rotation)
+        top = single_stage_icp(pts[::64], tgt, init=init, max_iterations=1,
+                               tol_factor=icp.COARSE_TOL_FACTOR)
+        assert not top.converged
+        level = single_stage_icp(pts[::8], tgt, init=top.transform,
                                  tol_factor=icp.COARSE_TOL_FACTOR)
-        assert level.converged
         assert_same_result(res, single_stage_icp(pts, tgt, init=level.transform))
 
     def test_coarse_pose_seeds_full_resolution(self, rng, caplog):
@@ -589,9 +584,9 @@ class TestCoarseStage:
         assert [r.levelno for r in caplog.records] == [logging.DEBUG] * 2
         top, last = (r.getMessage() for r in caplog.records)
         assert top.startswith("icp level stride 64: ")
-        assert top.endswith(" on 313 of 20000 points, pose kept")
+        assert top.endswith(" on 313 of 20000 points, converged")
         assert last.startswith("icp level stride 8: ")
-        assert last.endswith(" on 2500 of 20000 points, pose kept")
+        assert last.endswith(" on 2500 of 20000 points, converged")
         assert res.converged
         assert len(res.rms_trace) == res.iterations < plain.iterations
         assert np.abs(res.transform.rotation - plain.transform.rotation).max() < 1e-4
@@ -602,8 +597,37 @@ class TestCoarseStage:
         pts, tgt = dense_scene(rng)
         with caplog.at_level(logging.DEBUG, logger="pcr"):
             res = icp_register(pts, tgt)
-        assert all(r.getMessage().endswith("pose kept") for r in caplog.records)
+        assert all(r.getMessage().endswith(", converged") for r in caplog.records)
         assert_same_result(res, pyramid_icp(pts, tgt))
+
+    def test_mid_size_source_takes_one_level(self, rng, caplog):
+        # 5000 points: one stride-8 level of 625 points, then full resolution
+        pts, tgt = dense_scene(rng, 5000)
+        with caplog.at_level(logging.DEBUG, logger="pcr"):
+            res = icp_register(pts, tgt)
+        [message] = [r.getMessage() for r in caplog.records]
+        assert message.startswith("icp level stride 8: ")
+        assert message.endswith(" on 625 of 5000 points, converged")
+        assert_same_result(res, pyramid_icp(pts, tgt))
+
+    def test_large_source_levels_converge(self, caplog):
+        # a 100 000-point rigid scene, its target offset cut to a tenth as in
+        # the rigid-dense benchmark: levels capped at 30 iterations both
+        # stopped unconverged and were dropped, and full resolution then ran
+        # 58 iterations from the identity
+        scene = build_scene(SynthSpec(scale=1.0, rotation_deg=5.0, points=100000,
+                                      outlier_fraction=0.3, seed=1000))
+        truth = scene.ground_truth
+        mu = scene.source.points.mean(axis=0)
+        offset = truth.translation - truth.scale * (mu - truth.rotation @ mu)
+        tgt = scene.target.points - 0.9 * offset
+        with caplog.at_level(logging.DEBUG, logger="pcr"):
+            res = icp_register(scene.source.points, tgt)
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 2
+        assert all(m.endswith(", converged") for m in messages)
+        assert res.converged and res.iterations < 40
+        assert rotation_angle_between(res.transform.rotation, truth.rotation) < np.deg2rad(0.5)
 
     def test_full_resolution_rows_mostly_cached(self, rng, monkeypatch):
         pts, tgt = dense_scene(rng)
@@ -636,8 +660,9 @@ class TestCoarseStage:
 
     def test_one_iteration_cap_warns_and_exits_0(self, tmp_path, rng, capsys,
                                                  caplog):
-        # each coarse level's cap becomes 1 too, so its pose is dropped
-        pts, tgt = dense_scene(rng, icp.COARSE_MIN_POINTS + 100)
+        # each coarse level's cap becomes 1 too; its unconverged pose is
+        # kept and seeds the next level, and only full resolution warns
+        pts, tgt = dense_scene(rng, 8292)
         write_ply(Cloud(points=pts), tmp_path / "a.ply")
         write_ply(Cloud(points=tgt), tmp_path / "b.ply")
         report = tmp_path / "r.json"

@@ -112,6 +112,14 @@ class TestEpipolarResiduals:
         out = epipolar_residuals(e, null_ray, other)
         assert out[0] == 0.0
 
+    def test_unpaired_rays_rejected(self, rng):
+        rays = rng.normal(size=(5, 3))
+        with pytest.raises(ValueError, match="equal shapes"):
+            epipolar_residuals(np.eye(3), rays, rays[:4])
+        with pytest.raises(ValueError, match=r"\(n, 3\)"):
+            epipolar_residuals(np.eye(3), rays[:, :2], rays[:, :2])
+
+
 class TestEssential:
     def test_noiseless_epipolar_residuals_vanish(self, rng):
         matches, rot, tdir, _ = two_view_scene(rng, n=60)
@@ -159,6 +167,14 @@ class TestEssential:
             essential_from_rays(rays, rays)
 
 
+    def test_malformed_rays_rejected(self, rng):
+        # a (12, 2) pair is not eight rays, and ten rays do not pair with nine
+        with pytest.raises(ValueError, match=r"\(n, 3\)"):
+            essential_from_rays(rng.normal(size=(12, 2)), rng.normal(size=(12, 2)))
+        with pytest.raises(ValueError, match="equal shapes"):
+            essential_from_rays(rng.normal(size=(10, 3)), rng.normal(size=(9, 3)))
+
+
 class TestDecompose:
     def test_recovers_synthetic_pose(self, rng):
         for _ in range(10):
@@ -179,6 +195,15 @@ class TestDecompose:
         e = skew(np.array([0.6, -0.2, 0.75])) @ rot
         with pytest.raises(AmbiguousDecompositionError):
             decompose_and_disambiguate(e, rays_s, rays_t)
+
+    def test_malformed_rays_rejected(self, rng):
+        matches, rot, tdir, _ = two_view_scene(rng, n=8)
+        e = skew(tdir) @ rot
+        with pytest.raises(ValueError, match=r"\(n, 3\)"):
+            decompose_and_disambiguate(e, rng.normal(size=(6, 2)), rng.normal(size=(6, 2)))
+        rays_s, rays_t = rays_of(matches)
+        with pytest.raises(ValueError, match="equal shapes"):
+            decompose_and_disambiguate(e, rays_s, rays_t[:7])
 
     def test_negative_depth_pairs_not_counted(self, rng):
         # under the sign-flipped translation candidate the same pairs

@@ -146,6 +146,27 @@ class TestBackproject:
         with pytest.raises(ValueError, match="in front"):
             K.project(pts)
 
+    def test_one_depth_per_pixel(self, rng):
+        # one depth is not broadcast to five pixels
+        px = rng.uniform(0, 480, size=(5, 2))
+        with pytest.raises(ValueError, match="one depth per pixel"):
+            K.backproject(px, [2.0])
+        with pytest.raises(ValueError, match="one depth per pixel"):
+            K.backproject(px, np.ones((5, 1)))
+
+    @pytest.mark.parametrize("pixels", [np.ones((3, 3)), np.ones(2), np.ones((2, 1)),
+                                        [[np.nan, 1.0]], [[1.0, np.inf]]])
+    def test_malformed_pixels_rejected(self, pixels):
+        with pytest.raises(ValueError, match="pixels"):
+            K.bearings(pixels)
+        with pytest.raises(ValueError, match="pixels"):
+            K.backproject(pixels, np.ones(len(pixels)))
+
+    @pytest.mark.parametrize("points", [np.ones((4, 2)), np.ones(3), [[0.0, np.nan, 1.0]]])
+    def test_project_takes_points_rule(self, points):
+        with pytest.raises(ValueError, match=r"\(n, 3\)|finite"):
+            K.project(points)
+
     def test_bearings_are_unit_depth_rays_normalised(self, rng):
         px = rng.uniform(-200.0, 900.0, size=(50, 2))
         rays = K.bearings(px)
