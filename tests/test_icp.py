@@ -533,14 +533,38 @@ class TestCoarseStage:
         assert not caplog.records
 
     @pytest.mark.parametrize("n, strides", [
-        (2040, []), (2041, [8]),
+        (8191, [8]), (8192, [8]),
         (64 * 255, [8]), (64 * 255 + 1, [64, 8]), (20000, [64, 8]),
-        (50000, [64, 8]), (512 * 256, [512, 64, 8]), (5000, [8])])
+        (50000, [64, 8]), (512 * 256, [512, 64, 8]), (5000, [8]),
+        (2040, []), (2041, [8])])
     def test_schedule_by_size(self, n, strides):
         # a level keeps at least COARSE_MIN_LEVEL_POINTS points
         assert icp.coarse_strides(n) == strides
         assert all(len(range(0, n, s)) >= icp.COARSE_MIN_LEVEL_POINTS
                    for s in strides)
+
+    def test_capped_levels_chain_their_poses(self, rng, monkeypatch, caplog):
+        # every pyramid level is capped at one iteration
+        pts, tgt = dense_scene(rng)
+        loop = icp._icp_loop
+
+        def capped_levels(src, cache, current, max_iterations, *tols):
+            if src.shape[1] < len(pts):
+                max_iterations = 1
+            return loop(src, cache, current, max_iterations, *tols)
+
+        monkeypatch.setattr(icp, "_icp_loop", capped_levels)
+        with caplog.at_level(logging.DEBUG, logger="pcr"):
+            res = icp_register(pts, tgt)
+        assert [r.getMessage() for r in caplog.records] == [
+            "icp level stride 64: 1 iterations on 313 of 20000 points, unconverged",
+            "icp level stride 8: 1 iterations on 2500 of 20000 points, unconverged"]
+        current = None
+        for stride in (64, 8):
+            current = single_stage_icp(pts[::stride], tgt, init=current,
+                                       max_iterations=1,
+                                       tol_factor=icp.COARSE_TOL_FACTOR).transform
+        assert_same_result(res, single_stage_icp(pts, tgt, init=current))
 
     def test_unconverged_level_seeds_next(self, rng, monkeypatch, caplog):
         # only the stride-64 level is capped at one iteration
