@@ -30,8 +30,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, ...]:
     reg.add_argument("--transformed", help="write the transformed source cloud here")
     reg.add_argument("--no-scale", action="store_true",
                      help="skip scale estimation even when a gap is detected")
-    reg.add_argument("--sigma-z", type=float, default=PipelineConfig.sigma_z,
-                     help="assumed per-coordinate sensor noise std")
     reg.add_argument("--seed", type=int, default=relpose.RansacConfig.seed,
                      help="RANSAC sampling seed")
     reg.add_argument("--max-icp-iters", type=int,
@@ -70,7 +68,6 @@ def _register(reg: argparse.ArgumentParser, args) -> int:
                                         max_iterations=args.ransac_iters,
                                         seed=args.seed),
             icp_cfg=icp.IcpConfig(max_iterations=args.max_icp_iters),
-            sigma_z=args.sigma_z,
             use_scale=not args.no_scale,
         )
     except ValueError as exc:
@@ -94,10 +91,11 @@ def _synth(syn: argparse.ArgumentParser, args) -> int:
                                points=args.points, noise=args.noise,
                                outlier_fraction=args.outliers,
                                match_count=args.matches, seed=args.seed)
-    except ValueError as exc:
-        syn.error(str(exc))
-    try:
         paths = synth.generate_synthetic(spec, args.out_dir)
+    except ValueError as exc:
+        # Out-of-range values, and a scale or noise that takes the scene's
+        # points past the coordinate limit, end like argparse's type errors.
+        syn.error(str(exc))
     except OSError as exc:
         print(f"pcr: error: {exc}", file=sys.stderr)
         return 1

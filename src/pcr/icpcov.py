@@ -16,9 +16,11 @@ in the stacked pair coordinates z_i = (P_i, Q_i):
 cov(z) is isotropic sigma_z^2 * I and is never materialized; the product
 collapses to sigma_z^2 * H^-1 * (sum_i B_i B_i^T) * H^-1, where B_i is pair
 i's 6x6 block of d2J/dz dx. Both H and that sum are taken over every pair
-through the 7x7 moment matrix of the pairs (see ``_moments``). The information
-matrix is the exact inverse of the covariance and is the edge weight a pose
-graph consumes; a covariance too close to singular to invert is refused.
+through the 7x7 moment matrix of the pairs (see ``_moments``). The pipeline
+takes sigma_z from the fit itself (``pair_sigma``); ``covariance`` is the
+closed form at any given noise level. The information matrix is the exact
+inverse of the covariance and is the edge weight a pose graph consumes; a
+covariance too close to singular to invert is refused.
 """
 
 from __future__ import annotations
@@ -116,11 +118,34 @@ def hessian_zx(pairs_p, pairs_q, pose: RigidTransform) -> np.ndarray:
     return mixed.transpose(1, 0, 2).reshape(6, -1)
 
 
-def check_sigma_z(sigma_z: float) -> None:
-    """Refuse a noise level unless sigma_z > 0 and sigma_z * sigma_z is
-    positive and finite: no overflow, no underflow to 0, no nan or inf."""
-    if not (sigma_z > 0.0 and 0.0 < sigma_z * sigma_z < np.inf):
-        raise ValueError("sigma_z must be positive, with a positive finite square")
+def pair_sigma(pairs_p, pairs_q, pose: RigidTransform) -> float:
+    """Noise level of the pairs, read off the fit: the residual standard
+    deviation sqrt(RSS / (3N - 6)), with RSS = sum_i |R p_i + t - q_i|^2 over
+    the N frozen pairs and 6 the pose's degrees of freedom (Hartley &
+    Zisserman 2004; Censi 2007). An exact fit (RSS 0) leaves the noise level
+    unknown and raises DegenerateGeometryError.
+
+    Noise sigma_z on every coordinate of P and Q would put 2 sigma_z^2 on each
+    residual coordinate, so the model on paper implies RSS / (2 (3N - 6)).
+    Measured on s = 1, 5 degree, 2000-point synthetic scenes (30 seeds, ICP
+    from the truth), that halved form gave NEES medians of 5.94, 6.17 and
+    8.80 at scene noise 0.0025, 0.005 and 0.01, and 14.0 on 20 000-point
+    scenes: more than twice the chi-square(6) median of 5.35. The full form
+    used here gave 2.97, 3.08, 4.40 and 7.00, within a factor of 2 at each.
+    """
+    p, q = as_pairs(pairs_p, pairs_q)
+    if p.shape[0] < 3:
+        raise DegenerateGeometryError("covariance needs at least 3 pairs")
+    # The residuals as (3, n) coordinate rows: the 3 x n product runs several
+    # times faster than the n x 3 one.
+    residual = pose.rotation @ p.T
+    residual += pose.translation[:, None]
+    residual -= q.T
+    rss = float(np.einsum("ij,ij->", residual, residual))
+    if rss == 0.0:
+        raise DegenerateGeometryError(
+            "the pairs fit exactly (residual sum of squares 0), so they give no noise level")
+    return float(np.sqrt(rss / (3 * p.shape[0] - 6)))
 
 
 def covariance(pairs_p, pairs_q, pose: RigidTransform, sigma_z: float) -> CovarianceResult:
@@ -129,12 +154,14 @@ def covariance(pairs_p, pairs_q, pose: RigidTransform, sigma_z: float) -> Covari
 
     ``pose`` must be the minimizer for the given (frozen) correspondence
     pairs, as ``icp_register`` returns it; ``sigma_z`` is the isotropic
-    standard deviation of every point coordinate (see ``check_sigma_z``).
-    Every pair is used: the sum over pairs of B_i B_i^T, with
-    B_i = d2J_i/d(P_i, Q_i) dx, comes from the 7x7 moment matrix, so the
-    6 x 6n matrix d2J/dz dx is never built.
+    standard deviation of every point coordinate, such as ``pair_sigma``
+    gives. A sigma_z that is not positive, or whose square overflows or
+    underflows to 0, raises ValueError. Every pair is used: the sum over
+    pairs of B_i B_i^T, with B_i = d2J_i/d(P_i, Q_i) dx, comes from the 7x7
+    moment matrix, so the 6 x 6n matrix d2J/dz dx is never built.
     """
-    check_sigma_z(sigma_z)
+    if not (sigma_z > 0.0 and 0.0 < sigma_z * sigma_z < np.inf):
+        raise ValueError("sigma_z must be positive, with a positive finite square")
     p, q = as_pairs(pairs_p, pairs_q)
     if p.shape[0] < 3:
         raise DegenerateGeometryError("covariance needs at least 3 pairs")

@@ -5,7 +5,8 @@ are available) relative pose, the lift of its inliers with both depths to 3D
 points, the depth gate and the closed-form scale estimate, which together
 make one Sim(3) seed; source scaling by the seed's scale, trimmed ICP from
 the seed's rigid part on the scaled source and the target as read, and
-covariance and information matrix on the final correspondence set. Any
+covariance and information matrix on the final correspondence set, at the
+noise level those pairs' residuals give (``icpcov.pair_sigma``). Any
 stage failure is wrapped in a StageError carrying the stage name, which
 gives its CLI exit code. An ICP run that stops at its iteration cap
 unconverged is not a failure: it is logged as a WARNING on the ``pcr``
@@ -35,13 +36,11 @@ class PipelineConfig:
     transformed_path: str | None = None
     ransac: relpose.RansacConfig = field(default_factory=relpose.RansacConfig)
     icp_cfg: icp.IcpConfig = field(default_factory=icp.IcpConfig)
-    sigma_z: float = 0.01
     use_scale: bool = True
     # Kept only because perfbench/workloads.py passes apply_filters=False.
     apply_filters: bool = False
 
     def __post_init__(self):
-        icpcov.check_sigma_z(self.sigma_z)
         if self.apply_filters:
             raise ValueError("the cloud filters were removed; apply_filters must be False")
 
@@ -102,8 +101,10 @@ def run_pipeline(cfg: PipelineConfig) -> cloudio.PipelineReport:
 
     pairs_p = scaled_source.points[result.source_indices]
     pairs_q = target.points[result.theta]
+    sigma = _stage("covariance", icpcov.pair_sigma, pairs_p, pairs_q, result.transform)
+    log.debug("stage covariance: pair noise %.6g from %d pairs", sigma, len(pairs_p))
     cov_result = _stage("covariance", icpcov.covariance, pairs_p, pairs_q,
-                        result.transform, cfg.sigma_z)
+                        result.transform, sigma)
 
     # The report refuses an information matrix that does not invert the
     # covariance within 1e-6, as one just above the singularity floor may not.

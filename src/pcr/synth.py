@@ -177,11 +177,12 @@ def generate_synthetic(spec: SynthSpec, out_dir) -> dict:
 
     Files: source.ply, target.ply (binary), matches.csv, intrinsics_source
     / intrinsics_target JSON, ground_truth.json. Byte-identical for the same
-    spec and seed.
+    spec and seed. The scene is built before ``out_dir`` is made, so a spec
+    whose scene the clouds refuse (ValueError) leaves no directory behind.
     """
+    scene = build_scene(spec)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    scene = build_scene(spec)
 
     paths = {
         "source": out / "source.ply",

@@ -9,17 +9,18 @@ from pcr.cloudio import Cloud, read_ply, write_ply
     ("--ransac-psi", "abc"),
     ("--ransac-psi", "nan"),
     ("--ransac-psi", "inf"),
-    # flags of the removed cloud filters
-    pytest.param("--no-filter", None, id="--no-filter"),
-    ("--crop-fraction", "0.25"),
     ("--max-icp-iters", "0"),
     ("--ransac-iters", "0"),
+    ("--seed", "-1"),
+    # flags of the removed cloud filters and of the removed noise level (the
+    # covariance takes it from the fit), with any value
+    pytest.param("--no-filter", None, id="--no-filter"),
+    ("--crop-fraction", "0.25"),
     ("--sigma-z", "0"),
     ("--sigma-z", "nan"),
     ("--sigma-z", "inf"),
     ("--sigma-z", "1e200"),
     ("--sigma-z", "1e-200"),
-    ("--seed", "-1"),
 ])
 def test_bad_flag_value_is_usage_error(tmp_path, rng, capsys, flag, value):
     # valid clouds, so that only the flag value can stop the run
@@ -48,8 +49,13 @@ def test_bad_flag_value_is_usage_error(tmp_path, rng, capsys, flag, value):
     ["--noise", "-0.1"],
     ["--seed", "-1"],
     ["--rot-deg", "nan"],
-], ids=["scale", "points", "outliers", "matches", "noise", "seed", "rotation"])
+    # finite values that take the scene's points past the coordinate limit
+    ["--scale", "1e200"],
+    ["--noise", "1e200"],
+], ids=["scale", "points", "outliers", "matches", "noise", "seed", "rotation",
+        "scale-past-limit", "noise-past-limit"])
 def test_bad_synth_value_is_usage_error(tmp_path, capsys, args):
+    # no scene directory is made for a refused spec
     out = tmp_path / "scene"
     with pytest.raises(SystemExit) as exc:
         cli.main(["synth", "--out-dir", str(out)] + args)

@@ -193,12 +193,14 @@ POINT_STAGES = {
     "icp_register": icp.icp_register,
     "umeyama_align": umeyama_align,
     "covariance": lambda p, q: icpcov.covariance(p, q, RigidTransform.identity(), 0.01),
+    "pair_sigma": lambda p, q: icpcov.pair_sigma(p, q, RigidTransform.identity()),
 }
 
 
 # Every stage function that takes paired points, called on (source, target).
 PAIR_STAGES = {name: POINT_STAGES[name] for name in (
-    "depth_consistent_indices", "estimate_scale_kalman", "umeyama_align", "covariance")}
+    "depth_consistent_indices", "estimate_scale_kalman", "umeyama_align", "covariance",
+    "pair_sigma")}
 
 
 class TestPointContract:

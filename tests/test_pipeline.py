@@ -52,7 +52,8 @@ def write_thin_pair(directory):
     """A source 1e-5 thick across two axes and its copy shifted by 0.01 in x,
     with 1e-6 noise: its Hessian (cond about 4e9) passes the covariance gate,
     but the covariance's smallest eigenvalue is below 1e-12 times its trace,
-    so the information matrix refuses it."""
+    so the information matrix refuses it. The fitted pair noise sets both
+    numbers of the refusal, not their ratio."""
     rng = np.random.default_rng(1)
     pts = rng.normal(size=(2000, 3)) * [1.0, 1e-5, 1e-5]
     write_ply(Cloud(points=pts), directory / "s.ply")
@@ -175,15 +176,19 @@ class TestRunPipeline:
         assert err.value.stage == "covariance"
         assert err.value.exit_code == 5
         assert str(err.value) == ("covariance: covariance is singular: smallest "
-                                  "eigenvalue 1.224e-07, trace 5.030e+05")
+                                  "eigenvalue 2.229e-10, trace 9.176e+02")
         assert not report.exists()
 
-    def test_underflowing_covariance_is_covariance_stage(self, scene_dir):
-        # sigma_z^2 = 1e-320 is a positive subnormal, so the flag is valid,
-        # but the covariance underflows and its inverse would overflow
+    def test_exact_fit_is_covariance_stage(self, tmp_path):
+        # a 3x3x3 grid registered on itself: ICP returns the identity
+        # exactly, so the pairs leave no noise level to scale the covariance
+        grid = np.stack(np.meshgrid(*[[-1.0, 0.0, 1.0]] * 3), axis=-1).reshape(-1, 3)
+        path = tmp_path / "grid.ply"
+        write_ply(Cloud(points=grid), path)
         with pytest.raises(StageError) as err:
-            run_pipeline(config_for(scene_dir, sigma_z=1e-160))
+            run_pipeline(PipelineConfig(source=str(path), target=str(path)))
         assert (err.value.stage, err.value.exit_code) == ("covariance", 5)
+        assert "fit exactly" in str(err.value)
 
     def test_removed_filters_refused(self):
         with pytest.raises(ValueError, match="filters were removed"):
@@ -233,6 +238,18 @@ class TestRunPipeline:
         assert np.abs(r1.final_transform.translation
                       - r2.final_transform.translation).max() < 1e-6
 
+    def test_fitted_pair_noise_logged_once(self, scene_dir, caplog):
+        with caplog.at_level("DEBUG", logger="pcr"):
+            report = run_pipeline(config_for(scene_dir))
+        lines = [r.getMessage() for r in caplog.records if "pair noise" in r.getMessage()]
+        assert len(lines) == 1
+        assert lines[0].startswith("stage covariance: pair noise ")
+        # ICP's rms is sqrt(RSS / N) over the same final pairs, and the
+        # fitted noise sqrt(RSS / (3N - 6))
+        words = lines[0].split()
+        sigma, n = float(words[4]), int(words[6])
+        assert sigma == pytest.approx(report.rms * np.sqrt(n / (3 * n - 6)), rel=1e-5)
+
     def test_covariance_fields_consistent(self, scene_dir):
         report = run_pipeline(config_for(scene_dir))
         assert np.abs(report.covariance - report.covariance.T).max() <= 1e-9
@@ -257,7 +274,10 @@ class TestRunPipeline:
         # commonest offset between two sessions; it is where ZYX Euler
         # angles lock. The edge must register, and its rotation standard
         # deviations (body-frame tangent coordinates) must match the same
-        # scene turned 15 degrees within 10%.
+        # scene turned 15 degrees within 10%. The covariance scales with the
+        # noise fitted to each edge's own pairs, which follows the scale
+        # seed's error and so differs between the two scenes; each standard
+        # deviation is taken per unit of its report's rms.
         monkeypatch.setattr(synth, "rotation_about_axis",
                             lambda axis, angle: rotation_about_axis([0.0, 1.0, 0.0], angle))
         rotation_std = {}
@@ -266,7 +286,7 @@ class TestRunPipeline:
             paths = generate_synthetic(spec, tmp_path / str(degrees))
             report = run_pipeline(config_for(paths))
             assert_within_criterion_01(report, paths)
-            rotation_std[degrees] = np.sqrt(np.diag(report.covariance)[3:])
+            rotation_std[degrees] = np.sqrt(np.diag(report.covariance)[3:]) / report.rms
         assert np.abs(rotation_std[90.0] / rotation_std[15.0] - 1.0).max() < 0.1
 
 
@@ -325,29 +345,8 @@ class TestCli:
         assert rc == 5
         err = capsys.readouterr().err
         assert err.splitlines() == ["pcr: error in stage covariance: covariance is "
-                                    "singular: smallest eigenvalue 1.224e-07, "
-                                    "trace 5.030e+05"]
-        assert not report.exists()
-
-    def test_underflowing_covariance_prints_stage_line_only(self, tmp_path, scene_dir):
-        # a separate interpreter, so numpy's warnings would reach stderr
-        report = tmp_path / "r.json"
-        src_dir = str(Path(pcr.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "pcr", "register",
-             "--source", scene_dir["source"], "--target", scene_dir["target"],
-             "--matches", scene_dir["matches"],
-             "--intrinsics-source", scene_dir["intrinsics_source"],
-             "--intrinsics-target", scene_dir["intrinsics_target"],
-             "--out", str(report), "--sigma-z", "1e-160"],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 5
-        assert proc.stderr.splitlines() == [
-            "pcr: error in stage covariance: covariance is singular: "
-            "smallest eigenvalue 0.000e+00, trace 6.324e-322"]
-        assert "RuntimeWarning" not in proc.stderr
+                                    "singular: smallest eigenvalue 2.229e-10, "
+                                    "trace 9.176e+02"]
         assert not report.exists()
 
     def test_exit_code_scale_stage(self, tmp_path, rng, capsys):
