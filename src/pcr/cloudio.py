@@ -362,7 +362,7 @@ def write_ply(cloud: Cloud, path, fmt: str = "binary-le") -> None:
 
     Binary mode stores doubles, so a write/read round trip is bit exact.
     ASCII mode keeps 9 significant digits. The label is preserved in a
-    header comment line, so it may not hold a line break.
+    header comment line, so it must be ASCII and may not hold a line break.
     """
     if fmt not in ("ascii", "binary-le"):
         raise ValueError(f"unknown PLY format {fmt!r}")
@@ -370,6 +370,8 @@ def write_ply(cloud: Cloud, path, fmt: str = "binary-le") -> None:
     label = cloud.label
     if "\r" in label or "\n" in label:
         raise ValueError("a PLY label must not hold a line break")
+    if not label.isascii():
+        raise ValueError("a PLY label must be ASCII")
 
     header = ["ply"]
     header.append("format ascii 1.0" if fmt == "ascii" else "format binary_little_endian 1.0")

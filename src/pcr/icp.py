@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import copy
 import logging
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,23 +62,6 @@ COARSE_TOL_FACTOR = 100.0
 
 log = logging.getLogger("pcr")
 
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
-# Threads per nearest-neighbour query: at most every CPU the process may run
-# on, so ``taskset`` limits it, and one per MIN_QUERIES_PER_WORKER query
-# points, since a thread start outweighs a short walk (2000 points on two
-# threads ran 4% slower end to end than on one, on a 2-vCPU host). Each
-# query point takes the same tree walk whatever the thread count, so results
-# do not depend on it.
-QUERY_WORKERS = _usable_cpus()
-MIN_QUERIES_PER_WORKER = 4096
-
 # Rounding allowance of NeighbourCache's reuse test and walk bounds, relative
 # to the largest coordinate magnitude seen. Each distance in the test is
 # computed to within a few ulps of itself and is below four times that
@@ -115,7 +97,6 @@ class NNIndex:
     """Exact nearest-neighbor index over a fixed target point set.
 
     Immutable after construction; queries are safe from multiple threads.
-    A large query is split over up to ``QUERY_WORKERS`` threads.
     """
 
     def __init__(self, points):
@@ -139,8 +120,7 @@ class NNIndex:
         Only targets closer than ``bound`` are searched for: a closest point
         not found within it has distance inf and the target count as index.
         """
-        workers = min(QUERY_WORKERS, max(1, len(queries) // MIN_QUERIES_PER_WORKER))
-        return self._tree.query(queries, k, distance_upper_bound=bound, workers=workers)
+        return self._tree.query(queries, k, distance_upper_bound=bound)
 
 
 def _transform_rows(pose: RigidTransform, rows: np.ndarray) -> np.ndarray:

@@ -79,6 +79,15 @@ class TestPly:
             write_ply(make_cloud(rng, n=5, label=label), path, fmt=fmt)
         assert not path.exists()
 
+    @pytest.mark.parametrize("fmt", ["ascii", "binary-le"])
+    @pytest.mark.parametrize("label", ["café", "scan \u2013 a", "\x80"],
+                             ids=["accent", "en-dash", "x80"])
+    def test_non_ascii_label_not_writable(self, tmp_path, rng, fmt, label):
+        path = tmp_path / "never.ply"
+        with pytest.raises(ValueError, match="must be ASCII"):
+            write_ply(make_cloud(rng, n=5, label=label), path, fmt=fmt)
+        assert not path.exists()
+
     def test_repeated_property_rejected_at_its_line(self, tmp_path):
         text = ("ply\nformat ascii 1.0\nelement vertex 1\n"
                 "property double x\nproperty double x\n"

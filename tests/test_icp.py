@@ -103,30 +103,7 @@ class TestNNIndex:
         dist, idx = index.query(box_cloud(rng, 20))
         assert (idx == 0).all()
 
-    def test_thread_count_follows_query_size(self, rng, monkeypatch):
-        monkeypatch.setattr(icp, "QUERY_WORKERS", 4)
-        index = NNIndex(box_cloud(rng, 100))
-        seen = []
-        tree = index._tree
-
-        class Recorder:
-            def query(self, pts, k, distance_upper_bound, workers):
-                seen.append(workers)
-                return tree.query(pts, k, distance_upper_bound=distance_upper_bound,
-                                  workers=workers)
-
-        index._tree = Recorder()
-        per = icp.MIN_QUERIES_PER_WORKER
-        for n in (1, 2000, per, 2 * per, 3 * per + 1, 10 * per):
-            index.query(box_cloud(rng, n))
-        index.query(np.zeros((1, 3)))
-        assert seen == [1, 1, 1, 2, 3, 4, 1]
-
-    @pytest.mark.parametrize("workers", [None, 2])
-    def test_threaded_query_equals_single_thread(self, rng, monkeypatch, workers):
-        # None keeps the module's CPU count; 2 forces the threaded path
-        if workers is not None:
-            monkeypatch.setattr(icp, "QUERY_WORKERS", workers)
+    def test_query_equals_ckdtree(self, rng):
         pts = box_cloud(rng, 20000)
         queries = pts + rng.normal(scale=0.01, size=pts.shape)
         far = rng.random(len(pts)) < 0.3
@@ -447,22 +424,22 @@ class TestIcpRegister:
         assert np.array_equal(a.rms_trace, b.rms_trace)
         assert np.array_equal(a.theta, b.theta)
 
-    def test_worker_count_does_not_change_result(self, rng, monkeypatch):
-        pts = box_cloud(rng, 20000)
-        rot = rodrigues([0.3, 1.0, -0.2], np.deg2rad(5.0))
-        tgt = pts @ rot.T + np.array([0.05, -0.02, 0.03])
-        tgt += rng.normal(scale=0.005, size=tgt.shape)
-        results = []
-        for workers in (1, max(2, icp.QUERY_WORKERS)):
-            monkeypatch.setattr(icp, "QUERY_WORKERS", workers)
-            results.append(icp_register(pts, tgt))
-        one, many = results
-        assert np.array_equal(one.transform.rotation, many.transform.rotation)
-        assert np.array_equal(one.transform.translation, many.transform.translation)
-        assert np.array_equal(one.rms_trace, many.rms_trace)
-        assert np.array_equal(one.source_indices, many.source_indices)
-        assert np.array_equal(one.theta, many.theta)
-        assert one.iterations == many.iterations
+    @pytest.mark.parametrize("seed, points", [(3, 3000), (5, 2000), (7, 5000)])
+    def test_duplicated_target_same_result(self, seed, points):
+        # every target point stored twice: which copy a tied walk picks
+        # must never reach the result
+        scene = build_scene(SynthSpec(scale=1.0, rotation_deg=5.0, points=points,
+                                      seed=seed))
+        src, tgt = scene.source.points, scene.target.points
+        doubled = np.vstack([tgt, tgt])
+        once = icp_register(src, tgt)
+        twice = icp_register(src, doubled)
+        assert np.array_equal(once.transform.rotation, twice.transform.rotation)
+        assert np.array_equal(once.transform.translation, twice.transform.translation)
+        assert np.array_equal(once.rms_trace, twice.rms_trace)
+        assert (once.iterations, once.converged) == (twice.iterations, twice.converged)
+        assert np.array_equal(once.source_indices, twice.source_indices)
+        assert np.array_equal(tgt[once.theta], doubled[twice.theta])
 
     def test_theta_indices_valid(self, rng):
         src = box_cloud(rng, 200)
