@@ -4,7 +4,7 @@ Aligns a source cloud onto a target cloud that may differ by an unknown
 similarity scale, then derives the 6x6 covariance and information matrix of
 the alignment for use as a pose-graph edge.
 
-The root holds the pipeline, its configs, file I/O, transforms and errors;
+The root holds the pipeline and its config, file I/O, transforms and errors;
 stage functions are imported from their modules (``pcr.icp``, ...).
 """
 
@@ -16,8 +16,6 @@ from .errors import (AmbiguousDecompositionError, DegenerateGeometryError,
                      InsufficientMatchesError, NoConsensusError, ParseError,
                      RegistrationError, StageError, TooFewPairsError)
 from .geom import RigidTransform, SimilarityTransform
-from .icp import IcpConfig
 from .pipeline import PipelineConfig, run_pipeline
-from .relpose import RansacConfig
 
 __version__ = "0.1.0"

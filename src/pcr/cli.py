@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import icp, relpose, synth
+from . import synth
 from .errors import StageError
 from .pipeline import PipelineConfig, run_pipeline
 
@@ -30,16 +30,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, ...]:
     reg.add_argument("--transformed", help="write the transformed source cloud here")
     reg.add_argument("--no-scale", action="store_true",
                      help="skip scale estimation even when a gap is detected")
-    reg.add_argument("--seed", type=int, default=relpose.RansacConfig.seed,
-                     help="RANSAC sampling seed")
-    reg.add_argument("--max-icp-iters", type=int,
-                     default=icp.IcpConfig.max_iterations)
-    reg.add_argument("--ransac-psi", type=float,
-                     default=relpose.RansacConfig.pixel_threshold,
-                     help="RANSAC pixel threshold")
-    reg.add_argument("--ransac-iters", type=int,
-                     default=relpose.RansacConfig.max_iterations,
-                     help="upper bound on RANSAC hypotheses")
 
     syn = sub.add_parser("synth", help="generate a synthetic test scene")
     spec = synth.SynthSpec
@@ -54,25 +44,17 @@ def _build_parser() -> tuple[argparse.ArgumentParser, ...]:
     return parser, reg, syn
 
 
-def _register(reg: argparse.ArgumentParser, args) -> int:
-    try:
-        cfg = PipelineConfig(
-            source=args.source,
-            target=args.target,
-            matches=args.matches,
-            intrinsics_source=args.intrinsics_source,
-            intrinsics_target=args.intrinsics_target,
-            report_path=args.out,
-            transformed_path=args.transformed,
-            ransac=relpose.RansacConfig(pixel_threshold=args.ransac_psi,
-                                        max_iterations=args.ransac_iters,
-                                        seed=args.seed),
-            icp_cfg=icp.IcpConfig(max_iterations=args.max_icp_iters),
-            use_scale=not args.no_scale,
-        )
-    except ValueError as exc:
-        # Out-of-range flag values end like argparse's own type errors.
-        reg.error(str(exc))
+def _register(args) -> int:
+    cfg = PipelineConfig(
+        source=args.source,
+        target=args.target,
+        matches=args.matches,
+        intrinsics_source=args.intrinsics_source,
+        intrinsics_target=args.intrinsics_target,
+        report_path=args.out,
+        transformed_path=args.transformed,
+        use_scale=not args.no_scale,
+    )
     try:
         report = run_pipeline(cfg)
     except StageError as exc:
@@ -107,11 +89,11 @@ def _synth(syn: argparse.ArgumentParser, args) -> int:
 def main(argv=None) -> int:
     parser, reg, syn = _build_parser()
     args, unknown = parser.parse_known_args(argv)
-    sub, run = (reg, _register) if args.command == "register" else (syn, _synth)
+    registering = args.command == "register"
     if unknown:
         # A removed or misspelt flag prints its sub-command's usage.
-        sub.error("unrecognized arguments: " + " ".join(unknown))
-    return run(sub, args)
+        (reg if registering else syn).error("unrecognized arguments: " + " ".join(unknown))
+    return _register(args) if registering else _synth(syn, args)
 
 
 if __name__ == "__main__":

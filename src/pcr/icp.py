@@ -4,9 +4,10 @@ Each iteration pairs every transformed source point with its exact nearest
 target point, rejects pairs beyond ``TRIM_MULTIPLIER`` times the median pair
 distance, and solves the rigid alignment in closed form, so the objective
 cannot increase within an iteration. A transformation checker (pose change,
-error change, or iteration cap) ends the loop. A source with enough points
-is first registered by the same loop on ever finer subsamples, each level's
-pose seeding the next level and finally the full-resolution loop.
+error change, or the ``MAX_ITERATIONS`` cap) ends the loop. A source with
+enough points is first registered by the same loop on ever finer
+subsamples, each level's pose seeding the next level and finally the
+full-resolution loop.
 One neighbour cache serves every level of a registration, so a point's tree
 walk is repeated only when its step since its last walk, at any level, could
 have changed its nearest target point.
@@ -33,6 +34,9 @@ ROTATION_TOL = 1e-6
 TRANSLATION_TOL = 1e-6
 ERROR_CHANGE_TOL = 1e-9
 TRIM_MULTIPLIER = 3.0
+# Most iterations of each coarse level and of the full-resolution loop; a
+# loop that reaches it stops unconverged.
+MAX_ITERATIONS = 100
 
 # Coarse-to-fine schedule of icp_register (Rusinkiewicz & Levoy, "Efficient
 # variants of the ICP algorithm", 2001), as a pyramid of strides (Jost &
@@ -82,15 +86,6 @@ def coarse_strides(n: int) -> list[int]:
         strides.insert(0, stride)
         stride *= COARSE_STRIDE
     return strides
-
-
-@dataclass(frozen=True)
-class IcpConfig:
-    max_iterations: int = 100
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
 
 
 class NNIndex:
@@ -324,8 +319,7 @@ def _icp_loop(src: np.ndarray, cache: NeighbourCache, current: RigidTransform,
     return current, moved, trace, iterations, converged
 
 
-def icp_register(source, target, cfg: IcpConfig = IcpConfig(),
-                 init: RigidTransform | None = None) -> IcpResult:
+def icp_register(source, target, init: RigidTransform | None = None) -> IcpResult:
     """Register the (n, 3) source points onto the (m, 3) target points by
     trimmed point-to-point ICP.
 
@@ -336,7 +330,7 @@ def icp_register(source, target, cfg: IcpConfig = IcpConfig(),
     The source is first registered on every stride-th point, for each
     stride of ``coarse_strides``, coarsest first, by the same loop with a
     pose stop ``COARSE_TOL_FACTOR`` times looser and the same
-    ``cfg.max_iterations`` cap; each level's pose, converged or not, seeds
+    ``MAX_ITERATIONS`` cap; each level's pose, converged or not, seeds
     the next level. The result's ``iterations``, ``rms_trace`` and
     ``converged`` describe the full-resolution stage only. One
     ``NeighbourCache`` over every source row serves all levels, each through
@@ -359,14 +353,14 @@ def icp_register(source, target, cfg: IcpConfig = IcpConfig(),
     for stride in coarse_strides(len(src)):
         level = np.ascontiguousarray(src_rows[:, ::stride])
         current, _, _, iterations, converged = _icp_loop(
-            level, cache.every(stride), current, cfg.max_iterations,
+            level, cache.every(stride), current, MAX_ITERATIONS,
             COARSE_TOL_FACTOR * ROTATION_TOL, COARSE_TOL_FACTOR * trans_tol)
         log.debug("icp level stride %d: %d iterations on %d of %d points, %s",
                   stride, iterations, level.shape[1], len(src),
                   "converged" if converged else "unconverged")
 
     current, moved, trace, iterations, converged = _icp_loop(
-        src_rows, cache, current, cfg.max_iterations, ROTATION_TOL, trans_tol)
+        src_rows, cache, current, MAX_ITERATIONS, ROTATION_TOL, trans_tol)
 
     # Refresh the pair set so theta describes the returned transform.
     source_indices, theta = correspond(moved.T, cache)

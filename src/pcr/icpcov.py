@@ -184,15 +184,18 @@ def covariance(pairs_p, pairs_q, pose: RigidTransform, sigma_z: float) -> Covari
 def information_matrix(cov) -> np.ndarray:
     """Exact inverse of a symmetric positive-definite matrix.
 
-    One rule refuses a matrix: a smallest eigenvalue at most 1e-12 times the
-    trace, or at most 4 / float max, raises DegenerateGeometryError. The
-    first floor marks a direction the data leaves nearly unobservable (a
-    negative eigenvalue is below it too); the second keeps the inverse and
-    the sum that symmetrises it finite. The output is exactly symmetric.
+    A non-finite entry raises ValueError. One rule refuses a finite matrix:
+    a smallest eigenvalue at most 1e-12 times the trace, or at most
+    4 / float max, raises DegenerateGeometryError. The first floor marks a
+    direction the data leaves nearly unobservable (a negative eigenvalue is
+    below it too); the second keeps the inverse and the sum that symmetrises
+    it finite. The output is exactly symmetric.
     """
     mat = np.asarray(cov, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("information_matrix expects a square matrix")
+    if not np.isfinite(mat).all():
+        raise ValueError("input matrix must be finite")
     check_symmetric(mat, "input matrix")
     trace = float(np.trace(mat))
     eigenvalues, eigenvectors = np.linalg.eigh(mat)

@@ -16,7 +16,7 @@ logger, and the run goes on.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import cloudio, icp, icpcov, relpose, scale
 from .errors import RegistrationError, StageError
@@ -34,8 +34,6 @@ class PipelineConfig:
     intrinsics_target: str | None = None
     report_path: str | None = None
     transformed_path: str | None = None
-    ransac: relpose.RansacConfig = field(default_factory=relpose.RansacConfig)
-    icp_cfg: icp.IcpConfig = field(default_factory=icp.IcpConfig)
     use_scale: bool = True
     # Kept only because perfbench/workloads.py passes apply_filters=False.
     apply_filters: bool = False
@@ -76,7 +74,7 @@ def run_pipeline(cfg: PipelineConfig) -> cloudio.PipelineReport:
         k_source = _stage("io", cloudio.read_intrinsics, cfg.intrinsics_source)
         k_target = _stage("io", cloudio.read_intrinsics, cfg.intrinsics_target)
         rel_pose = _stage("relpose", relpose.ransac_relative_pose,
-                          matches, k_source, k_target, cfg.ransac)
+                          matches, k_source, k_target)
         relative = rel_pose.transform
         # The inliers with both depths, lifted to 3D once.
         inliers = matches[rel_pose.inliers]
@@ -94,7 +92,7 @@ def run_pipeline(cfg: PipelineConfig) -> cloudio.PipelineReport:
         "scale", cloudio.Cloud, points=seed.scale * source.points, label=source.label)
 
     result = _stage("icp", icp.icp_register, scaled_source.points, target.points,
-                    cfg.icp_cfg, seed.rigid)
+                    seed.rigid)
     if not result.converged:
         log.warning("stage icp: ICP stopped unconverged after %d iterations",
                     result.iterations)

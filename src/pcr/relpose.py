@@ -3,11 +3,12 @@
 Eight-point essential matrix estimation on calibrated bearing vectors inside
 an adaptive LO-RANSAC loop. Candidate models are scored by the angular
 residual 1 - cos(angle between the target ray and the epipolar plane),
-thresholded at 1 - cos(arctan(psi / l)) so the pixel threshold psi maps onto
-ray space. The local optimisation's refits, stacked per chunk, and the final
-polish share one nonlinear solver: Gauss-Newton on the essential manifold
-with an analytic Jacobian (Helmke et al. 2007), run on a (k, 3, 3) stack of
-models at once. Of all minimal models and refits, the winner has the most
+thresholded at 1 - cos(arctan(psi / l)) so the pixel threshold psi
+(``PIXEL_THRESHOLD``) maps onto ray space. Minimal samples come from one
+stream seeded by ``SEED``, at most ``MAX_HYPOTHESES`` of them. The local
+optimisation's refits, stacked per chunk, and the final polish share one
+nonlinear solver: Gauss-Newton on the essential manifold with an analytic
+Jacobian (Helmke et al. 2007), run on a (k, 3, 3) stack of models at once. Of all minimal models and refits, the winner has the most
 inliers, then the least total residual, then was drawn first (a
 hypothesis's refits follow it, rung by rung); an exact tie between
 different inlier sets is an error.
@@ -24,6 +25,14 @@ from .cloudio import CameraIntrinsics, Matches
 from .errors import (AmbiguousDecompositionError, DegenerateGeometryError,
                      InsufficientMatchesError, NoConsensusError)
 from .geom import ORTHOGONALITY_TOL, RigidTransform, as_pairs, freeze, skew
+
+# The classical reprojection threshold in pixels; the target camera's fx
+# converts it to the angular form.
+PIXEL_THRESHOLD = 1.0
+# Most hypotheses drawn; the adaptive stop usually ends far sooner.
+MAX_HYPOTHESES = 1000
+# Seed of the minimal-sample stream, so a registration is repeatable.
+SEED = 42
 
 # Hypotheses that RANSAC draws, solves and scores together. Scoring holds a
 # few (chunk, matches[, 3]) float64 arrays, about 1 MB at 200 matches, and
@@ -63,25 +72,6 @@ class RelativePose:
             raise ValueError("translation direction must be unit length")
         object.__setattr__(self, "inliers",
                            freeze(np.asarray(self.inliers, dtype=np.int64)))
-
-
-@dataclass(frozen=True)
-class RansacConfig:
-    """pixel_threshold is the classical reprojection threshold in pixels; the
-    target camera's fx converts it to the angular form. max_iterations caps
-    the hypotheses drawn; the adaptive stop usually ends far sooner."""
-
-    pixel_threshold: float = 1.0
-    max_iterations: int = 1000
-    seed: int = 42
-
-    def __post_init__(self):
-        if not 0.0 < self.pixel_threshold < math.inf:
-            raise ValueError("pixel_threshold must be positive and finite")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
 
 def angular_threshold(psi: float, focal: float) -> float:
@@ -350,7 +340,7 @@ def _local_optimisation(models, residuals, rays_s, rays_t, threshold):
         yield live, models, residuals
 
 
-def _consensus(rays_s, rays_t, threshold, cfg: RansacConfig):
+def _consensus(rays_s, rays_t, threshold):
     # Adaptive LO-RANSAC. Hypotheses are drawn, solved and scored _CHUNK at
     # a time; those that raise the best minimal inlier count (records) are
     # found by one running maximum and locally optimised in one stack. The
@@ -359,14 +349,14 @@ def _consensus(rays_s, rays_t, threshold, cfg: RansacConfig):
     # winner. After each chunk the stop count is re-derived from the best
     # count. Returns (model, inlier mask, count, hypotheses drawn).
     n = rays_s.shape[0]
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(SEED)
     slots = len(_REFIT_LADDER) + 1  # draw-order slots of a hypothesis
     # (count, total, mask, model, draw order) of the best so far, as a
     # one-row table that any scored model beats
     best = (np.array([-1]), np.array([np.inf]), np.zeros((1, n), dtype=bool),
             np.zeros((1, 3, 3)), np.array([-1]))
     tied, top_minimal, drawn = False, -1, 0
-    stop = min(_MIN_HYPOTHESES, cfg.max_iterations)
+    stop = min(_MIN_HYPOTHESES, MAX_HYPOTHESES)
     while drawn < stop:
         samples = _draw_samples(rng, n, min(_CHUNK, stop - drawn))
         models, ok = _essentials(rays_s[samples], rays_t[samples])
@@ -390,7 +380,7 @@ def _consensus(rays_s, rays_t, threshold, cfg: RansacConfig):
         # a tie carried from earlier chunks stands while its best does
         tied = (tied and win == 0) or bool((masks[same] != masks[win]).any())
         best = tuple(column[win:win + 1] for column in table)
-        stop = _hypotheses_needed(int(counts[win]), n, cfg.max_iterations)
+        stop = _hypotheses_needed(int(counts[win]), n, MAX_HYPOTHESES)
 
     count, _, mask, model, _ = (column[0] for column in best)
     if count < 8:
@@ -402,11 +392,10 @@ def _consensus(rays_s, rays_t, threshold, cfg: RansacConfig):
 
 
 def ransac_relative_pose(matches: Matches, intrinsics_source: CameraIntrinsics,
-                         intrinsics_target: CameraIntrinsics,
-                         cfg: RansacConfig = RansacConfig()) -> RelativePose:
+                         intrinsics_target: CameraIntrinsics) -> RelativePose:
     """Relative pose by adaptive LO-RANSAC over keypoint matches.
 
-    Minimal samples are drawn (deterministic given the seed), solved and
+    Minimal samples are drawn (deterministic given ``SEED``), solved and
     scored in stacked batches. Each sample that raises the best minimal
     inlier count is locally optimised: refit by Gauss-Newton on the
     essential manifold over a widening-then-tightening band of its inliers
@@ -415,7 +404,7 @@ def ransac_relative_pose(matches: Matches, intrinsics_source: CameraIntrinsics,
     the least total residual, then was drawn first (an exact tie between
     different inlier sets is an error). Drawing stops once, with 99%
     confidence, one sample was outlier-free at the best inlier share, and
-    never before a floor of hypotheses; ``cfg.max_iterations`` caps it. The
+    never before a floor of hypotheses; ``MAX_HYPOTHESES`` caps it. The
     winner is polished over its inliers by the same manifold Gauss-Newton,
     run to convergence, and then decomposed once via cheirality. Reported
     inliers are re-scored against the polished pose, so every one satisfies
@@ -427,9 +416,9 @@ def ransac_relative_pose(matches: Matches, intrinsics_source: CameraIntrinsics,
     rays_s = intrinsics_source.bearings(matches.source_pixels)
     rays_t = intrinsics_target.bearings(matches.target_pixels)
 
-    threshold = angular_threshold(cfg.pixel_threshold, intrinsics_target.fx)
+    threshold = angular_threshold(PIXEL_THRESHOLD, intrinsics_target.fx)
 
-    win_model, win_mask, _, _ = _consensus(rays_s, rays_t, threshold, cfg)
+    win_model, win_mask, _, _ = _consensus(rays_s, rays_t, threshold)
     polished = _refit(win_model[None], rays_s, rays_t, win_mask[None],
                       _POLISH_STEPS, _POLISH_TOL)[0]
     pose = decompose_and_disambiguate(polished, rays_s[win_mask], rays_t[win_mask])

@@ -57,6 +57,7 @@ def test_traced_pipeline_returns_a_report(perfbench, tmp_path, name, build):
     paths = build(workloads, tmp_path / "scene")
     cfg = workload.config(pcr, paths, str(tmp_path / "report.json"),
                           str(tmp_path / "moved.ply"))
+    original = pcr.pipeline.run_pipeline
     tracer = tracer_module.Tracer()
     tracer.request = 0
     try:
@@ -64,10 +65,15 @@ def test_traced_pipeline_returns_a_report(perfbench, tmp_path, name, build):
         report = pcr.pipeline.run_pipeline(cfg)
     finally:
         tracer.close()
+    assert pcr.pipeline.run_pipeline is original
     assert isinstance(report, pcr.PipelineReport)
     assert (tmp_path / "report.json").exists()
     assert (tmp_path / "moved.ply").exists() == workload.write_cloud
     assert [s.name for s in tracer.spans].count("pipeline.run_pipeline") == 1
+    # the scale stage runs once on an edge and not at all on a rigid pair
+    kalman = [(s.error, s.counts) for s in tracer.spans if s.name == "scale.kalman"]
+    assert kalman == ([(None, {"iterations": 1, "converged": 1})]
+                      if workload.with_scale else [])
     assert tracer_module.stage_sum_within_total(tracer)
 
 

@@ -5,6 +5,9 @@ from pcr.cloudio import Cloud, read_ply, write_ply
 
 
 @pytest.mark.parametrize("flag, value", [
+    # removed flags, with any value: the RANSAC and ICP settings (module
+    # constants now, so a registration is set by its files alone), out of
+    # their old range and in it
     ("--ransac-psi", "-1"),
     ("--ransac-psi", "abc"),
     ("--ransac-psi", "nan"),
@@ -12,8 +15,12 @@ from pcr.cloudio import Cloud, read_ply, write_ply
     ("--max-icp-iters", "0"),
     ("--ransac-iters", "0"),
     ("--seed", "-1"),
-    # flags of the removed cloud filters and of the removed noise level (the
-    # covariance takes it from the fit), with any value
+    ("--seed", "1"),
+    ("--ransac-psi", "1"),
+    ("--ransac-iters", "10"),
+    ("--max-icp-iters", "5"),
+    # the cloud filters and the noise level (the covariance takes it from
+    # the fit)
     pytest.param("--no-filter", None, id="--no-filter"),
     ("--crop-fraction", "0.25"),
     ("--sigma-z", "0"),
@@ -34,7 +41,7 @@ def test_bad_flag_value_is_usage_error(tmp_path, rng, capsys, flag, value):
                   "--no-scale", flag] + ([value] if value else []))
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    # out-of-range and malformed values print the same sub-command usage
+    # every value prints the same sub-command usage
     assert "usage: pcr register" in err
     assert "pcr register: error:" in err
     assert "Traceback" not in err

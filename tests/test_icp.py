@@ -660,9 +660,10 @@ class TestCoarseStage:
         assert full[0] < n
 
     def test_one_iteration_cap_warns_and_exits_0(self, tmp_path, rng, capsys,
-                                                 caplog):
+                                                 caplog, monkeypatch):
         # each coarse level's cap becomes 1 too; its unconverged pose is
         # kept and seeds the next level, and only full resolution warns
+        monkeypatch.setattr(icp, "MAX_ITERATIONS", 1)
         pts, tgt = dense_scene(rng, 8292)
         write_ply(Cloud(points=pts), tmp_path / "a.ply")
         write_ply(Cloud(points=tgt), tmp_path / "b.ply")
@@ -670,8 +671,7 @@ class TestCoarseStage:
         with caplog.at_level(logging.WARNING, logger="pcr"):
             code = cli.main(["register", "--source", str(tmp_path / "a.ply"),
                              "--target", str(tmp_path / "b.ply"),
-                             "--out", str(report), "--no-scale",
-                             "--max-icp-iters", "1"])
+                             "--out", str(report), "--no-scale"])
         assert code == 0
         assert report.exists()
         assert "iterations: 1" in capsys.readouterr().out

@@ -434,6 +434,21 @@ class TestInformationMatrix:
         with pytest.raises(ValueError):
             information_matrix(m)
 
+    @pytest.mark.parametrize("mat", [
+        np.full((6, 6), np.nan),
+        np.diag([1.0, 1, 1, 1, 1, np.nan]),
+        np.diag([1.0, 1, np.inf, 1, 1, 1]),
+        np.diag([1.0, 1, 1, 1, -np.inf, 1]),
+    ], ids=["all-nan", "one-nan", "inf", "-inf"])
+    def test_refuses_non_finite(self, mat):
+        # refused before the symmetry check, whose arithmetic would warn on
+        # inf, and before the eigensolver, which fails on NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                information_matrix(mat)
+        assert str(err.value) == "input matrix must be finite"
+
     @pytest.mark.parametrize("tiny", [1e-320, 1e-310])
     def test_overflowing_inverse_refused(self, tiny):
         # subnormal, or normal with a reciprocal beyond the largest float;

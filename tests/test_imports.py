@@ -59,10 +59,10 @@ def test_array_stages_import_only_geom_and_errors(stage):
     assert package_imports(stage) <= {"geom", "errors"}
 
 
-# The root's names: the pipeline and its configs, file I/O with its value
+# The root's names: the pipeline and its config, file I/O with its value
 # types, the transforms and the errors. Stage functions stay in their modules.
 ROOT_EXPORTS = {
-    "PipelineConfig", "run_pipeline", "IcpConfig", "RansacConfig",
+    "PipelineConfig", "run_pipeline",
     "read_ply", "write_ply", "read_matches", "read_intrinsics", "read_report",
     "write_report", "Cloud", "Matches", "CameraIntrinsics", "PipelineReport",
     "RigidTransform", "SimilarityTransform",

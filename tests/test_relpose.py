@@ -11,7 +11,7 @@ from pcr.cloudio import CameraIntrinsics, Matches
 from pcr import relpose
 from pcr.errors import (AmbiguousDecompositionError, DegenerateGeometryError,
                         InsufficientMatchesError, NoConsensusError)
-from pcr.relpose import (RansacConfig, angular_threshold, decompose_and_disambiguate,
+from pcr.relpose import (angular_threshold, decompose_and_disambiguate,
                          epipolar_residuals, essential_from_rays, ransac_relative_pose)
 from pcr.synth import SynthSpec, build_scene
 
@@ -347,7 +347,7 @@ def stop_formula(count, n, cap):
     return min(cap, max(relpose._MIN_HYPOTHESES, needed))
 
 
-def reference_consensus(rays_s, rays_t, threshold, cfg):
+def reference_consensus(rays_s, rays_t, threshold):
     """The adaptive LO-RANSAC loop one hypothesis at a time: each sample of
     the module's stream is solved and scored on its own, each sample that
     raises the best minimal count is locally optimised alone (the stacked
@@ -355,11 +355,12 @@ def reference_consensus(rays_s, rays_t, threshold, cfg):
     by rung, meets the best so far: more inliers, or as many at a lower
     total residual, replace it, and as many at the same total with another
     inlier set tie. The stop count is re-derived after every chunk of the
-    stream."""
+    stream. The seed and the cap are the module's ``SEED`` and
+    ``MAX_HYPOTHESES``."""
     n = len(rays_s)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(relpose.SEED)
     best_count, best_total, best_model, best_mask = -1, np.inf, None, None
-    top_minimal, tied, drawn, stop = -1, False, 0, cfg.max_iterations
+    top_minimal, tied, drawn, stop = -1, False, 0, relpose.MAX_HYPOTHESES
     while drawn < stop:
         samples = relpose._draw_samples(rng, n, min(relpose._CHUNK, stop - drawn))
         drawn += len(samples)
@@ -386,7 +387,7 @@ def reference_consensus(rays_s, rays_t, threshold, cfg):
                 elif count == best_count and total == best_total \
                         and not np.array_equal(mask, best_mask):
                     tied = True
-        stop = stop_formula(max(best_count, 0), n, cfg.max_iterations)
+        stop = stop_formula(max(best_count, 0), n, relpose.MAX_HYPOTHESES)
     assert best_count >= 8 and not tied
     return best_model, best_mask, best_count, drawn
 
@@ -398,17 +399,18 @@ class TestRansac:
         assert len(pose.inliers) == 200
         assert np.degrees(rotation_angle_between(pose.transform.rotation, rot)) < 0.1
 
-    def test_monte_carlo_robustness(self):
+    def test_monte_carlo_robustness(self, monkeypatch):
         # 200 matches, 30% outliers, psi = 1 px: rotation < 1 deg and
         # direction < 2 deg in at least 95% of 50 seeds
+        monkeypatch.setattr(relpose, "PIXEL_THRESHOLD", 1.0)
         hits = 0
         for seed in range(50):
             rng = np.random.default_rng(seed + 1000)
             matches, rot, tdir, _ = two_view_scene(
                 rng, n=200, pixel_noise=0.25, outliers=0.3)
-            cfg = RansacConfig(pixel_threshold=1.0, seed=seed)
+            monkeypatch.setattr(relpose, "SEED", seed)
             try:
-                pose = ransac_relative_pose(matches, K, K, cfg)
+                pose = ransac_relative_pose(matches, K, K)
             except Exception:
                 continue
             rot_err = np.degrees(rotation_angle_between(pose.transform.rotation, rot))
@@ -422,30 +424,32 @@ class TestRansac:
         with pytest.raises(InsufficientMatchesError):
             ransac_relative_pose(matches[:7], K, K)
 
-    def test_deterministic_given_seed(self, rng):
+    def test_deterministic_given_seed(self, rng, monkeypatch):
         matches, *_ = two_view_scene(rng, n=100, pixel_noise=0.3, outliers=0.2)
-        cfg = RansacConfig(seed=11)
-        a = ransac_relative_pose(matches, K, K, cfg)
-        b = ransac_relative_pose(matches, K, K, cfg)
+        monkeypatch.setattr(relpose, "SEED", 11)
+        a = ransac_relative_pose(matches, K, K)
+        b = ransac_relative_pose(matches, K, K)
         assert np.array_equal(a.transform.rotation, b.transform.rotation)
         assert np.array_equal(a.transform.translation, b.transform.translation)
         assert np.array_equal(a.inliers, b.inliers)
 
-    def test_reported_inliers_satisfy_threshold(self, rng):
+    def test_reported_inliers_satisfy_threshold(self, rng, monkeypatch):
         matches, *_ = two_view_scene(rng, n=150, pixel_noise=0.3, outliers=0.25)
-        cfg = RansacConfig(pixel_threshold=1.0, seed=3)
-        pose = ransac_relative_pose(matches, K, K, cfg)
+        monkeypatch.setattr(relpose, "PIXEL_THRESHOLD", 1.0)
+        monkeypatch.setattr(relpose, "SEED", 3)
+        pose = ransac_relative_pose(matches, K, K)
         rays_s, rays_t = rays_of(matches)
         e = skew(pose.transform.translation) @ pose.transform.rotation
         res = epipolar_residuals(e, rays_s, rays_t)
         threshold = angular_threshold(1.0, K.fx)
         assert (res[pose.inliers] <= threshold).all()
 
-    def test_relabeling_views_inverts_pose(self, rng):
+    def test_relabeling_views_inverts_pose(self, rng, monkeypatch):
         matches, rot, tdir, _ = two_view_scene(rng, n=120)
         swapped = pixel_matches(matches.target_pixels, matches.source_pixels)
-        fwd = ransac_relative_pose(matches, K, K, RansacConfig(seed=5))
-        rev = ransac_relative_pose(swapped, K, K, RansacConfig(seed=5))
+        monkeypatch.setattr(relpose, "SEED", 5)
+        fwd = ransac_relative_pose(matches, K, K)
+        rev = ransac_relative_pose(swapped, K, K)
         assert rotation_angle_between(rev.transform.rotation, fwd.transform.rotation.T) < 1e-6
         expected_dir = -(fwd.transform.rotation.T @ fwd.transform.translation)
         assert np.abs(rev.transform.translation - expected_dir).max() < 1e-6
@@ -454,6 +458,8 @@ class TestRansac:
     def test_samples_are_distinct_and_repeat_for_seed(self, rng, monkeypatch, iterations):
         matches, *_ = two_view_scene(rng, n=60, pixel_noise=0.3, outliers=0.4)
         draw = relpose._draw_samples
+        monkeypatch.setattr(relpose, "MAX_HYPOTHESES", iterations)
+        monkeypatch.setattr(relpose, "SEED", 9)
 
         def run():
             drawn = []
@@ -464,8 +470,7 @@ class TestRansac:
 
             monkeypatch.setattr(relpose, "_draw_samples", recording)
             try:
-                ransac_relative_pose(matches, K, K,
-                                     RansacConfig(max_iterations=iterations, seed=9))
+                ransac_relative_pose(matches, K, K)
             except NoConsensusError:
                 pass  # a single sample may well hold an outlier
             return np.concatenate(drawn)
@@ -492,11 +497,12 @@ class TestRansac:
         rng = np.random.default_rng(seed + 300)
         matches, *_ = two_view_scene(rng, n=150, pixel_noise=pixel_noise, outliers=outliers)
         rays_s, rays_t = rays_of(matches)
-        cfg = RansacConfig(max_iterations=cap, seed=seed)
-        threshold = angular_threshold(cfg.pixel_threshold, K.fx)
+        monkeypatch.setattr(relpose, "MAX_HYPOTHESES", cap)
+        monkeypatch.setattr(relpose, "SEED", seed)
+        threshold = angular_threshold(relpose.PIXEL_THRESHOLD, K.fx)
         ref_model, ref_mask, ref_count, ref_drawn = reference_consensus(
-            rays_s, rays_t, threshold, cfg)
-        model, mask, count, drawn = relpose._consensus(rays_s, rays_t, threshold, cfg)
+            rays_s, rays_t, threshold)
+        model, mask, count, drawn = relpose._consensus(rays_s, rays_t, threshold)
         assert count == ref_count
         assert np.array_equal(mask, ref_mask)
         assert drawn == ref_drawn
@@ -506,10 +512,10 @@ class TestRansac:
         # other sign; every later step is the module's own kernel
         sign = np.sign(model.ravel() @ ref_model.ravel())
         assert np.array_equal(sign * model, ref_model)
-        batched = ransac_relative_pose(matches, K, K, cfg)
+        batched = ransac_relative_pose(matches, K, K)
         monkeypatch.setattr(relpose, "_consensus",
                             lambda *args: (ref_model, ref_mask, ref_count, ref_drawn))
-        looped = ransac_relative_pose(matches, K, K, cfg)
+        looped = ransac_relative_pose(matches, K, K)
         assert np.array_equal(batched.inliers, looped.inliers)
 
     def test_clean_scene_stops_at_floor(self, rng):
@@ -517,20 +523,20 @@ class TestRansac:
         matches, *_ = two_view_scene(rng, n=200)
         rays_s, rays_t = rays_of(matches)
         threshold = angular_threshold(1.0, K.fx)
-        *_, count, drawn = relpose._consensus(rays_s, rays_t, threshold, RansacConfig())
+        *_, count, drawn = relpose._consensus(rays_s, rays_t, threshold)
         assert count == 200
         assert drawn == relpose._MIN_HYPOTHESES
 
     @pytest.mark.parametrize("cap", [1000, 70, 40])
-    def test_hypotheses_drawn_follow_stop_formula(self, cap):
+    def test_hypotheses_drawn_follow_stop_formula(self, monkeypatch, cap):
         # noise-free inliers, 30% outliers: the first chunk finds w near 0.7
         # and the stop asks for about 78 hypotheses, within the floor and cap
         rng = np.random.default_rng(17)
         matches, *_ = two_view_scene(rng, n=200, outliers=0.3)
         rays_s, rays_t = rays_of(matches)
         threshold = angular_threshold(1.0, K.fx)
-        cfg = RansacConfig(max_iterations=cap)
-        *_, count, drawn = relpose._consensus(rays_s, rays_t, threshold, cfg)
+        monkeypatch.setattr(relpose, "MAX_HYPOTHESES", cap)
+        *_, count, drawn = relpose._consensus(rays_s, rays_t, threshold)
         assert 140 <= count <= 145
         assert drawn == stop_formula(count, 200, cap)
         assert drawn == min(cap, 78)
@@ -545,7 +551,7 @@ class TestRansac:
         rays_s = cam.bearings(scene.matches.source_pixels)
         rays_t = cam.bearings(scene.matches.target_pixels)
         threshold = angular_threshold(1.0, cam.fx)
-        *_, count, drawn = relpose._consensus(rays_s, rays_t, threshold, RansacConfig())
+        *_, count, drawn = relpose._consensus(rays_s, rays_t, threshold)
         assert count >= 130
         assert drawn <= 200
 
@@ -559,7 +565,7 @@ class TestRansac:
         assert needed(140, 200, 1000) == 78
         assert needed(200, 200, 10) == 10
 
-    def test_exact_tie_between_two_motions_is_error(self):
+    def test_exact_tie_between_two_motions_is_error(self, monkeypatch):
         # Two noise-free groups under different motions: a minimal sample
         # from either group scores its own 40 rays with residual exactly 0
         # and none of the other group's, so both models reach 40 inliers at
@@ -571,25 +577,29 @@ class TestRansac:
         for (rot, tdir), group in (((rot_a, dir_a), second), ((rot_b, dir_b), first)):
             assert (epipolar_residuals(skew(tdir) @ rot, *rays_of(group)) > threshold).all()
         both = Matches(np.vstack([first.table, second.table]))
+        monkeypatch.setattr(relpose, "SEED", 0)
+        monkeypatch.setattr(relpose, "MAX_HYPOTHESES", 2000)
         with pytest.raises(AmbiguousDecompositionError):
-            ransac_relative_pose(both, K, K, RansacConfig(seed=0, max_iterations=2000))
+            ransac_relative_pose(both, K, K)
 
-    def test_fewer_than_eight_inliers_is_no_consensus(self, rng):
+    def test_fewer_than_eight_inliers_is_no_consensus(self, rng, monkeypatch):
         # unrelated pixel pairs: no model explains 8 of them at 0.01 px
         px = rng.uniform([0, 0, 0, 0], [640, 480, 640, 480], size=(30, 4))
         matches = pixel_matches(px[:, :2], px[:, 2:])
+        monkeypatch.setattr(relpose, "PIXEL_THRESHOLD", 0.01)
         with pytest.raises(NoConsensusError, match="need at least 8"):
-            ransac_relative_pose(matches, K, K, RansacConfig(pixel_threshold=0.01))
+            ransac_relative_pose(matches, K, K)
 
-    def test_all_hypotheses_degenerate_is_no_consensus(self, rng):
+    def test_all_hypotheses_degenerate_is_no_consensus(self, rng, monkeypatch):
         # every source ray coincides, so no minimal sample can be solved
         targets = rng.uniform(0.0, 400.0, size=(20, 2))
         matches = pixel_matches(np.tile([100.0, 200.0], (20, 1)), targets)
         rays_s, rays_t = rays_of(matches)
         with pytest.raises(DegenerateGeometryError):
             essential_from_rays(rays_s[:8], rays_t[:8])
+        monkeypatch.setattr(relpose, "MAX_HYPOTHESES", 300)
         with pytest.raises(NoConsensusError, match="has 0 inliers"):
-            ransac_relative_pose(matches, K, K, RansacConfig(max_iterations=300))
+            ransac_relative_pose(matches, K, K)
 
 
 def tangent_jacobian(u, vt, rays_s, rays_t):
@@ -677,19 +687,19 @@ class TestPolish:
     # scenes whose RANSAC winner is off the minimum over its inliers by 0.2%
     # to 41% in cost, so the polish has work to do
     @pytest.mark.parametrize("seed", [3, 10, 13, 18])
-    def test_same_minimum_as_levenberg_marquardt(self, seed):
+    def test_same_minimum_as_levenberg_marquardt(self, monkeypatch, seed):
         rng = np.random.default_rng(seed + 700)
         matches, *_ = two_view_scene(rng, n=200, pixel_noise=0.3, outliers=0.3)
         rays_s, rays_t = rays_of(matches)
-        cfg = RansacConfig(seed=seed)
-        threshold = angular_threshold(cfg.pixel_threshold, K.fx)
-        model, mask, *_ = relpose._consensus(rays_s, rays_t, threshold, cfg)
+        monkeypatch.setattr(relpose, "SEED", seed)
+        threshold = angular_threshold(relpose.PIXEL_THRESHOLD, K.fx)
+        model, mask, *_ = relpose._consensus(rays_s, rays_t, threshold)
         fit_s, fit_t = rays_s[mask], rays_t[mask]
         start = decompose_and_disambiguate(model, fit_s, fit_t)
         rot_lm, dir_lm = lm_polish(start.rotation, start.translation, fit_s, fit_t)
         lm_res = epipolar_residuals(skew(dir_lm) @ rot_lm, rays_s, rays_t)
 
-        pose = ransac_relative_pose(matches, K, K, cfg)
+        pose = ransac_relative_pose(matches, K, K)
         assert np.array_equal(pose.inliers, np.flatnonzero(lm_res <= threshold))
         cost_lm = (signed_sines(rot_lm, dir_lm, fit_s, fit_t) ** 2).sum()
         cost = (signed_sines(pose.transform.rotation, pose.transform.translation, fit_s, fit_t) ** 2).sum()
