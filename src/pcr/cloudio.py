@@ -296,7 +296,7 @@ def read_ply(path) -> Cloud:
     if vertex_count is None:
         raise ParseError("missing vertex element", path=path)
     if vertex_count < 1:
-        raise ParseError("cloud is empty (vertex count 0)", path=path)
+        raise ParseError(f"cloud is empty (vertex count {vertex_count})", path=path)
     names = [name for name, _ in properties]
     for coord in ("x", "y", "z"):
         if coord not in names:
@@ -583,6 +583,8 @@ def write_report(report: PipelineReport, path) -> None:
 
 
 def _rigid_from_json(obj, key, path) -> RigidTransform:
+    if not isinstance(obj, dict):
+        raise ParseError(f"{key!r} must be an object", path=path)
     return RigidTransform(_numbers(obj["rotation"], f"{key}.rotation", path).reshape(3, 3),
                           _numbers(obj["translation"], f"{key}.translation", path))
 
@@ -594,6 +596,8 @@ def read_report(path) -> PipelineReport:
     ``icp_transform`` exactly, as ``write_report`` writes it."""
     path = Path(path)
     data = _read_json(path)
+    if not isinstance(data, dict):
+        raise ParseError("report JSON must be an object", path=path)
     try:
         report = PipelineReport(
             scale_detected=data["scale_detected"],
@@ -606,9 +610,13 @@ def read_report(path) -> PipelineReport:
             information=_numbers(data["information"], "information", path).reshape(6, 6),
         )
         final = data["final_transform"]
+        # the transform first: it refuses a final_transform that is no object
+        rigid = _rigid_from_json(final, "final_transform", path)
         stored = SimilarityTransform(_number(final["scale"], "final_transform.scale", path),
-                                     _rigid_from_json(final, "final_transform", path))
-    except (KeyError, ValueError, TypeError, OverflowError) as exc:
+                                     rigid)
+    except KeyError as exc:
+        raise ParseError(f"missing key {exc.args[0]!r}", path=path) from None
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ParseError(f"bad report structure: {exc}", path=path) from exc
     expected = report.final_transform
     if not (stored.scale == expected.scale

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from pcr.pipeline import PipelineConfig
+
 
 def random_rotation(rng):
     """Uniform-ish random proper rotation via QR with sign fix."""
@@ -31,6 +33,19 @@ def rotation_angle_between(ra, rb):
     delta = ra.T @ rb
     s = np.linalg.norm(delta - np.eye(3)) / (2.0 * np.sqrt(2.0))
     return float(2.0 * np.arcsin(min(1.0, s)))
+
+
+def config_for(paths, matches=True, **kw):
+    """A pipeline config for a scene that ``generate_synthetic`` wrote: with
+    its matches and intrinsics, or with the clouds alone and no scale stage
+    (``matches=False``), as ``pcr register --no-scale`` runs it."""
+    if matches:
+        kw.update(matches=paths["matches"],
+                  intrinsics_source=paths["intrinsics_source"],
+                  intrinsics_target=paths["intrinsics_target"])
+    else:
+        kw.update(use_scale=False)
+    return PipelineConfig(source=paths["source"], target=paths["target"], **kw)
 
 
 @pytest.fixture

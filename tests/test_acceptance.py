@@ -14,12 +14,12 @@ from pcr.cloudio import Cloud, read_ply, write_ply
 from pcr.geom import bounds
 from pcr.icp import icp_register
 from pcr.icpcov import covariance, hessian_xx, hessian_zx, information_matrix
-from pcr.pipeline import PipelineConfig, run_pipeline
+from pcr.pipeline import run_pipeline
 from pcr.relpose import ransac_relative_pose
 from pcr.scale import estimate_scale_kalman
 from pcr.synth import SynthSpec, generate_synthetic, read_ground_truth
 
-from conftest import rodrigues, rotation_angle_between
+from conftest import config_for, rodrigues, rotation_angle_between
 from test_icpcov import fd_hessian_xx, fd_hessian_zx, random_instance
 from test_relpose import two_view_scene
 from test_scale import (bounded_rotation, make_matches,
@@ -33,14 +33,6 @@ def verdict(num, name, ok, detail=""):
         line += f" ({detail})"
     print(line)
     assert ok, line
-
-
-def pipeline_config(paths, **kw):
-    return PipelineConfig(
-        source=paths["source"], target=paths["target"],
-        matches=paths["matches"],
-        intrinsics_source=paths["intrinsics_source"],
-        intrinsics_target=paths["intrinsics_target"], **kw)
 
 
 def test_criterion_01_end_to_end_sim3_recovery(tmp_path):
@@ -57,7 +49,7 @@ def test_criterion_01_end_to_end_sim3_recovery(tmp_path):
         paths = generate_synthetic(spec, scene_dir)
         start = time.perf_counter()
         try:
-            report = run_pipeline(pipeline_config(paths))
+            report = run_pipeline(config_for(paths))
         except Exception:
             continue
         elapsed = time.perf_counter() - start
@@ -80,8 +72,8 @@ def test_criterion_02_plain_icp_failure_reproduced(tmp_path):
     spec = SynthSpec(scale=2.5, rotation_deg=15.0, points=2000, noise=0.005,
                      outlier_fraction=0.3, match_count=200, seed=7)
     paths = generate_synthetic(spec, tmp_path)
-    with_scale = run_pipeline(pipeline_config(paths))
-    plain = run_pipeline(pipeline_config(paths, use_scale=False))
+    with_scale = run_pipeline(config_for(paths))
+    plain = run_pipeline(config_for(paths, use_scale=False))
     ratio = plain.rms / with_scale.rms
     verdict(2, "plain ICP fails on scale gap", ratio > 10.0,
             f"rms {plain.rms:.4f} vs {with_scale.rms:.4f}, ratio {ratio:.1f}")
@@ -229,7 +221,7 @@ def test_criterion_08_stray_points(tmp_path):
         rng = np.random.default_rng(seed)
         add_strays(paths["source"], rng)
         add_strays(paths["target"], rng)
-        report = run_pipeline(pipeline_config(paths, use_scale=False))
+        report = run_pipeline(config_for(paths, use_scale=False))
         truth = read_ground_truth(paths["ground_truth"])
         rot = np.degrees(rotation_angle_between(report.final_transform.rotation,
                                                 truth.rotation))
@@ -273,7 +265,7 @@ def test_criterion_10_information_matrix_consistency(tmp_path, rng):
     # and the pipeline's own output
     spec = SynthSpec(points=800, match_count=100, outlier_fraction=0.2, seed=4)
     paths = generate_synthetic(spec, tmp_path)
-    report = run_pipeline(pipeline_config(paths))
+    report = run_pipeline(config_for(paths))
     floor = 1e-12 * np.trace(report.covariance)
     assert np.linalg.eigvalsh(report.covariance).min() > floor
     ok &= np.abs(report.information @ report.covariance - np.eye(6)).max() < 1e-6

@@ -177,14 +177,16 @@ class TestPly:
         with pytest.raises(ParseError):
             read_ply(path)
 
-    def test_zero_vertices_rejected(self, tmp_path):
-        text = ("ply\nformat ascii 1.0\nelement vertex 0\n"
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_empty_cloud_refusal_names_declared_count(self, tmp_path, count):
+        text = (f"ply\nformat ascii 1.0\nelement vertex {count}\n"
                 "property float x\nproperty float y\nproperty float z\n"
                 "end_header\n")
         path = tmp_path / "empty.ply"
         path.write_text(text)
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             read_ply(path)
+        assert str(err.value) == f"{path}: cloud is empty (vertex count {count})"
 
     def test_float32_binary_accepted(self, tmp_path):
         pts = np.array([[1.5, 2.5, 3.5], [0.25, 0.5, 0.75]], dtype="<f4")
@@ -604,6 +606,23 @@ class TestReport:
         with pytest.raises(ParseError, match=f"'{name}' must be numeric") as err:
             read_report(path)
         assert err.value.path == path
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data: [data], "report JSON must be an object"),
+        (lambda data: {**data, "relative_pose": [1.0]}, "'relative_pose' must be an object"),
+        (lambda data: {**data, "icp_transform": None}, "'icp_transform' must be an object"),
+        (lambda data: {**data, "final_transform": []}, "'final_transform' must be an object"),
+        (lambda data: {k: v for k, v in data.items() if k != "scale"}, "missing key 'scale'"),
+        (lambda data: {k: v for k, v in data.items() if k != "information"},
+         "missing key 'information'"),
+    ], ids=["array", "pose-list", "icp-null", "final-list", "no-scale", "no-information"])
+    def test_structure_refusals_name_the_input(self, tmp_path, rng, edit, message):
+        path = tmp_path / "r.json"
+        write_report(make_report(rng), path)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ParseError) as err:
+            read_report(path)
+        assert str(err.value) == f"{path}: {message}"
 
     def test_integer_numbers_accepted(self, tmp_path, rng):
         # a JSON integer is a number: 1 reads as 1.0 wherever a float goes

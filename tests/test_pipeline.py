@@ -16,7 +16,7 @@ from pcr.geom import bounds, rotation_about_axis
 from pcr.pipeline import PipelineConfig, run_pipeline
 from pcr.synth import SynthSpec, generate_synthetic, read_ground_truth
 
-from conftest import rodrigues, rotation_angle_between
+from conftest import config_for, rodrigues, rotation_angle_between
 
 
 @pytest.fixture(scope="module")
@@ -25,14 +25,6 @@ def scene_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("scene")
     spec = SynthSpec(points=1200, match_count=150, outlier_fraction=0.3, seed=7)
     return generate_synthetic(spec, out)
-
-
-def config_for(paths, **kw):
-    return PipelineConfig(
-        source=paths["source"], target=paths["target"],
-        matches=paths["matches"],
-        intrinsics_source=paths["intrinsics_source"],
-        intrinsics_target=paths["intrinsics_target"], **kw)
 
 
 def assert_within_criterion_01(report, paths):
@@ -381,22 +373,6 @@ class TestCli:
         assert "stage icp: ICP stopped unconverged after 1 iterations" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert read_report(report).iterations == 1
-
-    def test_register_deterministic_bytes(self, tmp_path):
-        out_dir = tmp_path / "scene"
-        cli.main(["synth", "--points", "500", "--matches", "60",
-                  "--outliers", "0.2", "--seed", "3", "--out-dir", str(out_dir)])
-        args = ["register",
-                "--source", str(out_dir / "source.ply"),
-                "--target", str(out_dir / "target.ply"),
-                "--matches", str(out_dir / "matches.csv"),
-                "--intrinsics-source", str(out_dir / "intrinsics_source.json"),
-                "--intrinsics-target", str(out_dir / "intrinsics_target.json")]
-        r1 = tmp_path / "r1.json"
-        r2 = tmp_path / "r2.json"
-        assert cli.main(args + ["--out", str(r1)]) == 0
-        assert cli.main(args + ["--out", str(r2)]) == 0
-        assert r1.read_bytes() == r2.read_bytes()
 
     def test_default_report_equals_library_default(self, tmp_path):
         # one path from the clouds to ICP: the CLI with no optional flag and
