@@ -585,8 +585,12 @@ def write_report(report: PipelineReport, path) -> None:
 def _rigid_from_json(obj, key, path) -> RigidTransform:
     if not isinstance(obj, dict):
         raise ParseError(f"{key!r} must be an object", path=path)
-    return RigidTransform(_numbers(obj["rotation"], f"{key}.rotation", path).reshape(3, 3),
-                          _numbers(obj["translation"], f"{key}.translation", path))
+    try:
+        rotation, translation = obj["rotation"], obj["translation"]
+    except KeyError as exc:
+        raise KeyError(f"{key}.{exc.args[0]}") from None
+    return RigidTransform(_numbers(rotation, f"{key}.rotation", path).reshape(3, 3),
+                          _numbers(translation, f"{key}.translation", path))
 
 
 def read_report(path) -> PipelineReport:
@@ -612,8 +616,11 @@ def read_report(path) -> PipelineReport:
         final = data["final_transform"]
         # the transform first: it refuses a final_transform that is no object
         rigid = _rigid_from_json(final, "final_transform", path)
-        stored = SimilarityTransform(_number(final["scale"], "final_transform.scale", path),
-                                     rigid)
+        try:
+            scale = final["scale"]
+        except KeyError:
+            raise KeyError("final_transform.scale") from None
+        stored = SimilarityTransform(_number(scale, "final_transform.scale", path), rigid)
     except KeyError as exc:
         raise ParseError(f"missing key {exc.args[0]!r}", path=path) from None
     except (ValueError, TypeError, OverflowError) as exc:

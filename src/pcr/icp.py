@@ -3,10 +3,11 @@
 Each iteration pairs every transformed source point with its exact nearest
 target point, rejects pairs beyond ``TRIM_MULTIPLIER`` times the median pair
 distance, and solves the rigid alignment in closed form, so the objective
-cannot increase within an iteration. A transformation checker (pose change,
-error change, or the ``MAX_ITERATIONS`` cap) ends the loop. A source with
-enough points is first registered by the same loop on ever finer
-subsamples, each level's pose seeding the next level and finally the
+cannot increase within an iteration. The loop has one stop rule: it
+converges at the first iteration whose pose step is below the rotation and
+translation tolerances, and stops unconverged at the ``MAX_ITERATIONS`` cap.
+A source with enough points is first registered by the same loop on ever
+finer subsamples, each level's pose seeding the next level and finally the
 full-resolution loop.
 One neighbour cache serves every level of a registration, so a point's tree
 walk is repeated only when its step since its last walk, at any level, could
@@ -23,16 +24,13 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import TooFewPairsError
-from .geom import (ORTHOGONALITY_TOL, RigidTransform, as_points, bounds,
-                   column_lengths, orthogonality_residual, project_rotation,
+from .geom import (RigidTransform, as_points, bounds, column_lengths,
                    rotation_angle, umeyama_align)
 
 # Convergence: the pose step is below ROTATION_TOL radians and
-# TRANSLATION_TOL times the target cloud diagonal, or the RMS changes by less
-# than ERROR_CHANGE_TOL relative.
+# TRANSLATION_TOL times the target cloud diagonal.
 ROTATION_TOL = 1e-6
 TRANSLATION_TOL = 1e-6
-ERROR_CHANGE_TOL = 1e-9
 TRIM_MULTIPLIER = 3.0
 # Most iterations of each coarse level and of the full-resolution loop; a
 # loop that reaches it stops unconverged.
@@ -270,18 +268,6 @@ class IcpResult:
         return float(self.rms_trace[-1])
 
 
-def _pose_step(new: RigidTransform, current: RigidTransform) -> tuple[float, float]:
-    """Rotation angle and translation length of the step from ``current`` to
-    ``new``: those of ``new.compose(current.inverse())``, bit for bit, with
-    the same arithmetic and projection rule but no transforms built."""
-    inv_rot = current.rotation.T
-    rot = new.rotation @ inv_rot
-    if orthogonality_residual(rot) > ORTHOGONALITY_TOL:
-        rot = project_rotation(rot)
-    shift = new.rotation @ (-inv_rot @ current.translation) + new.translation
-    return rotation_angle(rot), float(np.linalg.norm(shift))
-
-
 def _icp_loop(src: np.ndarray, cache: NeighbourCache, current: RigidTransform,
               max_iterations: int, rotation_tol: float, translation_tol: float
               ) -> tuple[RigidTransform, np.ndarray, list[float], int, bool]:
@@ -291,7 +277,6 @@ def _icp_loop(src: np.ndarray, cache: NeighbourCache, current: RigidTransform,
     trace: list[float] = []
     converged = False
     iterations = 0
-    prev_rms = None
     moved = _transform_rows(current, src)
     for iterations in range(1, max_iterations + 1):
         kept, _ = correspond(moved.T, cache)
@@ -307,13 +292,12 @@ def _icp_loop(src: np.ndarray, cache: NeighbourCache, current: RigidTransform,
         rms = float(np.sqrt(sq / kept.size))
         trace.append(rms)
 
-        angle, shift = _pose_step(new, current)
-        pose_small = angle < rotation_tol and shift < translation_tol
-        error_small = (prev_rms is not None
-                       and abs(prev_rms - rms) < ERROR_CHANGE_TOL * max(prev_rms, 1e-300))
+        # The pose step from ``current`` to ``new``: new.compose(current.inverse())
+        # up to rounding, without building the transforms.
+        step = new.rotation @ current.rotation.T
+        shift = float(np.linalg.norm(new.translation - step @ current.translation))
         current = new
-        prev_rms = rms
-        if pose_small or error_small:
+        if rotation_angle(step) < rotation_tol and shift < translation_tol:
             converged = True
             break
     return current, moved, trace, iterations, converged

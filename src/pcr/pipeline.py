@@ -46,8 +46,6 @@ class PipelineConfig:
 def _stage(name: str, func, *args, **kwargs):
     try:
         return func(*args, **kwargs)
-    except StageError:
-        raise
     except (RegistrationError, ValueError, OSError) as exc:
         raise StageError(name, exc) from exc
 

@@ -8,10 +8,11 @@ thresholded at 1 - cos(arctan(psi / l)) so the pixel threshold psi
 stream seeded by ``SEED``, at most ``MAX_HYPOTHESES`` of them. The local
 optimisation's refits, stacked per chunk, and the final polish share one
 nonlinear solver: Gauss-Newton on the essential manifold with an analytic
-Jacobian (Helmke et al. 2007), run on a (k, 3, 3) stack of models at once. Of all minimal models and refits, the winner has the most
-inliers, then the least total residual, then was drawn first (a
-hypothesis's refits follow it, rung by rung); an exact tie between
-different inlier sets is an error.
+Jacobian (Helmke et al. 2007), run on a (k, 3, 3) stack of models at once.
+Of all minimal models and refits, the winner has the most inliers, then
+the least total residual, then was drawn first (a hypothesis's refits
+follow it, rung by rung); an exact tie between different inlier sets is an
+error.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pcr.cloudio import Cloud, write_ply
 from pcr.pipeline import PipelineConfig
 
 
@@ -46,6 +47,20 @@ def config_for(paths, matches=True, **kw):
     else:
         kw.update(use_scale=False)
     return PipelineConfig(source=paths["source"], target=paths["target"], **kw)
+
+
+def write_thin_pair(directory):
+    """A source 1e-5 thick across two axes and its copy shifted by 0.01 in x,
+    with 1e-6 noise: its Hessian (cond about 4e9) passes the covariance gate,
+    but the covariance's smallest eigenvalue is below 1e-12 times its trace,
+    so the information matrix refuses it. The fitted pair noise sets both
+    numbers of the refusal, not their ratio."""
+    rng = np.random.default_rng(1)
+    pts = rng.normal(size=(2000, 3)) * [1.0, 1e-5, 1e-5]
+    write_ply(Cloud(points=pts), directory / "s.ply")
+    write_ply(Cloud(points=pts + [0.01, 0.0, 0.0] + rng.normal(scale=1e-6, size=pts.shape)),
+              directory / "t.ply")
+    return directory / "s.ply", directory / "t.ply"
 
 
 @pytest.fixture

@@ -392,6 +392,81 @@ class TestIntrinsics:
         assert read_intrinsics(path) == k
 
 
+def one_vertex_ply(lines=(), body=b"1 2 3\n", fmt="ascii"):
+    """A one-vertex PLY file with each (line number, text) of ``lines`` in
+    place of that header line, or deleting it for None: 1 ply, 2 format,
+    3 element, 4-6 properties x, y, z, 7 end_header; the body's first row
+    is line 8."""
+    header = ["ply", f"format {fmt} 1.0", "element vertex 1", "property double x",
+              "property double y", "property double z", "end_header"]
+    for lineno, text in lines:
+        header[lineno - 1] = text
+    return "".join(line + "\n" for line in header if line is not None).encode() + body
+
+
+@pytest.mark.parametrize("reader, content, message, line, offset", [
+    pytest.param(read_ply, one_vertex_ply([(1, "plx")]),
+                 "not a PLY file (magic line missing)", 1, None, id="ply-magic"),
+    pytest.param(read_ply, one_vertex_ply([(2, "format ascii")]),
+                 "malformed format line", 2, None, id="ply-format-malformed"),
+    pytest.param(read_ply, one_vertex_ply([(2, "format utf8 1.0")]),
+                 "unknown PLY format 'utf8'", 2, None, id="ply-format-unknown"),
+    pytest.param(read_ply, one_vertex_ply([(2, "format binary_big_endian 1.0")]),
+                 "big-endian PLY is not supported", 2, None, id="ply-big-endian"),
+    pytest.param(read_ply, one_vertex_ply([(3, "element vertex")]),
+                 "malformed element line", 3, None, id="ply-element-malformed"),
+    pytest.param(read_ply, one_vertex_ply([(3, "element face 1")]),
+                 "unsupported element 'face'", 3, None, id="ply-element-face"),
+    pytest.param(read_ply, one_vertex_ply([(3, "element vertex one")]),
+                 "vertex count is not an integer", 3, None, id="ply-count-word"),
+    pytest.param(read_ply, one_vertex_ply([(3, "property double x"), (4, "element vertex 1")]),
+                 "property outside the vertex element", 3, None, id="ply-property-first"),
+    pytest.param(read_ply, one_vertex_ply([(6, "property list uchar int z")]),
+                 "unsupported property declaration", 6, None, id="ply-property-list"),
+    pytest.param(read_ply, one_vertex_ply([(6, "property quad z")]),
+                 "unsupported property type 'quad'", 6, None, id="ply-property-type"),
+    pytest.param(read_ply, one_vertex_ply([(5, "vertex 1")]),
+                 "unknown header keyword 'vertex'", 5, None, id="ply-keyword"),
+    pytest.param(read_ply, one_vertex_ply([(2, None)]),
+                 "missing format line", None, None, id="ply-no-format"),
+    pytest.param(read_ply, one_vertex_ply([(n, None) for n in (3, 4, 5, 6)]),
+                 "missing vertex element", None, None, id="ply-no-element"),
+    pytest.param(read_ply, one_vertex_ply([(6, None)], body=b"1 2\n"),
+                 "vertex element lacks property 'z'", None, None, id="ply-no-z"),
+    pytest.param(read_ply, one_vertex_ply([(1, "ply\ncomment café")]),
+                 "header is not ASCII", None, None, id="ply-header-not-ascii"),
+    pytest.param(read_ply, one_vertex_ply(body="1 2 3é\n".encode()),
+                 "ASCII body contains non-ASCII bytes", None, None, id="ply-body-not-ascii"),
+    pytest.param(read_ply, one_vertex_ply(body=b"1 2\n"),
+                 "expected 3 values per vertex, got 2", 8, None, id="ply-short-row"),
+    pytest.param(read_ply, one_vertex_ply(body=b"1 2 z\n"),
+                 "vertex value is not a number", 8, None, id="ply-word-value"),
+    pytest.param(read_ply, one_vertex_ply(body=bytes(25), fmt="binary_little_endian"),
+                 "trailing bytes after vertex data", None, 24, id="ply-trailing-byte"),
+    pytest.param(read_intrinsics, b"nope",
+                 "not valid JSON: Expecting value: line 1 column 1 (char 0)", None, None,
+                 id="intrinsics-not-json"),
+    pytest.param(read_intrinsics, b"[525, 525, 319.5, 239.5]",
+                 "intrinsics JSON must be an object", None, None, id="intrinsics-array"),
+    pytest.param(read_intrinsics, b'{"fx": 1e999, "fy": 525, "cx": 319.5, "cy": 239.5}',
+                 "intrinsics must be finite", None, None, id="intrinsics-infinite"),
+])
+def test_input_refusals_name_message_and_place(tmp_path, reader, content, message,
+                                               line, offset):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    with pytest.raises(ParseError) as err:
+        reader(path)
+    assert (err.value.path, err.value.line, err.value.offset) == (path, line, offset)
+    assert str(err.value).endswith(f": {message}")
+
+
+def test_obj_info_header_line_accepted(tmp_path):
+    path = tmp_path / "input.ply"
+    path.write_bytes(one_vertex_ply([(2, "format ascii 1.0\nobj_info scanner 3")]))
+    assert np.array_equal(read_ply(path).points, [[1.0, 2.0, 3.0]])
+
+
 def make_report(rng):
     cov = np.diag(rng.uniform(0.5, 2.0, size=6))
     return PipelineReport(
@@ -414,6 +489,12 @@ def edited_report(tmp_path, rng, edit):
     edit(data)
     path.write_text(json.dumps(data))
     return path
+
+
+def without(data, key, inner):
+    """The report JSON with ``inner`` deleted from its ``key`` object."""
+    del data[key][inner]
+    return data
 
 
 class TestReport:
@@ -615,7 +696,16 @@ class TestReport:
         (lambda data: {k: v for k, v in data.items() if k != "scale"}, "missing key 'scale'"),
         (lambda data: {k: v for k, v in data.items() if k != "information"},
          "missing key 'information'"),
-    ], ids=["array", "pose-list", "icp-null", "final-list", "no-scale", "no-information"])
+        (lambda data: without(data, "relative_pose", "rotation"),
+         "missing key 'relative_pose.rotation'"),
+        (lambda data: without(data, "icp_transform", "translation"),
+         "missing key 'icp_transform.translation'"),
+        (lambda data: without(data, "final_transform", "rotation"),
+         "missing key 'final_transform.rotation'"),
+        (lambda data: without(data, "final_transform", "scale"),
+         "missing key 'final_transform.scale'"),
+    ], ids=["array", "pose-list", "icp-null", "final-list", "no-scale", "no-information",
+            "no-pose-rotation", "no-icp-translation", "no-final-rotation", "no-final-scale"])
     def test_structure_refusals_name_the_input(self, tmp_path, rng, edit, message):
         path = tmp_path / "r.json"
         write_report(make_report(rng), path)

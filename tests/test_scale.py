@@ -370,6 +370,13 @@ class TestKalman:
         with pytest.raises(DegenerateGeometryError, match="coincide"):
             estimate_scale_kalman(*records.points(K, K), np.eye(3))
 
+    def test_reflected_target_rejected(self, rng):
+        # the source reflected through its centroid: s* = -1
+        src = rng.uniform(-1.0, 1.0, size=(20, 3)) + [0.0, 0.0, 4.0]
+        tgt = 2.0 * src.mean(axis=0) - src
+        with pytest.raises(DegenerateGeometryError, match="scale is nonpositive"):
+            estimate_scale_kalman(src, tgt, np.eye(3))
+
 
 class TestDepthConsistency:
     def test_keeps_clean_matches(self, rng):
@@ -387,6 +394,25 @@ class TestDepthConsistency:
         kept = depth_consistent_indices(*matches.points(K, K))
         assert 3 not in kept
         assert len(kept) == 39
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_fewer_than_three_pairs_all_kept(self, rng, n):
+        src = rng.uniform(-1.0, 1.0, size=(n, 3))
+        assert np.array_equal(depth_consistent_indices(src, 3.0 * src), np.arange(n))
+
+    def test_coincident_source_points_keep_every_pair(self, rng):
+        # every distance ratio divides by zero, so no row median is finite
+        src = np.tile([0.5, -0.2, 4.0], (6, 1))
+        tgt = rng.uniform(-1.0, 1.0, size=(6, 3))
+        assert np.array_equal(depth_consistent_indices(src, tgt), np.arange(6))
+
+    def test_fewer_than_three_in_band_keep_every_pair(self):
+        # ratios 1 (pairs 0-1 and 0-2) and sqrt 2 (pairs 1-2): row medians
+        # 1, 1.207 and 1.207, so the band about 1.207 (scatter 0, width
+        # GATE_MIN_BAND x 1.207) holds only rows 1 and 2
+        src = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        tgt = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+        assert np.array_equal(depth_consistent_indices(src, tgt), [0, 1, 2])
 
     def test_row_median_matches_numpy_nanmedian(self, rng):
         from pcr.scale import _row_nanmedian
