@@ -1,22 +1,33 @@
 """Central relative pose between two keyframes from pixel correspondences.
 
-Eight-point essential matrix estimation on calibrated bearing vectors inside
-an adaptive LO-RANSAC loop. Candidate models are scored by the angular
-residual 1 - cos(angle between the target ray and the epipolar plane),
-thresholded at 1 - cos(arctan(psi / l)) so the pixel threshold psi
-(``PIXEL_THRESHOLD``) maps onto ray space. Minimal samples come from one
-stream seeded by ``SEED``, at most ``MAX_HYPOTHESES`` of them. The local
-optimisation's refits, stacked per chunk, and the final polish share one
-nonlinear solver: Gauss-Newton on the essential manifold with an analytic
-Jacobian (Helmke et al. 2007), run on a (k, 3, 3) stack of models at once.
-Of all minimal models and refits, the winner has the most inliers, then
-the least total residual, then was drawn first (a hypothesis's refits
-follow it, rung by rung); an exact tie between different inlier sets is an
-error.
+Essential matrix estimation on calibrated bearing vectors inside an
+adaptive LO-RANSAC loop. When at least 8 matches carry both depths, each
+hypothesis comes from 3 of them, lifted to 3D: a closed-form Sim(3) fit
+(Umeyama 1991) gives E = [t / |t|]x R, and the stop asks for w^3 draws at
+inlier share w. Tables with fewer depth-complete matches draw 8 matches
+and solve them by the eight-point method, with a w^8 stop. On edge-small
+scenes (2000 points, 200 matches, every match with depths) three-point
+draws are right on 20 of 20 at 30%, 50% and 70% outliers, where eight-point
+draws were right on 20, 15 and 5, and draw 16, 36 and 169 hypotheses in
+the median against 83, 1000 and 1000. Candidate models are scored by the
+angular residual 1 - cos(angle between the target ray and the epipolar
+plane), thresholded at 1 - cos(arctan(psi / l)) so the pixel threshold psi
+(``PIXEL_THRESHOLD``) maps onto ray space; every match is scored, with or
+without depths. Minimal samples come from one stream seeded by ``SEED``, at
+most ``MAX_HYPOTHESES`` of them. The local optimisation's refits, stacked
+per chunk, and the final polish share one nonlinear solver: Gauss-Newton
+on the essential manifold with an analytic Jacobian (Helmke et al. 2007),
+run on a (k, 3, 3) stack of models at once. Of all minimal models and
+refits, the winner has the most inliers, then the least total residual,
+then was drawn first (a hypothesis's refits follow it, rung by rung); an
+exact tie between different inlier sets is an error. Each run logs one
+DEBUG line on the ``pcr`` logger: the draw, the hypotheses and batches
+drawn, and the consensus's inliers.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -26,6 +37,8 @@ from .cloudio import CameraIntrinsics, Matches
 from .errors import (AmbiguousDecompositionError, DegenerateGeometryError,
                      InsufficientMatchesError, NoConsensusError)
 from .geom import ORTHOGONALITY_TOL, RigidTransform, as_pairs, freeze, skew
+
+log = logging.getLogger("pcr")
 
 # The classical reprojection threshold in pixels; the target camera's fx
 # converts it to the angular form.
@@ -44,15 +57,27 @@ SEED = 42
 _CHUNK = 64
 
 # Confidence of the adaptive stop that one drawn minimal sample was
-# outlier-free. On 119 edge-small scenes (2000 points, 200 matches, 30%
-# outliers) 0.99 draws 88 hypotheses in the median; 0.95 stops at the floor
-# with a 2% larger median rotation error, and 0.999 draws 131 for none
-# smaller. Criterion 06 holds 50/50 at all three.
+# outlier-free. Eight-point draws, on 119 edge-small scenes (30% outliers): 0.99
+# drew 88 hypotheses in the median; 0.95 stopped at the floor with a 2%
+# larger median rotation error, and 0.999 drew 131 for none smaller;
+# criterion 06 held 50/50 at all three. Three-point draws, on edge-small
+# seeds 1000-1039 at 30%, 50% and 70% outliers (floor 16): 0.95, 0.99 and
+# 0.999 drew 16, 16 and 17 in the median at 30%, 24, 36 and 54 at 50%, and
+# 110, 169 and 253 at 70%; every edge was right, the final poses alike, and
+# RANSAC's own median rotation error at 50% was 0.162, 0.149 and 0.142
+# degrees.
 _CONFIDENCE = 0.99
-# Fewest hypotheses drawn, whatever the inlier share: one chunk. On the same
-# scenes and on criterion 06, floors of 8 to 32 drew as many in the median
-# (88 and 78) with the same rotation errors, and 128 only added draws.
-_MIN_HYPOTHESES = 64
+# Fewest hypotheses drawn, whatever the inlier share, by sample size.
+# Eight-point draws: one chunk. On 119 edge-small scenes and on criterion
+# 06, floors of 8 to 32 drew as many in the median (88 and 78) with the
+# same rotation errors, and 128 only added draws. Three-point draws, on
+# the scenes above at confidence 0.99: floors of 8, 16, 32 and 64 drew 12,
+# 16, 32 and 64 in the median at 30% outliers (at most 52, 17, 32 and 64),
+# every edge right with the same final poses; RANSAC's own median rotation
+# error was 0.110, 0.110, 0.097 and 0.097 degrees. At 2% depth noise (seeds
+# 1000-1099, 30% outliers) floors 8, 16 and 32 each got 82 edges right and
+# the eight-point draw 81; every miss was the scale fit's (1% or more off).
+_MIN_HYPOTHESES = {3: 16, 8: 64}
 
 _W = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 # Singular values of an essential matrix.
@@ -131,6 +156,33 @@ def essential_from_rays(rays_s, rays_t) -> np.ndarray:
             "ray configuration is degenerate (a bundle's rays lie in one plane "
             "through the centre, or rank < 8)")
     return ematrix[0]
+
+
+def _lifted_essentials(points_s: np.ndarray, points_t: np.ndarray):
+    # Three-point solve for each pair of lifted triples in (k, 3, 3) stacks:
+    # the closed-form Sim(3) q_t = s R q_s + t (Umeyama 1991) and its
+    # essential E = [t / |t|]x R, with a mask of the non-degenerate fits. The
+    # scale drops out of E, so the two sessions' depths may differ by any
+    # factor. A fit is degenerate when the triples' cross-covariance has a
+    # second singular value at most 1e-9 of its first (a collinear or
+    # coincident triple), when s <= 0, or when |t| is at most 1e-9 of the
+    # target centroid's distance: a zero translation computed from centroids
+    # comes out as their rounding, not as 0.
+    mu_s, mu_t = points_s.mean(axis=-2), points_t.mean(axis=-2)
+    cs, ct = points_s - mu_s[..., None, :], points_t - mu_t[..., None, :]
+    u, sv, vt = np.linalg.svd(ct.swapaxes(-1, -2) @ cs)
+    flip = np.where(np.linalg.det(u @ vt) < 0.0, -1.0, 1.0)
+    u[..., :, 2] *= flip[..., None]
+    rot = u @ vt
+    spread = np.einsum("...ij,...ij->...", cs, cs)
+    scale = np.divide(sv[..., 0] + sv[..., 1] + flip * sv[..., 2], spread,
+                      out=np.zeros_like(spread), where=spread > 0.0)
+    tvec = mu_t - scale[..., None] * (rot @ mu_s[..., None])[..., 0]
+    length = np.linalg.norm(tvec, axis=-1)
+    ok = (sv[..., 1] > 1e-9 * sv[..., 0]) & (scale > 0.0) \
+        & (length > 1e-9 * np.linalg.norm(mu_t, axis=-1))
+    tdir = np.divide(tvec, length[..., None], out=np.zeros_like(tvec), where=ok[..., None])
+    return skew(tdir) @ rot, ok
 
 
 def _residuals(ematrices: np.ndarray, rays_s: np.ndarray, rays_t: np.ndarray) -> np.ndarray:
@@ -287,24 +339,25 @@ def _refit(ematrices, rays_s, rays_t, weights, steps: int, tol: float = 0.0) -> 
     return u @ _FLAT @ vt
 
 
-def _draw_samples(rng, n: int, count: int) -> np.ndarray:
-    # count minimal samples of 8 distinct indices below n, by Floyd's
-    # algorithm on every row at once: one draw of (count, 8) integers, column
-    # k uniform below n - 7 + k, and a value already in its row replaced by
-    # n - 8 + k. Memory is (count, 8) whatever n is.
-    picks = rng.integers(0, np.arange(n - 7, n + 1), size=(count, 8))
-    for k in range(1, 8):
+def _draw_samples(rng, n: int, count: int, size: int) -> np.ndarray:
+    # count samples of `size` distinct indices below n, by Floyd's algorithm
+    # on every row at once: one draw of (count, size) integers, column k
+    # uniform below n - size + 1 + k, and a value already in its row
+    # replaced by n - size + k. Memory is (count, size) whatever n is.
+    picks = rng.integers(0, np.arange(n - size + 1, n + 1), size=(count, size))
+    for k in range(1, size):
         taken = (picks[:, :k] == picks[:, k:k + 1]).any(axis=1)
-        picks[taken, k] = n - 8 + k
+        picks[taken, k] = n - size + k
     return picks
 
 
-def _hypotheses_needed(inliers: int, n: int, cap: int) -> int:
-    # Hypotheses to draw so that, with _CONFIDENCE, one minimal sample was
-    # outlier-free at inlier share w = inliers / n:
-    # N = ceil(log(1 - p) / log(1 - w^8)), kept within [_MIN_HYPOTHESES, cap].
-    # w = 1 needs none; a w^8 too small for the float needs more than cap.
-    good = (max(inliers, 0) / n) ** 8
+def _hypotheses_needed(inliers: int, n: int, cap: int, size: int) -> int:
+    # Hypotheses to draw so that, with _CONFIDENCE, one sample of `size`
+    # rows was outlier-free at inlier share w = inliers / n:
+    # N = ceil(log(1 - p) / log(1 - w^size)), kept within the sample size's
+    # floor and cap. w = 1 needs none; a w^size too small for the float
+    # needs more than cap.
+    good = (max(inliers, 0) / n) ** size
     if good >= 1.0:
         needed = 0
     else:
@@ -312,7 +365,7 @@ def _hypotheses_needed(inliers: int, n: int, cap: int) -> int:
         if cap * miss >= math.log1p(-_CONFIDENCE):
             return cap
         needed = math.ceil(math.log1p(-_CONFIDENCE) / miss)
-    return min(cap, max(_MIN_HYPOTHESES, needed))
+    return min(cap, max(_MIN_HYPOTHESES[size], needed))
 
 
 def _score(residuals, threshold):
@@ -341,28 +394,41 @@ def _local_optimisation(models, residuals, rays_s, rays_t, threshold):
         yield live, models, residuals
 
 
-def _consensus(rays_s, rays_t, threshold):
+def _consensus(rays_s, rays_t, threshold, lifted=None):
     # Adaptive LO-RANSAC. Hypotheses are drawn, solved and scored _CHUNK at
     # a time; those that raise the best minimal inlier count (records) are
     # found by one running maximum and locally optimised in one stack. The
     # chunk's minimal models and refits, behind the best carried from
     # earlier chunks, form one table, and the module's rule picks its
     # winner. After each chunk the stop count is re-derived from the best
-    # count. Returns (model, inlier mask, count, hypotheses drawn).
+    # count. Without `lifted`, a hypothesis is an eight-point solve of rays.
+    # With `lifted`, (rows, points_s, points_t): the indices of the matches
+    # that have both depths and their (m, 3) lifted points, it is a
+    # three-point Sim(3) fit of those rows, and the stop takes the winner's
+    # inlier share among them. Returns (model, inlier mask, count,
+    # hypotheses drawn).
     n = rays_s.shape[0]
+    if lifted is None:
+        size, rows = 8, np.arange(n)
+    else:
+        size, (rows, points_s, points_t) = 3, lifted
     rng = np.random.default_rng(SEED)
     slots = len(_REFIT_LADDER) + 1  # draw-order slots of a hypothesis
     # (count, total, mask, model, draw order) of the best so far, as a
     # one-row table that any scored model beats
     best = (np.array([-1]), np.array([np.inf]), np.zeros((1, n), dtype=bool),
             np.zeros((1, 3, 3)), np.array([-1]))
-    tied, top_minimal, drawn = False, -1, 0
-    stop = min(_MIN_HYPOTHESES, MAX_HYPOTHESES)
+    tied, top_minimal, drawn, batches = False, -1, 0, 0
+    stop = min(_MIN_HYPOTHESES[size], MAX_HYPOTHESES)
     while drawn < stop:
-        samples = _draw_samples(rng, n, min(_CHUNK, stop - drawn))
-        models, ok = _essentials(rays_s[samples], rays_t[samples])
+        samples = _draw_samples(rng, len(rows), min(_CHUNK, stop - drawn), size)
+        if lifted is None:
+            models, ok = _essentials(rays_s[samples], rays_t[samples])
+        else:
+            models, ok = _lifted_essentials(points_s[samples], points_t[samples])
         order = (drawn + np.flatnonzero(ok)) * slots
         drawn += samples.shape[0]
+        batches += 1
         models = models[ok]
         residuals = _residuals(models, rays_s, rays_t)
         count, total, mask = _score(residuals, threshold)
@@ -381,15 +447,19 @@ def _consensus(rays_s, rays_t, threshold):
         # a tie carried from earlier chunks stands while its best does
         tied = (tied and win == 0) or bool((masks[same] != masks[win]).any())
         best = tuple(column[win:win + 1] for column in table)
-        stop = _hypotheses_needed(int(counts[win]), n, MAX_HYPOTHESES)
+        stop = _hypotheses_needed(int(masks[win, rows].sum()), len(rows),
+                                  MAX_HYPOTHESES, size)
 
     count, _, mask, model, _ = (column[0] for column in best)
+    count = max(int(count), 0)
+    log.debug("relpose: %s draw, %d hypotheses in %d batch%s, %d of %d matches inliers",
+              "eight-point" if lifted is None else "three-point", drawn, batches,
+              "" if batches == 1 else "es", count, n)
     if count < 8:
-        raise NoConsensusError(
-            f"best consensus has {max(int(count), 0)} inliers, need at least 8")
+        raise NoConsensusError(f"best consensus has {count} inliers, need at least 8")
     if tied:
         raise AmbiguousDecompositionError("two RANSAC models tie exactly on score")
-    return model, mask, int(count), drawn
+    return model, mask, count, drawn
 
 
 def ransac_relative_pose(matches: Matches, intrinsics_source: CameraIntrinsics,
@@ -397,19 +467,24 @@ def ransac_relative_pose(matches: Matches, intrinsics_source: CameraIntrinsics,
     """Relative pose by adaptive LO-RANSAC over keypoint matches.
 
     Minimal samples are drawn (deterministic given ``SEED``), solved and
-    scored in stacked batches. Each sample that raises the best minimal
-    inlier count is locally optimised: refit by Gauss-Newton on the
-    essential manifold over a widening-then-tightening band of its inliers
-    (a minimal sample's tight inlier set is correlated with its own noise).
-    Of all minimal models and refits, the winner has the most inliers, then
-    the least total residual, then was drawn first (an exact tie between
-    different inlier sets is an error). Drawing stops once, with 99%
-    confidence, one sample was outlier-free at the best inlier share, and
-    never before a floor of hypotheses; ``MAX_HYPOTHESES`` caps it. The
-    winner is polished over its inliers by the same manifold Gauss-Newton,
-    run to convergence, and then decomposed once via cheirality. Reported
-    inliers are re-scored against the polished pose, so every one satisfies
-    the threshold."""
+    scored in stacked batches. When at least 8 matches have both depths, a
+    sample is 3 of them, lifted to 3D and fitted by a closed-form Sim(3)
+    whose rotation and translation direction give the essential matrix;
+    otherwise it is 8 matches, solved by the eight-point method. Either
+    way, every match is scored on its bearings. Each sample that raises the
+    best minimal inlier count is locally optimised: refit by Gauss-Newton on
+    the essential manifold over a widening-then-tightening band of its
+    inliers (a minimal sample's tight inlier set is correlated with its own
+    noise). Of all minimal models and refits, the winner has the most
+    inliers, then the least total residual, then was drawn first (an exact
+    tie between different inlier sets is an error). Drawing stops once,
+    with 99% confidence, one sample was outlier-free at the best inlier
+    share (among the depth-complete matches, for three-point samples), and
+    never before the sample size's floor of hypotheses; ``MAX_HYPOTHESES``
+    caps it. The winner is polished over its inliers by the same manifold
+    Gauss-Newton, run to convergence, and then decomposed once via
+    cheirality. Reported inliers are re-scored against the polished pose,
+    so every one satisfies the threshold."""
     n = len(matches)
     if n < 8:
         raise InsufficientMatchesError(f"RANSAC needs at least 8 matches, got {n}")
@@ -419,7 +494,10 @@ def ransac_relative_pose(matches: Matches, intrinsics_source: CameraIntrinsics,
 
     threshold = angular_threshold(PIXEL_THRESHOLD, intrinsics_target.fx)
 
-    win_model, win_mask, _, _ = _consensus(rays_s, rays_t, threshold)
+    deep = np.flatnonzero(matches.has_depths)
+    lifted = (deep, *matches[deep].points(intrinsics_source, intrinsics_target)) \
+        if len(deep) >= 8 else None
+    win_model, win_mask, _, _ = _consensus(rays_s, rays_t, threshold, lifted)
     polished = _refit(win_model[None], rays_s, rays_t, win_mask[None],
                       _POLISH_STEPS, _POLISH_TOL)[0]
     pose = decompose_and_disambiguate(polished, rays_s[win_mask], rays_t[win_mask])

@@ -165,8 +165,10 @@ class TestPly:
                 "end_header\n0 0 0\n1 1 1\n")
         path = tmp_path / "bad.ply"
         path.write_text(text)
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             read_ply(path)
+        assert (err.value.path, err.value.line, err.value.offset) == (path, None, None)
+        assert str(err.value) == f"{path}: header declares 3 vertices but body has 2"
 
     def test_big_endian_rejected(self, tmp_path):
         text = ("ply\nformat binary_big_endian 1.0\nelement vertex 1\n"
@@ -244,8 +246,13 @@ class TestPly:
         write_ply(cloud, path, fmt="binary-le")
         raw = path.read_bytes()
         path.write_bytes(raw[:-7])
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             read_ply(path)
+        # ten vertices of three doubles: 240 body bytes, 233 of them left;
+        # the offset counts from the body's first byte
+        assert (err.value.path, err.value.line, err.value.offset) == (path, None, 233)
+        assert str(err.value) == \
+            f"{path} (byte 233): binary body too short: expected 240 bytes, have 233"
 
     def test_cloud_type_rejects_empty_and_nonfinite(self):
         with pytest.raises(ValueError):

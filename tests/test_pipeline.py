@@ -200,6 +200,31 @@ class TestRunPipeline:
         sigma, n = float(words[4]), int(words[6])
         assert sigma == pytest.approx(report.rms * np.sqrt(n / (3 * n - 6)), rel=1e-5)
 
+    def test_relative_pose_draw_logged_once(self, scene_dir, caplog):
+        with caplog.at_level("DEBUG", logger="pcr"):
+            run_pipeline(config_for(scene_dir))
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("relpose:")]
+        assert len(lines) == 1
+        assert lines[0].startswith("relpose: three-point draw, ")
+        assert lines[0].endswith(" of 150 matches inliers")
+
+    @pytest.mark.parametrize("outliers", [0.5, 0.7])
+    def test_majority_outlier_edges_register(self, tmp_path, outliers):
+        # edge-small-shaped edges (2000 points, 200 matches, s = 2.5, 15 deg)
+        # with half or more of the matches wrong: at least 19 of 20 within
+        # criterion 01's tolerances. Eight-point samples got 15 and 5.
+        right = 0
+        for seed in range(1000, 1020):
+            spec = SynthSpec(scale=2.5, rotation_deg=15.0, points=2000, noise=0.005,
+                             outlier_fraction=outliers, match_count=200, seed=seed)
+            paths = generate_synthetic(spec, tmp_path / str(seed))
+            try:
+                assert_within_criterion_01(run_pipeline(config_for(paths)), paths)
+            except (AssertionError, StageError):
+                continue
+            right += 1
+        assert right >= 19
+
     def test_covariance_fields_consistent(self, scene_dir):
         report = run_pipeline(config_for(scene_dir))
         assert np.abs(report.covariance - report.covariance.T).max() <= 1e-9

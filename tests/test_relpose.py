@@ -344,7 +344,7 @@ def stop_formula(count, n, cap):
         needed = 0
     else:
         needed = math.ceil(math.log(1.0 - relpose._CONFIDENCE) / math.log(1.0 - share ** 8))
-    return min(cap, max(relpose._MIN_HYPOTHESES, needed))
+    return min(cap, max(relpose._MIN_HYPOTHESES[8], needed))
 
 
 def reference_consensus(rays_s, rays_t, threshold):
@@ -362,7 +362,7 @@ def reference_consensus(rays_s, rays_t, threshold):
     best_count, best_total, best_model, best_mask = -1, np.inf, None, None
     top_minimal, tied, drawn, stop = -1, False, 0, relpose.MAX_HYPOTHESES
     while drawn < stop:
-        samples = relpose._draw_samples(rng, n, min(relpose._CHUNK, stop - drawn))
+        samples = relpose._draw_samples(rng, n, min(relpose._CHUNK, stop - drawn), 8)
         drawn += len(samples)
         for sample in samples:
             try:
@@ -525,7 +525,7 @@ class TestRansac:
         threshold = angular_threshold(1.0, K.fx)
         *_, count, drawn = relpose._consensus(rays_s, rays_t, threshold)
         assert count == 200
-        assert drawn == relpose._MIN_HYPOTHESES
+        assert drawn == relpose._MIN_HYPOTHESES[8]
 
     @pytest.mark.parametrize("cap", [1000, 70, 40])
     def test_hypotheses_drawn_follow_stop_formula(self, monkeypatch, cap):
@@ -557,13 +557,20 @@ class TestRansac:
 
     def test_stop_count_at_extreme_inlier_shares(self):
         needed = relpose._hypotheses_needed
-        floor = relpose._MIN_HYPOTHESES
-        assert needed(200, 200, 1000) == floor
-        assert needed(0, 200, 1000) == 1000
-        assert needed(-1, 200, 1000) == 1000
-        assert needed(1, 10 ** 6, 1000) == 1000
-        assert needed(140, 200, 1000) == 78
-        assert needed(200, 200, 10) == 10
+        for size in (3, 8):
+            floor = relpose._MIN_HYPOTHESES[size]
+            assert needed(200, 200, 1000, size) == floor  # w = 1
+            assert needed(0, 200, 1000, size) == 1000  # w = 0
+            assert needed(-1, 200, 1000, size) == 1000
+            # w^size too small for the float, or a count past the cap
+            assert needed(1, 10 ** 6, 1000, size) == 1000
+            assert needed(20, 200, 1000, size) == 1000
+            assert needed(200, 200, 10, size) == 10
+        assert needed(140, 200, 1000, 8) == 78
+        # w = 0.7 asks for 11 three-point draws, below the floor; w = 0.3
+        # asks for 169, above it
+        assert needed(140, 200, 1000, 3) == max(11, relpose._MIN_HYPOTHESES[3])
+        assert needed(60, 200, 1000, 3) == 169
 
     def test_exact_tie_between_two_motions_is_error(self, monkeypatch):
         # Two noise-free groups under different motions: a minimal sample
@@ -600,6 +607,131 @@ class TestRansac:
         monkeypatch.setattr(relpose, "MAX_HYPOTHESES", 300)
         with pytest.raises(NoConsensusError, match="has 0 inliers"):
             ransac_relative_pose(matches, K, K)
+
+
+def edge_scene(outliers, seed=1000):
+    """An edge-small scene: every match has both depths."""
+    return build_scene(SynthSpec(seed=seed, scale=2.5, rotation_deg=15.0, noise=0.005,
+                                 outlier_fraction=outliers, points=2000, match_count=200))
+
+
+def sim3_triples(rng, count):
+    """(count, 3, 3) source triples ahead of the camera, their images under
+    random similarities q = s R p + t, and each similarity's E = [t / |t|]x R."""
+    points_s = rng.uniform([-2.0, -2.0, 3.0], [2.0, 2.0, 7.0], size=(count, 3, 3))
+    rots = np.stack([rodrigues(rng.normal(size=3), rng.uniform(0.0, np.pi))
+                     for _ in range(count)])
+    scales = rng.uniform(0.2, 5.0, size=count)
+    tvecs = rng.normal(size=(count, 3))
+    points_t = scales[:, None, None] * points_s @ rots.swapaxes(1, 2) + tvecs[:, None, :]
+    truth = np.stack([skew(t / np.linalg.norm(t)) @ r for r, t in zip(rots, tvecs)])
+    return points_s, points_t, truth
+
+
+def spy_consensus(monkeypatch):
+    """A list that each later _consensus call appends (its arguments after
+    the threshold, its result) to."""
+    consensus, seen = relpose._consensus, []
+
+    def recording(*args):
+        seen.append((args[3:], consensus(*args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(relpose, "_consensus", recording)
+    return seen
+
+
+class TestThreePointDraw:
+    def test_noise_free_triples_give_true_essential(self, rng):
+        points_s, points_t, truth = sim3_triples(rng, 50)
+        models, ok = relpose._lifted_essentials(points_s, points_t)
+        assert ok.all()
+        assert np.abs(models - truth).max() < 1e-9
+
+    def test_degenerate_triples_flagged(self, rng):
+        points_s, points_t, _ = sim3_triples(rng, 5)
+        line = np.array([[0.0, 0.0, 4.0], [1.0, 0.5, 5.0], [3.0, 1.5, 7.0]])
+        points_s[0] = line  # collinear source
+        points_t[1] = line  # collinear target
+        points_s[2] = [1.0, 2.0, 5.0]  # one point three times
+        # no translation: target = R source, with a valid rotation and scale
+        rot = rodrigues([1.0, 2.0, 3.0], 0.4)
+        points_t[3] = points_s[3] @ rot.T
+        _, ok = relpose._lifted_essentials(points_s, points_t)
+        assert ok.tolist() == [False, False, False, False, True]
+
+    def test_mirrored_triple_fits_a_rotation(self, rng):
+        # a triple and its mirror image are related by a reflection; the
+        # fit still returns a proper rotation, so E stays an essential
+        points_s, _, _ = sim3_triples(rng, 1)
+        points_t = points_s * [-1.0, 1.0, 1.0] + [0.0, 0.0, 10.0]
+        models, ok = relpose._lifted_essentials(points_s, points_t)
+        assert ok.all()
+        np.testing.assert_allclose(np.linalg.svd(models[0])[1], [1.0, 1.0, 0.0], atol=1e-12)
+
+    def test_triples_are_distinct_and_in_range(self):
+        picks = relpose._draw_samples(np.random.default_rng(1), 12, 500, 3)
+        assert picks.shape == (500, 3)
+        assert picks.min() >= 0 and picks.max() < 12
+        assert (np.diff(np.sort(picks, axis=1), axis=1) > 0).all()
+
+    def test_depth_rows_below_eight_keep_eight_point_draw(self, monkeypatch):
+        # Seven rows with both depths are one short of the three-point
+        # draw's minimum, so the table gets the eight-point draw, bit for bit
+        # the consensus of the same table without depths: 97 inliers after
+        # 149 hypotheses (three chunks, the stop checked after each).
+        matches, *_ = two_view_scene(np.random.default_rng(23), n=150, pixel_noise=0.3,
+                                     outliers=0.35)
+        table = matches.table.copy()
+        table[:7, 2], table[:7, 5] = 4.0, 6.0
+        seen = spy_consensus(monkeypatch)
+        poses = [ransac_relative_pose(m, K, K) for m in (matches, Matches(table))]
+        assert [lifted for lifted, _ in seen] == [(None,), (None,)]
+        (model, mask, count, drawn), again = (result for _, result in seen)
+        assert (count, drawn) == (97, 149)
+        assert np.array_equal(model, again[0]) and np.array_equal(mask, again[1])
+        assert np.array_equal(poses[0].transform.rotation, poses[1].transform.rotation)
+        assert np.array_equal(poses[0].inliers, poses[1].inliers)
+
+    @pytest.mark.parametrize("outliers, drawn", [(0.3, 16), (0.5, 39), (0.7, 169)])
+    def test_lifted_table_draws_three_points(self, outliers, drawn, caplog):
+        # At 30% outliers the best share, about 0.7, asks for 11 draws, and
+        # the floor holds; at 50% and 70% it is about 0.49 and 0.3, which ask
+        # for 39 and 169. Eight-point draws would need 1177 and about 70 000.
+        scene = edge_scene(outliers)
+        cam = scene.intrinsics_source
+        with caplog.at_level("DEBUG", logger="pcr"):
+            pose = ransac_relative_pose(scene.matches, cam, cam)
+        [line] = [r.getMessage() for r in caplog.records]
+        assert line.startswith(f"relpose: three-point draw, {drawn} hypotheses in ")
+        assert np.degrees(rotation_angle_between(pose.transform.rotation,
+                                                 scene.ground_truth.rotation)) < 1.0
+
+    def test_stop_takes_share_among_depth_rows(self, monkeypatch):
+        # 60 true inliers lose their depths: they are scored but cannot be
+        # drawn, so the share that sets the stop is the inliers' among the
+        # 140 depth-complete rows, about 0.57, not about 0.7 among all 200.
+        scene = edge_scene(0.3)
+        cam = scene.intrinsics_source
+        table = scene.matches.table.copy()
+        table[np.setdiff1d(np.arange(200), scene.outlier_indices)[:60], 2] = np.nan
+        seen = spy_consensus(monkeypatch)
+        ransac_relative_pose(Matches(table), cam, cam)
+        [(((rows, *_),), (_, mask, _, drawn))] = seen
+        assert len(rows) == 140
+        needed = relpose._hypotheses_needed
+        assert drawn == needed(int(mask[rows].sum()), 140, relpose.MAX_HYPOTHESES, 3) > 16
+        assert needed(int(mask.sum()), 200, relpose.MAX_HYPOTHESES, 3) == 16
+
+    def test_run_logs_sampler_draws_batches_and_inliers(self, caplog):
+        matches, *_ = two_view_scene(np.random.default_rng(23), n=150, pixel_noise=0.3,
+                                     outliers=0.35)
+        with caplog.at_level("DEBUG", logger="pcr"):
+            ransac_relative_pose(matches, K, K)
+        assert [r.getMessage() for r in caplog.records] == [
+            "relpose: eight-point draw, 149 hypotheses in 3 batches, "
+            "97 of 150 matches inliers"]
+        assert caplog.records[0].levelname == "DEBUG"
 
 
 def tangent_jacobian(u, vt, rays_s, rays_t):
@@ -660,7 +792,7 @@ class TestManifoldStep:
         rays_s = cam.bearings(scene.matches.source_pixels)
         rays_t = cam.bearings(scene.matches.target_pixels)
         threshold = angular_threshold(1.0, cam.fx)
-        samples = relpose._draw_samples(np.random.default_rng(5), 200, 256)
+        samples = relpose._draw_samples(np.random.default_rng(5), 200, 256, 8)
         models, ok = relpose._essentials(rays_s[samples], rays_t[samples])
         residuals = relpose._residuals(models[ok], rays_s, rays_t)
         counts = (residuals <= threshold).sum(axis=1)
