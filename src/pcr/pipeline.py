@@ -1,16 +1,18 @@
-"""End-to-end registration: files in, report and transformed cloud out.
+"""End-to-end registration: ``register`` on arrays, ``run_pipeline`` on files.
 
-Stage order: scale detection, then (when a scale gap is detected and matches
-are available) relative pose, the lift of its inliers with both depths to 3D
-points, the depth gate and the closed-form scale estimate, which together
-make one Sim(3) seed; source scaling by the seed's scale, trimmed ICP from
-the seed's rigid part on the scaled source and the target as read, and
+``register`` runs the stages on (n, 3) point arrays: scale detection, then
+(when a scale gap is detected and matches are given) relative pose, the
+lift of its inliers with both depths to 3D points, the depth gate and the
+closed-form scale estimate, which together make one Sim(3) seed; source
+scaling by the seed's scale, trimmed ICP from the seed's rigid part, and
 covariance and information matrix on the final correspondence set, at the
-noise level those pairs' residuals give (``icpcov.pair_sigma``). Any
-stage failure is wrapped in a StageError carrying the stage name, which
-gives its CLI exit code. An ICP run that stops at its iteration cap
-unconverged is not a failure: it is logged as a WARNING on the ``pcr``
-logger, and the run goes on.
+noise level those pairs' residuals give (``icpcov.pair_sigma``).
+``run_pipeline`` reads every file its config names, calls ``register`` and
+writes the outputs. The io stage is its own, but for ``register`` refusing
+an array that ``cloudio.Cloud`` refuses. Any stage failure is a StageError
+carrying the stage name, which gives its CLI exit code. An ICP run that
+stops at its iteration cap unconverged is not a failure: it is logged as a
+WARNING on the ``pcr`` logger, and the run goes on.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 from . import cloudio, icp, icpcov, relpose, scale
 from .errors import RegistrationError, StageError
-from .geom import RigidTransform, SimilarityTransform
+from .geom import RigidTransform, SimilarityTransform, as_points
 
 log = logging.getLogger("pcr")
 
@@ -50,13 +52,17 @@ def _stage(name: str, func, *args, **kwargs):
         raise StageError(name, exc) from exc
 
 
-def run_pipeline(cfg: PipelineConfig) -> cloudio.PipelineReport:
-    """Run the whole registration and return (and optionally write) the report."""
-    source = _stage("io", cloudio.read_ply, cfg.source)
-    target = _stage("io", cloudio.read_ply, cfg.target)
-    matches = _stage("io", cloudio.read_matches, cfg.matches) if cfg.matches else None
+def register(source, target, matches: cloudio.Matches | None = None,
+             intrinsics: tuple[cloudio.CameraIntrinsics, ...] | None = None,
+             use_scale: bool = True) -> cloudio.PipelineReport:
+    """Register the (n, 3) ``source`` points onto the ``target`` points;
+    ``intrinsics`` is the (source, target) camera pair of the matches."""
+    # Refuse, in stage io, what a cloud file may not hold.
+    for points in (source, target):
+        _stage("io", cloudio.Cloud, points=points)
+    source, target = as_points(source), as_points(target)
 
-    detection = _stage("scale", scale.detect_scale, source.points, target.points)
+    detection = _stage("scale", scale.detect_scale, source, target)
 
     # The keyframe relative pose and the session scale coarsely align the
     # two sessions; seeding ICP with them keeps the refinement inside its
@@ -64,17 +70,16 @@ def run_pipeline(cfg: PipelineConfig) -> cloudio.PipelineReport:
     # detected or the scale stage is off.
     seed = SimilarityTransform.identity()
     relative = RigidTransform.identity()
-    if detection.differs and cfg.use_scale:
+    if detection.differs and use_scale:
         if matches is None:
             raise StageError("scale", "scale estimation requires matches")
-        if not cfg.intrinsics_source or not cfg.intrinsics_target:
+        if intrinsics is None or None in intrinsics:
             raise StageError("scale", "scale estimation requires intrinsics for both sides")
-        k_source = _stage("io", cloudio.read_intrinsics, cfg.intrinsics_source)
-        k_target = _stage("io", cloudio.read_intrinsics, cfg.intrinsics_target)
+        k_source, k_target = intrinsics
         rel_pose = _stage("relpose", relpose.ransac_relative_pose,
                           matches, k_source, k_target)
         relative = rel_pose.transform
-        # The inliers with both depths, lifted to 3D once.
+        # The inliers with both depths, lifted to 3D.
         inliers = matches[rel_pose.inliers]
         src, tgt = inliers[inliers.has_depths].points(k_source, k_target)
         # Epipolar inliers can still carry inconsistent depths; keep only
@@ -87,16 +92,15 @@ def run_pipeline(cfg: PipelineConfig) -> cloudio.PipelineReport:
 
     # The cloud refuses a scaled coordinate past its magnitude limit.
     scaled_source = source if seed.scale == 1.0 else _stage(
-        "scale", cloudio.Cloud, points=seed.scale * source.points, label=source.label)
+        "scale", cloudio.Cloud, points=seed.scale * source).points
 
-    result = _stage("icp", icp.icp_register, scaled_source.points, target.points,
-                    seed.rigid)
+    result = _stage("icp", icp.icp_register, scaled_source, target, seed.rigid)
     if not result.converged:
         log.warning("stage icp: ICP stopped unconverged after %d iterations",
                     result.iterations)
 
-    pairs_p = scaled_source.points[result.source_indices]
-    pairs_q = target.points[result.theta]
+    pairs_p = scaled_source[result.source_indices]
+    pairs_q = target[result.theta]
     sigma = _stage("covariance", icpcov.pair_sigma, pairs_p, pairs_q, result.transform)
     log.debug("stage covariance: pair noise %.6g from %d pairs", sigma, len(pairs_p))
     cov_result = _stage("covariance", icpcov.covariance, pairs_p, pairs_q,
@@ -104,7 +108,7 @@ def run_pipeline(cfg: PipelineConfig) -> cloudio.PipelineReport:
 
     # The report refuses an information matrix that does not invert the
     # covariance within 1e-6, as one just above the singularity floor may not.
-    report = _stage(
+    return _stage(
         "covariance", cloudio.PipelineReport,
         scale_detected=detection.differs,
         scale=seed.scale,
@@ -115,6 +119,21 @@ def run_pipeline(cfg: PipelineConfig) -> cloudio.PipelineReport:
         covariance=cov_result.cov_x,
         information=cov_result.information,
     )
+
+
+def run_pipeline(cfg: PipelineConfig) -> cloudio.PipelineReport:
+    """Read every file ``cfg`` names, ``register`` the clouds, write the
+    report and the moved source cloud where asked, and return the report."""
+    source = _stage("io", cloudio.read_ply, cfg.source)
+    target = _stage("io", cloudio.read_ply, cfg.target)
+    matches, k_source, k_target = (
+        _stage("io", read, path) if path else None
+        for read, path in ((cloudio.read_matches, cfg.matches),
+                           (cloudio.read_intrinsics, cfg.intrinsics_source),
+                           (cloudio.read_intrinsics, cfg.intrinsics_target)))
+
+    report = register(source.points, target.points, matches, (k_source, k_target),
+                      cfg.use_scale)
 
     if cfg.report_path:
         _stage("io", cloudio.write_report, report, cfg.report_path)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pcr.cloudio import Cloud, write_ply
-from pcr.pipeline import PipelineConfig
+from pcr.pipeline import PipelineConfig, register
 
 
 def random_rotation(rng):
@@ -47,6 +47,17 @@ def config_for(paths, matches=True, **kw):
     else:
         kw.update(use_scale=False)
     return PipelineConfig(source=paths["source"], target=paths["target"], **kw)
+
+
+def register_scene(scene, matches=True, **kw):
+    """``register`` on a ``build_scene`` scene in memory, as ``config_for``
+    sets up ``run_pipeline`` on the scene's files."""
+    if matches:
+        kw.update(matches=scene.matches,
+                  intrinsics=(scene.intrinsics_source, scene.intrinsics_target))
+    else:
+        kw.update(use_scale=False)
+    return register(scene.source.points, scene.target.points, **kw)
 
 
 def write_thin_pair(directory):

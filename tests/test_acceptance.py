@@ -10,16 +10,15 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from pcr import cli, relpose
-from pcr.cloudio import Cloud, read_ply, write_ply
 from pcr.geom import bounds
 from pcr.icp import icp_register
 from pcr.icpcov import covariance, hessian_xx, hessian_zx, information_matrix
-from pcr.pipeline import run_pipeline
+from pcr.pipeline import register
 from pcr.relpose import ransac_relative_pose
 from pcr.scale import estimate_scale_kalman
-from pcr.synth import SynthSpec, generate_synthetic, read_ground_truth
+from pcr.synth import SynthSpec, build_scene, generate_synthetic
 
-from conftest import config_for, rodrigues, rotation_angle_between
+from conftest import register_scene, rodrigues, rotation_angle_between
 from test_icpcov import fd_hessian_xx, fd_hessian_zx, random_instance
 from test_relpose import two_view_scene
 from test_scale import (bounded_rotation, make_matches,
@@ -35,7 +34,7 @@ def verdict(num, name, ok, detail=""):
     assert ok, line
 
 
-def test_criterion_01_end_to_end_sim3_recovery(tmp_path):
+def test_criterion_01_end_to_end_sim3_recovery():
     # 2000 points, s=2.5, 15 deg, noise 0.5% of the base diagonal, 30% match
     # outliers, 200 matches; >= 95% of 50 seeds within 1% scale, 0.5 deg,
     # 1% of the target diagonal; each run < 10 s.
@@ -45,17 +44,16 @@ def test_criterion_01_end_to_end_sim3_recovery(tmp_path):
         spec = SynthSpec(scale=2.5, rotation_deg=15.0, points=2000,
                          noise=0.005, outlier_fraction=0.3, match_count=200,
                          seed=seed)
-        scene_dir = tmp_path / f"scene{seed}"
-        paths = generate_synthetic(spec, scene_dir)
+        scene = build_scene(spec)
         start = time.perf_counter()
         try:
-            report = run_pipeline(config_for(paths))
+            report = register_scene(scene)
         except Exception:
             continue
         elapsed = time.perf_counter() - start
         worst_time = max(worst_time, elapsed)
-        truth = read_ground_truth(paths["ground_truth"])
-        target_diag = bounds(read_ply(paths["target"]).points).diagonal_length()
+        truth = scene.ground_truth
+        target_diag = bounds(scene.target.points).diagonal_length()
         scale_ok = abs(report.scale / truth.scale - 1.0) < 0.01
         rot_ok = np.degrees(rotation_angle_between(
             report.final_transform.rotation, truth.rotation)) < 0.5
@@ -66,14 +64,14 @@ def test_criterion_01_end_to_end_sim3_recovery(tmp_path):
             f"{successes}/50 seeds, slowest run {worst_time:.2f}s")
 
 
-def test_criterion_02_plain_icp_failure_reproduced(tmp_path):
+def test_criterion_02_plain_icp_failure_reproduced():
     # the same scene registered without the scale stage leaves RMS more than
     # 10x the with-scale pipeline's RMS
     spec = SynthSpec(scale=2.5, rotation_deg=15.0, points=2000, noise=0.005,
                      outlier_fraction=0.3, match_count=200, seed=7)
-    paths = generate_synthetic(spec, tmp_path)
-    with_scale = run_pipeline(config_for(paths))
-    plain = run_pipeline(config_for(paths, use_scale=False))
+    scene = build_scene(spec)
+    with_scale = register_scene(scene)
+    plain = register_scene(scene, use_scale=False)
     ratio = plain.rms / with_scale.rms
     verdict(2, "plain ICP fails on scale gap", ratio > 10.0,
             f"rms {plain.rms:.4f} vs {with_scale.rms:.4f}, ratio {ratio:.1f}")
@@ -196,18 +194,19 @@ def test_criterion_07_icp_exactness():
             hits == 50 and monotone_all, f"{hits}/50 seeds")
 
 
-def add_strays(path, rng, share=0.02):
-    """Move ``share`` of the cloud's points 30-50 m away from where they
-    were, each in a random direction: far outdoor returns in a keyframe map."""
-    points = read_ply(path).points.copy()
+def add_strays(points, rng, share=0.02):
+    """A copy of ``points`` with ``share`` of them moved 30-50 m away from
+    where they were, each in a random direction: far outdoor returns in a
+    keyframe map."""
+    points = points.copy()
     idx = rng.choice(len(points), size=round(share * len(points)), replace=False)
     directions = rng.normal(size=(idx.size, 3))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     points[idx] += rng.uniform(30.0, 50.0, size=(idx.size, 1)) * directions
-    write_ply(Cloud(points=points), path)
+    return points
 
 
-def test_criterion_08_stray_points(tmp_path):
+def test_criterion_08_stray_points():
     # 2% of each cloud 30-50 m away: ICP's median trim drops the stray pairs,
     # so every scene stays within criterion 01's rotation and translation
     # tolerances (the clean target's diagonal)
@@ -216,13 +215,13 @@ def test_criterion_08_stray_points(tmp_path):
     for seed in range(20):
         spec = SynthSpec(scale=1.0, rotation_deg=5.0, points=2000,
                          outlier_fraction=0.3, seed=seed)
-        paths = generate_synthetic(spec, tmp_path / f"scene{seed}")
-        target_diag = bounds(read_ply(paths["target"]).points).diagonal_length()
+        scene = build_scene(spec)
+        target_diag = bounds(scene.target.points).diagonal_length()
         rng = np.random.default_rng(seed)
-        add_strays(paths["source"], rng)
-        add_strays(paths["target"], rng)
-        report = run_pipeline(config_for(paths, use_scale=False))
-        truth = read_ground_truth(paths["ground_truth"])
+        source = add_strays(scene.source.points, rng)
+        target = add_strays(scene.target.points, rng)
+        report = register(source, target, use_scale=False)
+        truth = scene.ground_truth
         rot = np.degrees(rotation_angle_between(report.final_transform.rotation,
                                                 truth.rotation))
         trans = np.linalg.norm(report.final_transform.translation
@@ -252,7 +251,7 @@ def test_criterion_09_pipeline_determinism(tmp_path):
     verdict(9, "byte-identical reports for identical inputs", identical)
 
 
-def test_criterion_10_information_matrix_consistency(tmp_path, rng):
+def test_criterion_10_information_matrix_consistency(rng):
     ok = True
     # random well-conditioned SPD covariances, none near the singularity floor
     for _ in range(20):
@@ -264,8 +263,7 @@ def test_criterion_10_information_matrix_consistency(tmp_path, rng):
         ok &= np.abs(info @ cov - np.eye(6)).max() < 1e-6
     # and the pipeline's own output
     spec = SynthSpec(points=800, match_count=100, outlier_fraction=0.2, seed=4)
-    paths = generate_synthetic(spec, tmp_path)
-    report = run_pipeline(config_for(paths))
+    report = register_scene(build_scene(spec))
     floor = 1e-12 * np.trace(report.covariance)
     assert np.linalg.eigvalsh(report.covariance).min() > floor
     ok &= np.abs(report.information @ report.covariance - np.eye(6)).max() < 1e-6

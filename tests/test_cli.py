@@ -132,6 +132,29 @@ def test_one_intrinsics_file_ends_in_scale_stage(tmp_path, capsys):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("flags", [["--matches"],
+                                   ["--intrinsics-source", "--intrinsics-target"]],
+                         ids=["matches", "intrinsics"])
+def test_malformed_file_ends_in_io_stage_without_a_scale_gap(tmp_path, capsys, flags):
+    # every given file is read before the stages run, also one that an
+    # edge with no scale gap never uses
+    scene = tmp_path / "scene"
+    assert cli.main(["synth", "--scale", "1", "--rot-deg", "5", "--seed", "3",
+                     "--out-dir", str(scene)]) == 0
+    bad = tmp_path / "bad"
+    bad.write_text("{not json\n", encoding="utf-8")
+    capsys.readouterr()
+    report = tmp_path / "r.json"
+    code = cli.main(["register", "--source", str(scene / "source.ply"),
+                     "--target", str(scene / "target.ply"), "--out", str(report)]
+                    + [arg for flag in flags for arg in (flag, str(bad))])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"pcr: error in stage io: {bad}")
+    assert not report.exists()
+
+
 class TestCli:
     def test_synth_then_register_roundtrip(self, tmp_path, capsys):
         out_dir = tmp_path / "scene"

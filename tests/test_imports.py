@@ -62,7 +62,7 @@ def test_array_stages_import_only_geom_and_errors(stage):
 # The root's names: the pipeline and its config, file I/O with its value
 # types, the transforms and the errors. Stage functions stay in their modules.
 ROOT_EXPORTS = {
-    "PipelineConfig", "run_pipeline",
+    "PipelineConfig", "register", "run_pipeline",
     "read_ply", "write_ply", "read_matches", "read_intrinsics", "read_report",
     "write_report", "Cloud", "Matches", "CameraIntrinsics", "PipelineReport",
     "RigidTransform", "SimilarityTransform",
@@ -85,11 +85,19 @@ def test_root_holds_the_modules_and_exactly_the_kept_names():
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    # the run_pipeline example on the files of the default scene, and the
+    # register example on the same scene in memory: the same first line
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    example = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    library = re.search(r"## Library\n(.*?)\n## ", readme, re.S).group(1)
+    examples = re.findall(r"```python\n(.*?)```", library, re.S)
+    assert len(examples) == 2
     generate_synthetic(SynthSpec(), tmp_path / "scene")
     monkeypatch.chdir(tmp_path)
-    exec(compile(example, "README.md", "exec"), {})
-    scale, rms = map(float, capsys.readouterr().out.splitlines()[0].split())
+    first_lines = []
+    for example in examples:
+        exec(compile(example, "README.md", "exec"), {})
+        first_lines.append(capsys.readouterr().out.splitlines()[0])
+    scale, rms = map(float, first_lines[0].split())
     assert abs(scale / SynthSpec.scale - 1.0) < 0.01
     assert rms > 0.0
+    assert first_lines[1] == first_lines[0]

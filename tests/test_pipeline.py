@@ -4,13 +4,13 @@ from scipy.spatial import cKDTree
 
 import pcr
 from pcr import synth
-from pcr.cloudio import Cloud, read_ply, read_report, write_ply
+from pcr.cloudio import Cloud, read_ply, read_report, write_ply, write_report
 from pcr.errors import StageError
 from pcr.geom import bounds, rotation_about_axis
-from pcr.pipeline import PipelineConfig, run_pipeline
-from pcr.synth import SynthSpec, generate_synthetic, read_ground_truth
+from pcr.pipeline import PipelineConfig, register, run_pipeline
+from pcr.synth import SynthSpec, build_scene, generate_synthetic, read_ground_truth
 
-from conftest import config_for, rotation_angle_between, write_thin_pair
+from conftest import config_for, register_scene, rotation_angle_between, write_thin_pair
 
 
 @pytest.fixture(scope="module")
@@ -21,14 +21,14 @@ def scene_dir(tmp_path_factory):
     return generate_synthetic(spec, out)
 
 
-def assert_within_criterion_01(report, paths):
+def assert_within_criterion_01(report, scene):
     """Scale within 1%, rotation within 0.5 deg, translation within 1% of
-    the target diagonal."""
-    truth = read_ground_truth(paths["ground_truth"])
+    the target diagonal of a ``build_scene`` scene."""
+    truth = scene.ground_truth
     assert abs(report.scale / truth.scale - 1.0) < 0.01
     assert np.degrees(rotation_angle_between(
         report.final_transform.rotation, truth.rotation)) < 0.5
-    diag = bounds(read_ply(paths["target"]).points).diagonal_length()
+    diag = bounds(scene.target.points).diagonal_length()
     err = np.linalg.norm(report.final_transform.translation - truth.translation)
     assert err < 0.01 * diag
 
@@ -56,24 +56,23 @@ class TestRunPipeline:
         err = np.linalg.norm(report.final_transform.translation - truth.translation)
         assert err < 0.01 * diag
 
-    def test_edge_scene_4002_within_criterion_01_tolerances(self, tmp_path):
+    def test_edge_scene_4002_within_criterion_01_tolerances(self):
         # An edge-small scene that a fixed count of 1000 minimal samples,
         # refit only from the best one, registered 1.08% off in scale.
         spec = SynthSpec(seed=4002, scale=2.5, rotation_deg=15.0, noise=0.005,
                          outlier_fraction=0.3, points=2000, match_count=200)
-        paths = generate_synthetic(spec, tmp_path)
-        assert_within_criterion_01(run_pipeline(config_for(paths)),
-                                   paths)
+        scene = build_scene(spec)
+        assert_within_criterion_01(register_scene(scene), scene)
 
     @pytest.mark.parametrize("scale, seed", [(0.4, 0), (0.4, 5), (0.5, 10), (0.6, 0)])
-    def test_shrinking_edge_within_criterion_01_tolerances(self, tmp_path, scale, seed):
+    def test_shrinking_edge_within_criterion_01_tolerances(self, scale, seed):
         # scenes whose shifted target once left matched points behind the camera
         spec = SynthSpec(seed=seed, scale=scale, rotation_deg=15.0, noise=0.005,
                          outlier_fraction=0.3, points=2000, match_count=200)
-        paths = generate_synthetic(spec, tmp_path)
-        report = run_pipeline(config_for(paths))
+        scene = build_scene(spec)
+        report = register_scene(scene)
         assert report.scale_detected
-        assert_within_criterion_01(report, paths)
+        assert_within_criterion_01(report, scene)
 
     def test_scale_gap_without_matches_is_stage2(self, tmp_path, rng):
         pts = rng.uniform(-1, 1, size=(300, 3))
@@ -209,7 +208,7 @@ class TestRunPipeline:
         assert lines[0].endswith(" of 150 matches inliers")
 
     @pytest.mark.parametrize("outliers", [0.5, 0.7])
-    def test_majority_outlier_edges_register(self, tmp_path, outliers):
+    def test_majority_outlier_edges_register(self, outliers):
         # edge-small-shaped edges (2000 points, 200 matches, s = 2.5, 15 deg)
         # with half or more of the matches wrong: at least 19 of 20 within
         # criterion 01's tolerances. Eight-point samples got 15 and 5.
@@ -217,9 +216,9 @@ class TestRunPipeline:
         for seed in range(1000, 1020):
             spec = SynthSpec(scale=2.5, rotation_deg=15.0, points=2000, noise=0.005,
                              outlier_fraction=outliers, match_count=200, seed=seed)
-            paths = generate_synthetic(spec, tmp_path / str(seed))
+            scene = build_scene(spec)
             try:
-                assert_within_criterion_01(run_pipeline(config_for(paths)), paths)
+                assert_within_criterion_01(register_scene(scene), scene)
             except (AssertionError, StageError):
                 continue
             right += 1
@@ -230,12 +229,12 @@ class TestRunPipeline:
         assert np.abs(report.covariance - report.covariance.T).max() <= 1e-9
         assert np.abs(report.information @ report.covariance - np.eye(6)).max() < 1e-6
 
-    def test_noiseless_scene_recovered_to_1e4(self, tmp_path):
+    def test_noiseless_scene_recovered_to_1e4(self):
         spec = SynthSpec(points=900, match_count=100, noise=0.0,
                          outlier_fraction=0.0, seed=17)
-        paths = generate_synthetic(spec, tmp_path)
-        report = run_pipeline(config_for(paths))
-        truth = read_ground_truth(paths["ground_truth"])
+        scene = build_scene(spec)
+        report = register_scene(scene)
+        truth = scene.ground_truth
         assert abs(report.scale / truth.scale - 1.0) < 1e-4
         assert rotation_angle_between(report.final_transform.rotation,
                                       truth.rotation) < 1e-4
@@ -244,7 +243,7 @@ class TestRunPipeline:
 
     @pytest.mark.parametrize("noise", [0.0, 0.0005, 0.005])
     @pytest.mark.parametrize("seed", [1000, 1001, 1002, 1003])
-    def test_quarter_turn_about_y_registers(self, tmp_path, monkeypatch, seed, noise):
+    def test_quarter_turn_about_y_registers(self, monkeypatch, seed, noise):
         # y is the cameras' vertical axis, so a quarter turn about it is the
         # commonest offset between two sessions; it is where ZYX Euler
         # angles lock. The edge must register, and its rotation standard
@@ -258,8 +257,41 @@ class TestRunPipeline:
         rotation_std = {}
         for degrees in (15.0, 90.0):
             spec = SynthSpec(rotation_deg=degrees, noise=noise, seed=seed)
-            paths = generate_synthetic(spec, tmp_path / str(degrees))
-            report = run_pipeline(config_for(paths))
-            assert_within_criterion_01(report, paths)
+            scene = build_scene(spec)
+            report = register_scene(scene)
+            assert_within_criterion_01(report, scene)
             rotation_std[degrees] = np.sqrt(np.diag(report.covariance)[3:]) / report.rms
         assert np.abs(rotation_std[90.0] / rotation_std[15.0] - 1.0).max() < 0.1
+
+
+class TestRegister:
+    @pytest.mark.parametrize("spec, matches", [
+        (SynthSpec(), True),
+        (SynthSpec(scale=1.0, rotation_deg=5.0, outlier_fraction=0.3, seed=3), False),
+    ], ids=["edge", "rigid"])
+    def test_register_writes_the_bytes_run_pipeline_writes(self, tmp_path, spec, matches):
+        # the scene's files hold its arrays bit for bit, so the array entry
+        # and the file entry run one registration
+        paths = generate_synthetic(spec, tmp_path / "scene")
+        by_arrays, by_files = tmp_path / "arrays.json", tmp_path / "files.json"
+        report = register_scene(build_scene(spec), matches=matches)
+        assert report.scale_detected == matches
+        write_report(report, by_arrays)
+        run_pipeline(config_for(paths, matches=matches, report_path=str(by_files)))
+        assert by_arrays.read_bytes() == by_files.read_bytes()
+
+    @pytest.mark.parametrize("side", ["source", "target"])
+    @pytest.mark.parametrize("bad", [
+        [[0.0, np.nan, 1.0]], np.zeros((4, 2)), np.empty((0, 3))],
+        ids=["nan", "wrong-shape", "empty"])
+    def test_cloud_the_reader_refuses_is_io_stage(self, rng, side, bad):
+        # register refuses in stage io what cloudio.Cloud refuses, as
+        # run_pipeline does when reading the cloud
+        clouds = {"source": rng.uniform(-1, 1, size=(50, 3)),
+                  "target": rng.uniform(-1, 1, size=(50, 3)), side: bad}
+        with pytest.raises(ValueError) as refused:
+            Cloud(points=bad)
+        with pytest.raises(StageError) as err:
+            register(**clouds)
+        assert (err.value.stage, err.value.exit_code) == ("io", 1)
+        assert str(err.value.cause) == str(refused.value)
