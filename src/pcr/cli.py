@@ -44,17 +44,21 @@ def _build_parser() -> tuple[argparse.ArgumentParser, ...]:
     return parser, reg, syn
 
 
-def _register(args) -> int:
-    cfg = PipelineConfig(
-        source=args.source,
-        target=args.target,
-        matches=args.matches,
-        intrinsics_source=args.intrinsics_source,
-        intrinsics_target=args.intrinsics_target,
-        report_path=args.out,
-        transformed_path=args.transformed,
-        use_scale=not args.no_scale,
-    )
+def _register(reg: argparse.ArgumentParser, args) -> int:
+    try:
+        cfg = PipelineConfig(
+            source=args.source,
+            target=args.target,
+            matches=args.matches,
+            intrinsics_source=args.intrinsics_source,
+            intrinsics_target=args.intrinsics_target,
+            report_path=args.out,
+            transformed_path=args.transformed,
+            use_scale=not args.no_scale,
+        )
+    except ValueError as exc:
+        # An output that names an input or the other output.
+        reg.error(str(exc))
     try:
         report = run_pipeline(cfg)
     except StageError as exc:
@@ -93,7 +97,7 @@ def main(argv=None) -> int:
     if unknown:
         # A removed or misspelt flag prints its sub-command's usage.
         (reg if registering else syn).error("unrecognized arguments: " + " ".join(unknown))
-    return _register(args) if registering else _synth(syn, args)
+    return _register(reg, args) if registering else _synth(syn, args)
 
 
 if __name__ == "__main__":

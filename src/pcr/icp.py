@@ -6,9 +6,9 @@ distance, and solves the rigid alignment in closed form, so the objective
 cannot increase within an iteration. The loop has one stop rule: it
 converges at the first iteration whose pose step is below the rotation and
 translation tolerances, and stops unconverged at the ``MAX_ITERATIONS`` cap.
-A source with enough points is first registered by the same loop on ever
-finer subsamples, each level's pose seeding the next level and finally the
-full-resolution loop.
+A source with enough points is registered by the same loop on ever finer
+subsamples, each level's pose seeding the next, down to the full-resolution
+level of stride 1.
 One neighbour cache serves every level of a registration, so a point's tree
 walk is repeated only when its step since its last walk, at any level, could
 have changed its nearest target point.
@@ -32,8 +32,8 @@ from .geom import (RigidTransform, as_points, bounds, column_lengths,
 ROTATION_TOL = 1e-6
 TRANSLATION_TOL = 1e-6
 TRIM_MULTIPLIER = 3.0
-# Most iterations of each coarse level and of the full-resolution loop; a
-# loop that reaches it stops unconverged.
+# Most iterations of each level, full resolution included; a level that
+# reaches it stops unconverged.
 MAX_ITERATIONS = 100
 
 # Coarse-to-fine schedule of icp_register (Rusinkiewicz & Levoy, "Efficient
@@ -269,7 +269,7 @@ class IcpResult:
 
 
 def _icp_loop(src: np.ndarray, cache: NeighbourCache, current: RigidTransform,
-              max_iterations: int, rotation_tol: float, translation_tol: float
+              rotation_tol: float, translation_tol: float
               ) -> tuple[RigidTransform, np.ndarray, list[float], int, bool]:
     """The trimmed ICP iteration from ``current`` on contiguous (3, n) source
     coordinate rows: (pose, source rows moved by the pose, RMS trace,
@@ -278,7 +278,7 @@ def _icp_loop(src: np.ndarray, cache: NeighbourCache, current: RigidTransform,
     converged = False
     iterations = 0
     moved = _transform_rows(current, src)
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         kept, _ = correspond(moved.T, cache)
         pairs_p = np.take(src, kept, axis=1)
         pairs_q = np.take(cache.paired, kept, axis=1)
@@ -311,14 +311,14 @@ def icp_register(source, target, init: RigidTransform | None = None) -> IcpResul
     solves the absolute transform in closed form, so the result does not
     depend on composing increments. Deterministic for identical inputs.
 
-    The source is first registered on every stride-th point, for each
-    stride of ``coarse_strides``, coarsest first, by the same loop with a
-    pose stop ``COARSE_TOL_FACTOR`` times looser and the same
-    ``MAX_ITERATIONS`` cap; each level's pose, converged or not, seeds
-    the next level. The result's ``iterations``, ``rms_trace`` and
-    ``converged`` describe the full-resolution stage only. One
-    ``NeighbourCache`` over every source row serves all levels, each through
-    its own strided rows, and the final pairs.
+    The source is registered on every stride-th point, for each stride of
+    ``coarse_strides`` and then stride 1, coarsest first, by one loop with
+    the ``MAX_ITERATIONS`` cap; the coarse levels' pose stop is
+    ``COARSE_TOL_FACTOR`` times looser. Each level's pose, converged or not,
+    seeds the next level, and each level logs one DEBUG line. The result's
+    ``iterations``, ``rms_trace`` and ``converged`` describe the stride-1
+    level only. One ``NeighbourCache`` over every source row serves all
+    levels, each through its own strided rows, and the final pairs.
     """
     src = as_points(source)
     tgt = as_points(target)
@@ -326,25 +326,20 @@ def icp_register(source, target, init: RigidTransform | None = None) -> IcpResul
         raise TooFewPairsError("both clouds need at least 3 points")
 
     index = NNIndex(tgt)
-    trans_tol = TRANSLATION_TOL * bounds(tgt).diagonal_length()
-    if trans_tol == 0.0:
-        trans_tol = TRANSLATION_TOL
+    trans_tol = TRANSLATION_TOL * (bounds(tgt).diagonal_length() or 1.0)
 
     # Every per-point step runs on contiguous coordinate rows.
     src_rows = np.ascontiguousarray(src.T)
     current = init if init is not None else RigidTransform.identity()
     cache = NeighbourCache(index, len(src))
-    for stride in coarse_strides(len(src)):
+    for stride in [*coarse_strides(len(src)), 1]:
         level = np.ascontiguousarray(src_rows[:, ::stride])
-        current, _, _, iterations, converged = _icp_loop(
-            level, cache.every(stride), current, MAX_ITERATIONS,
-            COARSE_TOL_FACTOR * ROTATION_TOL, COARSE_TOL_FACTOR * trans_tol)
+        loose = 1.0 if stride == 1 else COARSE_TOL_FACTOR
+        current, moved, trace, iterations, converged = _icp_loop(
+            level, cache.every(stride), current, loose * ROTATION_TOL, loose * trans_tol)
         log.debug("icp level stride %d: %d iterations on %d of %d points, %s",
                   stride, iterations, level.shape[1], len(src),
                   "converged" if converged else "unconverged")
-
-    current, moved, trace, iterations, converged = _icp_loop(
-        src_rows, cache, current, MAX_ITERATIONS, ROTATION_TOL, trans_tol)
 
     # Refresh the pair set so theta describes the returned transform.
     source_indices, theta = correspond(moved.T, cache)

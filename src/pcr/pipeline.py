@@ -18,6 +18,7 @@ WARNING on the ``pcr`` logger, and the run goes on.
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass
 
 from . import cloudio, icp, icpcov, relpose, scale
@@ -43,6 +44,25 @@ class PipelineConfig:
     def __post_init__(self):
         if self.apply_filters:
             raise ValueError("the cloud filters were removed; apply_filters must be False")
+        # An output may not overwrite an input or the other output.
+        named = {_file_key(path): path for path in filter(None, (
+            self.source, self.target, self.matches, self.intrinsics_source,
+            self.intrinsics_target))}
+        for path in filter(None, (self.report_path, self.transformed_path)):
+            key = _file_key(path)
+            if key in named:
+                raise ValueError(f"output {path} names the same file as {named[key]}")
+            named[key] = path
+
+
+def _file_key(path: str):
+    # One key per file however the path spells it: its device and inode
+    # (hard links included) where it exists, else its resolved path.
+    try:
+        info = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return info.st_dev, info.st_ino
 
 
 def _stage(name: str, func, *args, **kwargs):
@@ -82,9 +102,10 @@ def register(source, target, matches: cloudio.Matches | None = None,
         # The inliers with both depths, lifted to 3D.
         inliers = matches[rel_pose.inliers]
         src, tgt = inliers[inliers.has_depths].points(k_source, k_target)
-        # Epipolar inliers can still carry inconsistent depths; keep only
-        # pairs that fit the common pairwise-distance ratio.
-        consistent = _stage("scale", scale.depth_consistent_indices, src, tgt)
+        # Epipolar inliers can still carry inconsistent depths; the gate
+        # keeps the pairs the seed's scale is fitted to.
+        consistent = _stage("scale", scale.depth_consistent_indices,
+                            src, tgt, relative.rotation)
         estimate = _stage("scale", scale.estimate_scale_kalman,
                           src[consistent], tgt[consistent], relative.rotation)
         seed = SimilarityTransform(

@@ -2,10 +2,12 @@
 
 Detection compares bounding-diagonal lengths of the two clouds. The depth
 gate and the estimate take the matches' backprojected 3D points as paired
-(n, 3) source and target arrays, lifted once by the caller. The estimate is,
-in closed form, the fixed point of the paper's scalar Kalman filter over the
-scale: the least-squares scale and translation of the matched points under
-the known relative rotation.
+(n, 3) source and target arrays, lifted once by the caller, and the known
+relative rotation. The gate picks the pairs the scale is fitted to: those
+whose pairwise distance ratios agree, less those far off the closed-form fit
+through them. The estimate is, in closed form, the fixed point of the
+paper's scalar Kalman filter over the scale: the least-squares scale and
+translation of the pairs under the rotation.
 """
 
 from __future__ import annotations
@@ -26,12 +28,13 @@ DETECT_TOLERANCE = 0.1
 GATE_MADS = 6.0
 GATE_MIN_BAND = 0.05
 
-# The scale fit drops, once, every match whose residual |q - (s R p + t)|
-# exceeds RESIDUAL_TRIM times the median residual, and solves again. On 162
-# edge-small scenes (2000 points, 200 matches, 30% outliers) the correct
-# matches' residuals reached at most 6.9 times the median, while outliers
-# that passed both the epipolar test and the depth gate stood at 35 to 85
-# times it and moved the scale by up to 1.8%.
+# The depth gate drops every match whose residual |q - (s R p + t)| under the
+# fit through the ratio-consistent matches exceeds RESIDUAL_TRIM times the
+# median residual. On 162 edge-small scenes (2000 points, 200 matches, 30%
+# outliers) the correct matches' residuals reached at most 6.9 times the
+# median, while outliers that passed both the epipolar test and the
+# distance-ratio rule stood at 35 to 85 times it and moved the scale by up
+# to 1.8%.
 RESIDUAL_TRIM = 12.0
 
 
@@ -93,21 +96,40 @@ def _pair_distances(points: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return column_lengths(rows[:, :, None] - rows[:, None, cols])
 
 
-def depth_consistent_indices(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
-    """Indices of the 3D-consistent pairs of (n, 3) ``geom.as_pairs`` arrays.
+def depth_consistent_indices(src: np.ndarray, tgt: np.ndarray, rotation) -> np.ndarray:
+    """Indices of the pairs of (n, 3) ``geom.as_pairs`` arrays that the scale
+    is fitted to, under the relative ``rotation``.
 
     The epipolar test cannot constrain depth, so a match can pass it with an
-    arbitrary depth. For each pair the median of pairwise distance ratios
-    |q_i - q_j| / |p_i - p_j| over the other pairs is rigid-invariant and
-    clusters at the session scale; rows whose median deviates from the global
-    one by more than ``GATE_MADS`` robust scatters (with a ``GATE_MIN_BAND``
-    relative floor) are rejected. Fewer than 3 pairs, or fewer than 3 left
-    by the gate, keep every pair.
+    arbitrary depth. Two rules drop such pairs, in turn:
+
+    - distance ratios: each pair's median ratio |q_i - q_j| / |p_i - p_j|
+      over the other pairs is rigid-invariant and clusters at the session
+      scale; rows whose median lies more than ``GATE_MADS`` robust scatters
+      (at least ``GATE_MIN_BAND`` of it) off the global median go, unless
+      fewer than 3 row medians are finite or fewer than 3 rows stay;
+    - residuals: pairs whose residual |q_i - (s* R p_i + t)| under the
+      closed form of ``estimate_scale_kalman`` through the pairs left
+      exceeds ``RESIDUAL_TRIM`` times the median go, unless fewer than 3
+      stay.
+
+    Fewer than 3 pairs are all kept; coincident source points or a
+    nonpositive s* raise as in the estimate.
     """
     src, tgt = as_pairs(src, tgt)
+    if len(src) < 3:
+        return np.arange(len(src))
+    kept = _ratio_consistent(src, tgt)
+    rotated = src[kept] @ np.asarray(rotation, dtype=np.float64).T
+    scale, translation = _similarity_fit(rotated, tgt[kept])
+    residuals = vector_norm(tgt[kept] - scale * rotated - translation)
+    fits = residuals <= RESIDUAL_TRIM * np.median(residuals)
+    return kept[fits] if fits.sum() >= 3 else kept
+
+
+def _ratio_consistent(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+    # The pairs the distance-ratio rule keeps, of at least 3 pairs.
     every = np.arange(len(src))
-    if every.size < 3:
-        return every
     # Past 500 pairs, the ratios are taken against every k-th pair only.
     cols = every[:: (every.size + 499) // 500]
     ds = _pair_distances(src, cols)
@@ -122,9 +144,7 @@ def depth_consistent_indices(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     scatter = 1.4826 * float(np.median(np.abs(row_med[finite] - center)))
     band = max(GATE_MADS * scatter, GATE_MIN_BAND * abs(center))
     keep = finite & (np.abs(row_med - center) <= band)
-    if keep.sum() < 3:
-        return every
-    return np.flatnonzero(keep)
+    return np.flatnonzero(keep) if keep.sum() >= 3 else every
 
 
 def estimate_scale_kalman(src: np.ndarray, tgt: np.ndarray, rotation) -> ScaleEstimate:
@@ -141,24 +161,16 @@ def estimate_scale_kalman(src: np.ndarray, tgt: np.ndarray, rotation) -> ScaleEs
         s* = sum_i (R p_i - mean R p) . (q_i - mean q) / sum_i |R p_i - mean R p|^2,
         t  = mean q - s* mean R p,
 
-    which is returned here directly, for the relative pose's ``rotation``.
-    Pairs whose residual |q_i - (s* R p_i + t)| exceeds ``RESIDUAL_TRIM``
-    times the median are dropped once and s*, t solved again: an outlier
-    that fits the epipolar geometry and passes the depth gate can carry a
-    depth far off its true one.
+    which is returned here directly, for the relative pose's ``rotation``,
+    over every given pair: ``depth_consistent_indices`` picks them.
     Fewer than 3 pairs, coincident source points or a nonpositive s* raise.
     """
     src, tgt = as_pairs(src, tgt)
     if len(src) < 3:
         raise InsufficientMatchesError(
             f"scale estimation needs at least 3 matches with both depths, got {len(src)}")
-
     rotated = src @ np.asarray(rotation, dtype=np.float64).T
     scale, translation = _similarity_fit(rotated, tgt)
-    residuals = vector_norm(tgt - scale * rotated - translation)
-    kept = residuals <= RESIDUAL_TRIM * np.median(residuals)
-    if 3 <= kept.sum() < kept.size:
-        scale, translation = _similarity_fit(rotated[kept], tgt[kept])
     return ScaleEstimate(scale=scale, translation=translation)
 
 

@@ -58,6 +58,31 @@ def test_bad_flag_value_is_usage_error(tmp_path, rng, capsys, flag, value):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("outputs", [
+    ["--out", "{source}"],
+    ["--out", "x.json", "--transformed", "x.json"],
+    ["--out", "x.json", "--transformed", "{matches}"],
+], ids=["out-is-source", "out-is-transformed", "transformed-is-matches"])
+def test_output_naming_an_input_or_the_other_output_is_usage_error(
+        tmp_path, capsys, monkeypatch, outputs):
+    paths = generate_synthetic(SynthSpec(), tmp_path / "scene")
+    monkeypatch.chdir(tmp_path)
+    before = {path: Path(path).read_bytes() for path in paths.values()}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["register", "--source", paths["source"], "--target", paths["target"],
+                  "--matches", paths["matches"],
+                  "--intrinsics-source", paths["intrinsics_source"],
+                  "--intrinsics-target", paths["intrinsics_target"]]
+                 + [arg.format(**paths) for arg in outputs])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: pcr register" in err
+    assert "names the same file as" in err
+    assert "Traceback" not in err
+    assert {path: Path(path).read_bytes() for path in paths.values()} == before
+    assert not (tmp_path / "x.json").exists()
+
+
 @pytest.mark.parametrize("args", [
     ["--scale", "-1"],
     ["--points", "3"],

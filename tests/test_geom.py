@@ -188,7 +188,7 @@ PAST_LIMIT = "at most 1e\\+150 in magnitude"
 # Every stage function that takes point arrays, called on (source, target).
 POINT_STAGES = {
     "detect_scale": scale.detect_scale,
-    "depth_consistent_indices": scale.depth_consistent_indices,
+    "depth_consistent_indices": lambda p, q: scale.depth_consistent_indices(p, q, np.eye(3)),
     "estimate_scale_kalman": lambda p, q: scale.estimate_scale_kalman(p, q, np.eye(3)),
     "icp_register": icp.icp_register,
     "umeyama_align": umeyama_align,

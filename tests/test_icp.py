@@ -497,8 +497,11 @@ class TestCoarseStage:
         pts, tgt = dense_scene(rng, 2040)
         with caplog.at_level(logging.DEBUG, logger="pcr"):
             res = icp_register(pts, tgt)
-        assert_same_result(res, single_stage_icp(pts, tgt))
-        assert not caplog.records
+        plain = single_stage_icp(pts, tgt)
+        assert_same_result(res, plain)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"icp level stride 1: {plain.iterations} iterations on 2040 of 2040 "
+            "points, converged"]
 
     @pytest.mark.parametrize("n, strides", [
         (8191, [8]), (8192, [8]),
@@ -514,39 +517,41 @@ class TestCoarseStage:
     def test_capped_levels_chain_their_poses(self, rng, monkeypatch, caplog):
         # every pyramid level is capped at one iteration
         pts, tgt = dense_scene(rng)
-        loop = icp._icp_loop
+        loop, cap = icp._icp_loop, icp.MAX_ITERATIONS
 
-        def capped_levels(src, cache, current, max_iterations, *tols):
-            if src.shape[1] < len(pts):
-                max_iterations = 1
-            return loop(src, cache, current, max_iterations, *tols)
+        def capped_levels(src, *args):
+            monkeypatch.setattr(icp, "MAX_ITERATIONS", 1 if src.shape[1] < len(pts) else cap)
+            return loop(src, *args)
 
         monkeypatch.setattr(icp, "_icp_loop", capped_levels)
         with caplog.at_level(logging.DEBUG, logger="pcr"):
             res = icp_register(pts, tgt)
-        assert [r.getMessage() for r in caplog.records] == [
-            "icp level stride 64: 1 iterations on 313 of 20000 points, unconverged",
-            "icp level stride 8: 1 iterations on 2500 of 20000 points, unconverged"]
         current = None
         for stride in (64, 8):
             current = single_stage_icp(pts[::stride], tgt, init=current,
                                        max_iterations=1,
                                        tol_factor=icp.COARSE_TOL_FACTOR).transform
-        assert_same_result(res, single_stage_icp(pts, tgt, init=current))
+        full = single_stage_icp(pts, tgt, init=current)
+        assert_same_result(res, full)
+        assert [r.getMessage() for r in caplog.records] == [
+            "icp level stride 64: 1 iterations on 313 of 20000 points, unconverged",
+            "icp level stride 8: 1 iterations on 2500 of 20000 points, unconverged",
+            f"icp level stride 1: {full.iterations} iterations on 20000 of 20000 "
+            "points, converged"]
 
     def test_unconverged_level_seeds_next(self, rng, monkeypatch, caplog):
         # only the stride-64 level is capped at one iteration
         pts, tgt = dense_scene(rng)
         init = RigidTransform(rodrigues([1.0, 0.0, 0.0], np.deg2rad(2.0)),
                               np.array([0.03, 0.0, 0.0]))
-        loop = icp._icp_loop
+        loop, cap = icp._icp_loop, icp.MAX_ITERATIONS
         seeds, poses = {}, {}
 
-        def capped_top(src, cache, current, max_iterations, *tols):
+        def capped_top(src, cache, current, *tols):
             seeds[src.shape[1]] = current
-            if src.shape[1] == len(pts[::64]):
-                max_iterations = 1
-            out = loop(src, cache, current, max_iterations, *tols)
+            monkeypatch.setattr(icp, "MAX_ITERATIONS",
+                                1 if src.shape[1] == len(pts[::64]) else cap)
+            out = loop(src, cache, current, *tols)
             poses[src.shape[1]] = out[0]
             return out
 
@@ -558,6 +563,8 @@ class TestCoarseStage:
                                "20000 points, unconverged")
         assert messages[1].startswith("icp level stride 8:")
         assert messages[1].endswith("on 2500 of 20000 points, converged")
+        assert messages[2].startswith("icp level stride 1:")
+        assert messages[2].endswith("on 20000 of 20000 points, converged")
         assert seeds[313] is init
         assert seeds[2500] is poses[313]
         assert not np.array_equal(poses[313].rotation, init.rotation)
@@ -573,12 +580,14 @@ class TestCoarseStage:
         with caplog.at_level(logging.DEBUG, logger="pcr"):
             res = icp_register(pts, tgt)
         plain = single_stage_icp(pts, tgt)
-        assert [r.levelno for r in caplog.records] == [logging.DEBUG] * 2
-        top, last = (r.getMessage() for r in caplog.records)
+        assert [r.levelno for r in caplog.records] == [logging.DEBUG] * 3
+        top, middle, last = (r.getMessage() for r in caplog.records)
         assert top.startswith("icp level stride 64: ")
         assert top.endswith(" on 313 of 20000 points, converged")
-        assert last.startswith("icp level stride 8: ")
-        assert last.endswith(" on 2500 of 20000 points, converged")
+        assert middle.startswith("icp level stride 8: ")
+        assert middle.endswith(" on 2500 of 20000 points, converged")
+        assert last == (f"icp level stride 1: {res.iterations} iterations on "
+                        "20000 of 20000 points, converged")
         assert res.converged
         assert len(res.rms_trace) == res.iterations < plain.iterations
         assert np.abs(res.transform.rotation - plain.transform.rotation).max() < 1e-4
@@ -593,13 +602,15 @@ class TestCoarseStage:
         assert_same_result(res, pyramid_icp(pts, tgt))
 
     def test_mid_size_source_takes_one_level(self, rng, caplog):
-        # 5000 points: one stride-8 level of 625 points, then full resolution
+        # 5000 points: one stride-8 level of 625 points, then the stride-1 level
         pts, tgt = dense_scene(rng, 5000)
         with caplog.at_level(logging.DEBUG, logger="pcr"):
             res = icp_register(pts, tgt)
-        [message] = [r.getMessage() for r in caplog.records]
-        assert message.startswith("icp level stride 8: ")
-        assert message.endswith(" on 625 of 5000 points, converged")
+        level, last = (r.getMessage() for r in caplog.records)
+        assert level.startswith("icp level stride 8: ")
+        assert level.endswith(" on 625 of 5000 points, converged")
+        assert last == (f"icp level stride 1: {res.iterations} iterations on "
+                        "5000 of 5000 points, converged")
         assert_same_result(res, pyramid_icp(pts, tgt))
 
     def test_large_source_levels_converge(self, caplog):
@@ -616,7 +627,8 @@ class TestCoarseStage:
         with caplog.at_level(logging.DEBUG, logger="pcr"):
             res = icp_register(scene.source.points, tgt)
         messages = [r.getMessage() for r in caplog.records]
-        assert len(messages) == 2
+        assert [m.split(":")[0] for m in messages] == [
+            "icp level stride 64", "icp level stride 8", "icp level stride 1"]
         assert all(m.endswith(", converged") for m in messages)
         assert res.converged and res.iterations < 40
         assert rotation_angle_between(res.transform.rotation, truth.rotation) < np.deg2rad(0.5)

@@ -1,9 +1,12 @@
+import os
+import re
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
 import pcr
-from pcr import synth
+from pcr import relpose, scale, synth
 from pcr.cloudio import Cloud, read_ply, read_report, write_ply, write_report
 from pcr.errors import StageError
 from pcr.geom import bounds, rotation_about_axis
@@ -143,6 +146,30 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match="filters were removed"):
             PipelineConfig(source="a.ply", target="b.ply", apply_filters=True)
 
+    @pytest.mark.parametrize("outputs, named", [
+        (dict(report_path="scene/source.ply"), "{root}/scene/source.ply"),
+        (dict(report_path="r.json", transformed_path="./r.json"), "r.json"),
+        (dict(report_path="r.json", transformed_path="{root}/scene/m.csv"), "scene/m.csv"),
+    ], ids=["report-is-source", "outputs-alike", "transformed-is-matches"])
+    def test_output_naming_an_input_or_the_other_output_refused(
+            self, tmp_path, monkeypatch, outputs, named):
+        # each pair spells one file differently: relative and absolute, or
+        # through "."
+        monkeypatch.chdir(tmp_path)
+        outputs = {key: path.format(root=tmp_path) for key, path in outputs.items()}
+        named = re.escape(named.format(root=tmp_path))
+        with pytest.raises(ValueError, match=f"names the same file as {named}$"):
+            PipelineConfig(source=str(tmp_path / "scene" / "source.ply"), target="t.ply",
+                           matches="scene/m.csv", **outputs)
+
+    def test_output_hard_linked_to_an_input_refused(self, tmp_path):
+        source = tmp_path / "source.ply"
+        source.write_bytes(b"ply\n")
+        os.link(source, tmp_path / "link.ply")
+        with pytest.raises(ValueError, match="names the same file as"):
+            PipelineConfig(source=str(source), target="t.ply",
+                           report_path=str(tmp_path / "link.ply"))
+
     def test_missing_file_is_stage1(self, tmp_path):
         with pytest.raises(StageError) as err:
             run_pipeline(PipelineConfig(source=str(tmp_path / "nope.ply"),
@@ -279,6 +306,22 @@ class TestRegister:
         write_report(report, by_arrays)
         run_pipeline(config_for(paths, matches=matches, report_path=str(by_files)))
         assert by_arrays.read_bytes() == by_files.read_bytes()
+
+    @pytest.mark.parametrize("spec", [SynthSpec(), SynthSpec(outlier_fraction=0.3, seed=1011)],
+                             ids=["default", "residual-trimmed"])
+    def test_seed_scale_is_the_estimate_over_the_gate_pairs(self, spec):
+        # the gate's pairs are the ones the seed's scale is fitted to; on
+        # the second scene the residual rule drops one pair the distance
+        # ratios keep
+        scene = build_scene(spec)
+        k_source, k_target = scene.intrinsics_source, scene.intrinsics_target
+        pose = relpose.ransac_relative_pose(scene.matches, k_source, k_target)
+        inliers = scene.matches[pose.inliers]
+        src, tgt = inliers[inliers.has_depths].points(k_source, k_target)
+        rotation = pose.transform.rotation
+        kept = scale.depth_consistent_indices(src, tgt, rotation)
+        estimate = scale.estimate_scale_kalman(src[kept], tgt[kept], rotation)
+        assert register_scene(scene).scale == estimate.scale
 
     @pytest.mark.parametrize("side", ["source", "target"])
     @pytest.mark.parametrize("bad", [

@@ -265,6 +265,25 @@ def reference_filter_loop(src, tgt, rot, tdir, state, tolerance=1e-12,
     raise AssertionError("reference filter did not converge")
 
 
+def far_depth_pairs(factor):
+    """``noisy_scene(5)``'s clean pairs, its pairs with match 17's target
+    depth scaled by ``factor`` (its pixels kept), and its rotation."""
+    matches, src, tgt, rot, _ = noisy_scene(5)
+    depths = matches.target_depths.copy()
+    depths[17] *= factor
+    return (src, tgt), with_target_depths(matches, depths).points(K, K), rot
+
+
+def joint_least_squares(src, tgt, rot):
+    """(s, t) minimizing sum |s R p_i + t - q_i|^2, as one 3n x 4 system."""
+    n = src.shape[0]
+    design = np.zeros((3 * n, 4))
+    design[:, 0] = (src @ rot.T).reshape(-1)
+    design[:, 1:] = np.tile(np.eye(3), (n, 1))
+    (s, *t), *_ = np.linalg.lstsq(design, tgt.reshape(-1), rcond=None)
+    return s, np.array(t)
+
+
 class TestKalman:
     def test_noiseless_scale_recovery(self, rng):
         rot = bounded_rotation(rng)
@@ -328,31 +347,17 @@ class TestKalman:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_joint_least_squares_oracle(self, seed):
-        # (s, t) minimizing sum |s R p_i + t - q_i|^2 as one 3n x 4 system
         matches, src, tgt, rot, tvec = noisy_scene(seed)
-        n = src.shape[0]
-        design = np.zeros((3 * n, 4))
-        design[:, 0] = (src @ rot.T).reshape(-1)
-        design[:, 1:] = np.tile(np.eye(3), (n, 1))
-        (s, *t), *_ = np.linalg.lstsq(design, tgt.reshape(-1), rcond=None)
+        s, t = joint_least_squares(src, tgt, rot)
         est = estimate_scale_kalman(src, tgt, rot)
         assert est.scale == pytest.approx(s, rel=1e-12)
         assert np.allclose(est.translation, t, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("factor", [0.6, 1.5])
-    def test_far_residual_match_is_trimmed(self, factor):
-        # one match keeps its pixels but carries a wrong target depth: the
-        # fit equals the joint least squares over the other 99
-        matches, src, tgt, rot, tvec = noisy_scene(5)
-        depths = matches.target_depths.copy()
-        depths[17] *= factor
-        matches = with_target_depths(matches, depths)
-        others = np.delete(np.arange(100), 17)
-        design = np.zeros((3 * 99, 4))
-        design[:, 0] = (src[others] @ rot.T).reshape(-1)
-        design[:, 1:] = np.tile(np.eye(3), (99, 1))
-        (s, *t), *_ = np.linalg.lstsq(design, tgt[others].reshape(-1), rcond=None)
-        est = estimate_scale_kalman(*matches.points(K, K), rot)
+    def test_estimate_alone_does_not_trim(self):
+        # the estimate fits every pair it is given, the far one included
+        _, (src, tgt), rot = far_depth_pairs(1.5)
+        s, t = joint_least_squares(src, tgt, rot)
+        est = estimate_scale_kalman(src, tgt, rot)
         assert est.scale == pytest.approx(s, rel=1e-12)
         assert np.allclose(est.translation, t, rtol=1e-12, atol=0)
 
@@ -382,7 +387,7 @@ class TestDepthConsistency:
     def test_keeps_clean_matches(self, rng):
         rot = bounded_rotation(rng)
         matches = make_matches(rng, rot, [0.5, 0.1, 0.2], 2.5, n=40)
-        kept = depth_consistent_indices(*matches.points(K, K))
+        kept = depth_consistent_indices(*matches.points(K, K), rot)
         assert len(kept) == 40
 
     def test_rejects_depth_corrupted_rows(self, rng):
@@ -391,20 +396,45 @@ class TestDepthConsistency:
         depths = matches.target_depths.copy()
         depths[3] *= 3.0
         matches = with_target_depths(matches, depths)
-        kept = depth_consistent_indices(*matches.points(K, K))
+        kept = depth_consistent_indices(*matches.points(K, K), rot)
         assert 3 not in kept
         assert len(kept) == 39
+
+    @pytest.mark.parametrize("factor", [0.6, 1.5])
+    def test_far_residual_match_is_trimmed(self, factor):
+        # the gate drops the far pair, and the estimate over the gate's
+        # pairs equals the joint least squares over the other 99
+        (src, tgt), (src_bad, tgt_bad), rot = far_depth_pairs(factor)
+        kept = depth_consistent_indices(src_bad, tgt_bad, rot)
+        others = np.delete(np.arange(100), 17)
+        assert np.array_equal(kept, others)
+        s, t = joint_least_squares(src[others], tgt[others], rot)
+        est = estimate_scale_kalman(src_bad[kept], tgt_bad[kept], rot)
+        assert est.scale == pytest.approx(s, rel=1e-12)
+        assert np.allclose(est.translation, t, rtol=1e-12, atol=0)
+
+    def test_residual_rule_trims_what_the_ratio_rule_keeps(self, monkeypatch):
+        # with the distance-ratio rule keeping every pair, the residual rule
+        # alone drops the far pair
+        from pcr import scale
+        _, (src, tgt), rot = far_depth_pairs(1.5)
+        monkeypatch.setattr(scale, "_ratio_consistent", lambda p, q: np.arange(len(p)))
+        kept = depth_consistent_indices(src, tgt, rot)
+        assert np.array_equal(kept, np.delete(np.arange(100), 17))
 
     @pytest.mark.parametrize("n", [0, 2])
     def test_fewer_than_three_pairs_all_kept(self, rng, n):
         src = rng.uniform(-1.0, 1.0, size=(n, 3))
-        assert np.array_equal(depth_consistent_indices(src, 3.0 * src), np.arange(n))
+        assert np.array_equal(depth_consistent_indices(src, 3.0 * src, np.eye(3)),
+                              np.arange(n))
 
-    def test_coincident_source_points_keep_every_pair(self, rng):
+    def test_coincident_source_points_refused(self, rng):
         # every distance ratio divides by zero, so no row median is finite
+        # and every pair reaches the residual fit, which has no scale to see
         src = np.tile([0.5, -0.2, 4.0], (6, 1))
         tgt = rng.uniform(-1.0, 1.0, size=(6, 3))
-        assert np.array_equal(depth_consistent_indices(src, tgt), np.arange(6))
+        with pytest.raises(DegenerateGeometryError, match="source match points coincide"):
+            depth_consistent_indices(src, tgt, np.eye(3))
 
     def test_fewer_than_three_in_band_keep_every_pair(self):
         # ratios 1 (pairs 0-1 and 0-2) and sqrt 2 (pairs 1-2): row medians
@@ -412,7 +442,7 @@ class TestDepthConsistency:
         # GATE_MIN_BAND x 1.207) holds only rows 1 and 2
         src = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         tgt = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-        assert np.array_equal(depth_consistent_indices(src, tgt), [0, 1, 2])
+        assert np.array_equal(depth_consistent_indices(src, tgt, np.eye(3)), [0, 1, 2])
 
     def test_row_median_matches_numpy_nanmedian(self, rng):
         from pcr.scale import _row_nanmedian
@@ -429,15 +459,15 @@ class TestDepthConsistency:
     def test_pair_distances_bit_equal_to_norm_form(self, rng, monkeypatch, n):
         # 139 matches take every column; past 500 the gate subsamples them
         from pcr import scale
-        matches = make_matches(rng, bounded_rotation(rng), [0.5, 0.1, 0.2], 2.5, n=n,
-                               depth_noise=0.02)
+        rot = bounded_rotation(rng)
+        matches = make_matches(rng, rot, [0.5, 0.1, 0.2], 2.5, n=n, depth_noise=0.02)
         cols = np.arange(n)
         if n > 500:
             cols = cols[:: (n + 499) // 500]
         for pts in matches.points(K, K):
             expected = np.linalg.norm(pts[:, None, :] - pts[None, cols, :], axis=2)
             assert np.array_equal(scale._pair_distances(pts, cols), expected)
-        kept = depth_consistent_indices(*matches.points(K, K))
+        kept = depth_consistent_indices(*matches.points(K, K), rot)
         monkeypatch.setattr(scale, "_pair_distances", lambda pts, cols: np.linalg.norm(
             pts[:, None, :] - pts[None, cols, :], axis=2))
-        assert np.array_equal(depth_consistent_indices(*matches.points(K, K)), kept)
+        assert np.array_equal(depth_consistent_indices(*matches.points(K, K), rot), kept)
