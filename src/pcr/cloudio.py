@@ -4,14 +4,19 @@
 of pixels with depth, projection of camera-frame points and bearing rays.
 
 Formats handled here:
-  * PLY clouds, ASCII or binary little-endian, vertex element with float or
-    double x/y/z properties, other properties of any scalar type ignored
-    (big-endian deliberately rejected), coordinates within
-    ``geom.COORDINATE_LIMIT``.
+  * PLY clouds, read as ASCII or binary little-endian, written as binary
+    little-endian doubles only: vertex element with float or double x/y/z
+    properties, other properties of any scalar type ignored (big-endian
+    deliberately rejected), coordinates within ``geom.COORDINATE_LIMIT``.
   * Matches CSV with header exactly ``us,vs,ds,ut,vt,dt``; an empty depth
     field means the depth is unknown, NaN in :class:`Matches`.
   * Intrinsics JSON ``{"fx":..., "fy":..., "cx":..., "cy":...}``.
   * Pipeline report JSON (schema documented on :func:`write_report`).
+
+A line of the CSV and of a PLY header or ASCII body ends at LF, and a CR
+before the LF is dropped; no other character ends a line, so a refusal's line
+number counts LFs. The CSV and JSON inputs may start with a UTF-8
+byte-order mark; a PLY file must start with ``ply``.
 """
 
 from __future__ import annotations
@@ -189,9 +194,10 @@ def _read_bytes(path: Path) -> bytes:
 
 
 def _read_json(path: Path):
-    """The file's UTF-8 JSON value; a file that is not one is a ParseError."""
+    """The file's UTF-8 JSON value, after a byte-order mark if it has one; a
+    file that is not one is a ParseError."""
     try:
-        return json.loads(_read_bytes(path).decode("utf-8"))
+        return json.loads(_read_bytes(path).decode("utf-8-sig"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"not valid JSON: {exc}", path=path) from exc
 
@@ -319,9 +325,8 @@ def _read_ply_ascii(body, count, names, path, header_len):
     except UnicodeDecodeError as exc:
         raise ParseError("ASCII body contains non-ASCII bytes", path=path) from exc
     rows = []
-    lineno = header_len
-    for line in text.splitlines():
-        lineno += 1
+    # A CR before the LF is whitespace to split(), as are FF and VT.
+    for lineno, line in enumerate(text.split("\n"), start=header_len + 1):
         tokens = line.split()
         if not tokens:
             continue
@@ -358,14 +363,12 @@ def _read_ply_binary(body, count, properties, path):
 
 
 def write_ply(cloud: Cloud, path, fmt: str = "binary-le") -> None:
-    """Write a cloud as PLY; ``fmt`` is ``"ascii"`` or ``"binary-le"``.
-
-    Binary mode stores doubles, so a write/read round trip is bit exact.
-    ASCII mode keeps 9 significant digits. The label is preserved in a
-    header comment line, so it must be ASCII and may not hold a line break.
-    """
-    if fmt not in ("ascii", "binary-le"):
-        raise ValueError(f"unknown PLY format {fmt!r}")
+    """Write a cloud as binary little-endian PLY of doubles, so a write/read
+    round trip is bit exact. The label is preserved in a header comment
+    line, so it must be ASCII and may not hold a line break."""
+    # fmt is kept only because perfbench/workloads.py passes fmt="binary-le".
+    if fmt != "binary-le":
+        raise ValueError(f"write_ply writes binary-le only, not {fmt!r}")
     pts = cloud.points
     label = cloud.label
     if "\r" in label or "\n" in label:
@@ -373,22 +376,14 @@ def write_ply(cloud: Cloud, path, fmt: str = "binary-le") -> None:
     if not label.isascii():
         raise ValueError("a PLY label must be ASCII")
 
-    header = ["ply"]
-    header.append("format ascii 1.0" if fmt == "ascii" else "format binary_little_endian 1.0")
+    header = ["ply", "format binary_little_endian 1.0"]
     if label:
         header.append(f"comment label {label}")
     header.append(f"element vertex {pts.shape[0]}")
     header.extend(f"property double {c}" for c in ("x", "y", "z"))
     header.append("end_header")
     head = ("\n".join(header) + "\n").encode("ascii")
-
-    if fmt == "ascii":
-        body = "".join(
-            f"{row[0]:.9g} {row[1]:.9g} {row[2]:.9g}\n" for row in pts
-        ).encode("ascii")
-    else:
-        body = np.ascontiguousarray(pts, dtype="<f8").tobytes()
-    Path(path).write_bytes(head + body)
+    Path(path).write_bytes(head + np.ascontiguousarray(pts, dtype="<f8").tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -398,15 +393,17 @@ def write_ply(cloud: Cloud, path, fmt: str = "binary-le") -> None:
 def read_matches(path) -> Matches:
     """Read keypoint correspondences from CSV; an empty depth is unknown. A
     wrong field count or a non-number is reported where it is met, else the
-    first value, a literal ``nan`` too, that breaks the ``Matches`` rule."""
+    first value, a literal ``nan`` too, that breaks the ``Matches`` rule. A
+    line ends at LF; a leading byte-order mark is skipped."""
     path = Path(path)
     try:
-        text = _read_bytes(path).decode("utf-8")
+        text = _read_bytes(path).decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError("file is not UTF-8 text", path=path) from exc
 
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != _MATCH_HEADER:
+    # A CR before the LF is whitespace to strip() and float().
+    lines = text.split("\n")
+    if lines[0].strip() != _MATCH_HEADER:
         raise ParseError(f"header must be exactly {_MATCH_HEADER!r}", path=path, line=1)
 
     values = []
