@@ -15,8 +15,10 @@ Formats handled here:
 
 A line of the CSV and of a PLY header or ASCII body ends at LF, and a CR
 before the LF is dropped; no other character ends a line, so a refusal's line
-number counts LFs. The CSV and JSON inputs may start with a UTF-8
-byte-order mark; a PLY file must start with ``ply``.
+number counts LFs. A number of the CSV or of an ASCII PLY body is ASCII text
+without ``_``, and an ASCII PLY coordinate out of bounds is refused at its
+line. The CSV and JSON inputs may start with a UTF-8 byte-order mark; a PLY
+file must start with ``ply``.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .geom import (RigidTransform, SimilarityTransform, as_points, check_symmetric,
-                   freeze)
+from .geom import (COORDINATE_LIMIT, RigidTransform, SimilarityTransform, as_points,
+                   check_symmetric, freeze)
 
 # Every PLY scalar type under both of its names, as little-endian numpy codes.
 _PLY_TYPES = {
@@ -202,6 +204,15 @@ def _read_json(path: Path):
         raise ParseError(f"not valid JSON: {exc}", path=path) from exc
 
 
+def _float(token: str) -> float:
+    """``float`` of a text token, refusing with ValueError one that holds
+    ``_`` or a non-ASCII character: ``float`` reads digit-group underscores
+    and non-ASCII digits, so ``1_0`` or ``１２`` would pass as a number."""
+    if "_" in token or not token.isascii():
+        raise ValueError(f"not an ASCII number: {token!r}")
+    return float(token)
+
+
 # ---------------------------------------------------------------------------
 # PLY
 # ---------------------------------------------------------------------------
@@ -324,7 +335,7 @@ def _read_ply_ascii(body, count, names, path, header_len):
         text = body.decode("ascii")
     except UnicodeDecodeError as exc:
         raise ParseError("ASCII body contains non-ASCII bytes", path=path) from exc
-    rows = []
+    rows, linenos = [], []
     # A CR before the LF is whitespace to split(), as are FF and VT.
     for lineno, line in enumerate(text.split("\n"), start=header_len + 1):
         tokens = line.split()
@@ -335,15 +346,21 @@ def _read_ply_ascii(body, count, names, path, header_len):
                 f"expected {len(names)} values per vertex, got {len(tokens)}",
                 path=path, line=lineno)
         try:
-            rows.append([float(tok) for tok in tokens])
+            rows.append([_float(tok) for tok in tokens])
         except ValueError as exc:
             raise ParseError("vertex value is not a number", path=path, line=lineno) from exc
+        linenos.append(lineno)
     if len(rows) != count:
         raise ParseError(
             f"header declares {count} vertices but body has {len(rows)}", path=path)
     data = np.asarray(rows, dtype=np.float64)
-    cols = [names.index(coord) for coord in ("x", "y", "z")]
-    return data[:, cols]
+    pts = data[:, [names.index(coord) for coord in ("x", "y", "z")]]
+    try:
+        return as_points(pts)
+    except ValueError as exc:
+        # The first row with a coordinate out of bounds; NaN fails the test.
+        row = int((~(np.abs(pts) <= COORDINATE_LIMIT)).any(axis=1).argmax())
+        raise ParseError(str(exc), path=path, line=linenos[row]) from None
 
 
 def _read_ply_binary(body, count, properties, path):
@@ -414,11 +431,12 @@ def read_matches(path) -> Matches:
         if len(fields) != 6:
             raise ParseError(f"expected 6 fields, got {len(fields)}", path=path, line=lineno)
         for col, token in enumerate(fields):
-            if col in _DEPTH_COLUMNS and not token.strip():
+            # A blank of non-ASCII spaces is a mistyped field, not an unknown depth.
+            if col in _DEPTH_COLUMNS and not token.strip() and token.isascii():
                 values.append(math.nan)
                 continue
             try:
-                value = float(token)
+                value = _float(token)
             except ValueError as exc:
                 raise ParseError(f"{_MATCH_COLUMNS[col]} is not a number",
                                  path=path, line=lineno) from exc

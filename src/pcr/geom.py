@@ -220,12 +220,12 @@ def umeyama_align(source, target) -> RigidTransform:
     return RigidTransform(rot, mu_t - rot @ mu_s)
 
 
-def vector_norm(v) -> np.ndarray:
-    """Euclidean norm over the last axis. Each value equals ``np.linalg.norm``
-    of that one vector bit for bit (both take a BLAS dot), so a stacked
-    computation gives the same numbers as a per-vector one."""
-    v = np.asarray(v, dtype=np.float64)
-    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+def transform_rows(pose: RigidTransform, rows: np.ndarray) -> np.ndarray:
+    """``pose.apply`` on (3, n) coordinate rows: one 3x3 BLAS product and a
+    per-row add, several times faster than the n x 3 product."""
+    moved = pose.rotation @ rows
+    moved += pose.translation[:, None]
+    return moved
 
 
 def column_lengths(rows: np.ndarray) -> np.ndarray:
@@ -250,20 +250,19 @@ def skew(v) -> np.ndarray:
 
 
 # Rotation generators [e_k]x: d/da exp(a [e_k]x) = exp(a [e_k]x) [e_k]x.
-_GENERATORS = skew(np.eye(3))
+GENERATORS = skew(np.eye(3))
 
 
-def rotation_about_axis(axis, angle) -> np.ndarray:
-    """Rodrigues rotation about a (not necessarily unit) axis. Stacked axes
-    (..., 3) with angles (...) give stacked rotations (..., 3, 3)."""
+def rotation_about_axis(axis, angle: float) -> np.ndarray:
+    """Rodrigues rotation by ``angle`` about one nonzero (3,) axis, not
+    necessarily unit."""
     ax = np.asarray(axis, dtype=np.float64)
-    if ax.shape[-1:] != (3,):
-        raise ValueError("rotation axis must have 3 components")
-    norm = vector_norm(ax)
-    if (norm == 0.0).any():
+    if ax.shape != (3,):
+        raise ValueError(f"rotation axis must have shape (3,), got {ax.shape}")
+    norm = np.linalg.norm(ax)
+    if norm == 0.0:
         raise ValueError("rotation axis must be nonzero")
-    k = skew(ax / norm[..., None])
-    angle = np.asarray(angle, dtype=np.float64)[..., None, None]
+    k = skew(ax / norm)
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 

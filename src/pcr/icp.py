@@ -25,7 +25,7 @@ from scipy.spatial import cKDTree
 
 from .errors import TooFewPairsError
 from .geom import (RigidTransform, as_points, bounds, column_lengths,
-                   rotation_angle, umeyama_align)
+                   rotation_angle, transform_rows, umeyama_align)
 
 # Convergence: the pose step is below ROTATION_TOL radians and
 # TRANSLATION_TOL times the target cloud diagonal.
@@ -114,14 +114,6 @@ class NNIndex:
         not found within it has distance inf and the target count as index.
         """
         return self._tree.query(queries, k, distance_upper_bound=bound)
-
-
-def _transform_rows(pose: RigidTransform, rows: np.ndarray) -> np.ndarray:
-    """``pose.apply`` on (3, n) coordinate rows: one 3x3 BLAS product and a
-    per-row add."""
-    moved = pose.rotation @ rows
-    moved += pose.translation[:, None]
-    return moved
 
 
 def _median(values: np.ndarray) -> float:
@@ -277,7 +269,7 @@ def _icp_loop(src: np.ndarray, cache: NeighbourCache, current: RigidTransform,
     trace: list[float] = []
     converged = False
     iterations = 0
-    moved = _transform_rows(current, src)
+    moved = transform_rows(current, src)
     for iterations in range(1, MAX_ITERATIONS + 1):
         kept, _ = correspond(moved.T, cache)
         pairs_p = np.take(src, kept, axis=1)
@@ -285,7 +277,7 @@ def _icp_loop(src: np.ndarray, cache: NeighbourCache, current: RigidTransform,
         new = umeyama_align(pairs_p.T, pairs_q.T)
 
         # The next query's points; the kept columns give the RMS under ``new``.
-        moved = _transform_rows(new, src)
+        moved = transform_rows(new, src)
         diff = np.take(moved, kept, axis=1)
         diff -= pairs_q
         sq = float((diff * diff).sum())

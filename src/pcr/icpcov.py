@@ -30,11 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError
-from .geom import _GENERATORS, RigidTransform, as_pairs, check_symmetric
+from .geom import GENERATORS, RigidTransform, as_pairs, check_symmetric, transform_rows
 
 # d2/dthj dthk exp([theta]x) at theta = 0: (G_j G_k + G_k G_j) / 2.
-_SECOND_DERIVATIVES = 0.5 * (_GENERATORS[:, None] @ _GENERATORS[None, :]
-                             + _GENERATORS[None, :] @ _GENERATORS[:, None])
+_SECOND_DERIVATIVES = 0.5 * (GENERATORS[:, None] @ GENERATORS[None, :]
+                             + GENERATORS[None, :] @ GENERATORS[:, None])
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def _pair_terms(p, q, pose: RigidTransform):
     R (G_j G_k + G_k G_j) / 2 hold no angle.
     """
     rot = pose.rotation
-    drot = rot @ _GENERATORS
+    drot = rot @ GENERATORS
     ddrot = rot @ _SECOND_DERIVATIVES
     g = p @ rot.T + pose.translation - q
     dg = np.zeros((len(p), 3, 6))
@@ -136,10 +136,7 @@ def pair_sigma(pairs_p, pairs_q, pose: RigidTransform) -> float:
     p, q = as_pairs(pairs_p, pairs_q)
     if p.shape[0] < 3:
         raise DegenerateGeometryError("covariance needs at least 3 pairs")
-    # The residuals as (3, n) coordinate rows: the 3 x n product runs several
-    # times faster than the n x 3 one.
-    residual = pose.rotation @ p.T
-    residual += pose.translation[:, None]
+    residual = transform_rows(pose, p.T)
     residual -= q.T
     rss = float(np.einsum("ij,ij->", residual, residual))
     if rss == 0.0:

@@ -111,9 +111,9 @@ def register(source, target, matches: cloudio.Matches | None = None,
         seed = SimilarityTransform(
             estimate.scale, RigidTransform(relative.rotation, estimate.translation))
 
-    # The cloud refuses a scaled coordinate past its magnitude limit.
+    # A scaled coordinate past the clouds' magnitude limit is refused.
     scaled_source = source if seed.scale == 1.0 else _stage(
-        "scale", cloudio.Cloud, points=seed.scale * source).points
+        "scale", as_points, seed.scale * source)
 
     result = _stage("icp", icp.icp_register, scaled_source, target, seed.rigid)
     if not result.converged:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError, InsufficientMatchesError
-from .geom import as_pairs, bounds, column_lengths, freeze, vector_norm
+from .geom import as_pairs, bounds, column_lengths, freeze
 
 # Detection flags a scale gap when the diagonal ratio is off 1 by more.
 DETECT_TOLERANCE = 0.1
@@ -122,7 +122,7 @@ def depth_consistent_indices(src: np.ndarray, tgt: np.ndarray, rotation) -> np.n
     kept = _ratio_consistent(src, tgt)
     rotated = src[kept] @ np.asarray(rotation, dtype=np.float64).T
     scale, translation = _similarity_fit(rotated, tgt[kept])
-    residuals = vector_norm(tgt[kept] - scale * rotated - translation)
+    residuals = column_lengths((tgt[kept] - scale * rotated - translation).T)
     fits = residuals <= RESIDUAL_TRIM * np.median(residuals)
     return kept[fits] if fits.sum() >= 3 else kept
 

@@ -192,8 +192,8 @@ def generate_synthetic(spec: SynthSpec, out_dir) -> dict:
         "intrinsics_target": out / "intrinsics_target.json",
         "ground_truth": out / "ground_truth.json",
     }
-    write_ply(scene.source, paths["source"], fmt="binary-le")
-    write_ply(scene.target, paths["target"], fmt="binary-le")
+    write_ply(scene.source, paths["source"])
+    write_ply(scene.target, paths["target"])
     write_matches(scene.matches, paths["matches"])
     write_intrinsics(scene.intrinsics_source, paths["intrinsics_source"])
     write_intrinsics(scene.intrinsics_target, paths["intrinsics_target"])

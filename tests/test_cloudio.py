@@ -374,6 +374,16 @@ def one_vertex_ply(lines=(), body=b"1 2 3\n", fmt="ascii"):
                  "expected 3 values per vertex, got 2", 8, None, id="ply-short-row"),
     pytest.param(read_ply, one_vertex_ply(body=b"1 2 z\n"),
                  "vertex value is not a number", 8, None, id="ply-word-value"),
+    # float() reads digit-group underscores, which a mistyped field may hold
+    pytest.param(read_ply, one_vertex_ply(body=b"1_000 2 3\n"),
+                 "vertex value is not a number", 8, None, id="ply-underscore"),
+    # a coordinate out of bounds is refused at its row's line
+    pytest.param(read_ply, one_vertex_ply([(3, "element vertex 2")], body=b"1 2 3\n4 5 nan\n"),
+                 "coordinates must be finite and at most 1e+150 in magnitude", 9, None,
+                 id="ply-nan-coordinate"),
+    pytest.param(read_ply, one_vertex_ply([(3, "element vertex 2")], body=b"1 2 3\n2e150 5 6\n"),
+                 "coordinates must be finite and at most 1e+150 in magnitude", 9, None,
+                 id="ply-coordinate-past-limit"),
     pytest.param(read_ply, one_vertex_ply([(3, "element vertex 3")], body=b"0 0 0\n1 1 1\n"),
                  "header declares 3 vertices but body has 2", None, None,
                  id="ply-count-mismatch"),
@@ -399,10 +409,17 @@ def one_vertex_ply(lines=(), body=b"1 2 3\n", fmt="ascii"):
                  "dt is not a number", 3, None, id="csv-form-feed-row"),
     pytest.param(read_matches, b"us,vs,ds,ut,vt,dt\n1,2,,3,4,\v5,6,,7,8,\n",
                  "expected 6 fields, got 11", 2, None, id="csv-vertical-tab-row"),
-    pytest.param(read_matches, "us,vs,ds,ut,vt,dt\n1,2,,3,4,\x85\n10,20,1.5,30,40,x\n".encode(),
-                 "dt is not a number", 3, None, id="csv-next-line-row"),
+    pytest.param(read_matches, "us,vs,ds,ut,vt,dt\n1,2,,3,4,\x855,6,,7,8,\n".encode(),
+                 "expected 6 fields, got 11", 2, None, id="csv-next-line-row"),
     pytest.param(read_matches, "us,vs,ds,ut,vt,dt\n1,2,,3,4,\u20285,6,,7,8,\n".encode(),
                  "expected 6 fields, got 11", 2, None, id="csv-line-separator-row"),
+    # float() reads digit-group underscores and non-ASCII digits
+    pytest.param(read_matches, b"us,vs,ds,ut,vt,dt\n1_0,20,1.5,30,40,3.0\n",
+                 "us is not a number", 2, None, id="csv-underscore"),
+    pytest.param(read_matches, "us,vs,ds,ut,vt,dt\n\uff11\uff12,20,1.5,30,40,3.0\n".encode(),
+                 "us is not a number", 2, None, id="csv-full-width-digits"),
+    pytest.param(read_matches, "us,vs,ds,ut,vt,dt\n1,2,\u3000,3,4,\n".encode(),
+                 "ds is not a number", 2, None, id="csv-non-ascii-blank-depth"),
     pytest.param(read_matches, b"us,vs,ds,ut,vt,dt\r1,2,,3,4,\r",
                  "header must be exactly 'us,vs,ds,ut,vt,dt'", 1, None, id="csv-cr-only"),
     pytest.param(read_intrinsics, b"nope",
@@ -448,6 +465,14 @@ def test_byte_order_mark_read_like_plain_text(tmp_path, rng):
 def test_obj_info_header_line_accepted(tmp_path):
     path = tmp_path / "input.ply"
     path.write_bytes(one_vertex_ply([(2, "format ascii 1.0\nobj_info scanner 3")]))
+    assert np.array_equal(read_ply(path).points, [[1.0, 2.0, 3.0]])
+
+
+def test_nan_in_ignored_property_reads(tmp_path):
+    # only x, y and z must be finite and within bounds
+    path = tmp_path / "input.ply"
+    path.write_bytes(one_vertex_ply([(6, "property double z\nproperty float w")],
+                                    body=b"1 2 3 nan\n"))
     assert np.array_equal(read_ply(path).points, [[1.0, 2.0, 3.0]])
 
 

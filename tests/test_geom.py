@@ -5,7 +5,7 @@ from pcr import icp, icpcov, scale
 from pcr.errors import DegenerateGeometryError
 from pcr.geom import (COORDINATE_LIMIT, Bounds3, RigidTransform,
                       SimilarityTransform, as_points, bounds,
-                      rotation_about_axis, skew, umeyama_align, vector_norm)
+                      rotation_about_axis, skew, transform_rows, umeyama_align)
 
 from conftest import random_rotation, rodrigues, rotation_angle_between
 
@@ -282,12 +282,21 @@ class TestRotationHelpers:
 
     def test_stacked_forms_equal_single_ones(self, rng):
         axes = rng.normal(size=(50, 3)) * rng.uniform(1e-3, 1e3, size=(50, 1))
-        angles = rng.uniform(-np.pi, np.pi, size=50)
-        rots, norms, skews = rotation_about_axis(axes, angles), vector_norm(axes), skew(axes)
-        assert rots.shape == skews.shape == (50, 3, 3)
+        skews = skew(axes)
+        assert skews.shape == (50, 3, 3)
         for i in range(50):
-            assert np.array_equal(rots[i], rotation_about_axis(axes[i], angles[i]))
-            assert norms[i] == np.linalg.norm(axes[i])
             assert np.array_equal(skews[i], skew(axes[i]))
-        with pytest.raises(ValueError):
-            rotation_about_axis(np.vstack([axes[:2], np.zeros(3)]), angles[:3])
+
+    @pytest.mark.parametrize("axis, message", [
+        (np.zeros(3), "rotation axis must be nonzero"),
+        (np.ones((2, 3)), r"rotation axis must have shape \(3,\), got \(2, 3\)"),
+        (np.ones(4), r"rotation axis must have shape \(3,\), got \(4,\)"),
+    ], ids=["zero", "stacked", "four-components"])
+    def test_axis_refused(self, axis, message):
+        with pytest.raises(ValueError, match=message):
+            rotation_about_axis(axis, 0.3)
+
+    def test_transform_rows_equals_apply(self, rng):
+        pose = RigidTransform(random_rotation(rng), rng.normal(size=3))
+        rows = np.ascontiguousarray(rng.normal(size=(3, 500)))
+        assert np.array_equal(transform_rows(pose, rows), pose.apply(rows.T).T)

@@ -49,6 +49,17 @@ def test_every_module_is_parsed():
     assert {"cloudio", "icp", "icpcov", "relpose", "scale"} <= package_imports("pipeline")
 
 
+@pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py")))
+def test_no_module_imports_a_private_name(module):
+    # a name one module shares with another is public: no leading underscore
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").split(".")[0] == "pcr")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
 @pytest.mark.parametrize("stage", STAGES)
 def test_no_stage_module_imports_another(stage):
     assert package_imports(stage) & set(STAGES) == set()

@@ -718,14 +718,14 @@ def tangent_jacobian(u, vt, rays_s, rays_t):
     """Signed sines and their (n, 5) Jacobian built from the five tangent
     directions of E = U diag(1, 1, 0) V^T, one (n, 3) product each: the
     construction the closed form replaced, kept as an oracle."""
-    from pcr.geom import _GENERATORS
+    from pcr.geom import GENERATORS
     flat = np.diag([1.0, 1.0, 0.0])
     ess = u @ flat @ vt
     normals = rays_s @ ess.T
     norms = np.linalg.norm(normals, axis=1)
     inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms >= 1e-300)
     sines = (rays_t * normals).sum(axis=1) * inv
-    d_ess = np.concatenate([u @ _GENERATORS @ flat @ vt, -(u @ flat @ _GENERATORS[:2] @ vt)])
+    d_ess = np.concatenate([u @ GENERATORS @ flat @ vt, -(u @ flat @ GENERATORS[:2] @ vt)])
     d_normals = rays_s @ d_ess.swapaxes(-1, -2)
     lever = rays_t - (sines * inv)[:, None] * normals
     return sines, ((lever * d_normals).sum(axis=-1) * inv).T
