@@ -16,9 +16,10 @@ Formats handled here:
 A line of the CSV and of a PLY header or ASCII body ends at LF, and a CR
 before the LF is dropped; no other character ends a line, so a refusal's line
 number counts LFs. A number of the CSV or of an ASCII PLY body is ASCII text
-without ``_``, and an ASCII PLY coordinate out of bounds is refused at its
-line. The CSV and JSON inputs may start with a UTF-8 byte-order mark; a PLY
-file must start with ``ply``.
+without ``_``. A PLY coordinate out of bounds is refused at its vertex's line
+in an ASCII body, or at its byte offset (row times record size, from the
+body's start) in a binary one. The CSV and JSON inputs may start with a UTF-8
+byte-order mark; a PLY file must start with ``ply``.
 """
 
 from __future__ import annotations
@@ -320,17 +321,22 @@ def read_ply(path) -> Cloud:
             raise ParseError(f"vertex element lacks property {coord!r}", path=path)
 
     if fmt == "ascii":
-        pts = _read_ply_ascii(body, vertex_count, names, path, header_len=len(header_lines) + 1)
+        pts, place = _read_ply_ascii(body, vertex_count, names, path, len(header_lines) + 1)
     else:
-        pts = _read_ply_binary(body, vertex_count, properties, path)
+        pts, place = _read_ply_binary(body, vertex_count, properties, path)
 
     try:
         return Cloud(points=pts, label=label)
     except ValueError as exc:
-        raise ParseError(str(exc), path=path) from exc
+        # Only a coordinate can fail: the first row with one out of bounds
+        # (NaN fails the test too) is named at its place in the body.
+        row = int((~(np.abs(pts) <= COORDINATE_LIMIT)).any(axis=1).argmax())
+        key, places = place
+        raise ParseError(str(exc), path=path, **{key: places[row]}) from None
 
 
 def _read_ply_ascii(body, count, names, path, header_len):
+    # The (n, 3) coordinates and ("line", each row's line number).
     try:
         text = body.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -354,16 +360,11 @@ def _read_ply_ascii(body, count, names, path, header_len):
         raise ParseError(
             f"header declares {count} vertices but body has {len(rows)}", path=path)
     data = np.asarray(rows, dtype=np.float64)
-    pts = data[:, [names.index(coord) for coord in ("x", "y", "z")]]
-    try:
-        return as_points(pts)
-    except ValueError as exc:
-        # The first row with a coordinate out of bounds; NaN fails the test.
-        row = int((~(np.abs(pts) <= COORDINATE_LIMIT)).any(axis=1).argmax())
-        raise ParseError(str(exc), path=path, line=linenos[row]) from None
+    return data[:, [names.index(coord) for coord in ("x", "y", "z")]], ("line", linenos)
 
 
 def _read_ply_binary(body, count, properties, path):
+    # The (n, 3) coordinates and ("offset", each row's byte offset in the body).
     dtype = np.dtype([(name, code) for name, code in properties])
     expected = dtype.itemsize * count
     if len(body) < expected:
@@ -376,7 +377,7 @@ def _read_ply_binary(body, count, properties, path):
     pts = np.empty((count, 3), dtype=np.float64)
     for k, coord in enumerate(("x", "y", "z")):
         pts[:, k] = table[coord].astype(np.float64)
-    return pts
+    return pts, ("offset", range(0, expected, dtype.itemsize))
 
 
 def write_ply(cloud: Cloud, path, fmt: str = "binary-le") -> None:

@@ -144,7 +144,9 @@ def register(source, target, matches: cloudio.Matches | None = None,
 
 def run_pipeline(cfg: PipelineConfig) -> cloudio.PipelineReport:
     """Read every file ``cfg`` names, ``register`` the clouds, write the
-    report and the moved source cloud where asked, and return the report."""
+    moved source cloud and then the report where asked, and return the
+    report. The report is written last, so a report on disk means every
+    output was written."""
     source = _stage("io", cloudio.read_ply, cfg.source)
     target = _stage("io", cloudio.read_ply, cfg.target)
     matches, k_source, k_target = (
@@ -156,10 +158,10 @@ def run_pipeline(cfg: PipelineConfig) -> cloudio.PipelineReport:
     report = register(source.points, target.points, matches, (k_source, k_target),
                       cfg.use_scale)
 
-    if cfg.report_path:
-        _stage("io", cloudio.write_report, report, cfg.report_path)
     if cfg.transformed_path:
         moved = _stage("io", cloudio.Cloud, label=source.label,
                        points=report.final_transform.apply(source.points))
         _stage("io", cloudio.write_ply, moved, cfg.transformed_path)
+    if cfg.report_path:
+        _stage("io", cloudio.write_report, report, cfg.report_path)
     return report

@@ -409,9 +409,9 @@ def _consensus(rays_s, rays_t, threshold, lifted=None):
     # hypotheses drawn).
     n = rays_s.shape[0]
     if lifted is None:
-        size, rows = 8, np.arange(n)
+        solve, size, (rows, source, target) = _essentials, 8, (np.arange(n), rays_s, rays_t)
     else:
-        size, (rows, points_s, points_t) = 3, lifted
+        solve, size, (rows, source, target) = _lifted_essentials, 3, lifted
     rng = np.random.default_rng(SEED)
     slots = len(_REFIT_LADDER) + 1  # draw-order slots of a hypothesis
     # (count, total, mask, model, draw order) of the best so far, as a
@@ -422,10 +422,7 @@ def _consensus(rays_s, rays_t, threshold, lifted=None):
     stop = min(_MIN_HYPOTHESES[size], MAX_HYPOTHESES)
     while drawn < stop:
         samples = _draw_samples(rng, len(rows), min(_CHUNK, stop - drawn), size)
-        if lifted is None:
-            models, ok = _essentials(rays_s[samples], rays_t[samples])
-        else:
-            models, ok = _lifted_essentials(points_s[samples], points_t[samples])
+        models, ok = solve(source[samples], target[samples])
         order = (drawn + np.flatnonzero(ok)) * slots
         drawn += samples.shape[0]
         batches += 1
@@ -453,7 +450,7 @@ def _consensus(rays_s, rays_t, threshold, lifted=None):
     count, _, mask, model, _ = (column[0] for column in best)
     count = max(int(count), 0)
     log.debug("relpose: %s draw, %d hypotheses in %d batch%s, %d of %d matches inliers",
-              "eight-point" if lifted is None else "three-point", drawn, batches,
+              "eight-point" if size == 8 else "three-point", drawn, batches,
               "" if batches == 1 else "es", count, n)
     if count < 8:
         raise NoConsensusError(f"best consensus has {count} inliers, need at least 8")

@@ -66,30 +66,26 @@ class SynthScene:
     intrinsics_target: CameraIntrinsics
 
 
+# The room's surface kinds as the axis each holds fixed and its value there:
+# the six faces of the unit-half-size box, then the partitions x = 0 and y = 0.
+_SURFACE_AXIS = np.array([0, 1, 2, 0, 1, 2, 0, 1])
+_SURFACE_VALUE = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0, 0.0, 0.0])
+# the two free axes, in order, of a surface that holds axis a fixed
+_FREE_AXES = np.array([[1, 2], [0, 2], [0, 1]])
+
+
 def _sample_shell(rng: np.random.Generator, count: int) -> np.ndarray:
     # Surface samples of a room-like scene: a unit-half-size box shell plus
     # two interior partition walls. Sparse SLAM keyframe clouds are surface
     # samples, and a mis-scaled copy of a surface floats in free space, which
     # is exactly what makes plain ICP fail; the partitions break the corner
     # cone symmetry a mis-scaled box could still nestle into.
-    kind = rng.integers(0, 8, size=count)
+    kind = rng.integers(0, len(_SURFACE_AXIS), size=count)
     uv = rng.uniform(-1.0, 1.0, size=(count, 2))
+    axis, rows = _SURFACE_AXIS[kind], np.arange(count)
     pts = np.empty((count, 3))
-    for k in range(6):
-        sel = kind == k
-        axis = k % 3
-        others = [a for a in range(3) if a != axis]
-        pts[sel, axis] = 1.0 if k < 3 else -1.0
-        pts[sel, others[0]] = uv[sel, 0]
-        pts[sel, others[1]] = uv[sel, 1]
-    wall = kind == 6
-    pts[wall, 0] = 0.0
-    pts[wall, 1] = uv[wall, 0]
-    pts[wall, 2] = uv[wall, 1]
-    wall = kind == 7
-    pts[wall, 0] = uv[wall, 0]
-    pts[wall, 1] = 0.0
-    pts[wall, 2] = uv[wall, 1]
+    pts[rows, axis] = _SURFACE_VALUE[kind]
+    pts[rows[:, None], _FREE_AXES[axis]] = uv
     # slight thickness jitter so faces are not perfectly coplanar
     return pts + rng.normal(scale=0.01, size=pts.shape)
 

@@ -402,6 +402,18 @@ def one_vertex_ply(lines=(), body=b"1 2 3\n", fmt="ascii"):
                                           fmt="binary_little_endian"),
                  "binary body too short: expected 240 bytes, have 233", None, 233,
                  id="ply-binary-short"),
+    # a binary coordinate out of bounds is refused at its record's offset:
+    # the second vertex of three doubles starts at byte 24
+    pytest.param(read_ply, one_vertex_ply([(3, "element vertex 2")],
+                                          body=np.array([1, 2, 3, 4, 5, np.nan], "<f8").tobytes(),
+                                          fmt="binary_little_endian"),
+                 "coordinates must be finite and at most 1e+150 in magnitude", None, 24,
+                 id="ply-binary-nan-coordinate"),
+    pytest.param(read_ply, one_vertex_ply([(3, "element vertex 2")],
+                                          body=np.array([1, 2, 3, 4, 5, 2e150], "<f8").tobytes(),
+                                          fmt="binary_little_endian"),
+                 "coordinates must be finite and at most 1e+150 in magnitude", None, 24,
+                 id="ply-binary-coordinate-past-limit"),
     pytest.param(read_matches, b"us,vs,ut,vt\n1,2,3,4\n",
                  "header must be exactly 'us,vs,ds,ut,vt,dt'", 1, None, id="csv-header"),
     # a CSV line ends at LF only, whatever else str.splitlines breaks at

@@ -189,6 +189,15 @@ class TestRunPipeline:
         assert np.allclose(
             moved.points, report.final_transform.apply(source.points), atol=1e-12)
 
+    def test_unwritable_transformed_cloud_leaves_no_report(self, scene_dir, tmp_path):
+        # the report is written last, so a run that fails leaves none
+        report_path = tmp_path / "report.json"
+        with pytest.raises(StageError) as err:
+            run_pipeline(config_for(scene_dir, report_path=str(report_path),
+                                    transformed_path=str(tmp_path / "nodir" / "m.ply")))
+        assert err.value.stage == "io"
+        assert not report_path.exists()
+
     def test_final_transform_consistent_with_rms(self, scene_dir):
         report = run_pipeline(config_for(scene_dir))
         source = read_ply(scene_dir["source"]).points
