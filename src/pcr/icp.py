@@ -21,7 +21,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import TooFewPairsError
 from .geom import (RigidTransform, as_points, bounds, column_lengths,
@@ -96,6 +95,10 @@ class NNIndex:
         pts = as_points(points)
         if pts.shape[0] < 1:
             raise ValueError("cannot index an empty cloud")
+        # Imported here, not at the top: scipy.spatial takes most of the
+        # package's import time, and only a registration builds a tree.
+        from scipy.spatial import cKDTree
+
         self._rows = np.ascontiguousarray(pts.T)
         self._tree = cKDTree(pts)
 

@@ -17,6 +17,7 @@ WARNING on the ``pcr`` logger, and the run goes on.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 from dataclasses import dataclass
@@ -146,7 +147,8 @@ def run_pipeline(cfg: PipelineConfig) -> cloudio.PipelineReport:
     """Read every file ``cfg`` names, ``register`` the clouds, write the
     moved source cloud and then the report where asked, and return the
     report. The report is written last, so a report on disk means every
-    output was written."""
+    output was written, and a report that cannot be written takes the moved
+    cloud with it: a run that fails leaves neither output."""
     source = _stage("io", cloudio.read_ply, cfg.source)
     target = _stage("io", cloudio.read_ply, cfg.target)
     matches, k_source, k_target = (
@@ -163,5 +165,11 @@ def run_pipeline(cfg: PipelineConfig) -> cloudio.PipelineReport:
                        points=report.final_transform.apply(source.points))
         _stage("io", cloudio.write_ply, moved, cfg.transformed_path)
     if cfg.report_path:
-        _stage("io", cloudio.write_report, report, cfg.report_path)
+        try:
+            _stage("io", cloudio.write_report, report, cfg.report_path)
+        except StageError:
+            if cfg.transformed_path:
+                with contextlib.suppress(OSError):
+                    os.remove(cfg.transformed_path)
+            raise
     return report

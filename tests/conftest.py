@@ -1,8 +1,25 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from pcr.cloudio import Cloud, write_ply
 from pcr.pipeline import PipelineConfig, register
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def fresh_python(code, *args, env=None, cwd=None) -> subprocess.CompletedProcess:
+    """Run ``code`` with ``args`` in a fresh interpreter that imports pcr from
+    this checkout, with ``env``'s variables added to the environment; output
+    is captured as text, and a non-zero exit is returned, not raised."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=dict(os.environ, **(env or {}), PYTHONPATH=path),
+                          cwd=cwd, capture_output=True, text=True, timeout=120)
 
 
 def random_rotation(rng):

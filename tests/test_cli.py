@@ -1,17 +1,13 @@
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import pcr
 from pcr import cli
 from pcr.cloudio import Cloud, read_ply, read_report, write_ply
 from pcr.pipeline import run_pipeline
 from pcr.synth import SynthSpec, generate_synthetic, read_ground_truth
 
-from conftest import config_for, rodrigues, write_thin_pair
+from conftest import config_for, fresh_python, rodrigues, write_thin_pair
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -278,17 +274,11 @@ class TestCli:
         write_ply(Cloud(points=pts @ rodrigues([0, 1, 0], 0.2).T + 0.1),
                   tmp_path / "b.ply")
         report = tmp_path / "r.json"
-        src_dir = str(Path(pcr.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
         run_capped = ("import sys, pcr.cli, pcr.icp; pcr.icp.MAX_ITERATIONS = 1; "
                       "sys.exit(pcr.cli.main(sys.argv[1:]))")
-        proc = subprocess.run(
-            [sys.executable, "-c", run_capped, "register",
-             "--source", str(tmp_path / "a.ply"),
-             "--target", str(tmp_path / "b.ply"), "--out", str(report),
-             "--no-scale"],
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = fresh_python(run_capped, "register", "--source", tmp_path / "a.ply",
+                            "--target", tmp_path / "b.ply", "--out", report,
+                            "--no-scale")
         assert proc.returncode == 0, proc.stderr
         assert "stage icp: ICP stopped unconverged after 1 iterations" in proc.stderr
         assert "Traceback" not in proc.stderr

@@ -8,16 +8,12 @@ affinity mask does not limit)."""
 import dataclasses
 import json
 import os
-import subprocess
-import sys
-from pathlib import Path
 
-import pcr
 from pcr.cloudio import read_report, write_report
 from pcr.pipeline import run_pipeline
 from pcr.synth import SynthSpec, generate_synthetic
 
-from conftest import config_for
+from conftest import config_for, fresh_python
 
 # name: (scene, registered with its matches and the scale stage)
 SCENES = {
@@ -48,10 +44,10 @@ for fields in json.loads(sys.argv[2]):
 
 
 def test_bytes_independent_of_process_cpus_and_blas_threads(tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(Path(pcr.__file__).resolve().parents[1]))
-    launches = {"plain": env, "blas1": dict(env, OPENBLAS_NUM_THREADS="1")}
+    # each launch's variables added to the environment
+    launches = {"plain": {}, "blas1": {"OPENBLAS_NUM_THREADS": "1"}}
     if hasattr(os, "sched_setaffinity"):
-        launches["cpu0"] = env
+        launches["cpu0"] = {}
     paths = {name: generate_synthetic(spec, tmp_path / name)
              for name, (spec, _) in SCENES.items()}
 
@@ -65,8 +61,8 @@ def test_bytes_independent_of_process_cpus_and_blas_threads(tmp_path):
         run_pipeline(cfg)
     for launch, launch_env in launches.items():
         fields = [dataclasses.asdict(cfg) for cfg in configs(launch).values()]
-        subprocess.run([sys.executable, "-c", CHILD, launch, json.dumps(fields)],
-                       env=launch_env, check=True, timeout=120)
+        proc = fresh_python(CHILD, launch, json.dumps(fields), env=launch_env)
+        assert proc.returncode == 0, proc.stderr
 
     differ = []
     for name in SCENES:

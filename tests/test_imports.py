@@ -1,18 +1,18 @@
 """The package's import graph and its root: each registration stage stands
 on the shared value types alone, so a stage can change without touching
-another, and ``import pcr`` exposes the pipeline's surface and the modules."""
+another, ``import pcr`` exposes the pipeline's surface and the modules, and
+a process that registers nothing loads none of scipy's slow subpackages."""
 
 import ast
 import json
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 from pcr.synth import SynthSpec, generate_synthetic
+
+from conftest import fresh_python
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "pcr"
@@ -88,11 +88,44 @@ ROOT_MODULES = {"pipeline", "synth", "cloudio", "geom", "errors", *STAGES}
 def test_root_holds_the_modules_and_exactly_the_kept_names():
     # a fresh interpreter, so that no other test's imports add to the root
     probe = "import json, pcr; print(json.dumps([n for n in vars(pcr) if n[0] != '_']))"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert set(json.loads(out)) == ROOT_EXPORTS | ROOT_MODULES
+    proc = fresh_python(probe)
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout)) == ROOT_EXPORTS | ROOT_MODULES
+
+
+# Runs the indented code, then prints, however that code ended, which of
+# scipy's slow subpackages the interpreter has loaded.
+FOOTPRINT = """
+import json, sys
+try:
+{}
+finally:
+    print(json.dumps([name for name in ("scipy.spatial", "scipy.optimize")
+                      if name in sys.modules]))
+"""
+RUN_CLI = "    import pcr.cli\n    sys.exit(pcr.cli.main(sys.argv[1:]))"
+BUILD_INDEX = ("    import numpy as np\n"
+               "    from pcr.icp import NNIndex\n"
+               "    pts = np.random.default_rng(5).normal(size=(300, 3))\n"
+               "    NNIndex(pts).query(pts + 0.05)")
+
+
+@pytest.mark.parametrize("code, args, returncode, message, loaded", [
+    ("    import pcr", [], 0, "", []),
+    (RUN_CLI, ["synth", "--out-dir", "scene"], 0, "", []),
+    (RUN_CLI, ["register", "--source", "s.ply"], 2, "usage: pcr register", []),
+    (RUN_CLI, ["register", "--source", "missing.ply", "--target", "missing.ply",
+               "--out", "r.json"], 1, "pcr: error in stage io", []),
+    (BUILD_INDEX, [], 0, "", ["scipy.spatial"]),
+], ids=["import", "synth", "usage-error", "missing-source", "index"])
+def test_only_a_registration_loads_scipy(tmp_path, code, args, returncode, message,
+                                         loaded):
+    # The first KD-tree, which only ICP builds, loads scipy.spatial; RANSAC's
+    # polish is the manifold Gauss-Newton, so nothing loads scipy.optimize.
+    proc = fresh_python(FOOTPRINT.format(code), *args, cwd=tmp_path)
+    assert proc.returncode == returncode, proc.stderr
+    assert message in proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == loaded
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):

@@ -198,6 +198,18 @@ class TestRunPipeline:
         assert err.value.stage == "io"
         assert not report_path.exists()
 
+    def test_unwritable_report_removes_the_transformed_cloud(self, scene_dir, tmp_path):
+        # a run that fails writing its report leaves neither output
+        report_path = tmp_path / "nodir" / "r.json"
+        moved_path = tmp_path / "m.ply"
+        with pytest.raises(StageError) as err:
+            run_pipeline(config_for(scene_dir, report_path=str(report_path),
+                                    transformed_path=str(moved_path)))
+        assert err.value.stage == "io"
+        assert isinstance(err.value.cause, FileNotFoundError)
+        assert not report_path.exists()
+        assert not moved_path.exists()
+
     def test_final_transform_consistent_with_rms(self, scene_dir):
         report = run_pipeline(config_for(scene_dir))
         source = read_ply(scene_dir["source"]).points

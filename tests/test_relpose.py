@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -840,14 +836,3 @@ class TestPolish:
                                       np.ones((1, 41)), 1)[0]
         assert np.abs(alone - start).max() > 1e-2
         np.testing.assert_allclose(with_epipole, alone, rtol=0, atol=1e-14)
-
-
-def test_import_leaves_scipy_optimize_unloaded():
-    # RANSAC's polish is the manifold Gauss-Newton, so importing the package
-    # needs no nonlinear least-squares library.
-    src = str(Path(relpose.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, pcr; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
