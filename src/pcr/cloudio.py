@@ -467,10 +467,14 @@ def write_matches(matches: Matches, path) -> None:
 
 
 def _number(value, key, path) -> float:
-    """A JSON number as a float; a bool or a string is no number."""
+    """A JSON number as a float; a bool or a string is no number, nor is an
+    integer too large for a float."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ParseError(f"key {key!r} must be numeric", path=path)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"key {key!r} is too large for a float", path=path) from None
 
 
 def _numbers(value, key, path) -> np.ndarray:
@@ -639,7 +643,7 @@ def read_report(path) -> PipelineReport:
         stored = SimilarityTransform(_number(scale, "final_transform.scale", path), rigid)
     except KeyError as exc:
         raise ParseError(f"missing key {exc.args[0]!r}", path=path) from None
-    except (ValueError, TypeError, OverflowError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ParseError(f"bad report structure: {exc}", path=path) from exc
     expected = report.final_transform
     if not (stored.scale == expected.scale

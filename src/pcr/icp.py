@@ -162,8 +162,7 @@ class NeighbourCache:
     ``index.query(moved)``.
 
     The arithmetic runs on (3, n) coordinate rows, so ``moved`` is cheapest
-    as the transposed view of contiguous rows, and ``paired`` holds the rows
-    of the last answer's nearest targets. Mutable and not shared between
+    as the transposed view of contiguous rows. Mutable and not shared between
     threads.
     """
 
@@ -175,7 +174,11 @@ class NeighbourCache:
         self._nearest = np.zeros(size, dtype=np.intp)
         self._d1 = np.zeros(size)
         self._gap = np.full(size, -np.inf)  # never walked
-        self.paired = np.empty((3, 0))
+
+    @property
+    def index(self) -> NNIndex:
+        """The index the cache walks."""
+        return self._index
 
     def every(self, stride: int) -> NeighbourCache:
         """The cache of every ``stride``-th row: its state is a view of this
@@ -209,8 +212,8 @@ class NeighbourCache:
             reach = self._d1[drifted] + self._gap[drifted] + step[drifted]
             self._walk(rows, drifted, float(reach.max()) + slack)
         nearest = self._nearest.copy()
-        self.paired = np.take(self._index.rows, nearest, axis=1)
-        return column_lengths(rows - self.paired), nearest
+        paired = np.take(self._index.rows, nearest, axis=1)
+        return column_lengths(rows - paired), nearest
 
     def _walk(self, rows: np.ndarray, which: np.ndarray, bound: float) -> None:
         """Walk the tree within ``bound`` for columns ``which`` of ``rows``
@@ -263,28 +266,34 @@ class IcpResult:
         return float(self.rms_trace[-1])
 
 
+def _iteration(src: np.ndarray, moved: np.ndarray, cache: NeighbourCache
+               ) -> tuple[RigidTransform, np.ndarray, float]:
+    """One ICP iteration on contiguous (3, n) source rows now at ``moved``:
+    the kept pairs' alignment, the source rows moved by it and the RMS of the
+    kept pairs under it. Its pair arrays are freed on return, so none of them
+    is alive through the next tree walk."""
+    kept, theta = correspond(moved.T, cache)
+    pairs_q = np.take(cache.index.rows, theta, axis=1)
+    new = umeyama_align(np.take(src, kept, axis=1).T, pairs_q.T)
+    # The next query's points; the kept columns give the RMS under ``new``.
+    moved = transform_rows(new, src)
+    diff = np.take(moved, kept, axis=1)
+    diff -= pairs_q
+    return new, moved, float(np.sqrt(float((diff * diff).sum()) / kept.size))
+
+
 def _icp_loop(src: np.ndarray, cache: NeighbourCache, current: RigidTransform,
               rotation_tol: float, translation_tol: float
               ) -> tuple[RigidTransform, np.ndarray, list[float], int, bool]:
     """The trimmed ICP iteration from ``current`` on contiguous (3, n) source
     coordinate rows: (pose, source rows moved by the pose, RMS trace,
-    iterations, converged). The pairs' target rows are the cache's."""
+    iterations, converged)."""
     trace: list[float] = []
     converged = False
     iterations = 0
     moved = transform_rows(current, src)
     for iterations in range(1, MAX_ITERATIONS + 1):
-        kept, _ = correspond(moved.T, cache)
-        pairs_p = np.take(src, kept, axis=1)
-        pairs_q = np.take(cache.paired, kept, axis=1)
-        new = umeyama_align(pairs_p.T, pairs_q.T)
-
-        # The next query's points; the kept columns give the RMS under ``new``.
-        moved = transform_rows(new, src)
-        diff = np.take(moved, kept, axis=1)
-        diff -= pairs_q
-        sq = float((diff * diff).sum())
-        rms = float(np.sqrt(sq / kept.size))
+        new, moved, rms = _iteration(src, moved, cache)
         trace.append(rms)
 
         # The pose step from ``current`` to ``new``: new.compose(current.inverse())

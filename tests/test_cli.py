@@ -176,6 +176,24 @@ def test_malformed_file_ends_in_io_stage_without_a_scale_gap(tmp_path, capsys, f
     assert not report.exists()
 
 
+def test_intrinsics_integer_past_float_ends_in_io_stage(tmp_path, capsys):
+    # a 400-digit fx reads as a JSON integer that float() cannot hold
+    paths = generate_synthetic(SynthSpec(), tmp_path / "scene")
+    bad = Path(paths["intrinsics_source"])
+    bad.write_text('{"fx": 1' + "0" * 399 + ', "fy": 525, "cx": 319.5, "cy": 239.5}\n',
+                   encoding="utf-8")
+    capsys.readouterr()
+    report = tmp_path / "r.json"
+    code = cli.main(["register", "--source", paths["source"], "--target", paths["target"],
+                     "--matches", paths["matches"], "--intrinsics-source", str(bad),
+                     "--intrinsics-target", paths["intrinsics_target"],
+                     "--out", str(report)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"pcr: error in stage io: {bad}: key 'fx' is too large for a float"]
+    assert not report.exists()
+
+
 class TestCli:
     def test_synth_then_register_roundtrip(self, tmp_path, capsys):
         out_dir = tmp_path / "scene"

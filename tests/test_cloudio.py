@@ -445,6 +445,11 @@ def one_vertex_ply(lines=(), body=b"1 2 3\n", fmt="ascii"):
                  "focal lengths must be positive", None, None, id="intrinsics-zero-focal"),
     pytest.param(read_intrinsics, b'{"fx": 1e999, "fy": 525, "cx": 319.5, "cy": 239.5}',
                  "intrinsics must be finite", None, None, id="intrinsics-infinite"),
+    # json reads a long integer exactly; float() of it overflows
+    pytest.param(read_intrinsics,
+                 b'{"fx": 1' + b"0" * 399 + b', "fy": 525, "cx": 319.5, "cy": 239.5}',
+                 "key 'fx' is too large for a float", None, None,
+                 id="intrinsics-integer-past-float"),
 ])
 def test_input_refusals_name_message_and_place(tmp_path, reader, content, message,
                                                line, offset):
@@ -685,6 +690,18 @@ class TestReport:
         with pytest.raises(ValueError, match=f"'{field}' must be"):
             dataclasses.replace(make_report(rng), **{field: value})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("covariance", np.eye(5), "covariance and information must be 6x6"),
+        ("information", np.eye(6).ravel(), "covariance and information must be 6x6"),
+        ("covariance", np.full((6, 6), np.inf), "covariance and information must be finite"),
+        ("information", np.diag([1.0, 1.0, 1.0, 1.0, 1.0, np.nan]),
+         "covariance and information must be finite"),
+    ], ids=["covariance-5x5", "information-flat", "covariance-inf", "information-nan"])
+    def test_report_matrices_must_be_finite_6x6(self, rng, field, value, message):
+        with pytest.raises(ValueError) as err:
+            dataclasses.replace(make_report(rng), **{field: value})
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("key, value", [
         ("rms", True), ("rms", "0.01"), ("scale", "2.5"), ("scale", False)])
     def test_scalars_must_be_numbers(self, tmp_path, rng, key, value):
@@ -725,8 +742,15 @@ class TestReport:
          "missing key 'final_transform.rotation'"),
         (lambda data: without(data, "final_transform", "scale"),
          "missing key 'final_transform.scale'"),
+        (lambda data: {**data, "covariance": 1.0}, "key 'covariance' must be a list of numbers"),
+        (lambda data: {**data, "information": {}},
+         "key 'information' must be a list of numbers"),
+        (lambda data: {**data, "rms": 10 ** 400}, "key 'rms' is too large for a float"),
+        (lambda data: {**data, "covariance": [float("nan")] * 36},
+         "bad report structure: covariance and information must be finite"),
     ], ids=["array", "pose-list", "icp-null", "final-list", "no-scale", "no-information",
-            "no-pose-rotation", "no-icp-translation", "no-final-rotation", "no-final-scale"])
+            "no-pose-rotation", "no-icp-translation", "no-final-rotation", "no-final-scale",
+            "covariance-number", "information-object", "rms-past-float", "covariance-nan"])
     def test_structure_refusals_name_the_input(self, tmp_path, rng, edit, message):
         path = tmp_path / "r.json"
         write_report(make_report(rng), path)

@@ -112,6 +112,12 @@ class TestUmeyama:
             assert rotation_angle_between(out.rotation, x.rotation) < 1e-9
             assert np.abs(out.translation - x.translation).max() < 1e-8
 
+    def test_two_pairs_refused(self, rng):
+        pts = rng.normal(size=(2, 3))
+        with pytest.raises(DegenerateGeometryError,
+                           match="^alignment needs at least 3 point pairs$"):
+            umeyama_align(pts, pts + 1.0)
+
     def test_collinear_points_raise(self):
         src = np.outer(np.arange(5.0), [1.0, 2.0, 3.0])
         with pytest.raises(DegenerateGeometryError):
@@ -179,8 +185,15 @@ class TestBounds:
             bounds(np.empty((0, 3)))
 
     def test_inverted_corners_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^minimum corner exceeds maximum corner$"):
             Bounds3([1.0, 0.0, 0.0], [0.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("lo, hi", [
+        (np.zeros(2), np.ones(3)), (np.zeros(3), np.ones(4)),
+        (np.zeros((2, 3)), np.ones((2, 3)))], ids=["two", "four", "two-corners"])
+    def test_corners_must_be_3_vectors(self, lo, hi):
+        with pytest.raises(ValueError, match="^bounds corners must be 3-vectors$"):
+            Bounds3(lo, hi)
 
 
 PAST_LIMIT = "at most 1e\\+150 in magnitude"
@@ -256,6 +269,19 @@ class TestValidation:
     def test_reflection_rejected(self):
         with pytest.raises(ValueError):
             RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
+
+    @pytest.mark.parametrize("rotation, translation, message", [
+        (np.eye(2), np.zeros(3), "rotation must be 3x3 and translation length 3"),
+        (np.eye(4)[:3], np.zeros(3), "rotation must be 3x3 and translation length 3"),
+        (np.eye(3), np.zeros(4), "rotation must be 3x3 and translation length 3"),
+        (np.eye(3), [0.0, np.nan, 0.0], "transform entries must be finite"),
+        (np.diag([1.0, np.inf, 1.0]), np.zeros(3), "transform entries must be finite"),
+    ], ids=["rotation-2x2", "rotation-3x4", "translation-4", "translation-nan",
+            "rotation-inf"])
+    def test_malformed_transform_rejected(self, rotation, translation, message):
+        with pytest.raises(ValueError) as err:
+            RigidTransform(rotation, translation)
+        assert str(err.value) == message
 
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValueError):

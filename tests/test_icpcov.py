@@ -147,6 +147,10 @@ def random_instance(rng, n=20):
 
 
 class TestHessianXX:
+    def test_no_pairs_refused(self):
+        with pytest.raises(ValueError, match="^the moments need at least one pair$"):
+            hessian_xx(np.empty((0, 3)), np.empty((0, 3)), RigidTransform.identity())
+
     def test_translation_block_is_2n_identity(self, rng):
         for n in (3, 17, 80):
             pts_p, pts_q, pose = random_instance(rng, n)
@@ -232,6 +236,11 @@ class TestCovariance:
         pts_p, pts_q = pts_p + offset, pts_q + offset
         res = icp_register(pts_p, pts_q)
         return pts_p[res.source_indices], pts_q[res.theta], res.transform
+
+    def test_two_pairs_refused(self, rng):
+        pts = rng.uniform(-1, 1, size=(2, 3))
+        with pytest.raises(DegenerateGeometryError, match="^covariance needs at least 3 pairs$"):
+            covariance(pts, pts + 0.1, RigidTransform.identity(), sigma_z=0.01)
 
     def test_sigma_scaling_is_quadratic(self, rng):
         p, q, pose = self.converged_instance(rng)
@@ -402,6 +411,11 @@ class TestInformationMatrix:
             spd = m @ m.T + 0.5 * np.eye(6)
             info = information_matrix(spd)
             assert np.abs(info @ spd - np.eye(6)).max() < 1e-9
+
+    @pytest.mark.parametrize("shape", [(6,), (6, 5), (2, 3, 3)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="^information_matrix expects a square matrix$"):
+            information_matrix(np.ones(shape))
 
     def test_rejects_asymmetric(self):
         m = np.eye(6)

@@ -7,7 +7,8 @@ from pcr.cloudio import CameraIntrinsics, Matches
 from pcr import relpose
 from pcr.errors import (AmbiguousDecompositionError, DegenerateGeometryError,
                         InsufficientMatchesError, NoConsensusError)
-from pcr.relpose import (angular_threshold, decompose_and_disambiguate,
+from pcr.geom import RigidTransform
+from pcr.relpose import (RelativePose, angular_threshold, decompose_and_disambiguate,
                          epipolar_residuals, essential_from_rays, ransac_relative_pose)
 from pcr.synth import SynthSpec, build_scene
 
@@ -200,6 +201,17 @@ class TestDecompose:
         rays_s, rays_t = rays_of(matches)
         with pytest.raises(ValueError, match="equal shapes"):
             decompose_and_disambiguate(e, rays_s, rays_t[:7])
+
+    def test_no_rays_refused(self, rng):
+        _, rot, tdir, _ = two_view_scene(rng, n=8)
+        with pytest.raises(InsufficientMatchesError, match="^need at least one correspondence$"):
+            decompose_and_disambiguate(skew(tdir) @ rot, np.empty((0, 3)), np.empty((0, 3)))
+
+    @pytest.mark.parametrize("translation", [[0.0, 0.0, 2.0], [0.0, 0.0, 0.0],
+                                             [0.6, 0.8, 1e-4]])
+    def test_relative_pose_needs_unit_direction(self, translation):
+        with pytest.raises(ValueError, match="^translation direction must be unit length$"):
+            RelativePose(RigidTransform(np.eye(3), translation), [0, 1, 2])
 
     def test_negative_depth_pairs_not_counted(self, rng):
         # under the sign-flipped translation candidate the same pairs
