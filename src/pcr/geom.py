@@ -188,26 +188,30 @@ def bounds(points) -> Bounds3:
     return Bounds3(rows.min(axis=1), rows.max(axis=1))
 
 
-def umeyama_align(source, target) -> RigidTransform:
-    """Least-squares rigid alignment of paired point sets.
+def umeyama_align(source_rows, target_rows) -> RigidTransform:
+    """Least-squares rigid alignment of paired points given as (3, n)
+    coordinate rows, column i of one paired with column i of the other.
 
     Returns the transform minimizing sum_i |R @ p_i + t - q_i|^2 via the SVD
     closed form with determinant-sign correction (Umeyama 1991, scale fixed
-    to 1).
+    to 1). The rows are consumed: rows that are C-contiguous, writeable
+    float64 are centred where they lie, so a caller that needs them
+    afterwards passes copies. Other rows are copied first.
     """
-    src, tgt = as_pairs(source, target)
+    src, tgt = as_pairs(np.transpose(source_rows), np.transpose(target_rows))
     n = src.shape[0]
     if n < 3:
         raise DegenerateGeometryError("alignment needs at least 3 point pairs")
     # Centred (3, n) coordinate rows: the means, the centring and the 3x3
-    # products run along contiguous memory whatever the inputs' layout (a
-    # transposed view of contiguous rows is taken without a copy).
-    cs = np.ascontiguousarray(src.T)
-    ct = np.ascontiguousarray(tgt.T)
+    # products run along contiguous memory, in the rows' own buffers.
+    cs = np.require(src.T, requirements=["C", "W"])
+    ct = np.require(tgt.T, requirements=["C", "W"])
+    if np.may_share_memory(cs, ct):
+        ct = ct.copy()
     mu_s = cs.mean(axis=1)
     mu_t = ct.mean(axis=1)
-    cs = cs - mu_s[:, None]
-    ct = ct - mu_t[:, None]
+    cs -= mu_s[:, None]
+    ct -= mu_t[:, None]
 
     # The 3x3 scatter's eigenvalues are the squared singular values of cs.
     # eigvalsh finds them to about 1e-16 of the largest, so the squared
@@ -228,14 +232,23 @@ def transform_rows(pose: RigidTransform, rows: np.ndarray) -> np.ndarray:
     return moved
 
 
-def column_lengths(rows: np.ndarray) -> np.ndarray:
+def column_lengths(rows: np.ndarray, overwrite_rows: bool = False) -> np.ndarray:
     """Norms of the columns of (3, ...) coordinate rows, summed x^2 + y^2,
     then + z^2: cKDTree's order, and ``np.linalg.norm``'s over a last axis of
-    three, so the values come out bit-equal to both."""
-    x, y, z = rows
-    out = x * x
-    out += y * y
-    out += z * z
+    three, so the values come out bit-equal to both. With ``overwrite_rows``
+    the rows, which must be writeable, are squared where they lie and the
+    norms are written over the first row, which is returned: the same bits
+    without a new array."""
+    if overwrite_rows:
+        rows *= rows
+        out, y2, z2 = rows
+        out += y2
+        out += z2
+    else:
+        x, y, z = rows
+        out = x * x
+        out += y * y
+        out += z * z
     return np.sqrt(out, out=out)
 
 

@@ -72,6 +72,12 @@ log = logging.getLogger("pcr")
 # magnitude, however short the distance.
 CACHE_ROUNDING = 1e-12
 
+# Most rows a NeighbourCache tree walk takes at once. Each row's walk is
+# independent of the others, so the answers are those of one walk, and a
+# walk's scratch (a block's coordinates, two distances and two indices per
+# row, 56 B) stays at 229 kB however many rows are walked.
+WALK_BLOCK = 4096
+
 
 def coarse_strides(n: int) -> list[int]:
     """Strides of the coarse levels for an ``n``-point source, coarsest
@@ -195,48 +201,60 @@ class NeighbourCache:
         """Distances and target indices of the true closest points."""
         rows = np.ascontiguousarray(moved.T)  # no copy for a view of rows
         root = self._root or self
-        root._extent = max(root._extent, float(np.abs(rows).max()))
+        # the largest magnitude, without an array of them
+        root._extent = max(root._extent, float(rows.max()), -float(rows.min()))
         slack = CACHE_ROUNDING * root._extent
-        step = column_lengths(rows - self._anchor)
-        kept = 2.0 * step + slack < self._gap
-        tied = self._gap == 0.0
-        self._settle_ties(rows, np.flatnonzero(tied))
-        stale = ~(kept | tied)
+        step = column_lengths(rows - self._anchor, overwrite_rows=True)
+        # neither a row that keeps its neighbour nor a tied row
+        stale = ~(2.0 * step + slack < self._gap) & (self._gap != 0.0)
         fresh = np.flatnonzero(stale & (self._gap < 0.0))  # never walked
         drifted = np.flatnonzero(stale & (self._gap > 0.0))
+        if drifted.size:
+            reach = self._d1[drifted] + self._gap[drifted] + step[drifted]
+            reach = float(reach.max()) + slack
+        # Only the rows' indices are kept through the walks.
+        del step, stale
+        self._settle_ties(rows, np.flatnonzero(self._gap == 0.0))
         if fresh.size:
             held = root._d1[root._gap >= 0.0]
             self._walk(rows, fresh, TRIM_MULTIPLIER * _median(held) + slack
                        if held.size else np.inf)
         if drifted.size:
-            reach = self._d1[drifted] + self._gap[drifted] + step[drifted]
-            self._walk(rows, drifted, float(reach.max()) + slack)
+            self._walk(rows, drifted, reach)
         nearest = self._nearest.copy()
+        # The distances are computed in the gathered target rows.
         paired = np.take(self._index.rows, nearest, axis=1)
-        return column_lengths(rows - paired), nearest
+        np.subtract(rows, paired, out=paired)
+        return column_lengths(paired, overwrite_rows=True), nearest
 
     def _walk(self, rows: np.ndarray, which: np.ndarray, bound: float) -> None:
-        """Walk the tree within ``bound`` for columns ``which`` of ``rows``
-        and store what it finds."""
-        points = np.take(rows, which, axis=1)
-        dist, idx = self._index.query(points.T, 2, bound)
-        # a second target not found lies at least the bound away
-        np.minimum(dist[:, 1], bound, out=dist[:, 1])
-        missed = np.flatnonzero(dist[:, 0] == np.inf)
-        if missed.size:
-            dist[missed], idx[missed] = self._index.query(
-                np.take(points, missed, axis=1).T, 2)
-        self._anchor[:, which] = points
-        self._nearest[which] = idx[:, 0]
-        self._d1[which] = dist[:, 0]
-        self._gap[which] = dist[:, 1] - dist[:, 0]
-        self._settle_ties(rows, which[dist[:, 1] == dist[:, 0]])
+        """Walk the tree within ``bound`` for columns ``which`` of ``rows``,
+        ``WALK_BLOCK`` at a time, and store what it finds."""
+        for block in _blocks(which):
+            points = np.take(rows, block, axis=1)
+            dist, idx = self._index.query(points.T, 2, bound)
+            # a second target not found lies at least the bound away
+            np.minimum(dist[:, 1], bound, out=dist[:, 1])
+            missed = np.flatnonzero(dist[:, 0] == np.inf)
+            if missed.size:
+                dist[missed], idx[missed] = self._index.query(
+                    np.take(points, missed, axis=1).T, 2)
+            self._anchor[:, block] = points
+            self._nearest[block] = idx[:, 0]
+            self._d1[block] = dist[:, 0]
+            self._gap[block] = dist[:, 1] - dist[:, 0]
+            self._settle_ties(rows, block[dist[:, 1] == dist[:, 0]])
 
     def _settle_ties(self, rows: np.ndarray, which: np.ndarray) -> None:
         """Take the single-neighbour walk's choice for columns with a zero
         gap."""
-        if which.size:
-            self._nearest[which] = self._index.query(np.take(rows, which, axis=1).T)[1]
+        for block in _blocks(which):
+            self._nearest[block] = self._index.query(np.take(rows, block, axis=1).T)[1]
+
+
+def _blocks(which: np.ndarray):
+    """Consecutive slices of ``which``, ``WALK_BLOCK`` long but the last."""
+    return (which[start:start + WALK_BLOCK] for start in range(0, which.size, WALK_BLOCK))
 
 
 def correspond(moved, index: NNIndex | NeighbourCache) -> tuple[np.ndarray, np.ndarray]:
@@ -246,6 +264,7 @@ def correspond(moved, index: NNIndex | NeighbourCache) -> tuple[np.ndarray, np.n
     least 3 pairs must survive."""
     dist, tgt_idx = index.query(moved)
     keep = dist <= TRIM_MULTIPLIER * _median(dist)
+    del dist  # a cache's distances may hold its gathered target rows
     if int(keep.sum()) < 3:
         raise TooFewPairsError(
             f"only {int(keep.sum())} pairs survive trimming, need at least 3")
@@ -266,20 +285,20 @@ class IcpResult:
         return float(self.rms_trace[-1])
 
 
-def _iteration(src: np.ndarray, moved: np.ndarray, cache: NeighbourCache
-               ) -> tuple[RigidTransform, np.ndarray, float]:
-    """One ICP iteration on contiguous (3, n) source rows now at ``moved``:
-    the kept pairs' alignment, the source rows moved by it and the RMS of the
-    kept pairs under it. Its pair arrays are freed on return, so none of them
-    is alive through the next tree walk."""
-    kept, theta = correspond(moved.T, cache)
-    pairs_q = np.take(cache.index.rows, theta, axis=1)
-    new = umeyama_align(np.take(src, kept, axis=1).T, pairs_q.T)
+def _align(src: np.ndarray, target_rows: np.ndarray, kept: np.ndarray,
+           theta: np.ndarray) -> tuple[RigidTransform, np.ndarray, float]:
+    """The alignment of source columns ``kept`` of contiguous (3, n) rows
+    ``src`` with target columns ``theta`` of ``target_rows``, the source rows
+    moved by it and the pairs' RMS under it. The alignment consumes the
+    gathers it is given, and the RMS gathers the target columns again."""
+    new = umeyama_align(np.take(src, kept, axis=1), np.take(target_rows, theta, axis=1))
     # The next query's points; the kept columns give the RMS under ``new``.
     moved = transform_rows(new, src)
     diff = np.take(moved, kept, axis=1)
-    diff -= pairs_q
-    return new, moved, float(np.sqrt(float((diff * diff).sum()) / kept.size))
+    for axis, coords in zip(diff, target_rows):
+        axis -= coords.take(theta)
+    diff *= diff
+    return new, moved, float(np.sqrt(float(diff.sum()) / kept.size))
 
 
 def _icp_loop(src: np.ndarray, cache: NeighbourCache, current: RigidTransform,
@@ -287,13 +306,17 @@ def _icp_loop(src: np.ndarray, cache: NeighbourCache, current: RigidTransform,
               ) -> tuple[RigidTransform, np.ndarray, list[float], int, bool]:
     """The trimmed ICP iteration from ``current`` on contiguous (3, n) source
     coordinate rows: (pose, source rows moved by the pose, RMS trace,
-    iterations, converged)."""
+    iterations, converged). A tree walk holds one moved copy of the source
+    and no pairs; an alignment holds its pairs and no moved copy."""
     trace: list[float] = []
     converged = False
     iterations = 0
     moved = transform_rows(current, src)
     for iterations in range(1, MAX_ITERATIONS + 1):
-        new, moved, rms = _iteration(src, moved, cache)
+        kept, theta = correspond(moved.T, cache)
+        del moved
+        new, moved, rms = _align(src, cache.index.rows, kept, theta)
+        del kept, theta
         trace.append(rms)
 
         # The pose step from ``current`` to ``new``: new.compose(current.inverse())

@@ -14,10 +14,11 @@ angular residual 1 - cos(angle between the target ray and the epipolar
 plane), thresholded at 1 - cos(arctan(psi / l)) so the pixel threshold psi
 (``PIXEL_THRESHOLD``) maps onto ray space; every match is scored, with or
 without depths. Minimal samples come from one stream seeded by ``SEED``, at
-most ``MAX_HYPOTHESES`` of them. The local optimisation's refits, stacked
-per chunk, and the final polish share one nonlinear solver: Gauss-Newton
-on the essential manifold with an analytic Jacobian (Helmke et al. 2007),
-run on a (k, 3, 3) stack of models at once. Of all minimal models and
+most ``MAX_HYPOTHESES`` of them for their size: 5000 three-point or 1000
+eight-point samples. The local optimisation's refits, stacked per chunk,
+and the final polish share one nonlinear solver: Gauss-Newton on the
+essential manifold with an analytic Jacobian (Helmke et al. 2007), run on a
+(k, 3, 3) stack of models at once. Of all minimal models and
 refits, the winner has the most inliers, then the least total residual,
 then was drawn first (a hypothesis's refits follow it, rung by rung); an
 exact tie between different inlier sets is an error. Each run logs one
@@ -43,8 +44,16 @@ log = logging.getLogger("pcr")
 # The classical reprojection threshold in pixels; the target camera's fx
 # converts it to the angular form.
 PIXEL_THRESHOLD = 1.0
-# Most hypotheses drawn; the adaptive stop usually ends far sooner.
-MAX_HYPOTHESES = 1000
+# Most hypotheses drawn, by sample size; the adaptive stop usually ends far
+# sooner. A cap of N keeps the stop's confidence p for inlier shares w with
+# (1 - w^k)^N <= 1 - p, samples of k rows. Three-point draws: at a worst
+# share of 0.1 (90% outliers) and p = _CONFIDENCE = 0.99, ln(0.01) /
+# ln(1 - 0.1^3) = 4603 draws, rounded up to 5000. Eight-point draws keep
+# 1000, which holds p down to w = 0.51; at 70% outliers they would need
+# about 70 000 draws, which no cap makes affordable. On criterion-01 edges
+# at 90% outliers (seeds 1000-1029) a three-point cap of 1000 left 16 right,
+# 4 wrong and 10 refused; 5000 gets all 30 right.
+MAX_HYPOTHESES = {3: 5000, 8: 1000}
 # Seed of the minimal-sample stream, so a registration is repeatable.
 SEED = 42
 
@@ -419,7 +428,7 @@ def _consensus(rays_s, rays_t, threshold, lifted=None):
     best = (np.array([-1]), np.array([np.inf]), np.zeros((1, n), dtype=bool),
             np.zeros((1, 3, 3)), np.array([-1]))
     tied, top_minimal, drawn, batches = False, -1, 0, 0
-    stop = min(_MIN_HYPOTHESES[size], MAX_HYPOTHESES)
+    stop = min(_MIN_HYPOTHESES[size], MAX_HYPOTHESES[size])
     while drawn < stop:
         samples = _draw_samples(rng, len(rows), min(_CHUNK, stop - drawn), size)
         models, ok = solve(source[samples], target[samples])
@@ -445,7 +454,7 @@ def _consensus(rays_s, rays_t, threshold, lifted=None):
         tied = (tied and win == 0) or bool((masks[same] != masks[win]).any())
         best = tuple(column[win:win + 1] for column in table)
         stop = _hypotheses_needed(int(masks[win, rows].sum()), len(rows),
-                                  MAX_HYPOTHESES, size)
+                                  MAX_HYPOTHESES[size], size)
 
     count, _, mask, model, _ = (column[0] for column in best)
     count = max(int(count), 0)
@@ -477,11 +486,11 @@ def ransac_relative_pose(matches: Matches, intrinsics_source: CameraIntrinsics,
     tie between different inlier sets is an error). Drawing stops once,
     with 99% confidence, one sample was outlier-free at the best inlier
     share (among the depth-complete matches, for three-point samples), and
-    never before the sample size's floor of hypotheses; ``MAX_HYPOTHESES``
-    caps it. The winner is polished over its inliers by the same manifold
-    Gauss-Newton, run to convergence, and then decomposed once via
-    cheirality. Reported inliers are re-scored against the polished pose,
-    so every one satisfies the threshold."""
+    never before the sample size's floor of hypotheses, and the sample
+    size's ``MAX_HYPOTHESES`` caps it. The winner is polished over its
+    inliers by the same manifold Gauss-Newton, run to convergence, and then
+    decomposed once via cheirality. Reported inliers are re-scored against
+    the polished pose, so every one satisfies the threshold."""
     n = len(matches)
     if n < 8:
         raise InsufficientMatchesError(f"RANSAC needs at least 8 matches, got {n}")

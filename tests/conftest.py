@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pcr.cloudio import Cloud, write_ply
+from pcr.geom import umeyama_align
 from pcr.pipeline import PipelineConfig, register
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -40,6 +41,12 @@ def rodrigues(axis, angle):
                   [axis[2], 0.0, -axis[0]],
                   [-axis[1], axis[0], 0.0]])
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+def align(source, target):
+    """``umeyama_align`` of paired (n, 3) point arrays, through copies of
+    their coordinate rows, so the points are left as they were."""
+    return umeyama_align(np.array(np.transpose(source)), np.array(np.transpose(target)))
 
 
 def rotation_angle_between(ra, rb):

@@ -9,6 +9,7 @@ only in ``perfbench/run.py --smoke``. The modules are read from
 
 import dataclasses
 import importlib
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -65,7 +66,7 @@ CHILD_SPANS = {
 
 @pytest.mark.parametrize("name, build", [("edge-small", default_scene),
                                          ("rigid-dense", rigid_scene)])
-def test_traced_pipeline_returns_a_report(perfbench, tmp_path, name, build):
+def test_traced_pipeline_returns_a_report(perfbench, tmp_path, caplog, name, build):
     tracer_module, workloads = perfbench
     workload = workloads.WORKLOADS[name]
     paths = build(workloads, tmp_path / "scene")
@@ -76,7 +77,8 @@ def test_traced_pipeline_returns_a_report(perfbench, tmp_path, name, build):
     tracer.request = 0
     try:
         tracer.install(pcr)
-        report = pcr.pipeline.run_pipeline(cfg)
+        with caplog.at_level("DEBUG", logger="pcr"):
+            report = pcr.pipeline.run_pipeline(cfg)
     finally:
         tracer.close()
     assert pcr.pipeline.run_pipeline is original
@@ -85,6 +87,16 @@ def test_traced_pipeline_returns_a_report(perfbench, tmp_path, name, build):
     assert (tmp_path / "moved.ply").exists() == workload.write_cloud
     [root] = [s.sid for s in tracer.spans if s.name == "pipeline.run_pipeline"]
     assert Counter(s.name for s in tracer.spans if s.parent == root) == CHILD_SPANS[name]
+    # ICP's own: one tree build, then per iteration of every level one
+    # correspondence search and one alignment, and one search for the final
+    # pairs. ICP routed around a traced name fails here instead of reading 0
+    # in the benchmark's icp.correspond_ms or geom.umeyama_ms.
+    iterations = sum(int(m[1]) for r in caplog.records
+                     if (m := re.match(r"icp level stride \d+: (\d+) iterations", r.getMessage())))
+    [icp_root] = [s.sid for s in tracer.spans if s.name == "icp.register"]
+    assert iterations > 0
+    assert Counter(s.name for s in tracer.spans if s.parent == icp_root) == {
+        "icp.nn_build": 1, "icp.correspond": iterations + 1, "geom.umeyama": iterations}
     # the scale stage runs once on an edge and not at all on a rigid pair
     kalman = [(s.error, s.counts) for s in tracer.spans if s.name == "scale.kalman"]
     assert kalman == ([(None, {"iterations": 1, "converged": 1})]

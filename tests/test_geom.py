@@ -7,7 +7,7 @@ from pcr.geom import (COORDINATE_LIMIT, Bounds3, RigidTransform,
                       SimilarityTransform, as_points, bounds,
                       rotation_about_axis, skew, transform_rows, umeyama_align)
 
-from conftest import random_rotation, rodrigues, rotation_angle_between
+from conftest import align, random_rotation, rodrigues, rotation_angle_between
 
 
 def rand_similarity(rng):
@@ -98,7 +98,7 @@ class TestApply:
 class TestUmeyama:
     def test_identity_when_target_equals_source(self, rng):
         pts = rng.normal(size=(40, 3))
-        out = umeyama_align(pts, pts)
+        out = align(pts, pts)
         assert np.abs(out.rotation - np.eye(3)).max() < 1e-9
         assert np.abs(out.translation).max() < 1e-9
 
@@ -107,7 +107,7 @@ class TestUmeyama:
             x = rand_similarity(rng).rigid
             src = rng.normal(size=(25, 3))
             tgt = x.apply(src)
-            out = umeyama_align(src, tgt)
+            out = align(src, tgt)
             assert isinstance(out, RigidTransform)
             assert rotation_angle_between(out.rotation, x.rotation) < 1e-9
             assert np.abs(out.translation - x.translation).max() < 1e-8
@@ -116,12 +116,12 @@ class TestUmeyama:
         pts = rng.normal(size=(2, 3))
         with pytest.raises(DegenerateGeometryError,
                            match="^alignment needs at least 3 point pairs$"):
-            umeyama_align(pts, pts + 1.0)
+            align(pts, pts + 1.0)
 
     def test_collinear_points_raise(self):
         src = np.outer(np.arange(5.0), [1.0, 2.0, 3.0])
         with pytest.raises(DegenerateGeometryError):
-            umeyama_align(src, src)
+            align(src, src)
 
     @pytest.mark.parametrize("offset", [0.0, 1000.0])
     def test_near_collinear_points_raise(self, rng, offset):
@@ -129,27 +129,55 @@ class TestUmeyama:
         src = np.outer(np.arange(50.0), [1.0, 2.0, 3.0]) + offset
         src += rng.normal(scale=1e-13, size=src.shape)
         with pytest.raises(DegenerateGeometryError):
-            umeyama_align(src, src)
+            align(src, src)
 
     @pytest.mark.parametrize("point", [[0.0, 0.0, 0.0], [1.5, -2.0, 3e3]])
     def test_coincident_points_raise(self, point):
         src = np.tile(point, (10, 1))
         with pytest.raises(DegenerateGeometryError):
-            umeyama_align(src, src)
+            align(src, src)
 
     def test_thin_points_are_fine(self, rng):
         # second singular value 1e-4 of the first, above COLLINEAR_RATIO
         src = np.outer(rng.uniform(-1.0, 1.0, 40), [1.0, 2.0, 3.0])
         src += rng.normal(scale=1e-4, size=src.shape)
         rot = random_rotation(rng)
-        out = umeyama_align(src, src @ rot.T + 0.5)
+        out = align(src, src @ rot.T + 0.5)
         assert rotation_angle_between(out.rotation, rot) < 1e-6
+
+    def test_rows_are_consumed(self, rng):
+        # contiguous float64 rows are centred where they lie; others are
+        # copied and left as they were
+        src = rng.normal(size=(3, 40))
+        rot = random_rotation(rng)
+        tgt = rot @ src + 0.5
+        ref = align(src.T, tgt.T)
+        keep_src, keep_tgt = src.copy(), np.asfortranarray(tgt)
+        out = umeyama_align(src, keep_tgt)
+        assert np.array_equal(out.rotation, ref.rotation)
+        assert np.array_equal(out.translation, ref.translation)
+        assert np.array_equal(src, keep_src - keep_src.mean(axis=1)[:, None])
+        assert np.array_equal(keep_tgt, tgt)
+        keep_src.flags.writeable = False
+        out = umeyama_align(keep_src, tgt)
+        assert np.array_equal(out.rotation, ref.rotation)
+
+    def test_one_array_for_both_sides(self, rng):
+        # centring the source must not centre the target a second time:
+        # the scatter of the twice-moved points would pass a line
+        rows = rng.normal(size=(3, 30)) + 5.0
+        out = umeyama_align(rows, rows)
+        assert np.abs(out.rotation - np.eye(3)).max() < 1e-9
+        assert np.abs(out.translation).max() < 1e-9
+        line = np.outer([1.0, 2.0, 3.0], np.arange(5.0)) + [[1.0], [0.0], [0.0]]
+        with pytest.raises(DegenerateGeometryError):
+            umeyama_align(line, line)
 
     def test_planar_points_are_fine(self, rng):
         src = rng.normal(size=(30, 3))
         src[:, 2] = 0.0
         rot = random_rotation(rng)
-        out = umeyama_align(src, src @ rot.T)
+        out = align(src, src @ rot.T)
         assert rotation_angle_between(out.rotation, rot) < 1e-9
 
 
@@ -204,7 +232,7 @@ POINT_STAGES = {
     "depth_consistent_indices": lambda p, q: scale.depth_consistent_indices(p, q, np.eye(3)),
     "estimate_scale_kalman": lambda p, q: scale.estimate_scale_kalman(p, q, np.eye(3)),
     "icp_register": icp.icp_register,
-    "umeyama_align": umeyama_align,
+    "umeyama_align": lambda p, q: umeyama_align(p.T, q.T),
     "covariance": lambda p, q: icpcov.covariance(p, q, RigidTransform.identity(), 0.01),
     "pair_sigma": lambda p, q: icpcov.pair_sigma(p, q, RigidTransform.identity()),
 }
@@ -256,7 +284,7 @@ class TestPointContract:
         tgt = src @ rot.T
         detection = scale.detect_scale(2.0 * src, src)
         assert detection.differs and detection.ratio == pytest.approx(0.5)
-        assert rotation_angle_between(umeyama_align(src, tgt).rotation, rot) < 1e-9
+        assert rotation_angle_between(align(src, tgt).rotation, rot) < 1e-9
         result = icp.icp_register(src, tgt)
         assert rotation_angle_between(result.transform.rotation, rot) < 1e-9
 

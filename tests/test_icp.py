@@ -12,9 +12,10 @@ from pcr.cloudio import Cloud, write_ply
 from pcr.errors import TooFewPairsError
 from pcr.geom import RigidTransform, bounds, rotation_angle, umeyama_align
 from pcr.icp import NNIndex, NeighbourCache, correspond, icp_register
+from pcr.pipeline import register
 from pcr.synth import SynthSpec, build_scene
 
-from conftest import rodrigues, rotation_angle_between
+from conftest import align, rodrigues, rotation_angle_between
 
 
 def box_cloud(rng, n=500):
@@ -48,7 +49,7 @@ def single_stage_icp(src, tgt, max_iterations=100, init=None, tol_factor=1.0):
         kept, paired = correspond(current.apply(src), index)
         pairs_p = src[kept]
         pairs_q = tgt[paired]
-        new = umeyama_align(pairs_p, pairs_q)
+        new = align(pairs_p, pairs_q)
         # summed over (3, k) coordinate rows, in the loop's order
         diff = np.ascontiguousarray((new.apply(pairs_p) - pairs_q).T)
         rms = float(np.sqrt(float((diff * diff).sum()) / len(kept)))
@@ -290,6 +291,29 @@ class TestNeighbourCache:
                      for k, bound, dist in walks if k == 2 and bound < np.inf)
         assert single >= 20 - len(range(len(src) - 20, len(src), 7))
 
+    def test_fresh_walk_in_blocks(self, rng):
+        # the full level's 10 500 fresh rows walk in three blocks, the last
+        # one partial; in the last block, one row lies far outside its bound
+        # and one sits at a duplicated target
+        tgt = box_cloud(rng, 12000)
+        src = tgt + rng.normal(scale=0.01, size=tgt.shape)
+        far, tied = 11001, 11003
+        src[far] += 100.0 * bounds(tgt).diagonal_length()
+        src[tied] = tgt[tied] + [0.002, 0.0, 0.0]
+        tgt = np.vstack([tgt, tgt[tied]])
+        walks = []
+        self.walk(src, tgt, [RigidTransform.identity()] * 2, [8, 1], walks)
+        blocks = [dist for k, bound, dist in walks if k == 2 and bound < np.inf]
+        fresh = len(src) - len(src[::8])
+        assert [len(dist) for dist in blocks] == [icp.WALK_BLOCK] * 2 + [fresh % icp.WALK_BLOCK]
+        # a fresh row's place among the fresh rows, those off the stride 8
+        assert [(row - row // 8 - 1) // icp.WALK_BLOCK for row in (far, tied)] == [2, 2]
+        assert [int(np.isinf(dist[:, 0]).sum()) for dist in blocks] == [0, 0, 1]
+        assert [int((dist[:, 0] == dist[:, 1]).sum() - np.isinf(dist[:, 0]).sum())
+                for dist in blocks] == [0, 0, 1]
+        assert [(k, len(dist)) for k, bound, dist in walks if bound == np.inf][-2:] \
+            == [(2, 1), (1, 1)]
+
     def test_duplicate_targets_through_bounded_walks(self, rng):
         # ties met by fresh rows at a finer level and by rows walked again
         base = box_cloud(rng, 4000)
@@ -441,28 +465,51 @@ class TestIcpRegister:
         assert res.converged is False
 
     def test_working_set_per_source_point(self):
-        # the rigid-dense benchmark's scene shape: 20 000 points, its target
-        # offset cut to a tenth. An iteration's pair arrays and the cache's
-        # answer rows kept alive through the next tree walk took the peak to
-        # 303 B per source point; without them it is 244
-        scene = build_scene(SynthSpec(scale=1.0, rotation_deg=5.0, noise=0.005,
-                                      outlier_fraction=0.3, points=20000, seed=1000))
-        truth = scene.ground_truth
-        src = scene.source.points
-        mu = src.mean(axis=0)
-        offset = truth.translation - truth.scale * (mu - truth.rotation @ mu)
-        tgt = scene.target.points - 0.9 * offset
+        # An iteration's pair arrays and the cache's answer rows kept alive
+        # through the next tree walk took the peak to 303 B per source
+        # point; without them it was 244. Alignment in the gathered pairs,
+        # no moved rows beside them, and walks in blocks bring it to 180
+        src, tgt = rigid_dense_scene()
         first = icp_register(src, tgt)  # loads what the first registration loads
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            held = tracemalloc.get_traced_memory()[0]
-            res = icp_register(src, tgt)
-            peak = tracemalloc.get_traced_memory()[1] - held
-        finally:
-            tracemalloc.stop()
+        peak, res = traced_peak(lambda: icp_register(src, tgt))
         assert_same_result(res, first)
-        assert peak <= 260 * len(src), f"{peak / len(src):.0f} B per source point"
+        assert peak <= 205 * len(src), f"{peak / len(src):.0f} B per source point"
+
+    def test_register_working_set_per_source_point(self):
+        # the whole registration, above the caller's clouds: neither the
+        # covariance over every pair nor the report may peak above ICP
+        src, tgt = rigid_dense_scene()
+        first = register(src, tgt, use_scale=False)
+        peak, report = traced_peak(lambda: register(src, tgt, use_scale=False))
+        assert report.rms == first.rms
+        assert np.array_equal(report.covariance, first.covariance)
+        assert peak <= 205 * len(src), f"{peak / len(src):.0f} B per source point"
+
+
+def rigid_dense_scene():
+    """The rigid-dense benchmark's scene shape: 20 000 points, its target
+    offset cut to a tenth."""
+    scene = build_scene(SynthSpec(scale=1.0, rotation_deg=5.0, noise=0.005,
+                                  outlier_fraction=0.3, points=20000, seed=1000))
+    truth = scene.ground_truth
+    src = scene.source.points
+    mu = src.mean(axis=0)
+    offset = truth.translation - truth.scale * (mu - truth.rotation @ mu)
+    return src, scene.target.points - 0.9 * offset
+
+
+def traced_peak(call):
+    """The tracemalloc peak of ``call()`` above what was allocated before
+    it, and what it returned."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    return peak, out
 
 
 def layout_scene(rng, kind):
@@ -482,10 +529,13 @@ class TestLayouts:
 
     @pytest.mark.parametrize("kind", ["box", "dense"])
     def test_umeyama_align_same_for_any_layout(self, rng, kind):
+        # the rows of C-ordered, Fortran-ordered and strided-view points;
+        # the Fortran-ordered points' rows are contiguous and are consumed,
+        # so ``layouts`` makes them afresh
         pts, tgt = layout_scene(rng, kind)
-        ref = umeyama_align(pts, tgt)
+        ref = align(pts, tgt)
         for src_view, tgt_view in zip(layouts(pts), layouts(tgt)):
-            out = umeyama_align(src_view, tgt_view)
+            out = umeyama_align(src_view.T, tgt_view.T)
             assert np.array_equal(out.rotation, ref.rotation)
             assert np.array_equal(out.translation, ref.translation)
 

@@ -5,13 +5,13 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from pcr.errors import DegenerateGeometryError
-from pcr.geom import RigidTransform, rotation_about_axis, umeyama_align
+from pcr.geom import RigidTransform, rotation_about_axis
 from pcr.icp import icp_register
 from pcr.icpcov import (CovarianceResult, covariance, hessian_xx, hessian_zx,
                         information_matrix, pair_sigma)
 from pcr.synth import SynthSpec, build_scene
 
-from conftest import random_rotation, rodrigues
+from conftest import align, random_rotation, rodrigues
 
 # [e_k]x, built from the cross product: [e_k]x @ w == np.cross(e_k, w).
 GENERATORS = np.array([np.cross(axis, np.eye(3)).T for axis in np.eye(3)])
@@ -334,7 +334,7 @@ class TestCovariance:
         rot = rotation_about_axis([0.0, 1.0, 0.0], np.radians(degrees))
         pts_q = pts_p @ rot.T + [0.2, -0.1, 0.3] + rng.normal(scale=sigma, size=(200, 3))
         # the exact minimizer of J over these pairs
-        pose = umeyama_align(pts_p, pts_q)
+        pose = align(pts_p, pts_q)
         yaw, pitch, roll = Rotation.from_matrix(pose.rotation).as_euler("ZYX")
         rot_e, drot, ddrot = euler_derivatives(roll, pitch, yaw)
         hxx, spread = per_pair_sums(pts_p, pts_q, rot_e, pose.translation, drot, ddrot)
@@ -380,7 +380,7 @@ class TestPairSigma:
         pts_p = rng.uniform(-1, 1, size=(5000, 3))
         pose = RigidTransform(rotation_about_axis([0.3, 1.0, -0.2], 0.4), [0.2, -0.1, 0.3])
         pts_q = pose.apply(pts_p) + rng.normal(scale=sigma, size=pts_p.shape)
-        fitted = pair_sigma(pts_p, pts_q, umeyama_align(pts_p, pts_q))
+        fitted = pair_sigma(pts_p, pts_q, align(pts_p, pts_q))
         assert fitted == pytest.approx(sigma, rel=0.03)
 
     @pytest.mark.parametrize("noise", [0.0025, 0.005, 0.01])

@@ -6,13 +6,13 @@ import pytest
 from pcr.cloudio import CameraIntrinsics, Matches
 from pcr import relpose
 from pcr.errors import (AmbiguousDecompositionError, DegenerateGeometryError,
-                        InsufficientMatchesError, NoConsensusError)
-from pcr.geom import RigidTransform
+                        InsufficientMatchesError, NoConsensusError, RegistrationError)
+from pcr.geom import RigidTransform, bounds
 from pcr.relpose import (RelativePose, angular_threshold, decompose_and_disambiguate,
                          epipolar_residuals, essential_from_rays, ransac_relative_pose)
 from pcr.synth import SynthSpec, build_scene
 
-from conftest import rodrigues, rotation_angle_between
+from conftest import register_scene, rodrigues, rotation_angle_between
 
 K = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0)
 
@@ -364,11 +364,11 @@ def reference_consensus(rays_s, rays_t, threshold):
     total residual, replace it, and as many at the same total with another
     inlier set tie. The stop count is re-derived after every chunk of the
     stream. The seed and the cap are the module's ``SEED`` and
-    ``MAX_HYPOTHESES``."""
+    eight-point ``MAX_HYPOTHESES``."""
     n = len(rays_s)
     rng = np.random.default_rng(relpose.SEED)
     best_count, best_total, best_model, best_mask = -1, np.inf, None, None
-    top_minimal, tied, drawn, stop = -1, False, 0, relpose.MAX_HYPOTHESES
+    top_minimal, tied, drawn, stop = -1, False, 0, relpose.MAX_HYPOTHESES[8]
     while drawn < stop:
         samples = relpose._draw_samples(rng, n, min(relpose._CHUNK, stop - drawn), 8)
         drawn += len(samples)
@@ -395,7 +395,7 @@ def reference_consensus(rays_s, rays_t, threshold):
                 elif count == best_count and total == best_total \
                         and not np.array_equal(mask, best_mask):
                     tied = True
-        stop = stop_formula(max(best_count, 0), n, relpose.MAX_HYPOTHESES)
+        stop = stop_formula(max(best_count, 0), n, relpose.MAX_HYPOTHESES[8])
     assert best_count >= 8 and not tied
     return best_model, best_mask, best_count, drawn
 
@@ -446,7 +446,7 @@ class TestRansac:
     def test_samples_are_distinct_and_repeat_for_seed(self, rng, monkeypatch, iterations):
         matches, *_ = two_view_scene(rng, n=60, pixel_noise=0.3, outliers=0.4)
         draw = relpose._draw_samples
-        monkeypatch.setattr(relpose, "MAX_HYPOTHESES", iterations)
+        monkeypatch.setitem(relpose.MAX_HYPOTHESES, 8, iterations)
         monkeypatch.setattr(relpose, "SEED", 9)
 
         def run():
@@ -485,7 +485,7 @@ class TestRansac:
         rng = np.random.default_rng(seed + 300)
         matches, *_ = two_view_scene(rng, n=150, pixel_noise=pixel_noise, outliers=outliers)
         rays_s, rays_t = rays_of(matches)
-        monkeypatch.setattr(relpose, "MAX_HYPOTHESES", cap)
+        monkeypatch.setitem(relpose.MAX_HYPOTHESES, 8, cap)
         monkeypatch.setattr(relpose, "SEED", seed)
         threshold = angular_threshold(relpose.PIXEL_THRESHOLD, K.fx)
         ref_model, ref_mask, ref_count, ref_drawn = reference_consensus(
@@ -523,7 +523,7 @@ class TestRansac:
         matches, *_ = two_view_scene(rng, n=200, outliers=0.3)
         rays_s, rays_t = rays_of(matches)
         threshold = angular_threshold(1.0, K.fx)
-        monkeypatch.setattr(relpose, "MAX_HYPOTHESES", cap)
+        monkeypatch.setitem(relpose.MAX_HYPOTHESES, 8, cap)
         *_, count, drawn = relpose._consensus(rays_s, rays_t, threshold)
         assert 140 <= count <= 145
         assert drawn == stop_formula(count, 200, cap)
@@ -573,7 +573,7 @@ class TestRansac:
             assert (epipolar_residuals(skew(tdir) @ rot, *rays_of(group)) > threshold).all()
         both = Matches(np.vstack([first.table, second.table]))
         monkeypatch.setattr(relpose, "SEED", 0)
-        monkeypatch.setattr(relpose, "MAX_HYPOTHESES", 2000)
+        monkeypatch.setitem(relpose.MAX_HYPOTHESES, 8, 2000)
         with pytest.raises(AmbiguousDecompositionError):
             ransac_relative_pose(both, K, K)
 
@@ -592,7 +592,7 @@ class TestRansac:
         rays_s, rays_t = rays_of(matches)
         with pytest.raises(DegenerateGeometryError):
             essential_from_rays(rays_s[:8], rays_t[:8])
-        monkeypatch.setattr(relpose, "MAX_HYPOTHESES", 300)
+        monkeypatch.setitem(relpose.MAX_HYPOTHESES, 8, 300)
         with pytest.raises(NoConsensusError, match="has 0 inliers"):
             ransac_relative_pose(matches, K, K)
 
@@ -695,6 +695,27 @@ class TestThreePointDraw:
         assert np.degrees(rotation_angle_between(pose.transform.rotation,
                                                  scene.ground_truth.rotation)) < 1.0
 
+    def test_ninety_percent_outliers_within_criterion_01(self):
+        # 20 inliers among 200 matches: 99% confidence of a clean triple at
+        # w = 0.1 asks for 4603 draws, within the three-point cap. At a cap
+        # of 1000 these 30 edges gave 16 right, 4 wrong and 10 refused.
+        right = wrong = 0
+        for seed in range(1000, 1030):
+            scene = edge_scene(0.9, seed)
+            try:
+                report = register_scene(scene)
+            except RegistrationError:
+                continue
+            truth = scene.ground_truth
+            final = report.final_transform
+            ok = (abs(final.scale / truth.scale - 1.0) < 0.01
+                  and np.degrees(rotation_angle_between(final.rotation, truth.rotation)) < 0.5
+                  and np.linalg.norm(final.translation - truth.translation)
+                  < 0.01 * bounds(scene.target.points).diagonal_length())
+            right += ok
+            wrong += not ok
+        assert right >= 28 and wrong == 0, (right, wrong)
+
     def test_stop_takes_share_among_depth_rows(self, monkeypatch):
         # 60 true inliers lose their depths: they are scored but cannot be
         # drawn, so the share that sets the stop is the inliers' among the
@@ -708,8 +729,8 @@ class TestThreePointDraw:
         [(((rows, *_),), (_, mask, _, drawn))] = seen
         assert len(rows) == 140
         needed = relpose._hypotheses_needed
-        assert drawn == needed(int(mask[rows].sum()), 140, relpose.MAX_HYPOTHESES, 3) > 16
-        assert needed(int(mask.sum()), 200, relpose.MAX_HYPOTHESES, 3) == 16
+        assert drawn == needed(int(mask[rows].sum()), 140, relpose.MAX_HYPOTHESES[3], 3) > 16
+        assert needed(int(mask.sum()), 200, relpose.MAX_HYPOTHESES[3], 3) == 16
 
     def test_run_logs_sampler_draws_batches_and_inliers(self, caplog):
         matches, *_ = two_view_scene(np.random.default_rng(23), n=150, pixel_noise=0.3,
